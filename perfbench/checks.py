@@ -2,9 +2,12 @@
 
 A run fails when its exit code is not the one the CLI documents for the
 input, when stderr carries a Python traceback, or when stdout fails the
-check for its subcommand.  Only the last kind is a wrong answer; the first
-two are crashes.  The checks are written against the documented output
-formats, independently of the program's own parsers.
+check for its subcommand.  A wrong answer is a failed check, or an exit
+with one of the codes the CLI uses to report a wrong result: 2 (a
+verification failed) or 3 (the engine found its own bounds inconsistent).
+A traceback, a usage error (exit 1) or a signal is a crash.  The checks
+are written against the documented output formats, independently of the
+program's own parsers.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import re
 from .workloads import Op
 
 TRACEBACK = b"Traceback (most recent call last)"
+# The CLI's exit codes for a result it found wrong (cli.EXIT_VERIFY and
+# cli.EXIT_INTERNAL).
+WRONG_EXITS = {2: "verification failed", 3: "internal inconsistency"}
 COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
            "upper_category", "gap", "eff", "exact")
 _INT_COLUMNS = ("m", "dim", "e", "lower", "upper", "gap", "eff")
@@ -126,14 +132,16 @@ def classify(op: Op, exit_code: int, stdout: bytes, stderr: bytes,
     """(failure reason or None, whether the failure is a wrong answer)."""
     if TRACEBACK in stderr:
         return f"traceback (exit {exit_code})", False
-    if exit_code != op.expect_exit:
+    if exit_code != op.expect_exit and exit_code not in WRONG_EXITS:
         return f"exit {exit_code}, documented {op.expect_exit}", False
-    if exit_code != 0:
-        return None, False
     if op.golden and stdout != golden:
-        return "golden table differs", True
-    try:
-        reason = _CHECKS[op.kind](op, stdout.decode())
-    except (ValueError, KeyError, IndexError, UnicodeDecodeError) as exc:
-        reason = f"unparseable output: {exc!r}"
+        reason = "golden table differs"
+    else:
+        try:
+            reason = _CHECKS[op.kind](op, stdout.decode())
+        except (ValueError, KeyError, IndexError, UnicodeDecodeError) as exc:
+            reason = f"unparseable output: {exc!r}"
+    if exit_code != op.expect_exit:
+        reason = (f"exit {exit_code} ({WRONG_EXITS[exit_code]}), "
+                  f"documented {op.expect_exit}; {reason or 'output passes its check'}")
     return reason, reason is not None

@@ -24,10 +24,11 @@ import json
 import math
 import os
 import platform
+import resource
+import signal
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -64,44 +65,31 @@ def child_env() -> dict:
     return env
 
 
-def spawn(argv: list[str], env: dict, tag: str, deadline: float) -> dict:
+def spawn(argv: list[str], env: dict, deadline: float) -> dict:
     """Run argv to completion, killing it at the time-out or the deadline;
-    wall time, exit code, max RSS and output."""
-    out_path, err_path = OUT / f"tmp/{tag}.out", OUT / f"tmp/{tag}.err"
-    with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out,
-                                stderr=err, cwd=ROOT, env=env)
-        timer = threading.Timer(min(OP_TIMEOUT_S, max(0.0, deadline - start)),
-                                proc.kill)
-        timer.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        except BaseException:
-            proc.kill()
-            proc.wait()
-            raise
-        finally:
-            timer.cancel()
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    result = {"exit": proc.returncode, "wall": wall, "start": start,
-              "end": start + wall, "rss_kb": usage.ru_maxrss,
-              "stdout": out_path.read_bytes(), "stderr": err_path.read_bytes()}
-    out_path.unlink()
-    err_path.unlink()
-    return result
+    wall time, exit code (-9 when killed) and output."""
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True,
+                              cwd=ROOT, env=env,
+                              timeout=min(OP_TIMEOUT_S, max(0.0, deadline - start)))
+        exit_code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        exit_code, stdout, stderr = -signal.SIGKILL, exc.stdout or b"", exc.stderr or b""
+    end = time.perf_counter()
+    return {"exit": exit_code, "wall": end - start, "start": start, "end": end,
+            "stdout": stdout, "stderr": stderr}
 
 
 def run_op(op: Op, index: int, golden: bytes, traced: bool,
            deadline: float) -> dict:
     env = child_env()
     if traced:
-        env["PERFBENCH_TRACE_FILE"] = str(OUT / f"tmp/trace-{index}.json")
+        env["PERFBENCH_TRACE_FILE"] = str(OUT / f"trace-{index}.json")
         argv = [sys.executable, "-m", "perfbench.tracing", *op.argv]
     else:
         argv = [sys.executable, "-m", "lensbounds.cli", *op.argv]
-    res = spawn(argv, env, f"op-{index}", deadline)
+    res = spawn(argv, env, deadline)
     failure, wrong = classify(op, res["exit"], res["stdout"], res["stderr"],
                               golden)
     if failure is not None:
@@ -109,7 +97,7 @@ def run_op(op: Op, index: int, golden: bytes, traced: bool,
               f"lensbounds {' '.join(op.argv)}")
     record = {"index": index, "kind": op.kind, "argv": list(op.argv),
               "exit": res["exit"], "wall_s": res["wall"],
-              "rss_kb": res["rss_kb"], "stdout_bytes": len(res["stdout"]),
+              "stdout_bytes": len(res["stdout"]),
               "digest": digest(res["stdout"]), "failure": failure,
               "wrong_answer": wrong, "traced": traced,
               "rows": op.rows if failure is None else 0,
@@ -128,7 +116,7 @@ def measure_setup(reps: int, deadline: float) -> list[float]:
     argv = [sys.executable, "-c", "import lensbounds.cli"]
     times = []
     for i in range(reps + 1):
-        res = spawn(argv, child_env(), f"setup-{i}", deadline)
+        res = spawn(argv, child_env(), deadline)
         if res["exit"] != 0:
             sys.stderr.write(res["stderr"].decode(errors="replace"))
             raise SystemExit("perfbench: importing lensbounds.cli failed")
@@ -183,7 +171,9 @@ def end_to_end(workload: str, records: list[dict], setup_s: float) -> tuple[dict
                                    if tables else 0.0, "rows/s")
     verify = latencies(records, "verify")
     metrics["verify_s"] = (printable(percentile(verify, 0.5)), "s")
-    metrics["peak_rss_mb"] = (max(r["rss_kb"] for r in records) / 1024, "MB")
+    # Largest max-RSS of any child so far: the set-up imports and the ops.
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    metrics["peak_rss_mb"] = (peak_kb / 1024, "MB")
     failed = sum(r["failure"] is not None for r in records)
     metrics["ok_rate"] = (1 - failed / len(records), "ratio")
     samples.update({"table": {"n": len(tables), "rows": rows},
@@ -350,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                   "the root of a lensbounds source checkout", file=sys.stderr)
             return 2
     golden = GOLDEN.read_bytes()
-    (OUT / "tmp").mkdir(parents=True, exist_ok=True)
+    OUT.mkdir(parents=True, exist_ok=True)
     info = machine(args.seed)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     print(f"perfbench {args.workload} seed={args.seed} trace={args.trace} "

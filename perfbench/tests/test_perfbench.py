@@ -70,28 +70,38 @@ def test_injected_traceback_is_a_failure():
     assert reason is not None and "traceback" in reason and not wrong
 
 
-def test_undocumented_exit_code_is_a_failure():
-    reason, _ = classify(GOLDEN_OP, 3, GOLDEN, b"", GOLDEN)
-    assert reason is not None
+def test_usage_error_and_signal_are_crashes():
+    for exit_code in (1, -9):
+        reason, wrong = classify(GOLDEN_OP, exit_code, GOLDEN, b"", GOLDEN)
+        assert reason is not None and not wrong
 
 
-@pytest.mark.parametrize("argv,text", [
-    (("table", "--e", "2", "--max-m", "2", "--format", "csv"),
+@pytest.mark.parametrize("exit_code,argv,text", [
+    (0, ("table", "--e", "2", "--max-m", "2", "--format", "csv"),
      "m,dim,e,lower,lower_rule,upper,upper_rule,upper_category,gap,eff,exact\n"
      "1,3,2,5,low-dim,5,low-dim,smooth,0,1,true\n"
      "2,5,2,9,power-of-two-floor,9,hhmp,smooth,1,1,true\n"),   # gap wrong
-    (("query", "--m", "8", "--e", "3"),
+    (0, ("query", "--m", "8", "--e", "3"),
      "L^17(8)  (m=8, e=3, odd factor 1, manifold dimension 17)\n"
      "  lower: emb >= 34  via x\n  upper: emb <= 33 (smooth)  via y\n"
      "  gap: 1\n"),                                             # lower > upper
-    (("derive", "--m", "7", "--e", "2", "--format", "human"),
+    # What the CLI prints when report() finds lower > upper: nothing on
+    # stdout, exit 3.
+    (3, ("query", "--m", "8", "--e", "3"), ""),
+    # A derivation whose side conditions fail to replay: exit 2.
+    (2, ("derive", "--m", "7", "--e", "2", "--format", "human"),
      "best inductive upper bound for (m=7, e=2): R^26 (smooth)\n"),
-    (("verify", "lifting"), "davis-mahowald-gate: 4095 cases FAIL\nFAIL: 0/1\n"),
+    (2, ("verify", "lifting"), "davis-mahowald-gate: 4095 cases FAIL\nFAIL: 0/1\n"),
 ])
-def test_wrong_output_is_caught(argv, text):
+def test_wrong_output_is_caught(exit_code, argv, text):
     op = Op(argv[0], argv, rows=2 if argv[0] == "table" else 0)
-    reason, wrong = classify(op, 0, text.encode(), b"", GOLDEN)
+    reason, wrong = classify(op, exit_code, text.encode(), b"", GOLDEN)
     assert reason is not None and wrong
+
+
+def test_wrong_exit_with_good_output_is_a_wrong_answer():
+    reason, wrong = classify(GOLDEN_OP, 3, GOLDEN, b"", GOLDEN)
+    assert reason is not None and "internal inconsistency" in reason and wrong
 
 
 def _record(kind, wall, failure=None):
@@ -162,11 +172,9 @@ def test_traced_run_matches_untraced(tmp_path, m):
     assert (tmp_path / "t.json").exists()
 
 
-def test_spawn_kills_at_the_deadline(tmp_path, monkeypatch):
-    monkeypatch.setattr(run, "OUT", tmp_path)
-    (tmp_path / "tmp").mkdir()
+def test_spawn_kills_at_the_deadline():
     start = run.time.perf_counter()
     res = run.spawn([sys.executable, "-c", "import time; time.sleep(60)"],
-                    dict(os.environ), "sleeper", deadline=start + 1.0)
+                    dict(os.environ), deadline=start + 1.0)
     assert res["exit"] != 0
     assert res["wall"] < 30

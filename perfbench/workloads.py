@@ -45,7 +45,6 @@ class Op:
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     make_pass: Callable[[random.Random], list[Op]]
     # Fixed tail percentile per subcommand, chosen for the sample counts at
     # the default run length (see README.md).  Subcommands run as probes
@@ -133,21 +132,9 @@ def verify_all_pass(rng: random.Random) -> list[Op]:
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("cli-interactive",
-             "one-shot query and derive as a user types them: start-up, CLI "
-             "import and a cold derive_rounds build each time; derives up to "
-             "m=4095 include the deep ones that crash",
-             cli_interactive_pass, {"query": 0.74, "derive": 0.6}),
-    Workload("table-sweep",
-             "table over several e, formats, --k 3 and the rule flags up to "
-             "--max-m 4096: report() once per row, rounds built once per e, "
-             "no replay",
-             table_sweep_pass, {"query": 0.5, "derive": 0.5}),
-    Workload("verify-all",
-             "verify all in one process: derivation replay and the "
-             "cohomology Cartan sweep dominate, the mirror image of "
-             "table-sweep",
-             verify_all_pass, {"query": 0.5, "derive": 0.5}),
+    Workload("cli-interactive", cli_interactive_pass, {"query": 0.74, "derive": 0.6}),
+    Workload("table-sweep", table_sweep_pass, {"query": 0.5, "derive": 0.5}),
+    Workload("verify-all", verify_all_pass, {"query": 0.5, "derive": 0.5}),
 )}
 
 

@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
 """End-to-end benchmark of the lensbounds CLI.
 
-    python3 perfbench/run.py --workload cli-interactive --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload cli-interactive --seed 1 --seconds 36 --trace 0
 
 Runs from the root of a source checkout.  Every op is one fresh
 `python -m lensbounds.cli ...` process with `src` on PYTHONPATH, run one at
-a time by a single closed-loop client.  Passes of the workload's seeded op
-list run until another pass would overrun --seconds (at least one pass
-runs).  Every op's output is checked (perfbench/checks.py).
+a time by a single closed-loop client.  A run is a fixed number of passes
+of the workload's seeded op list, set from --seconds alone
+(workloads.passes), so the same seed and --seconds always run the same ops
+and a faster program ends sooner.  Every op's output is checked
+(perfbench/checks.py).
+
+A host that shares its CPUs starts processes faster or slower from one
+second to the next.  Between every REF_EVERY_OPS timed runs the benchmark
+times a reference command that no commit of this repository can change (a
+fresh interpreter importing numpy), and reports each timed run's start-up
+share scaled by REF_NOMINAL_S over the mean of the two reference times
+around it (`to_reference_seconds`).  The unscaled metrics and every
+reference time are printed or kept in the full record.
 
 --trace 0 prints the end-to-end metrics; --trace 1 runs the first pass
 twice per op, untraced and then under perfbench/tracing.py, and prints the
@@ -37,13 +47,18 @@ sys.path.insert(0, str(ROOT))
 
 from perfbench.checks import classify, digest  # noqa: E402
 from perfbench.tracing import self_times  # noqa: E402
-from perfbench.workloads import WORKLOADS, Op, make_pass  # noqa: E402
+from perfbench.workloads import WORKLOADS, Op, make_pass, make_run, passes  # noqa: E402
 
 SRC = ROOT / "src"
 CLI = SRC / "lensbounds" / "cli.py"
 GOLDEN = ROOT / "tests" / "golden" / "table_e2_m32.csv"
 OUT = ROOT / "perfbench" / "out"
 SETUP_REPS = 9
+# Start-up reference: a fresh interpreter importing numpy, code that no
+# commit of this repository changes and most of a query's start-up.
+REF_ARGV = [sys.executable, "-c", "import numpy"]
+REF_NOMINAL_S = 0.17  # about its wall time on the 2-CPU tuning machine
+REF_EVERY_OPS = 2
 # A failed op counts as +inf latency; a percentile that lands on one is
 # printed as the op time-out, the most any op can take.
 OP_TIMEOUT_S = 100.0
@@ -110,17 +125,47 @@ def run_op(op: Op, index: int, golden: bytes, traced: bool,
     return record
 
 
-def measure_setup(reps: int, deadline: float) -> list[float]:
-    """Wall times of `reps` fresh interpreters importing the CLI, after one
-    untimed import that compiles the bytecode."""
+class Reference:
+    """Wall times of REF_ARGV: one before every REF_EVERY_OPS timed runs and
+    one after the last (`sample`), so that every timed run lies between two."""
+
+    def __init__(self) -> None:
+        self.times: list[float] = []
+        self.runs = 0
+
+    def sample(self, deadline: float) -> None:
+        res = spawn(REF_ARGV, dict(os.environ), deadline)
+        if res["exit"] != 0:
+            sys.stderr.write(res["stderr"].decode(errors="replace"))
+            raise SystemExit("perfbench: the reference command failed")
+        self.times.append(res["wall"])
+
+    def before_run(self, deadline: float) -> int:
+        """Index of the reference time just before the next timed run."""
+        if self.runs % REF_EVERY_OPS == 0:
+            self.sample(deadline)
+        self.runs += 1
+        return len(self.times) - 1
+
+    def scale(self, index: int) -> float:
+        """Factor to reference seconds for a run after reference `index`."""
+        return 2 * REF_NOMINAL_S / (self.times[index] + self.times[index + 1])
+
+
+def measure_setup(reps: int, deadline: float,
+                  ref: Reference | None = None) -> list[dict]:
+    """Wall times (and reference indexes) of `reps` fresh interpreters
+    importing the CLI, after one untimed import that compiles the bytecode."""
     argv = [sys.executable, "-c", "import lensbounds.cli"]
     times = []
     for i in range(reps + 1):
+        ref_index = ref.before_run(deadline) if ref is not None and i else None
         res = spawn(argv, child_env(), deadline)
         if res["exit"] != 0:
             sys.stderr.write(res["stderr"].decode(errors="replace"))
             raise SystemExit("perfbench: importing lensbounds.cli failed")
-        times.append(res["wall"])
+        times.append({"wall_s": res["wall"], "ref_index": ref_index,
+                      "start": res["start"], "end": res["end"]})
     return times[1:]
 
 
@@ -150,33 +195,43 @@ def printable(x: float) -> float:
     return x if math.isfinite(x) else OP_TIMEOUT_S
 
 
-def latencies(records: list[dict], kind: str) -> list[float]:
-    return [math.inf if r["failure"] else r["wall_s"]
+def latencies(records: list[dict], kind: str, key: str = "wall_s") -> list[float]:
+    return [math.inf if r["failure"] else r[key]
             for r in records if r["kind"] == kind]
 
 
-def end_to_end(workload: str, records: list[dict], setup_s: float) -> tuple[dict, dict]:
+def end_to_end(workload: str, records: list[dict], setup: list[dict],
+               key: str = "ref_s") -> tuple[dict, dict]:
+    """The end-to-end metrics from each timed run's time under `key`:
+    "ref_s" for reference seconds, "wall_s" for unscaled wall time."""
     tails = WORKLOADS[workload].tails
-    metrics = {"setup_s": (setup_s, "s")}
+    metrics = {"setup_s": (statistics.median(r[key] for r in setup), "s")}
     samples = {}
     for kind in ("query", "derive"):
-        lat = latencies(records, kind)
+        lat = latencies(records, kind, key)
         metrics[f"{kind}_p50_s"] = (printable(percentile(lat, 0.5)), "s")
         metrics[f"{kind}_tail_s"] = (printable(percentile(lat, tails[kind])), "s")
         samples[kind] = {"n": len(lat), "tail_percentile": tails[kind],
                          "failed": sum(math.isinf(x) for x in lat)}
+    # Rows of each distinct table command over its median time, so that one
+    # slow start among the repeats of a short command does not move the rate.
     tables = [r for r in records if r["kind"] == "table"]
-    rows = sum(r["rows"] for r in tables)
-    metrics["table_rows_per_s"] = (rows / sum(r["wall_s"] for r in tables)
-                                   if tables else 0.0, "rows/s")
-    verify = latencies(records, "verify")
+    commands: dict = {}
+    for r in tables:
+        commands.setdefault(tuple(r["argv"]), []).append(r)
+    rows = sum(max(r["rows"] for r in runs) for runs in commands.values())
+    table_s = sum(statistics.median(math.inf if r["failure"] else r[key] for r in runs)
+                  for runs in commands.values())
+    metrics["table_rows_per_s"] = (rows / table_s if tables else 0.0, "rows/s")
+    verify = latencies(records, "verify", key)
     metrics["verify_s"] = (printable(percentile(verify, 0.5)), "s")
     # Largest max-RSS of any child so far: the set-up imports and the ops.
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     metrics["peak_rss_mb"] = (peak_kb / 1024, "MB")
     failed = sum(r["failure"] is not None for r in records)
     metrics["ok_rate"] = (1 - failed / len(records), "ratio")
-    samples.update({"table": {"n": len(tables), "rows": rows},
+    samples.update({"table": {"n": len(tables), "commands": len(commands),
+                              "rows": rows},
                     "verify": {"n": len(verify)}})
     return metrics, samples
 
@@ -288,22 +343,32 @@ def per_layer(traced: list[dict], untraced: list[dict], spans: list[dict],
     return m
 
 
-def run_passes(workload: str, seed: int, seconds: float, golden: bytes,
-               deadline: float) -> tuple[list[dict], int]:
+def to_reference_seconds(setup: list[dict], records: list[dict],
+                         ref: Reference) -> None:
+    """Set each timed run's "ref_s".  A set-up import is start-up alone and
+    scales with the reference times around it; so does an op's first
+    `startup` seconds (the run's median set-up time), and the rest of the op
+    counts as measured.  A reference taken seconds away says little about
+    the host's speed during a long op, so the long ops (verify all, the
+    large tables) keep their wall time."""
+    startup = statistics.median(r["wall_s"] for r in setup)
+    for r in setup:
+        r["ref_s"] = r["wall_s"] * ref.scale(r["ref_index"])
+    for r in records:
+        head = min(r["wall_s"], startup)
+        r["ref_s"] = r["wall_s"] - head + head * ref.scale(r["ref_index"])
+
+
+def run_ops(workload: str, seed: int, seconds: float, golden: bytes,
+            deadline: float, ref: Reference) -> list[dict]:
     records: list[dict] = []
-    start = time.perf_counter()
-    longest = 0.0
-    passes = 0
-    while True:
-        pass_start = time.perf_counter()
-        for op in make_pass(workload, seed, passes):
-            if time.perf_counter() >= deadline:
-                return records, passes
-            records.append(run_op(op, len(records), golden, False, deadline))
-        passes += 1
-        longest = max(longest, time.perf_counter() - pass_start)
-        if time.perf_counter() - start + longest > seconds:
-            return records, passes
+    for op in make_run(workload, seed, seconds):
+        if time.perf_counter() >= deadline:
+            break
+        ref_index = ref.before_run(deadline)
+        records.append({**run_op(op, len(records), golden, False, deadline),
+                        "ref_index": ref_index})
+    return records
 
 
 def run_traced(workload: str, seed: int, golden: bytes,
@@ -359,14 +424,25 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(json.dumps(s) + "\n")
         detail = {"passes": 1, "sweeps_backend": info["sweeps_backend"]}
     else:
-        setup_times = measure_setup(SETUP_REPS, deadline)
-        records, passes = run_passes(args.workload, args.seed, args.seconds,
-                                     golden, deadline)
-        metrics, samples = end_to_end(args.workload, records,
-                                      statistics.median(setup_times))
-        detail = {"passes": passes, "samples": samples, "setup_times": setup_times}
+        ref = Reference()
+        setup = measure_setup(SETUP_REPS, deadline, ref)
+        records = run_ops(args.workload, args.seed, args.seconds, golden,
+                          deadline, ref)
+        # The reference after the last run; a few seconds of grace, so that
+        # a run cut at the deadline still reports.
+        ref.sample(deadline + 5.0)
+        to_reference_seconds(setup, records, ref)
+        metrics, samples = end_to_end(args.workload, records, setup)
+        unscaled, _ = end_to_end(args.workload, records, setup, "wall_s")
+        n_passes = passes(args.workload, args.seconds)
+        detail = {"passes": n_passes, "samples": samples, "setup": setup,
+                  "reference_times": ref.times,
+                  "unscaled": {k: v for k, (v, _) in unscaled.items()}}
+        print(f"reference: median {statistics.median(ref.times):.4f} s of "
+              f"{len(ref.times)}; unscaled "
+              + json.dumps({k: round(v, 6) for k, (v, _) in unscaled.items()}))
         failed = sum(r["failure"] is not None for r in records)
-        print(f"passes={passes} ops={len(records)} failed={failed} "
+        print(f"passes={n_passes} ops={len(records)} failed={failed} "
               f"error_rate={failed / len(records):.4f} (base {len(records)} ops) "
               f"samples={json.dumps(samples)}")
 

@@ -14,7 +14,7 @@ import pytest
 from perfbench import run
 from perfbench.checks import classify
 from perfbench.tracing import self_times
-from perfbench.workloads import GOLDEN_ARGV, WORKLOADS, Op, make_pass
+from perfbench.workloads import GOLDEN_ARGV, WORKLOADS, Op, make_pass, make_run, passes
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = (ROOT / "tests" / "golden" / "table_e2_m32.csv").read_bytes()
@@ -27,6 +27,16 @@ def test_same_seed_same_ops(workload):
         assert make_pass(workload, 7, index) == make_pass(workload, 7, index)
     assert make_pass(workload, 7, 0) != make_pass(workload, 8, 0)
     assert make_pass(workload, 7, 0) != make_pass(workload, 7, 1)
+    assert make_run(workload, 7, 40) == make_run(workload, 7, 40)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_run_length_depends_on_seconds_only(workload):
+    # The op count, and so `attempted`, never depends on how fast ops run.
+    sizes = {len(make_run(workload, seed, 40)) for seed in range(10)}
+    assert sizes == {passes(workload, 40) * len(make_pass(workload, 0, 0))}
+    assert passes(workload, 1) == 1
+    assert passes(workload, 60) >= passes(workload, 40)
 
 
 def test_every_workload_runs_every_subcommand():
@@ -105,8 +115,8 @@ def test_wrong_exit_with_good_output_is_a_wrong_answer():
 
 
 def _record(kind, wall, failure=None):
-    return {"kind": kind, "wall_s": wall, "failure": failure, "rows": 0,
-            "rss_kb": 1024, "wrong_answer": False}
+    return {"kind": kind, "argv": [kind], "wall_s": wall, "failure": failure,
+            "rows": 0, "rss_kb": 1024, "wrong_answer": False}
 
 
 def test_failed_ops_are_infinite_latency():
@@ -136,6 +146,60 @@ def test_result_counts_failures():
     result = run.emit({"setup_s": (0.3, "s")}, records)
     assert (result["attempted"], result["failed"], result["correct"]) == (3, 2, False)
     assert result["metrics"] == {"setup_s": {"value": 0.3, "unit": "s"}}
+
+
+def test_table_rate_takes_each_commands_median_time():
+    golden = [dict(_record("table", t), argv=list(GOLDEN_ARGV), rows=32)
+              for t in (0.2, 0.2, 5.0)]
+    big = dict(_record("table", 2.0), argv=["table", "--max-m", "64"], rows=64)
+    setup = [{"wall_s": 0.2}]
+    metrics, samples = run.end_to_end("verify-all", golden + [big], setup, "wall_s")
+    assert metrics["table_rows_per_s"][0] == pytest.approx((32 + 64) / (0.2 + 2.0))
+    assert samples["table"] == {"n": 4, "commands": 2, "rows": 96}
+    # A command that fails in most of its runs has infinite time: rate 0.
+    failed = [dict(_record("table", 0.2, "traceback"), argv=list(GOLDEN_ARGV))] * 2
+    metrics, _ = run.end_to_end("verify-all", golden[:1] + failed + [big], setup, "wall_s")
+    assert metrics["table_rows_per_s"][0] == 0.0
+
+
+def test_reference_seconds_scale_every_time_and_nothing_else():
+    records = [_record("query", 0.2), _record("derive", 0.3),
+               dict(_record("table", 0.5), rows=10), _record("verify", 1.0)]
+    setup = [{"wall_s": 0.25}]
+    for r in records + setup:
+        r["ref_s"] = 2 * r["wall_s"]
+    plain, _ = run.end_to_end("verify-all", records, setup, "wall_s")
+    scaled, _ = run.end_to_end("verify-all", records, setup)
+    for name, (value, unit) in plain.items():
+        if unit == "s":
+            assert scaled[name][0] == pytest.approx(2 * value), name
+    assert scaled["table_rows_per_s"][0] == pytest.approx(plain["table_rows_per_s"][0] / 2)
+    assert scaled["ok_rate"] == plain["ok_rate"]
+    assert scaled["peak_rss_mb"] == plain["peak_rss_mb"]
+
+
+def test_every_timed_run_lies_between_two_reference_times():
+    ref = run.Reference()
+    ref.sample = lambda deadline: ref.times.append(0.1 * (len(ref.times) + 1))
+    indexes = [ref.before_run(0.0) for _ in range(5)]
+    ref.sample(0.0)
+    assert indexes == [i // run.REF_EVERY_OPS for i in range(5)]
+    for i in indexes:
+        lo, hi = ref.times[i], ref.times[i + 1]
+        assert ref.scale(i) == pytest.approx(run.REF_NOMINAL_S / ((lo + hi) / 2))
+
+
+def test_only_the_start_up_share_of_an_op_is_scaled():
+    ref = run.Reference()
+    ref.times = [0.1, 0.3]  # mean 0.2
+    factor = run.REF_NOMINAL_S / 0.2
+    setup = [{"wall_s": w, "ref_index": 0} for w in (0.2, 0.2, 0.4)]
+    ops = [{"wall_s": w, "ref_index": 0} for w in (0.1, 0.25, 10.0)]
+    run.to_reference_seconds(setup, ops, ref)
+    assert [r["ref_s"] for r in setup] == pytest.approx([0.2 * factor, 0.2 * factor,
+                                                         0.4 * factor])
+    assert [r["ref_s"] for r in ops] == pytest.approx(
+        [0.1 * factor, 0.05 + 0.2 * factor, 9.8 + 0.2 * factor])
 
 
 def test_self_time_subtracts_children():

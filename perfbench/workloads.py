@@ -1,9 +1,10 @@
 """Seeded op lists for the three workloads.
 
-An op is one `lensbounds` command line, run as its own process.  A workload
-is a sequence of passes; pass i is drawn from a random.Random seeded with
-(workload, seed, i), so the same seed always yields the same ops, and the
-program sees nothing but the generated argv lists.
+An op is one `lensbounds` command line, run as its own process.  A run is
+a fixed number of passes, set by --seconds alone (`passes`); pass i is
+drawn from a random.Random seeded with (workload, seed, i).  The same seed
+and --seconds therefore always yield the same ops, however fast the machine
+is, and the program sees nothing but the generated argv lists.
 
 Every workload runs all four subcommands so that every end-to-end metric
 exists on every workload, but each is dominated by the subcommand it was
@@ -46,9 +47,14 @@ class Op:
 class Workload:
     name: str
     make_pass: Callable[[random.Random], list[Op]]
+    # The share of --seconds one pass stands for: a run of --seconds S makes
+    # S // pass_seconds passes, at least one (3, 2 and 1 at S = 36, which
+    # take 25 to 40 s in all on the 2-CPU machine it was tuned on).
+    pass_seconds: float
     # Fixed tail percentile per subcommand, chosen for the sample counts at
     # the default run length (see README.md).  Subcommands run as probes
-    # have fewer than twenty samples a run; their tail is read at the median.
+    # have too few samples for a percentile above the median with ten
+    # samples beyond it; their tail is read at the median.
     tails: dict
 
 
@@ -105,7 +111,7 @@ def cli_interactive_pass(rng: random.Random) -> list[Op]:
     # rounds cap (256 and below, 512, ..., 8192) in the top five.
     ops = [query_op(rng, u, 8191) for u in _strata(rng, 13)]
     ops += [derive_op(rng, u, 4095) for u in _strata(rng, 10)]
-    ops += [table_op(2, 32, "csv"), verify_op("lifting")]
+    ops += [table_op(2, 32, "csv")] * 2 + [verify_op("lifting")] * 3
     return _shuffled(rng, ops)
 
 
@@ -122,19 +128,20 @@ TABLES = (
 
 
 def table_sweep_pass(rng: random.Random) -> list[Op]:
-    return _shuffled(rng, list(TABLES) + _probes(rng, 3, 3)
-                     + [verify_op("bounds")])
+    return _shuffled(rng, list(TABLES) + _probes(rng, 8, 8)
+                     + [verify_op("lifting")] * 4)
 
 
 def verify_all_pass(rng: random.Random) -> list[Op]:
-    return _shuffled(rng, [verify_op("all"), table_op(2, 32, "csv")]
-                     + _probes(rng, 3, 3))
+    return _shuffled(rng, [verify_op("all")] + [table_op(2, 32, "csv")] * 6
+                     + _probes(rng, 12, 12))
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("cli-interactive", cli_interactive_pass, {"query": 0.74, "derive": 0.6}),
-    Workload("table-sweep", table_sweep_pass, {"query": 0.5, "derive": 0.5}),
-    Workload("verify-all", verify_all_pass, {"query": 0.5, "derive": 0.5}),
+    Workload("cli-interactive", cli_interactive_pass, 10.0,
+             {"query": 0.74, "derive": 0.6}),
+    Workload("table-sweep", table_sweep_pass, 15.0, {"query": 0.5, "derive": 0.5}),
+    Workload("verify-all", verify_all_pass, 30.0, {"query": 0.5, "derive": 0.5}),
 )}
 
 
@@ -142,3 +149,14 @@ def make_pass(workload: str, seed: int, index: int) -> list[Op]:
     """Pass `index` of `workload` under `seed`; deterministic."""
     rng = random.Random(f"{workload}:{seed}:{index}")
     return WORKLOADS[workload].make_pass(rng)
+
+
+def passes(workload: str, seconds: float) -> int:
+    """Passes in a run of `seconds`: a function of the arguments only."""
+    return max(1, int(seconds // WORKLOADS[workload].pass_seconds))
+
+
+def make_run(workload: str, seed: int, seconds: float) -> list[Op]:
+    """Every op of a run, pass after pass; deterministic."""
+    return [op for index in range(passes(workload, seconds))
+            for op in make_pass(workload, seed, index)]

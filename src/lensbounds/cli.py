@@ -19,7 +19,6 @@ from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import (InconsistentBoundsError, LensSpace,
                       RoundsDivergenceError)
-from .verify import run_scope
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,6 +207,10 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # verify pulls in numpy through the sweep kernels; importing it here
+    # rather than at module level keeps numpy out of every other
+    # subcommand, where it would be most of the start-up time
+    from .verify import run_scope
     results = run_scope(args.scope)
     for r in results:
         print(r.line())

@@ -1,56 +1,24 @@
-"""Flat-array kernels for the large verification sweeps.
+"""Flat-array numpy kernels for the large verification sweeps.
 
 The public API works on exact Python integers; the desk-scale invariant
 sweeps, however, cover millions of int64-range cases (digit-sum identities,
 Kummer-vs-Legendre grids, symbolic-vs-concrete evaluation at N = 40).  Those
-inner loops run here, on one of two interchangeable backends:
+inner loops run here as vectorized numpy kernels.  Every sweep returns the
+case count and the first counterexample, and the test suite cross-checks
+the identities against the exact Python functions on sampled points, so the
+kernels are not trusted blindly.
 
-* ``numba`` -- @njit kernels (the default whenever numba imports cleanly)
-* ``numpy`` -- vectorized fallback, no JIT required
-
-Set LENSBOUNDS_BACKEND=numpy (or =numba) to force a backend.  Every sweep
-returns the case count and the first counterexample, and the test suite
-cross-checks kernels against the exact Python functions on sampled points,
-so neither backend is trusted blindly.  benchmarks/bench_sweeps.py compares
-the two.
+Only ``lensbounds verify`` needs this module; the CLI imports it lazily so
+that the other subcommands start without loading numpy.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-        return wrap
-
-
-BACKEND_ENV = "LENSBOUNDS_BACKEND"
 _CHUNK = 1 << 20
-
-
-def active_backend(override: str | None = None) -> str:
-    """Resolve the sweep backend: explicit override, else the env flag,
-    else numba when available."""
-    choice = (override or os.environ.get(BACKEND_ENV, "")).strip().lower()
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice:
-        raise ValueError(f"unknown backend {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 @dataclass(frozen=True)
@@ -65,97 +33,13 @@ class SweepOutcome:
         return self.failures == 0
 
 
-# --- numba kernels --------------------------------------------------------
-
-@njit(cache=True)
-def _pop64(x):
-    # SWAR popcount; operands stay nonnegative, so int64 shifts are safe
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    x = x + (x >> 8)
-    x = x + (x >> 16)
-    x = x + (x >> 32)
-    return x & 0x7F
-
-
-@njit(cache=True)
-def _kummer_legendre_nb(amax):
-    nu_fact = np.zeros(amax + 1, dtype=np.int64)
-    acc = 0
-    for i in range(1, amax + 1):
-        acc += _pop64((i & -i) - 1)  # nu(i)
-        nu_fact[i] = acc
-    cases = 0
-    fails = 0
-    fa = -1
-    fb = -1
-    for a in range(amax + 1):
-        for b in range(a + 1):
-            carries = _pop64(b ^ (a - b) ^ a)
-            legendre = nu_fact[a] - nu_fact[b] - nu_fact[a - b]
-            cases += 1
-            if carries != legendre:
-                fails += 1
-                if fa < 0:
-                    fa, fb = a, b
-    return cases, fails, fa, fb
-
-
-@njit(cache=True)
-def _alpha_identity_nb(limit):
-    fails = 0
-    first = -1
-    for a in range(1, limit + 1):
-        nu_a = _pop64((a & -a) - 1)
-        if _pop64(a - 1) != _pop64(a) - 1 + nu_a:
-            fails += 1
-            if first < 0:
-                first = a
-    return limit, fails, first
-
-
-@njit(cache=True)
-def _alpha_symbolic_nb(n, amax):
-    pw = 1 << n
-    fails = 0
-    first = -1
-    for a in range(1, amax + 1):
-        if _pop64(pw - a) != n - _pop64(a - 1):
-            fails += 1
-            if first < 0:
-                first = a
-    return amax, fails, first
-
-
-@njit(cache=True)
-def _nu_binom_symbolic_nb(n, abmax):
-    pw = 1 << n
-    cases = 0
-    fails = 0
-    fa = -1
-    fb = -1
-    for a in range(1, abmax + 1):
-        p = pw - a
-        sym_base = _pop64(a - 1)
-        for b in range(1, abmax + 1):
-            carries = _pop64(b ^ (p - b) ^ p)
-            sym = _pop64(b) + sym_base - _pop64(a + b - 1)
-            cases += 1
-            if carries != sym:
-                fails += 1
-                if fa < 0:
-                    fa, fb = a, b
-    return cases, fails, fa, fb
-
-
-# --- numpy kernels --------------------------------------------------------
+# --- kernels --------------------------------------------------------------
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr).astype(np.int64)
 
 
-def _kummer_legendre_np(amax):
+def _kummer_legendre(amax):
     n = np.arange(amax + 1, dtype=np.int64)
     nu_n = np.zeros(amax + 1, dtype=np.int64)
     nu_n[1:] = _popcount((n[1:] & -n[1:]) - 1)
@@ -176,7 +60,7 @@ def _kummer_legendre_np(amax):
     return cases, fails, *(first or (-1, -1))
 
 
-def _alpha_identity_np(limit):
+def _alpha_identity(limit):
     fails = 0
     first = -1
     for start in range(1, limit + 1, _CHUNK):
@@ -190,7 +74,7 @@ def _alpha_identity_np(limit):
     return limit, fails, first
 
 
-def _alpha_symbolic_np(n, amax):
+def _alpha_symbolic(n, amax):
     fails = 0
     first = -1
     pw = np.int64(1) << n
@@ -204,7 +88,7 @@ def _alpha_symbolic_np(n, amax):
     return amax, fails, first
 
 
-def _nu_binom_symbolic_np(n, abmax):
+def _nu_binom_symbolic(n, abmax):
     pw = np.int64(1) << n
     b = np.arange(1, abmax + 1, dtype=np.int64)
     pop_b = _popcount(b)
@@ -226,47 +110,37 @@ def _nu_binom_symbolic_np(n, abmax):
 
 # --- public sweeps --------------------------------------------------------
 
-def sweep_kummer_legendre(amax: int = 1024, backend: str | None = None) -> SweepOutcome:
+def sweep_kummer_legendre(amax: int = 1024) -> SweepOutcome:
     """Carry-count valuation of C(a, b) against the factorial-valuation
     oracle, for all 0 <= b <= a <= amax."""
-    impl = _kummer_legendre_nb if active_backend(backend) == "numba" \
-        else _kummer_legendre_np
-    cases, fails, fa, fb = impl(amax)
+    cases, fails, fa, fb = _kummer_legendre(amax)
     return SweepOutcome("kummer-vs-legendre", int(cases), int(fails),
                         (fa, fb) if fails else None)
 
 
-def sweep_alpha_identity(limit: int = 1 << 20, backend: str | None = None) -> SweepOutcome:
+def sweep_alpha_identity(limit: int = 1 << 20) -> SweepOutcome:
     """alpha(a-1) = alpha(a) - 1 + nu(a) for 1 <= a <= limit."""
-    impl = _alpha_identity_nb if active_backend(backend) == "numba" \
-        else _alpha_identity_np
-    cases, fails, first = impl(limit)
+    cases, fails, first = _alpha_identity(limit)
     return SweepOutcome("alpha-digit-identity", int(cases), int(fails),
                         (first,) if fails else None)
 
 
-def sweep_alpha_symbolic(n: int = 40, amax: int = 1 << 16,
-                         backend: str | None = None) -> SweepOutcome:
+def sweep_alpha_symbolic(n: int = 40, amax: int = 1 << 16) -> SweepOutcome:
     """alpha(2^n - a) = n - alpha(a-1) at the concrete witness n."""
     if not 20 <= n <= 62:
         raise ValueError("concrete witness must keep 2^n - a inside int64")
-    impl = _alpha_symbolic_nb if active_backend(backend) == "numba" \
-        else _alpha_symbolic_np
-    cases, fails, first = impl(n, amax)
+    cases, fails, first = _alpha_symbolic(n, amax)
     return SweepOutcome(f"alpha-symbolic-N{n}", int(cases), int(fails),
                         (first,) if fails else None)
 
 
-def sweep_nu_binom_symbolic(n: int = 40, abmax: int = 4096,
-                            backend: str | None = None) -> SweepOutcome:
+def sweep_nu_binom_symbolic(n: int = 40, abmax: int = 4096) -> SweepOutcome:
     """Symbolic nu(C(2^n - a, b)) = alpha(b) + alpha(a-1) - alpha(a+b-1)
     against the concrete carry count at witness n, over the (a, b) grid."""
     if not 20 <= n <= 62:
         raise ValueError("concrete witness must keep 2^n - a inside int64")
     if (1 << n) <= 2 * abmax:
         raise ValueError("witness too small for the grid")
-    impl = _nu_binom_symbolic_nb if active_backend(backend) == "numba" \
-        else _nu_binom_symbolic_np
-    cases, fails, fa, fb = impl(n, abmax)
+    cases, fails, fa, fb = _nu_binom_symbolic(n, abmax)
     return SweepOutcome(f"nu-binom-symbolic-N{n}", int(cases), int(fails),
                         (fa, fb) if fails else None)

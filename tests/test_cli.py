@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from lensbounds import cli
 from lensbounds.records import Bound, Category, Direction, InconsistentBoundsError, LensSpace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -139,3 +143,35 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "query", "--m", "1", "--e", "1")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+# Runs in a fresh interpreter: the pytest process has numpy loaded
+# already.  Prints, after each step, whether numpy has been imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import lensbounds.cli as cli
+steps = [("import", 0, "", "numpy" in sys.modules)]
+for argv in (["query", "--m", "8", "--e", "3"],
+             ["table", "--e", "2", "--max-m", "8", "--format", "csv"],
+             ["derive", "--m", "7", "--e", "2"],
+             ["lift", "--ell", "6"],
+             ["verify", "lifting"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    steps.append((argv[0], code, out.getvalue(), "numpy" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+def test_only_verify_imports_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    loaded = {name: numpy for name, _, _, numpy in steps}
+    assert loaded == {"import": False, "query": False, "table": False,
+                      "derive": False, "lift": False, "verify": True}
+    assert all(code == 0 for _, code, _, _ in steps)
+    assert "PASS" in steps[-1][2]

@@ -5,55 +5,26 @@ import pytest
 from lensbounds import sweeps
 from lensbounds.dyadic import alpha, nu, nu_binom, nu_binom_sym
 
-BACKENDS = ["numpy"] + (["numba"] if sweeps.HAS_NUMBA else [])
 
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv(sweeps.BACKEND_ENV, "numpy")
-    assert sweeps.active_backend() == "numpy"
-    monkeypatch.setenv(sweeps.BACKEND_ENV, "nonsense")
-    with pytest.raises(ValueError):
-        sweeps.active_backend()
-    monkeypatch.delenv(sweeps.BACKEND_ENV)
-    assert sweeps.active_backend() in ("numba", "numpy")
-    assert sweeps.active_backend("numpy") == "numpy"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_kummer_legendre_sweep(backend):
-    outcome = sweeps.sweep_kummer_legendre(256, backend=backend)
+def test_kummer_legendre_sweep():
+    outcome = sweeps.sweep_kummer_legendre(256)
     assert outcome.ok
     assert outcome.cases == 257 * 258 // 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_alpha_identity_sweep(backend):
-    outcome = sweeps.sweep_alpha_identity(1 << 16, backend=backend)
+def test_alpha_identity_sweep():
+    outcome = sweeps.sweep_alpha_identity(1 << 16)
     assert outcome.ok and outcome.cases == 1 << 16
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_alpha_symbolic_sweep(backend):
-    outcome = sweeps.sweep_alpha_symbolic(40, 1 << 12, backend=backend)
+def test_alpha_symbolic_sweep():
+    outcome = sweeps.sweep_alpha_symbolic(40, 1 << 12)
     assert outcome.ok
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_nu_binom_symbolic_sweep(backend):
-    outcome = sweeps.sweep_nu_binom_symbolic(40, 256, backend=backend)
+def test_nu_binom_symbolic_sweep():
+    outcome = sweeps.sweep_nu_binom_symbolic(40, 256)
     assert outcome.ok and outcome.cases == 256 * 256
-
-
-def test_backends_agree():
-    if not sweeps.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    for fn, args in ((sweeps.sweep_kummer_legendre, (128,)),
-                     (sweeps.sweep_alpha_identity, (1 << 12,)),
-                     (sweeps.sweep_alpha_symbolic, (40, 1 << 10)),
-                     (sweeps.sweep_nu_binom_symbolic, (40, 64))):
-        a = fn(*args, backend="numpy")
-        b = fn(*args, backend="numba")
-        assert (a.cases, a.failures, a.first) == (b.cases, b.failures, b.first)
 
 
 def test_kernels_match_exact_api():

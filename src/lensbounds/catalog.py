@@ -3,7 +3,10 @@ records, combined into a best-bounds report for a given lens space.
 
 Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
-pure; report() is deterministic.
+pure; report() is deterministic.  Its cost does not grow with m: the
+Euler-class scans look at about log2(m) candidates, and the engine bounds
+are a lookup in one round builder per e, which extends only as far as the
+largest m asked for and builds each m once per process.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -16,20 +19,7 @@ from dataclasses import dataclass, replace
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
-from .inductive import delta_e, derive_rounds
-
-_ROUNDS_CAP = 256
-
-
-def _engine_bounds(e: int, m: int) -> list:
-    """Round-engine bounds for exactly this m, via a cap-normalized cache
-    key so whole-table sweeps reuse one rounds computation per e."""
-    if m < 3:
-        return []
-    cap = _ROUNDS_CAP
-    while m > cap:
-        cap *= 2
-    return [b for mm, b in derive_rounds(e, cap) if mm == m]
+from .inductive import delta_e, rounds
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
                       LensSpace, metastable_smoothable)
 
@@ -43,6 +33,15 @@ __all__ = [
 ]
 
 
+def _engine_bounds(e: int, m: int) -> tuple[Bound, ...]:
+    """Round-engine bounds for exactly this m, looked up in the shared
+    builder for e, which builds each m once, so a whole table costs one
+    build per e."""
+    if m < 3:
+        return ()
+    return rounds(e).at(m)
+
+
 def euler_class_condition(n: int, e: int) -> bool:
     """Hypothesis of the Euler-class nonembedding rule:
     e >= min(alpha(n) - 6, alpha(n) + 1 - 2^nu(n)).
@@ -53,6 +52,11 @@ def euler_class_condition(n: int, e: int) -> bool:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return e >= min(alpha(n) - 6, alpha(n) + 1 - 2 ** nu(n))
+
+
+def _euler_window(m: int) -> range:
+    """Every n that can satisfy n + delta = m with 0 <= delta <= alpha(n)."""
+    return range(max(1, m - m.bit_length()), m + 1)
 
 
 def _lower(dim: int, rule_id: str, citation: str, **flags) -> Bound:
@@ -73,13 +77,15 @@ def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
     delta = max(0, alpha(n) - e), and the rule's hypothesis holds, the
     space does not embed in R^(4n - 2 alpha(n) + 1).
 
-    The scan over all n in [1, m] is cheap (delta <= alpha(n) <= log2(n)+1)
-    and provably complete.  Stated for 2-power torsion only.
+    Only the window n >= max(1, m - bit_length(m)) is scanned, in
+    ascending order.  It is complete: n <= m, so
+    delta <= alpha(n) <= bit_length(n) <= bit_length(m), and n + delta = m
+    forces n >= m - bit_length(m).  Stated for 2-power torsion only.
     """
     if space.odd_factor != 1:
         return []
     out = []
-    for n in range(1, space.m + 1):
+    for n in _euler_window(space.m):
         delta = max(0, alpha(n) - space.e)
         if n + delta == space.m and euler_class_condition(n, space.e):
             out.append(_lower(
@@ -220,11 +226,12 @@ def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
 
     It is conjectured that the hypothesis can be dropped when delta > 0;
     these bounds are tagged conjectural and never enter a default report.
+    Scans the same complete window as euler_class_lower_bounds.
     """
     if space.odd_factor != 1:
         return []
     out = []
-    for n in range(1, space.m + 1):
+    for n in _euler_window(space.m):
         delta = alpha(n) - space.e
         if delta > 0 and n + delta == space.m \
                 and not euler_class_condition(n, space.e):

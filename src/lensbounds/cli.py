@@ -1,7 +1,8 @@
 """Command-line interface: query, table, derive, lift, verify.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-inconsistency (a lower bound exceeding an upper bound, i.e. an engine bug).
+inconsistency (an engine bug: a lower bound exceeding an upper bound, a
+round or lifting gate off its closed form, or the spin criteria disagreeing).
 """
 
 from __future__ import annotations
@@ -287,10 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except InconsistentBoundsError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except RoundsDivergenceError as exc:
+    except (InconsistentBoundsError, RoundsDivergenceError,
+            AssertionError) as exc:
+        # AssertionError is raised explicitly, not by assert statements, when
+        # the two spin criteria disagree or the spin prerequisite fails
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

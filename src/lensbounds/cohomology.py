@@ -92,15 +92,13 @@ class Mod2Class:
         return (mask >> j) & 1
 
     def monomials(self):
-        """Yield (delta, j) over the support."""
+        """Yield (delta, j) over the support, even part first, each in
+        ascending j."""
         for delta, mask in ((0, self.even), (1, self.odd)):
-            j = 0
-            m = mask
-            while m:
-                if m & 1:
-                    yield delta, j
-                m >>= 1
-                j += 1
+            while mask:
+                low = mask & -mask
+                yield delta, low.bit_length() - 1
+                mask ^= low
 
     def __add__(self, other: "Mod2Class") -> "Mod2Class":
         self._check(other)
@@ -181,13 +179,16 @@ def tangential_sw_class(ring: CohomologyRing) -> Mod2Class:
     """Total tangential Stiefel-Whitney class: (1 + y)^(n+1), truncated.
 
     The stable tangent bundle is the (n+1)-fold Whitney multiple of the
-    pulled-back line bundle, whose total class is 1 + y mod 2.
+    pulled-back line bundle, whose total class is 1 + y mod 2.  By Lucas,
+    (1 + y)^(n+1) is the product of (1 + y^(2^b)) over the set bits b of
+    n+1, so the class takes one shift-xor per set bit.
     """
-    even = 0
+    even = 1
     top = ring.n + 1
-    for j in range(ring.n + 1):
-        if nu_binom(top, j) == 0:
-            even |= 1 << j
+    while top:
+        low = top & -top
+        even ^= even << low
+        top ^= low
     return Mod2Class(ring, even, 0)
 
 

@@ -16,8 +16,9 @@ improperly argued immersions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 
 from .dyadic import alpha, nu, radon_pair
 from .lifting import davis_mahowald_check, embedding_gate, feeding_params
@@ -117,7 +118,10 @@ def feeding_embedding(mu: int, ell: int, e: int) -> Feeding | None:
         return None
     inst = feeding_params(mu, ell, 0)
     ambient = embedding_gate(inst)
-    assert ambient == 4 * inst.n + 3
+    if ambient != 4 * inst.n + 3:
+        raise RoundsDivergenceError(
+            f"feeding gate gives R^{ambient}, not R^{4 * inst.n + 3}, at "
+            f"mu={mu}, ell={ell}")
     i = inst.n
     mult = 2**mu
     main = BundleEmbedding(mult, i, e, ambient)
@@ -126,7 +130,10 @@ def feeding_embedding(mu: int, ell: int, e: int) -> Feeding | None:
     if lam:
         sharp_inst = feeding_params(mu, ell, 1)
         sharp_ambient = embedding_gate(sharp_inst)
-        assert sharp_ambient == 4 * i + 2
+        if sharp_ambient != 4 * i + 2:
+            raise RoundsDivergenceError(
+                f"sharpened feeding gate gives R^{sharp_ambient}, not "
+                f"R^{4 * i + 2}, at mu={mu}, ell={ell}")
         sharp = BundleEmbedding(mult, i, e, sharp_ambient, sharpened=True)
     return Feeding(mu, ell, e, i, lam, main, sharp)
 
@@ -276,7 +283,9 @@ def _feed_node(mu: int, ell: int, e: int, lam: int) -> tuple[DerivationNode, int
 
 def _igniting_node(k: int, e: int) -> DerivationNode:
     emb = igniting_embedding(k, e)
-    assert emb is not None
+    if emb is None:
+        raise RoundsDivergenceError(
+            f"no tabulated igniting embedding for k={k}, e={e}")
     cond = SideCondition.make(
         "sections-table", f"tabulated sigma(k={k}, e={e}) = {emb.sigma}",
         k=k, e=e, sigma=emb.sigma)
@@ -302,162 +311,238 @@ def _check_form(bound: Bound, expected: int, m: int, e: int) -> Bound:
     return bound
 
 
-@lru_cache(maxsize=32)
-def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
-    """All (m, bound) pairs the two rounds produce for m <= max_m, in
-    derivation order, each bound verified against its closed form.
+class Rounds:
+    """Both inductive rounds for one e, built incrementally.
 
-    Results are immutable and cached; nodes are shared between the bounds
-    of one run, so a cached run is small.
+    `extend(max_m)` resumes the k=1 and k=3 loops where the last call
+    stopped, so building up to m costs O(m) in all, however many calls it
+    takes.  `round1` and `round2` hold the (m, bound) pairs in derivation
+    order, each in ascending m, and `by_m` maps m to its bounds, round 1
+    first, since `extend` runs round 1 up to max_m before round 2.  Every
+    pair is checked against its closed form before any pair of the same
+    ell is stored, so a RoundsDivergenceError leaves the builder as it was
+    after the last good ell.
     """
+
+    def __init__(self, e: int) -> None:
+        self.e = e
+        self.built = 2  # every pair with m <= built is stored
+        self.round1: list[tuple[int, Bound]] = []
+        self.round2: list[tuple[int, Bound]] = []
+        self.by_m: dict[int, list[Bound]] = {}
+        # the main output of each step, by ell - 1; the next step's prior
+        self._col2: list[Bound] = []
+        self._col4: list[Bound] = []
+        self._ign1 = _igniting_node(1, e)
+        self._ign3 = _igniting_node(3, e)
+
+    def _store(self, column: list[tuple[int, Bound]],
+               pairs: list[tuple[int, Bound]]) -> None:
+        column.extend(pairs)
+        for m, bound in pairs:
+            self.by_m.setdefault(m, []).append(bound)
+
+    def extend(self, max_m: int) -> None:
+        """Build every pair with m <= max_m that is not built yet."""
+        if max_m <= self.built:
+            return
+        self._extend_round1(max_m)
+        if max_m >= 7:
+            self._extend_round2(max_m)
+        self.built = max_m
+
+    def _extend_round1(self, max_m: int) -> None:
+        """Round 1 (k = 1): m = 2 ell + 1."""
+        e = self.e
+        if not self._col2:
+            dim3 = DerivationNode(
+                "axiom:dim3-embedding",
+                f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
+                "space does)")
+            frame = DerivationNode(
+                "axiom:dim3-normal-frame",
+                "the R^5 embedding of L(1, e) has trivial normal 2-plane "
+                "bundle: sigma = 2 independent normal sections")
+            feed, feed_dim = _feed_node(1, 1, e, 0)
+            base1 = inductive_step(
+                1, 1, e, 5, 5, 2,
+                premises=(dim3, frame, feed),
+                rule_id="round1:base",
+                extra_conditions=(_feed_within(feed_dim, 2, 5),))
+            base1 = _check_form(base1, 8 * 1 + 3, 3, e)
+            self._col2.append(base1)
+            self._store(self.round1, [(3, base1)])
+
+        ign1 = self._ign1
+        sigma1 = sections_table(1, e)
+        for ell in range(len(self._col2) + 1, (max_m - 1) // 2 + 1):
+            m = 2 * ell + 1
+            prior = self._col2[ell - 2]
+            prior_dim, prior_node = prior.dim, prior.derivation
+            beta = prior_dim + 1
+            feed, feed_dim = _feed_node(1, ell, e, 0)
+            step = inductive_step(
+                1, 2 * ell - 1, e, 6, beta, sigma1,
+                premises=(ign1, prior_node, feed),
+                rule_id="round1:step",
+                extra_conditions=(
+                    _feed_within(feed_dim, sigma1, beta),
+                    SideCondition.make(
+                        "beta-from-prior",
+                        f"beta = {beta} is one higher than the prior round "
+                        f"output {prior_dim}",
+                        beta=beta, prior=prior_dim)))
+            pairs = [(m, _check_form(step, 8 * ell + 3, m, e))]
+            if ell % 2 == 0 and alpha(ell) >= 2:
+                feed_s, feed_s_dim = _feed_node(1, ell, e, 1)
+                sharp = inductive_step(
+                    1, 2 * ell - 1, e, 6, prior_dim, sigma1,
+                    premises=(ign1, prior_node, feed_s),
+                    rule_id="round1:sharp",
+                    extra_conditions=(
+                        _feed_within(feed_s_dim, sigma1, prior_dim),
+                        SideCondition.make(
+                            "beta-from-prior",
+                            f"beta = {prior_dim} reuses the prior round output",
+                            beta=prior_dim, prior=prior_dim)))
+                pairs.append((m, _check_form(sharp, 8 * ell + 2, m, e)))
+            self._col2.append(step)
+            self._store(self.round1, pairs)
+
+    def _extend_round2(self, max_m: int) -> None:
+        """Round 2 (k = 3): m = 4 ell + 3, from m = 7 on."""
+        e = self.e
+        if not self._col4:
+            self._ground_round2()
+        ign3 = self._ign3
+        sigma3 = sections_table(3, e)
+        dlt = delta_e(e)
+        external = e == 1
+        for ell in range(len(self._col4) + 1, (max_m - 3) // 4 + 1):
+            m = 4 * ell + 3
+            prior = self._col4[ell - 2]
+            prior_dim, prior_node = prior.dim, prior.derivation
+            beta = 16 * ell + dlt - 15
+            feed, feed_dim = _feed_node(2, ell, e, 0)
+            step = inductive_step(
+                3, 4 * ell - 1, e, 14, beta, sigma3,
+                premises=(ign3, prior_node, feed),
+                rule_id="round2:step",
+                extra_conditions=(
+                    _feed_within(feed_dim, sigma3, beta),
+                    SideCondition.make(
+                        "beta-from-prior",
+                        f"beta = {beta} from the prior round output "
+                        f"{prior_dim}",
+                        beta=beta, prior=prior_dim)),
+                external=external)
+            pairs = [(m, _check_form(step, 16 * ell + dlt, m, e))]
+            if ell % 2 == 0 and alpha(ell) >= 2:
+                beta_s = prior_dim
+                feed_s, feed_s_dim = _feed_node(2, ell, e, 1)
+                sharp = inductive_step(
+                    3, 4 * ell - 1, e, 14, beta_s, sigma3,
+                    premises=(ign3, prior_node, feed_s),
+                    rule_id="round2:sharp",
+                    extra_conditions=(
+                        _feed_within(feed_s_dim, sigma3, beta_s),
+                        SideCondition.make(
+                            "beta-from-prior",
+                            f"beta = {beta_s} reuses the prior round output",
+                            beta=beta_s, prior=beta_s)),
+                    external=external)
+                pairs.append((m, _check_form(sharp, 16 * ell + dlt - 1, m, e)))
+            self._col4.append(step)
+            self._store(self.round2, pairs)
+
+    def _ground_round2(self) -> None:
+        """Store the m = 7 pairs of round 2: the special triple (e <= 2)
+        and the ground L(7, e) in R^(17 + delta(e))."""
+        e = self.e
+        col2 = self._col2
+        sigma3 = sections_table(3, e)
+        pairs = []
+        special_node = None
+        if e <= 2:
+            feed, feed_dim = _feed_node(2, 1, e, 0)
+            special = inductive_step(
+                3, 3, e, 14, col2[0].dim, sigma3,
+                premises=(self._ign3, col2[0].derivation, feed),
+                rule_id="round2:special",
+                extra_conditions=(_feed_within(feed_dim, sigma3, col2[0].dim),))
+            special = _check_form(special, 26, 7, e)
+            pairs.append((7, special))
+            special_node = special.derivation
+
+        base_dim = 17 + delta_e(e)
+        if e >= 3:
+            have_node, have_dim = col2[2].derivation, col2[2].dim
+        elif e == 2:
+            have_node, have_dim = special_node, 26
+        else:
+            have_node = DerivationNode(
+                "axiom:pl-seed",
+                "PL embedding of the 15-dimensional 2-torsion space in R^23 "
+                "(external input)")
+            have_dim = 23
+        base2 = Bound(
+            Direction.UPPER, base_dim,
+            Category.SMOOTH if metastable_smoothable(15, base_dim)
+            else Category.TOPOLOGICAL,
+            "round2:base", "ground of the second inductive round",
+            derivation=DerivationNode(
+                "round2:base",
+                f"L(m=7, e={e}) embeds in R^{base_dim}",
+                (have_node,),
+                (SideCondition.make(
+                    "weakening",
+                    f"embedding in R^{have_dim} persists into R^{base_dim}",
+                    have=have_dim, use=base_dim),)),
+            external=e == 1,
+            metastable=metastable_smoothable(15, base_dim))
+        pairs.append((7, base2))
+        self._col4.append(base2)
+        self._store(self.round2, pairs)
+
+    def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
+        """The round-1 pairs with m <= max_m, then the round-2 ones."""
+        self.extend(max_m)
+        n1 = bisect_right(self.round1, max_m, key=itemgetter(0))
+        n2 = bisect_right(self.round2, max_m, key=itemgetter(0))
+        return tuple(self.round1[:n1] + self.round2[:n2])
+
+    def at(self, m: int) -> tuple[Bound, ...]:
+        """The bounds derived for exactly this m, in derivation order."""
+        self.extend(m)
+        return tuple(self.by_m.get(m, ()))
+
+
+_ROUNDS: dict[int, Rounds] = {}
+
+
+def rounds(e: int) -> Rounds:
+    """The process-wide builder for e, so every caller shares one build."""
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
+    builder = _ROUNDS.get(e)
+    if builder is None:
+        builder = _ROUNDS[e] = Rounds(e)
+    return builder
+
+
+def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
+    """All (m, bound) pairs the two rounds produce for m <= max_m, in
+    derivation order (round 1, then round 2, each in ascending m), each
+    bound verified against its closed form.
+
+    The pairs come from the shared builder for e (see `rounds`), which
+    builds each m once per process; nodes are shared between the bounds,
+    so the whole build is small.
+    """
+    builder = rounds(e)
     if max_m < 3:
         raise ValueError(f"need max_m >= 3, got {max_m}")
-    out: list[tuple[int, Bound]] = []
-    dlt = delta_e(e)
-
-    # --- round 1 (k = 1) --------------------------------------------------
-    dim3 = DerivationNode(
-        "axiom:dim3-embedding",
-        f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens space does)")
-    frame = DerivationNode(
-        "axiom:dim3-normal-frame",
-        "the R^5 embedding of L(1, e) has trivial normal 2-plane bundle: "
-        "sigma = 2 independent normal sections")
-    feed, feed_dim = _feed_node(1, 1, e, 0)
-    base1 = inductive_step(
-        1, 1, e, 5, 5, 2,
-        premises=(dim3, frame, feed),
-        rule_id="round1:base",
-        extra_conditions=(_feed_within(feed_dim, 2, 5),))
-    base1 = _check_form(base1, 8 * 1 + 3, 3, e)
-    out.append((3, base1))
-    col2_dim: dict[int, int] = {1: base1.dim}
-    col2_node: dict[int, DerivationNode] = {1: base1.derivation}
-
-    ign1 = _igniting_node(1, e)
-    sigma1 = sections_table(1, e)
-    for ell in range(2, (max_m - 1) // 2 + 1):
-        m = 2 * ell + 1
-        prior_dim = col2_dim[ell - 1]
-        prior_node = col2_node[ell - 1]
-        beta = prior_dim + 1
-        feed, feed_dim = _feed_node(1, ell, e, 0)
-        step = inductive_step(
-            1, 2 * ell - 1, e, 6, beta, sigma1,
-            premises=(ign1, prior_node, feed),
-            rule_id="round1:step",
-            extra_conditions=(
-                _feed_within(feed_dim, sigma1, beta),
-                SideCondition.make(
-                    "beta-from-prior",
-                    f"beta = {beta} is one higher than the prior round output {prior_dim}",
-                    beta=beta, prior=prior_dim)))
-        step = _check_form(step, 8 * ell + 3, m, e)
-        out.append((m, step))
-        col2_dim[ell] = step.dim
-        col2_node[ell] = step.derivation
-        if ell % 2 == 0 and alpha(ell) >= 2:
-            feed_s, feed_s_dim = _feed_node(1, ell, e, 1)
-            sharp = inductive_step(
-                1, 2 * ell - 1, e, 6, prior_dim, sigma1,
-                premises=(ign1, prior_node, feed_s),
-                rule_id="round1:sharp",
-                extra_conditions=(
-                    _feed_within(feed_s_dim, sigma1, prior_dim),
-                    SideCondition.make(
-                        "beta-from-prior",
-                        f"beta = {prior_dim} reuses the prior round output",
-                        beta=prior_dim, prior=prior_dim)))
-            out.append((m, _check_form(sharp, 8 * ell + 2, m, e)))
-
-    # --- round 2 (k = 3) --------------------------------------------------
-    if max_m < 7:
-        return tuple(out)
-    ign3 = _igniting_node(3, e)
-    sigma3 = sections_table(3, e)
-
-    special_node = None
-    if e <= 2:
-        feed, feed_dim = _feed_node(2, 1, e, 0)
-        special = inductive_step(
-            3, 3, e, 14, col2_dim[1], sigma3,
-            premises=(ign3, col2_node[1], feed),
-            rule_id="round2:special",
-            extra_conditions=(_feed_within(feed_dim, sigma3, col2_dim[1]),))
-        special = _check_form(special, 26, 7, e)
-        out.append((7, special))
-        special_node = special.derivation
-
-    # ground the second induction: L(7, e) in R^(17 + delta(e))
-    base_dim = 17 + dlt
-    external = e == 1
-    if e >= 3:
-        have_node, have_dim = col2_node[3], col2_dim[3]
-    elif e == 2:
-        have_node, have_dim = special_node, 26
-    else:
-        have_node = DerivationNode(
-            "axiom:pl-seed",
-            "PL embedding of the 15-dimensional 2-torsion space in R^23 "
-            "(external input)")
-        have_dim = 23
-    base2 = Bound(
-        Direction.UPPER, base_dim,
-        Category.SMOOTH if metastable_smoothable(15, base_dim)
-        else Category.TOPOLOGICAL,
-        "round2:base", "ground of the second inductive round",
-        derivation=DerivationNode(
-            "round2:base",
-            f"L(m=7, e={e}) embeds in R^{base_dim}",
-            (have_node,),
-            (SideCondition.make(
-                "weakening",
-                f"embedding in R^{have_dim} persists into R^{base_dim}",
-                have=have_dim, use=base_dim),)),
-        external=external,
-        metastable=metastable_smoothable(15, base_dim))
-    out.append((7, base2))
-    col4_dim: dict[int, int] = {1: base_dim}
-    col4_node: dict[int, DerivationNode] = {1: base2.derivation}
-    for ell in range(2, (max_m - 3) // 4 + 1):
-        m = 4 * ell + 3
-        prior_dim = col4_dim[ell - 1]
-        prior_node = col4_node[ell - 1]
-        beta = 16 * ell + dlt - 15
-        feed, feed_dim = _feed_node(2, ell, e, 0)
-        step = inductive_step(
-            3, 4 * ell - 1, e, 14, beta, sigma3,
-            premises=(ign3, prior_node, feed),
-            rule_id="round2:step",
-            extra_conditions=(
-                _feed_within(feed_dim, sigma3, beta),
-                SideCondition.make(
-                    "beta-from-prior",
-                    f"beta = {beta} from the prior round output {prior_dim}",
-                    beta=beta, prior=prior_dim)),
-            external=external)
-        step = _check_form(step, 16 * ell + dlt, m, e)
-        out.append((m, step))
-        col4_dim[ell] = step.dim
-        col4_node[ell] = step.derivation
-        if ell % 2 == 0 and alpha(ell) >= 2:
-            beta_s = col4_dim[ell - 1]
-            feed_s, feed_s_dim = _feed_node(2, ell, e, 1)
-            sharp = inductive_step(
-                3, 4 * ell - 1, e, 14, beta_s, sigma3,
-                premises=(ign3, prior_node, feed_s),
-                rule_id="round2:sharp",
-                extra_conditions=(
-                    _feed_within(feed_s_dim, sigma3, beta_s),
-                    SideCondition.make(
-                        "beta-from-prior",
-                        f"beta = {beta_s} reuses the prior round output",
-                        beta=beta_s, prior=beta_s)),
-                external=external)
-            out.append((m, _check_form(sharp, 16 * ell + dlt - 1, m, e)))
-    return tuple(out)
+    return builder.pairs(max_m)
 
 
 def run_rounds(e: int, max_m: int) -> dict[int, Bound]:

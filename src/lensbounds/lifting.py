@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dyadic import SymbolicCount, alpha, hurwitz_radon, nu, nu_binom_sym
+from .records import RoundsDivergenceError
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +101,16 @@ def davis_mahowald_check(ell: int) -> DMResult:
     a = 4 * (ell + 1)
     nu1 = nu_binom_sym(a, 4 * ell - 4)
     nu2 = nu_binom_sym(a, 4 * ell - 2)
-    assert nu1 == SymbolicCount(0, alpha(ell) - 1)
-    assert nu2 == SymbolicCount(0, alpha(ell - 1) + 2)
-    assert nu2.constant == alpha(ell) + 1 + nu(ell)
+    if nu1 != SymbolicCount(0, alpha(ell) - 1):
+        raise RoundsDivergenceError(
+            f"nu(C(p, 4l-4)) = {nu1} off its closed form at ell={ell}")
+    if nu2 != SymbolicCount(0, alpha(ell - 1) + 2):
+        raise RoundsDivergenceError(
+            f"nu(C(p, 4l-2)) = {nu2} off its closed form at ell={ell}")
+    if nu2.constant != alpha(ell) + 1 + nu(ell):
+        raise RoundsDivergenceError(
+            f"nu(C(p, 4l-2)) = {nu2} disagrees with alpha(ell) + 1 + nu(ell) "
+            f"at ell={ell}")
     ok = (nu1.is_at_least(1) and nu2.is_at_least(3)
           and 2 * (2 * ell - 3) >= 5 - 3)
     return DMResult(ok, nu1, nu2)

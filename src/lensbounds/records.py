@@ -189,4 +189,5 @@ class InconsistentBoundsError(Exception):
 
 
 class RoundsDivergenceError(Exception):
-    """The round-runner produced a bound off its closed form."""
+    """The round-runner, or a gate it rests on, produced a value off its
+    closed form."""

@@ -40,14 +40,37 @@ def test_euler_class_lower_bounds():
         assert [b.dim for b in bounds] == [10]
     assert [b.dim for b in euler_class_lower_bounds(LensSpace(7, 1))] == [22]
     assert euler_class_lower_bounds(LensSpace(7, 2)) == []
-    # scan is complete: recompute the candidate set by brute force
-    for e in (1, 2, 3):
-        for m in range(1, 200):
-            got = [b.dim for b in euler_class_lower_bounds(LensSpace(m, e))]
-            want = [4 * n - 2 * alpha(n) + 2 for n in range(1, m + 1)
-                    if n + max(0, alpha(n) - e) == m
-                    and euler_class_condition(n, e)]
-            assert got == want
+
+
+def _full_scans(e: int, max_m: int) -> tuple[dict, dict]:
+    """The Euler-class and conjectural candidates of every m <= max_m, by
+    a scan over every n in [1, max_m], each list in ascending n."""
+    euler: dict[int, list] = {}
+    conj: dict[int, list] = {}
+    for n in range(1, max_m + 1):
+        delta = alpha(n) - e
+        m = n + max(0, delta)
+        bound = (4 * n - 2 * alpha(n) + 2, f"n={n}, delta={max(0, delta)}")
+        if euler_class_condition(n, e):
+            euler.setdefault(m, []).append(bound)
+        elif delta > 0:
+            conj.setdefault(m, []).append(bound)
+    return euler, conj
+
+
+def test_euler_scans_equal_full_scan():
+    top = 2**14 + 20
+    ms = sorted(set(range(601)) | {m for t in range(15)
+                                   for m in range(2**t - 20, 2**t + 21)
+                                   if m >= 0})
+    for e in range(1, 11):
+        euler, conj = _full_scans(e, top)
+        for m in ms:
+            space = LensSpace(m, e)
+            for got, want in ((euler_class_lower_bounds(space), euler),
+                              (conjectural_lower_bounds(space), conj)):
+                assert [(b.dim, b.citation.rpartition("; ")[2])
+                        for b in got] == want.get(m, []), (m, e)
 
 
 def test_power_of_two_lower():

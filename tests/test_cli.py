@@ -1,14 +1,19 @@
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
-from lensbounds import cli
-from lensbounds.records import Bound, Category, Direction, InconsistentBoundsError, LensSpace
+import pytest
+
+from lensbounds import catalog, cli, cohomology, inductive, lifting
+from lensbounds.records import (Bound, Category, Direction,
+                                InconsistentBoundsError, LensSpace)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +148,58 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "query", "--m", "1", "--e", "1")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+# sha256(stdout)[:16] of each table the benchmark's table-sweep workload
+# runs, in its order, as printed before the rounds were built incrementally
+TABLE_DIGESTS = ("70684a2e6f39d8eb", "69d7d6bd7ee9db67", "25165d4790e4d28b",
+                 "98a81c72084cdc07", "8f3d8d86f95c9a19", "cad46721563caf3b",
+                 "d4045ef2ac2a98f2", "8dba970e5042cec0")
+
+
+def test_large_tables_keep_their_bytes(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import TABLES
+    tables = [op.argv for op in TABLES]
+    assert len(tables) == len(TABLE_DIGESTS)
+    for argv, digest in zip(tables, TABLE_DIGESTS):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
+def _nu_binom_sym_off_at(bottom: int):
+    """nu_binom_sym, one too high at C(*, bottom)."""
+    real = lifting.nu_binom_sym
+    return lambda a, b: real(a, b) + 1 if b == bottom else real(a, b)
+
+
+@pytest.mark.parametrize("target, patches, argv, message", [
+    (catalog, {"is_spin": lambda m, e: False},
+     ("query", "--m", "7", "--e", "2"), "spin prerequisite failed"),
+    (cohomology, {"tangential_sw_class": lambda ring: ring.one() + ring.y(1)},
+     ("table", "--e", "3", "--max-m", "8"), "spin criteria disagree"),
+    # at ell = 6 the Davis-Mahowald valuations are of C(p, 20) and C(p, 22)
+    (lifting, {"nu_binom_sym": _nu_binom_sym_off_at(20)},
+     ("lift", "--ell", "6"), "nu(C(p, 4l-4)) = 2 off its closed form"),
+    (lifting, {"nu_binom_sym": _nu_binom_sym_off_at(22)},
+     ("lift", "--ell", "6"), "nu(C(p, 4l-2)) = 5 off its closed form"),
+    (lifting, {"nu": lambda n: 99},
+     ("lift", "--ell", "6"), "disagrees with alpha(ell) + 1 + nu(ell)"),
+    # a fresh round builder, so the igniting embedding is looked up again
+    (inductive, {"igniting_embedding": lambda k, e: None, "_ROUNDS": {}},
+     ("derive", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
+    (inductive, {"igniting_embedding": lambda k, e: None, "_ROUNDS": {}},
+     ("query", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
+])
+def test_engine_failures_exit_3(capsys, monkeypatch, target, patches, argv,
+                                message):
+    for name, patched in patches.items():
+        monkeypatch.setattr(target, name, patched)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("internal inconsistency: ")
+    assert message in err
 
 
 # Runs in a fresh interpreter: the pytest process has numpy loaded

@@ -135,10 +135,13 @@ def test_tangential_class_examples():
     r2 = CohomologyRing(2, 0)
     w = tangential_sw_class(r2)
     assert w == r2.one() + r2.y(1) + r2.y(2)
-    for n in range(1, 200):
+    for n in range(1, 601):
         ring = CohomologyRing(n, 0)
-        got = tangential_sw_class(ring).coefficient(0, 1)
-        assert got == (n + 1) % 2
+        w = tangential_sw_class(ring)
+        assert w.coefficient(0, 1) == (n + 1) % 2
+        # the definition: the y^j coefficient is C(n+1, j) mod 2
+        even = sum(1 << j for j in range(n + 1) if nu_binom(n + 1, j) == 0)
+        assert (w.even, w.odd) == (even, 0), n
 
 
 def test_normal_class_inverse_and_closed_form():
@@ -172,6 +175,16 @@ def test_is_spin():
         is_spin(-1, 1)
     with pytest.raises(ValueError):
         is_spin(3, 0)
+
+
+def test_monomials_walk_the_support_in_order():
+    rng = random.Random(3)
+    ring = CohomologyRing(90, 1)
+    for _ in range(200):
+        u = Mod2Class(ring, rng.getrandbits(91), rng.getrandbits(91))
+        want = [(d, j) for d, mask in ((0, u.even), (1, u.odd))
+                for j in range(91) if mask >> j & 1]
+        assert list(u.monomials()) == want
 
 
 def test_class_display():

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
+from lensbounds import inductive
+from lensbounds.catalog import _engine_bounds
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (delta_e, derive_rounds, feeding_embedding,
-                                  igniting_embedding, inductive_step,
-                                  milgram_condition, run_rounds,
-                                  sections_table)
-from lensbounds.records import Category, Direction
+from lensbounds.inductive import (Rounds, delta_e, derive_rounds,
+                                  feeding_embedding, igniting_embedding,
+                                  inductive_step, milgram_condition,
+                                  run_rounds, sections_table)
+from lensbounds.records import (Category, DerivationNode, Direction,
+                                RoundsDivergenceError)
 
 
 def test_sections_table():
@@ -154,3 +159,84 @@ def test_smoothability_flags():
     assert best[5].category is Category.SMOOTH        # (11, 19) is in range
     for m, b in best.items():
         assert b.metastable == (2 * b.dim >= 3 * (2 * m + 2))
+
+
+def test_feeding_gate_off_its_closed_form_raises(monkeypatch):
+    monkeypatch.setattr(inductive, "embedding_gate", lambda inst: 0)
+    with pytest.raises(RoundsDivergenceError, match="not R\\^7"):
+        feeding_embedding(1, 1, 3)
+    monkeypatch.setattr(inductive, "embedding_gate",
+                        lambda inst: 4 * inst.n + 3 if inst.d % 2 == 0 else 0)
+    assert feeding_embedding(1, 5, 3).sharp is None
+    with pytest.raises(RoundsDivergenceError, match="sharpened"):
+        feeding_embedding(1, 6, 3)
+
+
+def _shapes():
+    """A function mapping (m, bound) pairs to comparable values in which a
+    derivation becomes an id shared exactly by equal trees.  Iterative:
+    comparing deep trees with == would recurse once per round step."""
+    # id(node) -> (node, tree id); holding the node keeps its id unique
+    ids: dict[int, tuple[DerivationNode, int]] = {}
+    sigs: dict[tuple, int] = {}
+
+    def tree_id(root: DerivationNode) -> int:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            todo = [p for p in node.premises if id(p) not in ids]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            key = (node.rule_id, node.conclusion, node.side_conditions,
+                   tuple(ids[id(p)][1] for p in node.premises))
+            ids[id(node)] = (node, sigs.setdefault(key, len(sigs)))
+        return ids[id(root)][1]
+
+    def shape(pairs):
+        return [(m, replace(b, derivation=None), tree_id(b.derivation))
+                for m, b in pairs]
+    return shape
+
+
+@pytest.mark.parametrize("a, b", [(3, 7), (7, 300), (300, 301), (5, 1023)])
+def test_extended_builder_equals_fresh_builder(a, b):
+    shape = _shapes()
+    for e in range(1, 5):
+        grown, fresh = Rounds(e), Rounds(e)
+        grown.extend(a)
+        grown.extend(b)
+        fresh.extend(b)
+        for max_m in sorted({3, a, b - 1, b} - {2}):
+            assert shape(grown.pairs(max_m)) == shape(fresh.pairs(max_m))
+        assert shape(grown.pairs(b)) == shape(derive_rounds(e, b))
+
+
+def test_engine_bounds_are_the_pairs_at_m():
+    for e in (1, 2, 3, 6):
+        pairs = derive_rounds(e, 300)
+        for m in range(0, 301):
+            want = [b for mm, b in pairs if mm == m]
+            assert list(_engine_bounds(e, m)) == want, (m, e)
+
+
+def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
+    # the sharpened round-1 output at m = 25 (ell = 12) diverges: the step
+    # at m = 25 must not be stored without it
+    builder = Rounds(3)
+    builder.extend(20)
+    real = inductive._check_form
+
+    def diverge(bound, expected, m, e):
+        if (m, expected) == (25, 8 * 12 + 2):
+            raise RoundsDivergenceError("off")
+        return real(bound, expected, m, e)
+    monkeypatch.setattr(inductive, "_check_form", diverge)
+    with pytest.raises(RoundsDivergenceError):
+        builder.extend(40)
+    assert 25 not in builder.by_m
+    shape = _shapes()
+    assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
+    monkeypatch.setattr(inductive, "_check_form", real)
+    assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))

@@ -5,8 +5,9 @@ Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
 pure; report() is deterministic.  Its cost does not grow with m: the
 Euler-class scans look at about log2(m) candidates, and the engine bounds
-are a lookup in one round builder per e, which extends only as far as the
-largest m asked for and builds each m once per process.
+are a lookup in one round builder per e, which extends to the least power
+of two at or above the largest m asked for and builds each m once per
+process.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative

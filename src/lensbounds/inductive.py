@@ -512,8 +512,14 @@ class Rounds:
         return tuple(self.round1[:n1] + self.round2[:n2])
 
     def at(self, m: int) -> tuple[Bound, ...]:
-        """The bounds derived for exactly this m, in derivation order."""
-        self.extend(m)
+        """The bounds derived for exactly this m, in derivation order.
+
+        Builds the whole doubling block of m first, up to the least power
+        of two >= m, so the first lookup costs the same time and memory for
+        every m in (2^(t-1), 2^t], and a table that looks up every m up to
+        a power of two builds exactly that far.
+        """
+        self.extend(1 << max(0, m - 1).bit_length())
         return tuple(self.by_m.get(m, ()))
 
 

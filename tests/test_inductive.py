@@ -221,6 +221,21 @@ def test_engine_bounds_are_the_pairs_at_m():
             assert list(_engine_bounds(e, m)) == want, (m, e)
 
 
+def test_lookup_builds_the_doubling_block():
+    shape = _shapes()
+    for m, block in ((0, 2), (2, 2), (3, 4), (5, 8), (257, 512), (512, 512),
+                     (1025, 2048)):
+        builder = Rounds(2)
+        found = [(m, b) for b in builder.at(m)]
+        assert builder.built == block, m
+        assert shape(found) == shape([p for p in derive_rounds(2, max(m, 3))
+                                      if p[0] == m])
+    builder = Rounds(5)
+    builder.at(300)
+    assert shape(builder.pairs(512)) == shape(Rounds(5).pairs(512))
+    assert builder.built == 512
+
+
 def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
     # the sharpened round-1 output at m = 25 (ell = 12) diverges: the step
     # at m = 25 must not be stored without it

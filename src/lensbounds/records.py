@@ -142,6 +142,34 @@ class DerivationNode:
         }
 
 
+def unique_nodes(roots) -> list[DerivationNode]:
+    """Every node reachable from `roots`, each once, premises first.
+
+    Derivations built together share their prior-round nodes, so they form
+    a DAG; nodes are keyed by identity (structural hashing would recurse
+    through the whole tree).  The walk keeps its own stack, so it works at
+    any depth.
+    """
+    seen: set[int] = set()
+    order: list[DerivationNode] = []
+    for root in roots:
+        if id(root) in seen:
+            continue
+        seen.add(id(root))
+        stack = [(root, iter(root.premises))]
+        while stack:
+            node, premises = stack[-1]
+            for p in premises:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p.premises)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
 @dataclass(frozen=True, slots=True)
 class Bound:
     """One bound on the embedding dimension, with provenance.

@@ -2,7 +2,7 @@ import pytest
 
 from lensbounds.records import (Bound, Category, DerivationNode, Direction,
                                 LensSpace, SideCondition,
-                                metastable_smoothable)
+                                metastable_smoothable, unique_nodes)
 # registering the replay predicates happens on import
 import lensbounds.inductive  # noqa: F401
 
@@ -38,6 +38,28 @@ def test_derivation_tree_serialization():
     assert root.replay()
     assert [n.rule_id for n in root.walk()] == ["round1:base", "axiom:igniting"]
     assert leaf.is_axiom and not root.is_axiom
+
+
+def test_unique_nodes_lists_a_shared_premise_once():
+    base = DerivationNode("axiom:base", "base")
+    left = DerivationNode("left", "left", (base,))
+    right = DerivationNode("right", "right", (base,))
+    top = DerivationNode("top", "top", (left, right))
+    order = unique_nodes([top, right])
+    assert [n.rule_id for n in order] == ["axiom:base", "left", "right", "top"]
+    position = {id(n): i for i, n in enumerate(order)}
+    for n in order:
+        assert all(position[id(p)] < position[id(n)] for p in n.premises)
+    assert unique_nodes([]) == []
+
+
+def test_unique_nodes_walks_deep_chains():
+    node = DerivationNode("axiom:base", "base")
+    chain = [node]
+    for i in range(20_000):
+        node = DerivationNode("step", f"step {i}", (node,))
+        chain.append(node)
+    assert [id(n) for n in unique_nodes([node])] == [id(n) for n in chain]
 
 
 def test_bound_display_and_validation():

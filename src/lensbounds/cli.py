@@ -212,9 +212,12 @@ def cmd_verify(args) -> int:
     # rather than at module level keeps numpy out of every other
     # subcommand, where it would be most of the start-up time
     from .verify import run_scope
-    results = run_scope(args.scope)
+    timings = [] if args.timings else None
+    results = run_scope(args.scope, timings)
     for r in results:
         print(r.line())
+    for t in timings or ():
+        print(t.line(), file=sys.stderr)
     failed = [r for r in results if not r.ok]
     total_cases = sum(r.cases for r in results)
     verdict = "FAIL" if failed else "PASS"
@@ -276,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the invariant sweeps")
     v.add_argument("scope", choices=("dyadic", "cohomology", "bounds",
                                      "rounds", "lifting", "all"))
+    v.add_argument("--timings", action="store_true",
+                   help="print each scope's wall time, cases and cases/s "
+                        "to stderr")
     v.set_defaults(fn=cmd_verify)
     return parser
 

@@ -10,7 +10,7 @@ carry-less integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dyadic import nu_binom
 
@@ -21,22 +21,21 @@ class CohomologyRing:
 
     n: int
     epsilon: int
+    # coefficient mask of y^0..y^n, computed once per ring
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ring needs n >= 1, got {self.n}")
         if self.epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
+        object.__setattr__(self, "mask", (1 << (self.n + 1)) - 1)
 
     @classmethod
     def for_lens(cls, n: int, e: int) -> "CohomologyRing":
         if e < 1:
             raise ValueError(f"torsion exponent must be >= 1, got {e}")
         return cls(n, 1 if e == 1 else 0)
-
-    @property
-    def mask(self) -> int:
-        return (1 << (self.n + 1)) - 1
 
     def zero(self) -> "Mod2Class":
         return Mod2Class(self, 0, 0)
@@ -69,18 +68,46 @@ class CohomologyRing:
         return self.monomial(k & 1, k >> 1)
 
 
-@dataclass(frozen=True, slots=True)
 class Mod2Class:
-    """Element sum c_{0,j} y^j + c_{1,j} x y^j; masks truncated past y^n."""
+    """Element sum c_{0,j} y^j + c_{1,j} x y^j; masks truncated past y^n.
 
+    Immutable, compared and hashed by value.  The verify sweeps build
+    hundreds of thousands, so construction is one masking step against the
+    ring's precomputed mask, with no dataclass machinery.
+    """
+
+    __slots__ = ("ring", "even", "odd")
     ring: CohomologyRing
     even: int
     odd: int
 
-    def __post_init__(self) -> None:
-        m = self.ring.mask
-        object.__setattr__(self, "even", self.even & m)
-        object.__setattr__(self, "odd", self.odd & m)
+    def __init__(self, ring: CohomologyRing, even: int, odd: int) -> None:
+        mask = ring.mask
+        _set_ring(self, ring)
+        _set_even(self, even & mask)
+        _set_odd(self, odd & mask)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Mod2Class is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Mod2Class is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Mod2Class, (self.ring, self.even, self.odd)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mod2Class:
+            return NotImplemented
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.even == other.even and self.odd == other.odd)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.even, self.odd))
+
+    def __repr__(self) -> str:
+        return (f"Mod2Class(ring={self.ring!r}, even={self.even!r}, "
+                f"odd={self.odd!r})")
 
     def is_zero(self) -> bool:
         return self.even == 0 and self.odd == 0
@@ -108,7 +135,7 @@ class Mod2Class:
         return multiply(self, other)
 
     def _check(self, other: "Mod2Class") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __str__(self) -> str:
@@ -121,14 +148,22 @@ class Mod2Class:
         return " + ".join(terms) if terms else "0"
 
 
+# the slot setters bypass Mod2Class.__setattr__, which refuses every write
+_set_ring = Mod2Class.ring.__set__
+_set_even = Mod2Class.even.__set__
+_set_odd = Mod2Class.odd.__set__
+
+
 def _clmul(p: int, q: int) -> int:
-    """Carry-less (GF(2)[y]) product of two coefficient masks."""
+    """Carry-less (GF(2)[y]) product of two coefficient masks, one
+    shift-xor per set bit of q."""
+    if not p:
+        return 0
     r = 0
     while q:
-        if q & 1:
-            r ^= p
-        p <<= 1
-        q >>= 1
+        low = q & -q
+        r ^= p * low
+        q ^= low
     return r
 
 

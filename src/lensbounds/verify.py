@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,18 @@ class CheckResult:
         status = "OK" if self.ok else "FAIL"
         tail = f"  [{self.detail}]" if self.detail and not self.ok else ""
         return f"{self.name}: {self.cases} cases {status}{tail}"
+
+
+@dataclass(frozen=True)
+class ScopeTiming:
+    scope: str
+    seconds: float
+    cases: int
+
+    def line(self) -> str:
+        rate = self.cases / self.seconds if self.seconds > 0 else float("inf")
+        return (f"timing {self.scope}: {self.seconds:.3f} s, "
+                f"{self.cases} cases, {rate:.0f} cases/s")
 
 
 def _result(name: str, cases: int, first_bad) -> CheckResult:
@@ -106,6 +119,47 @@ def _basis(ring: CohomologyRing) -> list[Mod2Class]:
     return [ring.monomial(d, j) for j in range(ring.n + 1) for d in (0, 1)]
 
 
+def _cartan_formula() -> CheckResult:
+    """Sq^i(uv) against sum_{a+b=i} Sq^a(u) Sq^b(v) over every pair of basis
+    classes.  A product of basis classes is a basis class or zero, so each
+    ring squares at most 2n+3 distinct classes, each once per degree."""
+    bad = None
+    cases = 0
+    for n in range(1, 17):
+        for eps in (0, 1):
+            ring = CohomologyRing(n, eps)
+            basis = _basis(ring)
+            top = 2 * n + 2
+            # Sq^0..Sq^(top-1) of each class squared so far in this ring
+            total_square: dict[Mod2Class, list[Mod2Class]] = {}
+
+            def squares_of(c: Mod2Class) -> list[Mod2Class]:
+                sq = total_square.get(c)
+                if sq is None:
+                    sq = total_square[c] = [steenrod_square(i, c)
+                                            for i in range(top)]
+                return sq
+
+            # each basis class's nonzero squares, as (degree, class) pairs
+            squares = {u: [(a, sq) for a, sq in enumerate(squares_of(u))
+                           if not sq.is_zero()]
+                       for u in basis}
+            for u in basis:
+                sq_u = squares[u]
+                for v in basis:
+                    totals = [ring.zero()] * top
+                    for a, su in sq_u:
+                        for b, sv in squares[v]:
+                            if a + b < top:
+                                totals[a + b] = totals[a + b] + multiply(su, sv)
+                    sq_uv = squares_of(multiply(u, v))
+                    cases += top
+                    if bad is None and sq_uv != totals:
+                        i = next(i for i in range(top) if sq_uv[i] != totals[i])
+                        bad = (n, eps, str(u), str(v), i)
+    return _result("cartan-formula", cases, bad)
+
+
 def verify_cohomology() -> list[CheckResult]:
     out = []
 
@@ -137,31 +191,7 @@ def verify_cohomology() -> list[CheckResult]:
             bad = bad or (n, "random-associativity")
     out.append(_result("ring-commutative-associative", cases, bad))
 
-    bad = None
-    cases = 0
-    for n in range(1, 17):
-        for eps in (0, 1):
-            ring = CohomologyRing(n, eps)
-            basis = _basis(ring)
-            top = 2 * n + 2
-            # each basis class's nonzero squares, as (degree, class) pairs
-            squares = {u: [(a, sq) for a in range(top)
-                           if not (sq := steenrod_square(a, u)).is_zero()]
-                       for u in basis}
-            for u in basis:
-                sq_u = squares[u]
-                for v in basis:
-                    totals = [ring.zero()] * top
-                    for a, su in sq_u:
-                        for b, sv in squares[v]:
-                            if a + b < top:
-                                totals[a + b] = totals[a + b] + multiply(su, sv)
-                    uv = multiply(u, v)
-                    for i in range(top):
-                        cases += 1
-                        if steenrod_square(i, uv) != totals[i]:
-                            bad = bad or (n, eps, str(u), str(v), i)
-    out.append(_result("cartan-formula", cases, bad))
+    out.append(_cartan_formula())
 
     bad = None
     cases = 0
@@ -464,12 +494,18 @@ SCOPES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-def run_scope(scope: str) -> list[CheckResult]:
-    if scope == "all":
-        results: list[CheckResult] = []
-        for fn in SCOPES.values():
-            results.extend(fn())
-        return results
-    if scope not in SCOPES:
+def run_scope(scope: str, timings: list[ScopeTiming] | None = None
+              ) -> list[CheckResult]:
+    """Run one scope, or every scope in order for "all"; with `timings`,
+    append each scope's wall time and case count to it."""
+    if scope != "all" and scope not in SCOPES:
         raise KeyError(f"unknown scope {scope!r}")
-    return SCOPES[scope]()
+    results: list[CheckResult] = []
+    for name in SCOPES if scope == "all" else (scope,):
+        start = time.perf_counter()
+        got = SCOPES[name]()
+        if timings is not None:
+            timings.append(ScopeTiming(name, time.perf_counter() - start,
+                                       sum(r.cases for r in got)))
+        results.extend(got)
+    return results

@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from lensbounds import catalog, cli, cohomology, inductive, lifting
+from lensbounds import catalog, cli, cohomology, inductive, lifting, verify
 from lensbounds.records import (Bound, Category, Direction,
                                 InconsistentBoundsError, LensSpace)
 
@@ -136,6 +137,24 @@ def test_verify_scope_passes(capsys):
     assert code == 0
     assert out.strip().endswith("cases")
     assert "PASS" in out
+
+
+def test_verify_timings_go_to_stderr(capsys, monkeypatch):
+    plain = run_cli(capsys, "verify", "lifting")
+    code, out, err = run_cli(capsys, "verify", "lifting", "--timings")
+    assert plain == (code, out, "") and code == 0
+    assert re.fullmatch(
+        r"timing lifting: \d+\.\d{3} s, 5868 cases, \d+ cases/s\n", err)
+
+    # "all" times each scope in order, and the flag leaves a FAIL alone
+    for name in verify.SCOPES:
+        monkeypatch.setitem(verify.SCOPES, name, lambda name=name: [
+            verify.CheckResult(f"{name}-check", 3, name != "rounds")])
+    plain = run_cli(capsys, "verify", "all")
+    code, out, err = run_cli(capsys, "verify", "all", "--timings")
+    assert plain == (code, out, "") and code == 2
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        f"timing {name}" for name in verify.SCOPES]
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from lensbounds.cohomology import (CohomologyRing, Mod2Class, is_spin,
-                                   multiply, normal_sw_class,
+from lensbounds.cohomology import (CohomologyRing, Mod2Class, _clmul,
+                                   is_spin, multiply, normal_sw_class,
                                    steenrod_square, tangential_sw_class)
 from lensbounds.dyadic import nu_binom
 
@@ -40,6 +42,61 @@ def test_truncation():
 def test_ring_mismatch():
     with pytest.raises(ValueError):
         multiply(CohomologyRing(3, 0).x(), CohomologyRing(4, 0).x())
+    with pytest.raises(ValueError):
+        CohomologyRing(3, 0).x() + CohomologyRing(4, 0).x()
+    with pytest.raises(ValueError):
+        CohomologyRing(5, 1).y() * CohomologyRing(5, 0).y()
+
+
+def test_class_is_immutable():
+    u = CohomologyRing(3, 1).x()
+    with pytest.raises(AttributeError):
+        u.even = 1
+    with pytest.raises(AttributeError):
+        u.label = "x"
+    with pytest.raises(AttributeError):
+        del u.odd
+    assert (u.even, u.odd) == (0, 1)
+    assert copy.deepcopy(u) == u and pickle.loads(pickle.dumps(u)) == u
+
+
+def test_equal_rings_share_classes():
+    r1, r2 = CohomologyRing(4, 1), CohomologyRing(4, 1)
+    assert r1 is not r2
+    u1, u2 = r1.x() + r1.y(2), r2.x() + r2.y(2)
+    assert u1 == u2 and hash(u1) == hash(u2)
+    assert len({u1, u2}) == 1
+    assert u1 * r2.x() == r1.x() * u2 == r1.y() + r1.monomial(1, 2)
+    assert u1 + u2 == r2.zero()
+    assert u1 != CohomologyRing(4, 0).x() + CohomologyRing(4, 0).y(2)
+
+
+def test_construction_truncates_past_the_top_class():
+    ring = CohomologyRing(3, 0)
+    u = Mod2Class(ring, 0b1101_0110, 0b1_1111)
+    assert (u.even, u.odd) == (0b0110, 0b1111)
+    assert u == Mod2Class(ring, 0b0110, 0b1111)
+    assert Mod2Class(ring, 1 << 4, 1 << 9).is_zero()
+
+
+def test_clmul_matches_the_bitwise_loop():
+    def reference(p, q):
+        r = 0
+        while q:
+            if q & 1:
+                r ^= p
+            p <<= 1
+            q >>= 1
+        return r
+
+    rng = random.Random(5)
+    masks = [0, 1, (1 << 200) - 1] + [rng.getrandbits(rng.randrange(1, 201))
+                                      for _ in range(300)]
+    for p in masks:
+        assert _clmul(p, 0) == _clmul(0, p) == 0
+    for _ in range(2000):
+        p, q = rng.choice(masks), rng.choice(masks)
+        assert _clmul(p, q) == reference(p, q) == _clmul(q, p)
 
 
 def test_multiply_commutative_associative_exhaustive():

@@ -1,8 +1,11 @@
 """Every verify scope must pass at its documented desk scale."""
 
+from collections import Counter
+
 import pytest
 
 from lensbounds import cli, records, verify
+from lensbounds.cohomology import steenrod_square
 from lensbounds.inductive import derive_rounds
 from lensbounds.records import DerivationNode, SideCondition, unique_nodes
 
@@ -35,6 +38,52 @@ def test_rounds_output_is_pinned(capsys):
         "milgram-small-mu: 8192 cases OK\n"
         "milgram-mu3-rarity: 4096 cases OK\n"
         "PASS: 5/5 checks, 20396 cases\n")
+
+
+def test_cohomology_output_is_pinned(capsys):
+    assert cli.main(["verify", "cohomology"]) == 0
+    assert capsys.readouterr().out == (
+        "ring-commutative-associative: 18912 cases OK\n"
+        "cartan-formula: 374528 cases OK\n"
+        "instability-and-top-square: 8048 cases OK\n"
+        "sw-class-inverse: 3168 cases OK\n"
+        "spin-double-derivation: 1539 cases OK\n"
+        "PASS: 5/5 checks, 406195 cases\n")
+
+
+def test_cartan_failure_names_the_first_counterexample(monkeypatch):
+    # bend Sq^3(x*y^2) in the n=5, eps=1 ring; the first pair (u, v) in
+    # basis order whose Cartan sum disagrees is x * y^2, whose own squares
+    # are unbent.  The tuple is the one the per-(u, v, i) check reported.
+    def bent(i, u):
+        sq = steenrod_square(i, u)
+        ring = u.ring
+        if (ring.n, ring.epsilon, i) == (5, 1, 3) and u == ring.monomial(1, 2):
+            return sq + ring.y(4)
+        return sq
+
+    monkeypatch.setattr(verify, "steenrod_square", bent)
+    by_name = {r.name: r for r in verify.verify_cohomology()}
+    assert by_name["cartan-formula"].line() == (
+        "cartan-formula: 374528 cases FAIL  "
+        "[first counterexample (5, 1, 'x', 'y^2', 3)]")
+    assert all(r.ok for name, r in by_name.items() if name != "cartan-formula")
+
+
+def test_cartan_squares_each_class_once_per_degree(monkeypatch):
+    calls = Counter()
+
+    def counted(i, u):
+        calls[u, i] += 1  # a class hashes by its ring and its masks
+        return steenrod_square(i, u)
+
+    monkeypatch.setattr(verify, "steenrod_square", counted)
+    assert verify._cartan_formula().ok
+    (key, most), = calls.most_common(1)
+    assert most == 1, (key, most)
+    # 32 rings, at most 2n+3 distinct classes (the basis and zero) each
+    assert len(calls) <= sum((2 * n + 3) * (2 * n + 2)
+                             for n in range(1, 17) for _ in (0, 1))
 
 
 def _rounds_roots(max_e=8, max_m=403):

@@ -7,7 +7,8 @@ pure; report() is deterministic.  Its cost does not grow with m: the
 Euler-class scans look at about log2(m) candidates, and the engine bounds
 are a lookup in one round builder per e, which extends to the least power
 of two at or above the largest m asked for and builds each m once per
-process.
+process.  The closed-form round bounds are read from `inductive.round_forms`,
+the table the round builder checks each of its outputs against.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
-from .inductive import delta_e, rounds
+from .inductive import ROUND2_SPECIAL, round_forms, rounds
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
                       LensSpace, metastable_smoothable)
 
@@ -169,6 +170,17 @@ def spin_upper(space: LensSpace) -> Bound | None:
                   "codimension dim-2 (Thomas)", smooth_rule=True)
 
 
+def _round_uppers(space: LensSpace, mu: int, ell: int, rule_id: str,
+                  citation: str, sharp_citation: str, **flags) -> list[Bound]:
+    """The main and, when it applies, sharpened form of round mu at ell."""
+    main, sharp = round_forms(mu, ell, space.e)
+    out = [_upper(space, main, rule_id, citation, **flags)]
+    if sharp is not None:
+        out.append(_upper(space, sharp, rule_id + "-sharp", sharp_citation,
+                          **flags))
+    return out
+
+
 def closed_form_uppers(space: LensSpace) -> list[Bound]:
     """The closed-form embedding catalog the inductive rounds regenerate.
 
@@ -184,23 +196,16 @@ def closed_form_uppers(space: LensSpace) -> list[Bound]:
     m, e = space.m, space.e
     out = []
     if m >= 3 and m % 2 == 1:
-        ell = (m - 1) // 2
-        out.append(_upper(space, 8 * ell + 3, "round1",
-                          "first inductive round (k=1)"))
-        if ell % 2 == 0 and alpha(ell) >= 2:
-            out.append(_upper(space, 8 * ell + 2, "round1-sharp",
-                              "first inductive round, sharpened feed"))
+        out += _round_uppers(space, 1, (m - 1) // 2, "round1",
+                             "first inductive round (k=1)",
+                             "first inductive round, sharpened feed")
     if m == 7 and e <= 2:
-        out.append(_upper(space, 26, "round2-special",
+        out.append(_upper(space, ROUND2_SPECIAL, "round2-special",
                           "second round applied at (k, j) = (3, 3)"))
     if m >= 11 and m % 4 == 3:
-        ell = (m - 3) // 4
-        dlt = delta_e(e)
-        out.append(_upper(space, 16 * ell + dlt, "round2",
-                          "second inductive round (k=3)"))
-        if ell % 2 == 0 and alpha(ell) >= 2:
-            out.append(_upper(space, 16 * ell + dlt - 1, "round2-sharp",
-                              "second inductive round, sharpened feed"))
+        out += _round_uppers(space, 2, (m - 3) // 4, "round2",
+                             "second inductive round (k=3)",
+                             "second inductive round, sharpened feed")
     return out
 
 
@@ -208,18 +213,14 @@ def projective_pl_uppers(space: LensSpace) -> list[Bound]:
     """2-torsion-only bounds seeded with the PL embedding of the
     15-dimensional projective space in R^23 (external input): for
     2m+1 = 8j+7, j >= 2, an embedding in R^(16j+7), and in R^(16j+6) for
-    even j that is not a power of 2."""
+    even j that is not a power of 2, i.e. the e = 1 forms of round 2."""
     if space.e != 1 or space.odd_factor != 1:
         return []
     if space.m % 4 != 3 or space.m < 11:
         return []
-    j = (space.m - 3) // 4
     cite = "second round seeded with the PL embedding of P^15 in R^23 (Rees)"
-    out = [_upper(space, 16 * j + 7, "pl-round2", cite, external=True)]
-    if j % 2 == 0 and alpha(j) >= 2:
-        out.append(_upper(space, 16 * j + 6, "pl-round2-sharp", cite,
-                          external=True))
-    return out
+    return _round_uppers(space, 2, (space.m - 3) // 4, "pl-round2", cite,
+                         cite, external=True)
 
 
 def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:

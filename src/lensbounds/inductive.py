@@ -5,9 +5,11 @@ a smooth embedding of L(k, e) in R^alpha carrying sigma independent normal
 sections, an embedding of L(j, e) in R^beta, and an embedding of the
 (k+1)-fold bundle over L(j, e) in R^(sigma+beta), produce a (topological)
 embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever one of two numeric
-gates holds.  Running rounds k=1 and k=3 regenerates the closed-form
-catalog; every step is recorded as a DerivationNode whose side conditions
-replay from stored integer witnesses.
+gates holds.  Round mu runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1
+at step ell.  `round_forms` is the one closed-form table of both rounds:
+the builder checks every output against it and the catalog reads it, and
+`verify` recomputes it independently.  Every step is recorded as a
+DerivationNode whose side conditions replay from stored integer witnesses.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -17,49 +19,14 @@ improperly argued immersions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .dyadic import alpha, nu, radon_pair
-from .lifting import davis_mahowald_check, embedding_gate, feeding_params
+from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
+                      sharpening_drop)
 from .records import (Bound, Category, DerivationNode, Direction,
                       RoundsDivergenceError, SideCondition,
                       metastable_smoothable, register_condition)
-
-
-@dataclass(frozen=True, slots=True)
-class SectionedEmbedding:
-    """L(k, e) inside R^ambient with sigma independent normal sections."""
-
-    k: int
-    e: int
-    ambient: int
-    sigma: int
-
-
-@dataclass(frozen=True, slots=True)
-class BundleEmbedding:
-    """Whitney multiple of the canonical line bundle over L(base_m, e)."""
-
-    multiple: int
-    base_m: int
-    e: int
-    ambient: int
-    sharpened: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Feeding:
-    """Feeding embeddings available for (mu, ell, e): main and, when the
-    drop lam = 1 applies, the one-dimension sharpening."""
-
-    mu: int
-    ell: int
-    e: int
-    i: int
-    lam: int
-    main: BundleEmbedding
-    sharp: BundleEmbedding | None
 
 
 def sections_table(k: int, e: int) -> int | None:
@@ -75,14 +42,6 @@ def sections_table(k: int, e: int) -> int | None:
     if k == 3:
         return 7 if e == 1 else 5 if e == 2 else 4
     return None
-
-
-def igniting_embedding(k: int, e: int) -> SectionedEmbedding | None:
-    """The tabulated embedding L(k, e) in R^(4k+2) with its section count."""
-    sigma = sections_table(k, e)
-    if sigma is None:
-        return None
-    return SectionedEmbedding(k=k, e=e, ambient=4 * k + 2, sigma=sigma)
 
 
 def milgram_condition(mu: int, ell: int) -> bool:
@@ -103,39 +62,26 @@ def delta_e(e: int) -> int:
     return 7 if e == 1 else 9 if e == 2 else 10
 
 
-def feeding_embedding(mu: int, ell: int, e: int) -> Feeding | None:
-    """Feeding embeddings 2^mu * eta over L(i, e), i = 2^mu*ell - 1.
+# L(7, e) in R^26 for e <= 2: round 2 applied once at (k, j) = (3, 3)
+ROUND2_SPECIAL = 26
 
-    Absent for (mu=2, e>2, ell=1), the one combination the lifting
-    argument does not cover.  Ambient 4i+3 always; additionally 4i+2 when
-    ell is even with alpha(ell) >= 2 (drop lam = 1).
+
+def round_forms(mu: int, ell: int, e: int) -> tuple[int, int | None]:
+    """Closed forms of round mu at step ell, m = 2^mu (ell + 1) - 1.
+
+    The main output R^(8 ell + 3) (mu = 1) or R^(16 ell + delta(e))
+    (mu = 2), and the sharpened output one dimension lower when the feed's
+    sharpening drop applies (None otherwise).
     """
     if mu not in (1, 2):
         raise ValueError(f"mu must be 1 or 2, got {mu}")
-    if ell < 1 or e < 1:
-        raise ValueError(f"need ell >= 1 and e >= 1, got ell={ell}, e={e}")
-    if mu == 2 and e > 2 and ell == 1:
-        return None
-    inst = feeding_params(mu, ell, 0)
-    ambient = embedding_gate(inst)
-    if ambient != 4 * inst.n + 3:
-        raise RoundsDivergenceError(
-            f"feeding gate gives R^{ambient}, not R^{4 * inst.n + 3}, at "
-            f"mu={mu}, ell={ell}")
-    i = inst.n
-    mult = 2**mu
-    main = BundleEmbedding(mult, i, e, ambient)
-    lam = 1 if ell % 2 == 0 and alpha(ell) >= 2 else 0
-    sharp = None
-    if lam:
-        sharp_inst = feeding_params(mu, ell, 1)
-        sharp_ambient = embedding_gate(sharp_inst)
-        if sharp_ambient != 4 * i + 2:
-            raise RoundsDivergenceError(
-                f"sharpened feeding gate gives R^{sharp_ambient}, not "
-                f"R^{4 * i + 2}, at mu={mu}, ell={ell}")
-        sharp = BundleEmbedding(mult, i, e, sharp_ambient, sharpened=True)
-    return Feeding(mu, ell, e, i, lam, main, sharp)
+    main = 8 * ell + 3 if mu == 1 else 16 * ell + delta_e(e)
+    return main, main - 1 if sharpening_drop(ell) else None
+
+
+def _feed_admissible(mu: int, ell: int, e: int) -> bool:
+    # the lifting argument does not cover 4*eta over L(3, e) for e > 2
+    return not (mu == 2 and e > 2 and ell == 1)
 
 
 # --- side-condition replay predicates ------------------------------------
@@ -190,7 +136,7 @@ register_condition(
     lambda v: sections_table(v["k"], v["e"]) == v["sigma"])
 register_condition(
     "feeding-admissible",
-    lambda v: not (v["mu"] == 2 and v["e"] > 2 and v["ell"] == 1))
+    lambda v: _feed_admissible(v["mu"], v["ell"], v["e"]))
 register_condition(
     "feeding-ambient",
     lambda v: embedding_gate(feeding_params(v["mu"], v["ell"], v["lam"]))
@@ -252,11 +198,18 @@ def inductive_step(k: int, j: int, e: int, alpha_dim: int, beta_dim: int,
 
 
 def _feed_node(mu: int, ell: int, e: int, lam: int) -> tuple[DerivationNode, int]:
+    """The feed 2^mu*eta over L(i, e), i = 2^mu*ell - 1, in R^(4i+3-lam)
+    and that ambient; raises RoundsDivergenceError if it is inadmissible or
+    its gate is off that closed form."""
+    if not _feed_admissible(mu, ell, e):
+        raise RoundsDivergenceError(
+            f"no feeding embedding at mu={mu}, ell={ell}, e={e}")
     inst = feeding_params(mu, ell, lam)
     ambient = embedding_gate(inst)
-    if ambient is None:
+    if ambient != 4 * inst.n + 3 - lam:
         raise RoundsDivergenceError(
-            f"feeding gate unexpectedly closed at mu={mu}, ell={ell}, lam={lam}")
+            f"{'sharpened ' * lam}feeding gate gives R^{ambient}, not "
+            f"R^{4 * inst.n + 3 - lam}, at mu={mu}, ell={ell}")
     route = _feed_route(mu, ell, lam)
     route_text = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
                   3: "low-multiple lifting"}[route]
@@ -282,17 +235,18 @@ def _feed_node(mu: int, ell: int, e: int, lam: int) -> tuple[DerivationNode, int
 
 
 def _igniting_node(k: int, e: int) -> DerivationNode:
-    emb = igniting_embedding(k, e)
-    if emb is None:
+    """The tabulated embedding L(k, e) in R^(4k+2) with its section count."""
+    sigma = sections_table(k, e)
+    if sigma is None:
         raise RoundsDivergenceError(
             f"no tabulated igniting embedding for k={k}, e={e}")
     cond = SideCondition.make(
-        "sections-table", f"tabulated sigma(k={k}, e={e}) = {emb.sigma}",
-        k=k, e=e, sigma=emb.sigma)
+        "sections-table", f"tabulated sigma(k={k}, e={e}) = {sigma}",
+        k=k, e=e, sigma=sigma)
     return DerivationNode(
         "axiom:igniting",
-        f"L({k}, e={e}) embeds smoothly in R^{emb.ambient} with "
-        f"{emb.sigma} independent normal sections", (), (cond,))
+        f"L({k}, e={e}) embeds smoothly in R^{4 * k + 2} with "
+        f"{sigma} independent normal sections", (), (cond,))
 
 
 def _feed_within(feed: int, sigma: int, beta: int) -> SideCondition:
@@ -314,31 +268,28 @@ def _check_form(bound: Bound, expected: int, m: int, e: int) -> Bound:
 class Rounds:
     """Both inductive rounds for one e, built incrementally.
 
-    `extend(max_m)` resumes the k=1 and k=3 loops where the last call
-    stopped, so building up to m costs O(m) in all, however many calls it
-    takes.  `round1` and `round2` hold the (m, bound) pairs in derivation
-    order, each in ascending m, and `by_m` maps m to its bounds, round 1
-    first, since `extend` runs round 1 up to max_m before round 2.  Every
-    pair is checked against its closed form before any pair of the same
-    ell is stored, so a RoundsDivergenceError leaves the builder as it was
-    after the last good ell.
+    `extend(max_m)` resumes both round loops where the last call stopped,
+    so building up to m costs O(m) in all, however many calls it takes.
+    `round_pairs[mu]` holds the (m, bound) pairs of round mu in derivation
+    order, in ascending m, and `by_m` maps m to its bounds, round 1 first,
+    since `extend` runs round 1 up to max_m before round 2.  Every pair is
+    checked against `round_forms` before any pair of the same ell is
+    stored, so a RoundsDivergenceError leaves the builder as it was after
+    the last good ell.
     """
 
     def __init__(self, e: int) -> None:
         self.e = e
         self.built = 2  # every pair with m <= built is stored
-        self.round1: list[tuple[int, Bound]] = []
-        self.round2: list[tuple[int, Bound]] = []
+        self.round_pairs: dict[int, list[tuple[int, Bound]]] = {1: [], 2: []}
         self.by_m: dict[int, list[Bound]] = {}
-        # the main output of each step, by ell - 1; the next step's prior
-        self._col2: list[Bound] = []
-        self._col4: list[Bound] = []
-        self._ign1 = _igniting_node(1, e)
-        self._ign3 = _igniting_node(3, e)
+        # per round, the main output of each step by ell - 1 (the next
+        # step's prior), and the igniting node L(k, e), k = 2^mu - 1
+        self._cols: dict[int, list[Bound]] = {1: [], 2: []}
+        self._ign = {mu: _igniting_node(2**mu - 1, e) for mu in (1, 2)}
 
-    def _store(self, column: list[tuple[int, Bound]],
-               pairs: list[tuple[int, Bound]]) -> None:
-        column.extend(pairs)
+    def _store(self, mu: int, pairs: list[tuple[int, Bound]]) -> None:
+        self.round_pairs[mu].extend(pairs)
         for m, bound in pairs:
             self.by_m.setdefault(m, []).append(bound)
 
@@ -346,139 +297,107 @@ class Rounds:
         """Build every pair with m <= max_m that is not built yet."""
         if max_m <= self.built:
             return
-        self._extend_round1(max_m)
+        if not self._cols[1]:
+            self._ground_round1()
+        self._extend_round(1, max_m)
         if max_m >= 7:
-            self._extend_round2(max_m)
+            if not self._cols[2]:
+                self._ground_round2()
+            self._extend_round(2, max_m)
         self.built = max_m
 
-    def _extend_round1(self, max_m: int) -> None:
-        """Round 1 (k = 1): m = 2 ell + 1."""
-        e = self.e
-        if not self._col2:
-            dim3 = DerivationNode(
-                "axiom:dim3-embedding",
-                f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
-                "space does)")
-            frame = DerivationNode(
-                "axiom:dim3-normal-frame",
-                "the R^5 embedding of L(1, e) has trivial normal 2-plane "
-                "bundle: sigma = 2 independent normal sections")
-            feed, feed_dim = _feed_node(1, 1, e, 0)
-            base1 = inductive_step(
-                1, 1, e, 5, 5, 2,
-                premises=(dim3, frame, feed),
-                rule_id="round1:base",
-                extra_conditions=(_feed_within(feed_dim, 2, 5),))
-            base1 = _check_form(base1, 8 * 1 + 3, 3, e)
-            self._col2.append(base1)
-            self._store(self.round1, [(3, base1)])
-
-        ign1 = self._ign1
-        sigma1 = sections_table(1, e)
-        for ell in range(len(self._col2) + 1, (max_m - 1) // 2 + 1):
-            m = 2 * ell + 1
-            prior = self._col2[ell - 2]
+    def _extend_round(self, mu: int, max_m: int) -> None:
+        """Round mu (k = 2^mu - 1): step ell gives m = 2^mu (ell + 1) - 1."""
+        e, k, col = self.e, 2**mu - 1, self._cols[mu]
+        ign = self._ign[mu]
+        sigma = sections_table(k, e)
+        # the e = 1 second round rests on the external PL seed
+        external = mu == 2 and e == 1
+        beta_from = "is one higher than" if mu == 1 else "from"
+        # one rule-id string per round, shared by all of its bounds
+        step_rule, sharp_rule = f"round{mu}:step", f"round{mu}:sharp"
+        for ell in range(len(col) + 1, (max_m + 1) // 2**mu):
+            m, j = 2**mu * (ell + 1) - 1, 2**mu * ell - 1
+            prior = col[ell - 2]
             prior_dim, prior_node = prior.dim, prior.derivation
-            beta = prior_dim + 1
-            feed, feed_dim = _feed_node(1, ell, e, 0)
+            main, sharp_dim = round_forms(mu, ell, e)
+            beta = round_forms(mu, ell - 1, e)[0] + 1
+            feed, feed_dim = _feed_node(mu, ell, e, 0)
             step = inductive_step(
-                1, 2 * ell - 1, e, 6, beta, sigma1,
-                premises=(ign1, prior_node, feed),
-                rule_id="round1:step",
+                k, j, e, 4 * k + 2, beta, sigma,
+                premises=(ign, prior_node, feed),
+                rule_id=step_rule,
                 extra_conditions=(
-                    _feed_within(feed_dim, sigma1, beta),
+                    _feed_within(feed_dim, sigma, beta),
                     SideCondition.make(
                         "beta-from-prior",
-                        f"beta = {beta} is one higher than the prior round "
-                        f"output {prior_dim}",
-                        beta=beta, prior=prior_dim)))
-            pairs = [(m, _check_form(step, 8 * ell + 3, m, e))]
-            if ell % 2 == 0 and alpha(ell) >= 2:
-                feed_s, feed_s_dim = _feed_node(1, ell, e, 1)
-                sharp = inductive_step(
-                    1, 2 * ell - 1, e, 6, prior_dim, sigma1,
-                    premises=(ign1, prior_node, feed_s),
-                    rule_id="round1:sharp",
-                    extra_conditions=(
-                        _feed_within(feed_s_dim, sigma1, prior_dim),
-                        SideCondition.make(
-                            "beta-from-prior",
-                            f"beta = {prior_dim} reuses the prior round output",
-                            beta=prior_dim, prior=prior_dim)))
-                pairs.append((m, _check_form(sharp, 8 * ell + 2, m, e)))
-            self._col2.append(step)
-            self._store(self.round1, pairs)
-
-    def _extend_round2(self, max_m: int) -> None:
-        """Round 2 (k = 3): m = 4 ell + 3, from m = 7 on."""
-        e = self.e
-        if not self._col4:
-            self._ground_round2()
-        ign3 = self._ign3
-        sigma3 = sections_table(3, e)
-        dlt = delta_e(e)
-        external = e == 1
-        for ell in range(len(self._col4) + 1, (max_m - 3) // 4 + 1):
-            m = 4 * ell + 3
-            prior = self._col4[ell - 2]
-            prior_dim, prior_node = prior.dim, prior.derivation
-            beta = 16 * ell + dlt - 15
-            feed, feed_dim = _feed_node(2, ell, e, 0)
-            step = inductive_step(
-                3, 4 * ell - 1, e, 14, beta, sigma3,
-                premises=(ign3, prior_node, feed),
-                rule_id="round2:step",
-                extra_conditions=(
-                    _feed_within(feed_dim, sigma3, beta),
-                    SideCondition.make(
-                        "beta-from-prior",
-                        f"beta = {beta} from the prior round output "
+                        f"beta = {beta} {beta_from} the prior round output "
                         f"{prior_dim}",
                         beta=beta, prior=prior_dim)),
                 external=external)
-            pairs = [(m, _check_form(step, 16 * ell + dlt, m, e))]
-            if ell % 2 == 0 and alpha(ell) >= 2:
-                beta_s = prior_dim
-                feed_s, feed_s_dim = _feed_node(2, ell, e, 1)
+            pairs = [(m, _check_form(step, main, m, e))]
+            if sharp_dim is not None:
+                feed_s, feed_s_dim = _feed_node(mu, ell, e, 1)
                 sharp = inductive_step(
-                    3, 4 * ell - 1, e, 14, beta_s, sigma3,
-                    premises=(ign3, prior_node, feed_s),
-                    rule_id="round2:sharp",
+                    k, j, e, 4 * k + 2, prior_dim, sigma,
+                    premises=(ign, prior_node, feed_s),
+                    rule_id=sharp_rule,
                     extra_conditions=(
-                        _feed_within(feed_s_dim, sigma3, beta_s),
+                        _feed_within(feed_s_dim, sigma, prior_dim),
                         SideCondition.make(
                             "beta-from-prior",
-                            f"beta = {beta_s} reuses the prior round output",
-                            beta=beta_s, prior=beta_s)),
+                            f"beta = {prior_dim} reuses the prior round output",
+                            beta=prior_dim, prior=prior_dim)),
                     external=external)
-                pairs.append((m, _check_form(sharp, 16 * ell + dlt - 1, m, e)))
-            self._col4.append(step)
-            self._store(self.round2, pairs)
+                pairs.append((m, _check_form(sharp, sharp_dim, m, e)))
+            col.append(step)
+            self._store(mu, pairs)
+
+    def _ground_round1(self) -> None:
+        """Store the m = 3 pair of round 1: the step k = j = 1 from R^5."""
+        e = self.e
+        dim3 = DerivationNode(
+            "axiom:dim3-embedding",
+            f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
+            "space does)")
+        frame = DerivationNode(
+            "axiom:dim3-normal-frame",
+            "the R^5 embedding of L(1, e) has trivial normal 2-plane "
+            "bundle: sigma = 2 independent normal sections")
+        feed, feed_dim = _feed_node(1, 1, e, 0)
+        base1 = inductive_step(
+            1, 1, e, 5, 5, 2,
+            premises=(dim3, frame, feed),
+            rule_id="round1:base",
+            extra_conditions=(_feed_within(feed_dim, 2, 5),))
+        base1 = _check_form(base1, round_forms(1, 1, e)[0], 3, e)
+        self._cols[1].append(base1)
+        self._store(1, [(3, base1)])
 
     def _ground_round2(self) -> None:
         """Store the m = 7 pairs of round 2: the special triple (e <= 2)
         and the ground L(7, e) in R^(17 + delta(e))."""
         e = self.e
-        col2 = self._col2
+        col1 = self._cols[1]
         sigma3 = sections_table(3, e)
         pairs = []
         special_node = None
         if e <= 2:
             feed, feed_dim = _feed_node(2, 1, e, 0)
             special = inductive_step(
-                3, 3, e, 14, col2[0].dim, sigma3,
-                premises=(self._ign3, col2[0].derivation, feed),
+                3, 3, e, 14, col1[0].dim, sigma3,
+                premises=(self._ign[2], col1[0].derivation, feed),
                 rule_id="round2:special",
-                extra_conditions=(_feed_within(feed_dim, sigma3, col2[0].dim),))
-            special = _check_form(special, 26, 7, e)
+                extra_conditions=(_feed_within(feed_dim, sigma3, col1[0].dim),))
+            special = _check_form(special, ROUND2_SPECIAL, 7, e)
             pairs.append((7, special))
             special_node = special.derivation
 
         base_dim = 17 + delta_e(e)
         if e >= 3:
-            have_node, have_dim = col2[2].derivation, col2[2].dim
+            have_node, have_dim = col1[2].derivation, col1[2].dim
         elif e == 2:
-            have_node, have_dim = special_node, 26
+            have_node, have_dim = special_node, ROUND2_SPECIAL
         else:
             have_node = DerivationNode(
                 "axiom:pl-seed",
@@ -501,15 +420,16 @@ class Rounds:
             external=e == 1,
             metastable=metastable_smoothable(15, base_dim))
         pairs.append((7, base2))
-        self._col4.append(base2)
-        self._store(self.round2, pairs)
+        self._cols[2].append(base2)
+        self._store(2, pairs)
 
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
         """The round-1 pairs with m <= max_m, then the round-2 ones."""
         self.extend(max_m)
-        n1 = bisect_right(self.round1, max_m, key=itemgetter(0))
-        n2 = bisect_right(self.round2, max_m, key=itemgetter(0))
-        return tuple(self.round1[:n1] + self.round2[:n2])
+        out: list[tuple[int, Bound]] = []
+        for column in self.round_pairs.values():
+            out += column[:bisect_right(column, max_m, key=itemgetter(0))]
+        return tuple(out)
 
     def at(self, m: int) -> tuple[Bound, ...]:
         """The bounds derived for exactly this m, in derivation order.

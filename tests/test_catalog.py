@@ -1,5 +1,7 @@
 import pytest
 
+import lensbounds
+from lensbounds import catalog, verify
 from lensbounds.catalog import (LensSpace,
                                 closed_form_uppers, codim2_lower,
                                 compactness_floor, conjectural_lower_bounds,
@@ -243,3 +245,31 @@ def test_gap_law_spot():
         up = {b.rule_id: b.dim for b in closed_form_uppers(space)}
         low = max(b.dim for b in euler_class_lower_bounds(space))
         assert up["round1"] - low == 2 * alpha(ell) - 1
+
+
+# the catalog rule each rule of the rounds oracle regenerates; the ground
+# round2:base at m = 7 has no catalog entry
+CATALOG_RULE = {"round1:base": "round1", "round1:step": "round1",
+                "round1:sharp": "round1-sharp",
+                "round2:special": "round2-special", "round2:step": "round2",
+                "round2:sharp": "round2-sharp"}
+
+
+def test_closed_forms_agree_with_the_rounds_oracle():
+    for e in range(1, 9):
+        want: dict[int, dict[str, int]] = {}
+        for (rule, m), dim in verify._expected_rounds(e, 403).items():
+            if rule != "round2:base":
+                want.setdefault(m, {})[CATALOG_RULE[rule]] = dim
+        for m in range(0, 404):
+            bounds = closed_form_uppers(LensSpace(m, e))
+            got = {b.rule_id: b.dim for b in bounds}
+            assert len(got) == len(bounds) and got == want.get(m, {}), (m, e)
+
+
+def test_export_lists_resolve():
+    for module in (lensbounds, catalog):
+        assert len(set(module.__all__)) == len(module.__all__)
+        namespace: dict = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= set(namespace), module.__name__

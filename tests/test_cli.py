@@ -187,6 +187,32 @@ def test_large_tables_keep_their_bytes(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
+# sha256(stdout)[:16] of `derive` in human and jsonl format, as printed
+# before the two rounds shared one loop; m = 25 (e = 3) and m = 51 (e = 2)
+# are sharpened outputs
+DERIVE_DIGESTS = (
+    (("3", "5"), "673f6db9ce00ab95", "69a069454d067160"),
+    (("7", "1"), "899e74231ce225d1", "8a4d3ff6d883b89f"),
+    (("7", "2"), "431decfdf8b06b5b", "326f8aa4afbadf50"),
+    (("7", "3"), "759653799bcd40b7", "95746c95d86bcd5f"),
+    (("11", "1", "--external"), "7947a01e0a690df4", "c8e2f1b2b81a6c1c"),
+    (("25", "3"), "131a0fb35cac8f87", "e117570cbb82fd80"),
+    (("51", "2"), "8b2a149e0fbe23ee", "67360db40cb89adf"),
+    (("699", "8"), "580316a5291251a7", "951129f5369a01de"),
+    (("1023", "3"), "e7a034c19adbd262", "2723dfee052a704f"),
+)
+
+
+def test_derives_keep_their_bytes(capsys):
+    for (m, e, *flags), human, jsonl in DERIVE_DIGESTS:
+        for fmt, digest in (("human", human), ("jsonl", jsonl)):
+            code, out, _ = run_cli(capsys, "derive", "--m", m, "--e", e,
+                                   "--format", fmt, *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, \
+                (m, e, fmt)
+
+
 def _nu_binom_sym_off_at(bottom: int):
     """nu_binom_sym, one too high at C(*, bottom)."""
     real = lifting.nu_binom_sym
@@ -205,10 +231,10 @@ def _nu_binom_sym_off_at(bottom: int):
      ("lift", "--ell", "6"), "nu(C(p, 4l-2)) = 5 off its closed form"),
     (lifting, {"nu": lambda n: 99},
      ("lift", "--ell", "6"), "disagrees with alpha(ell) + 1 + nu(ell)"),
-    # a fresh round builder, so the igniting embedding is looked up again
-    (inductive, {"igniting_embedding": lambda k, e: None, "_ROUNDS": {}},
+    # a fresh round builder, so the igniting section count is looked up again
+    (inductive, {"sections_table": lambda k, e: None, "_ROUNDS": {}},
      ("derive", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
-    (inductive, {"igniting_embedding": lambda k, e: None, "_ROUNDS": {}},
+    (inductive, {"sections_table": lambda k, e: None, "_ROUNDS": {}},
      ("query", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
 ])
 def test_engine_failures_exit_3(capsys, monkeypatch, target, patches, argv,

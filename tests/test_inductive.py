@@ -5,12 +5,12 @@ import pytest
 from lensbounds import inductive
 from lensbounds.catalog import _engine_bounds
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (Rounds, delta_e, derive_rounds,
-                                  feeding_embedding, igniting_embedding,
-                                  inductive_step, milgram_condition,
-                                  run_rounds, sections_table)
+from lensbounds.inductive import (Rounds, _feed_node, _igniting_node,
+                                  delta_e, derive_rounds, inductive_step,
+                                  milgram_condition, run_rounds,
+                                  sections_table)
 from lensbounds.records import (Category, DerivationNode, Direction,
-                                RoundsDivergenceError)
+                                RoundsDivergenceError, SideCondition)
 
 
 def test_sections_table():
@@ -27,10 +27,11 @@ def test_sections_table():
 
 
 def test_igniting_embedding():
-    emb = igniting_embedding(3, 2)
-    assert (emb.ambient, emb.sigma) == (14, 5)
-    assert igniting_embedding(1, 9).ambient == 6
-    assert igniting_embedding(5, 1) is None
+    assert _igniting_node(3, 2).conclusion == (
+        "L(3, e=2) embeds smoothly in R^14 with 5 independent normal sections")
+    assert "in R^6 with 3 " in _igniting_node(1, 9).conclusion
+    with pytest.raises(RoundsDivergenceError, match="no tabulated igniting"):
+        _igniting_node(5, 1)
 
 
 def test_inductive_step_gate_strict():
@@ -57,17 +58,33 @@ def test_inductive_step_gate_boundary():
 
 
 def test_feeding_embedding_examples():
-    feed = feeding_embedding(1, 1, 3)
-    assert feed.main.ambient == 7 and feed.main.multiple == 2
-    assert feed.sharp is None
-    assert feeding_embedding(2, 1, 3) is None      # the excluded combination
-    assert feeding_embedding(2, 1, 2) is not None  # allowed at e <= 2
-    feed = feeding_embedding(2, 6, 2)
-    assert feed.i == 23
-    assert feed.main.ambient == 95
-    assert feed.sharp.ambient == 94 and feed.sharp.sharpened
+    node, ambient = _feed_node(1, 1, 3, 0)
+    assert ambient == 7 and node.conclusion.startswith("2*eta over L(1, e=3)")
+    with pytest.raises(ValueError):                # no sharpening at ell = 1
+        _feed_node(1, 1, 3, 1)
+    with pytest.raises(RoundsDivergenceError, match="no feeding embedding"):
+        _feed_node(2, 1, 3, 0)                     # the excluded combination
+    assert _feed_node(2, 1, 2, 0)[1] == 15         # allowed at e <= 2
+    node, ambient = _feed_node(2, 6, 2, 0)
+    assert node.conclusion == "4*eta over L(23, e=2) embeds in R^95"
+    assert ambient == 95
+    assert _feed_node(2, 6, 2, 1)[1] == 94
+    for node, _ in (_feed_node(2, 6, 2, 0), _feed_node(2, 6, 2, 1)):
+        assert node.replay()
     with pytest.raises(ValueError):
-        feeding_embedding(3, 2, 1)
+        _feed_node(3, 2, 1, 0)
+
+
+def test_inadmissible_feed_fails_its_replay(monkeypatch):
+    # (mu=2, ell=1, e=3) is refused by _feed_node (above) and by the replay
+    # of its admissibility condition, through the same predicate
+    ok = _feed_node(2, 1, 2, 0)[0].side_conditions[0]
+    assert ok.kind == "feeding-admissible" and ok.replay()
+    assert not SideCondition.make(ok.kind, ok.text, mu=2, ell=1, e=3).replay()
+    monkeypatch.setattr(inductive, "_feed_admissible", lambda mu, ell, e: False)
+    assert not ok.replay()
+    with pytest.raises(RoundsDivergenceError, match="no feeding embedding"):
+        _feed_node(2, 1, 2, 0)
 
 
 def test_milgram_condition():
@@ -164,12 +181,13 @@ def test_smoothability_flags():
 def test_feeding_gate_off_its_closed_form_raises(monkeypatch):
     monkeypatch.setattr(inductive, "embedding_gate", lambda inst: 0)
     with pytest.raises(RoundsDivergenceError, match="not R\\^7"):
-        feeding_embedding(1, 1, 3)
+        _feed_node(1, 1, 3, 0)
     monkeypatch.setattr(inductive, "embedding_gate",
                         lambda inst: 4 * inst.n + 3 if inst.d % 2 == 0 else 0)
-    assert feeding_embedding(1, 5, 3).sharp is None
+    assert _feed_node(1, 5, 3, 0)[1] == 39
+    assert _feed_node(1, 6, 3, 0)[1] == 47
     with pytest.raises(RoundsDivergenceError, match="sharpened"):
-        feeding_embedding(1, 6, 3)
+        _feed_node(1, 6, 3, 1)
 
 
 def _shapes():

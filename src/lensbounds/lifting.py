@@ -61,19 +61,16 @@ def embedding_gate(inst: LiftInstance) -> int | None:
     return None
 
 
-def feeding_params(mu: int, ell: int, lam: int | None = None) -> LiftInstance:
+def feeding_params(mu: int, ell: int, lam: int) -> LiftInstance:
     """The gate instance behind the feeding embedding for (mu, ell).
 
     n = 2^mu*ell - 1, m = 2^mu*(ell+1) - 1, d = 2^(mu+1)*(ell-1) - lam.
-    lam defaults to sharpening_drop(ell); pass lam=0 for the unsharpened
-    variant.  Rejected when the drop would make d negative (ell = 1).
+    Rejected when the drop would make d negative (ell = 1).
     """
     if mu not in (1, 2):
         raise ValueError(f"mu must be 1 or 2, got {mu}")
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    if lam is None:
-        lam = sharpening_drop(ell)
     if lam not in (0, 1):
         raise ValueError(f"lam must be 0 or 1, got {lam}")
     d = 2 ** (mu + 1) * (ell - 1) - lam

@@ -8,8 +8,14 @@ case count and the first counterexample, and the test suite cross-checks
 the identities against the exact Python functions on sampled points, so the
 kernels are not trusted blindly.
 
-Only ``lensbounds verify`` needs this module; the CLI imports it lazily so
-that the other subcommands start without loading numpy.
+Only the dyadic scope of ``lensbounds verify`` needs this module:
+``verify_dyadic`` imports it on first call, so numpy is loaded by
+``verify dyadic`` and ``verify all`` and by no other subcommand or scope.
+The one-dimensional sweeps stream their range in chunks of ``_CHUNK``
+int64s (0.5 MB per array), so their memory does not grow with the range.
+On a 2-CPU machine loading numpy costs a fresh process about 0.04 s and
+10 MB max RSS (``verify lifting`` takes 0.085 s and 18 MB without it), and
+``verify dyadic`` peaks at 32 MB with these chunks, 63 MB with 2^20.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

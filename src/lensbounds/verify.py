@@ -12,9 +12,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import catalog, sweeps
+from . import catalog
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
@@ -23,6 +23,9 @@ from .inductive import delta_e, derive_rounds, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, unique_nodes
+
+if TYPE_CHECKING:
+    from .sweeps import SweepOutcome
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def _result(name: str, cases: int, first_bad) -> CheckResult:
                        "" if first_bad is None else f"first counterexample {first_bad}")
 
 
-def _from_sweep(outcome: sweeps.SweepOutcome) -> CheckResult:
+def _from_sweep(outcome: SweepOutcome) -> CheckResult:
     return CheckResult(outcome.name, outcome.cases, outcome.ok,
                        "" if outcome.ok else f"first counterexample {outcome.first}")
 
@@ -63,6 +66,10 @@ def _from_sweep(outcome: sweeps.SweepOutcome) -> CheckResult:
 # --- dyadic ----------------------------------------------------------------
 
 def verify_dyadic() -> list[CheckResult]:
+    # the only scope that needs numpy, so the sweep kernels are imported
+    # here; they are called as module attributes so that a tracer that
+    # wraps them on the module sees every call
+    from . import sweeps
     out = [
         _from_sweep(sweeps.sweep_kummer_legendre(1024)),
         _from_sweep(sweeps.sweep_alpha_identity(1 << 20)),

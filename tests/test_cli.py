@@ -99,6 +99,46 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "nonsense")[0] == 1
 
 
+# Fixed extreme inputs, with the exit code each gives:
+# 0 with output, or 1 with a message and no traceback.  Every power-of-two
+# query uses one e, so the round builder is built once, up to 2^14.
+_EXTREME_INPUTS = (
+    [(0, ("query", "--m", str(m), "--e", "3")) for m in (0, 1, 2)]
+    + [(0, ("query", "--m", str(1 << t), "--e", "3")) for t in range(15)]
+    + [(0, ("table", "--e", "2", "--max-m", "0")),
+       (0, ("table", "--e", "2", "--max-m", "-5")),
+       (1, ("query", "--m", "-1", "--e", "3")),
+       (1, ("query", "--m", "5", "--e", "-1")),
+       (1, ("table", "--e", "-1", "--max-m", "4")),
+       (1, ("lift", "--ell", "-1")),
+       (1, ("query", "--m", "5", "--e", "3", "--k", "0")),
+       (1, ("query", "--m", "5", "--e", "3", "--k", "2")),
+       (1, ("query", "--m", "5", "--e", "3", "--k", "-1")),
+       (1, ("derive", "--m", "0", "--e", "2")),
+       (1, ("derive", "--m", "1", "--e", "2")),
+       (1, ("derive", "--m", "2", "--e", "2")),
+       (1, ("derive", "--m", "4", "--e", "2"))])
+
+
+def test_extreme_inputs_exit_cleanly(capsys, monkeypatch):
+    # a private builder cache, so the 2^14 block is freed after the test
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    for expected, argv in _EXTREME_INPUTS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected, argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert not out, argv
+            assert err.startswith("no inductive derivation"
+                                  if argv[0] == "derive" else "error: "), argv
+        elif argv[0] == "table":
+            assert not err and out.split() == list(cli.COLUMNS), argv
+        else:
+            m = int(argv[2])
+            assert not err, argv
+            assert out.startswith(f"L^{2 * m + 1}(8)  (m={m}, e=3,"), argv
+
+
 def test_derive_replays(capsys):
     code, out, _ = run_cli(capsys, "derive", "--m", "7", "--e", "2")
     assert code == 0
@@ -248,7 +288,8 @@ def test_engine_failures_exit_3(capsys, monkeypatch, target, patches, argv,
 
 
 # Runs in a fresh interpreter: the pytest process has numpy loaded
-# already.  Prints, after each step, whether numpy has been imported.
+# already.  Prints, after each step, whether numpy has been imported.  The
+# dyadic scope runs last: every step before it must leave numpy unloaded.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import lensbounds.cli as cli
@@ -257,11 +298,16 @@ for argv in (["query", "--m", "8", "--e", "3"],
              ["table", "--e", "2", "--max-m", "8", "--format", "csv"],
              ["derive", "--m", "7", "--e", "2"],
              ["lift", "--ell", "6"],
-             ["verify", "lifting"]):
+             ["verify", "lifting"],
+             ["verify", "cohomology"],
+             ["verify", "rounds"],
+             ["verify", "bounds"],
+             ["verify", "dyadic"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    steps.append((argv[0], code, out.getvalue(), "numpy" in sys.modules))
+    steps.append((" ".join(argv[:2]) if argv[0] == "verify" else argv[0],
+                  code, out.getvalue(), "numpy" in sys.modules))
 print(json.dumps(steps))
 """
 
@@ -274,6 +320,10 @@ def test_only_verify_imports_numpy():
     steps = json.loads(proc.stdout)
     loaded = {name: numpy for name, _, _, numpy in steps}
     assert loaded == {"import": False, "query": False, "table": False,
-                      "derive": False, "lift": False, "verify": True}
+                      "derive": False, "lift": False,
+                      "verify lifting": False, "verify cohomology": False,
+                      "verify rounds": False, "verify bounds": False,
+                      "verify dyadic": True}
     assert all(code == 0 for _, code, _, _ in steps)
-    assert "PASS" in steps[-1][2]
+    assert all("PASS" in out for name, _, out, _ in steps
+               if name.startswith("verify"))

@@ -42,14 +42,15 @@ def test_embedding_gate_boundary():
 
 
 def test_feeding_params_examples():
-    assert feeding_params(2, 2) == LiftInstance(7, 11, 8)    # lam(2) = 0
-    assert feeding_params(1, 6) == LiftInstance(11, 13, 19)  # lam = 1
-    assert feeding_params(2, 6) == LiftInstance(23, 27, 39)
+    lam2, lam6 = sharpening_drop(2), sharpening_drop(6)  # 0 and 1
+    assert feeding_params(2, 2, lam2) == LiftInstance(7, 11, 8)
+    assert feeding_params(1, 6, lam6) == LiftInstance(11, 13, 19)
+    assert feeding_params(2, 6, lam6) == LiftInstance(23, 27, 39)
     assert feeding_params(2, 6, 0) == LiftInstance(23, 27, 40)
     with pytest.raises(ValueError):
         feeding_params(1, 1, 1)  # d would be negative
     with pytest.raises(ValueError):
-        feeding_params(3, 2)
+        feeding_params(3, 2, 0)
 
 
 def test_feeding_gate_identity():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from lensbounds import sweeps
@@ -25,6 +26,40 @@ def test_alpha_symbolic_sweep():
 def test_nu_binom_symbolic_sweep():
     outcome = sweeps.sweep_nu_binom_symbolic(40, 256)
     assert outcome.ok and outcome.cases == 256 * 256
+
+
+# A chunk size that divides none of the ranges below, against the default.
+_ODD_CHUNK = 1000
+
+
+def _chunked_sweeps(monkeypatch, chunk, amax=1 << 16):
+    monkeypatch.setattr(sweeps, "_CHUNK", chunk)
+    return (sweeps.sweep_alpha_identity(1 << 20),
+            sweeps.sweep_alpha_symbolic(40, amax))
+
+
+def test_chunk_size_does_not_change_outcomes(monkeypatch):
+    default = _chunked_sweeps(monkeypatch, sweeps._CHUNK)
+    assert all(o.ok for o in default)
+    assert _chunked_sweeps(monkeypatch, _ODD_CHUNK) == default
+
+
+@pytest.mark.parametrize("bent, identity, symbolic", [
+    # popcount(69999) is off by one, so the identity fails at a = 69999
+    # (popcount(a)) and a = 70000 (popcount(a-1)), the symbolic sweep at
+    # a = 70000; 70000 ends a chunk of 1000 and lies in the second 2^16 one
+    ({69999}, (2, (69999,)), (1, (70000,))),
+    # a second bent value in a later chunk must not replace the first
+    # counterexample
+    ({69999, 140000}, (4, (69999,)), (2, (70000,))),
+])
+def test_chunk_edges_keep_failures(monkeypatch, bent, identity, symbolic):
+    exact = sweeps._popcount
+    monkeypatch.setattr(sweeps, "_popcount",
+                        lambda arr: exact(arr) + np.isin(arr, list(bent)))
+    for chunk in (sweeps._CHUNK, _ODD_CHUNK):
+        got = _chunked_sweeps(monkeypatch, chunk, amax=3 << 16)
+        assert [(o.failures, o.first) for o in got] == [identity, symbolic]
 
 
 def test_kernels_match_exact_api():

@@ -5,10 +5,11 @@ Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
 pure; report() is deterministic.  Its cost does not grow with m: the
 Euler-class scans look at about log2(m) candidates, and the engine bounds
-are a lookup in one round builder per e, which extends to the least power
-of two at or above the largest m asked for and builds each m once per
-process.  The closed-form round bounds are read from `inductive.round_forms`,
-the table the round builder checks each of its outputs against.
+are a lookup in the integer pass of one round builder per e, which builds
+each m once per process, up to the largest m asked for, and makes no
+derivation (report() never reads one).  The closed-form round bounds are
+read from `inductive.round_forms`, the table the round builder checks each
+of its outputs against.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -36,9 +37,9 @@ __all__ = [
 
 
 def _engine_bounds(e: int, m: int) -> tuple[Bound, ...]:
-    """Round-engine bounds for exactly this m, looked up in the shared
-    builder for e, which builds each m once, so a whole table costs one
-    build per e."""
+    """Round-engine bounds for exactly this m, without derivations, looked
+    up in the shared builder for e, which builds each m once, so a whole
+    table costs one integer pass per e."""
     if m < 3:
         return ()
     return rounds(e).at(m)

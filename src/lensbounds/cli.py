@@ -12,14 +12,15 @@ import csv
 import io
 import json
 import sys
+from time import perf_counter
 
 from .catalog import report
 from .dyadic import alpha
-from .inductive import derive_rounds
+from .inductive import builders, derive_rounds
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import (InconsistentBoundsError, LensSpace,
-                      RoundsDivergenceError)
+                      RoundsDivergenceError, unique_nodes)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +121,54 @@ _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
               "md": render_markdown, "human": render_human}
 
 
+# --- timings ----------------------------------------------------------------
+
+def _builder_totals() -> tuple[float, int, int]:
+    """Integer-pass seconds, and the proof nodes with their side conditions,
+    over the round builders of this process."""
+    built = builders()
+    nodes = unique_nodes(b.derivation for r in built if r.proofs
+                         for column in r.proofs.round_pairs.values()
+                         for _, b in column)
+    return (sum(r.integer_s for r in built), len(nodes),
+            sum(len(n.side_conditions) for n in nodes))
+
+
+class _Timings:
+    """Wall time per phase of one command and what the round builders did
+    meanwhile, which `finish` prints to stderr under `--timings`."""
+
+    def __init__(self, args) -> None:
+        self.args, self.phases = args, {}
+        self._before = _builder_totals() if args.timings else None
+        self._start = self._mark = perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Close the phase that ran since the last lap."""
+        now = perf_counter()
+        self.phases[phase], self._mark = now - self._mark, now
+
+    def finish(self, code: int) -> int:
+        if self.args.timings:
+            integer_s, nodes, conditions = (
+                after - before
+                for after, before in zip(_builder_totals(), self._before))
+            # the integer pass runs inside the first phase: report() for
+            # query and table, the proof for derive
+            phases = {"rounds": integer_s, **self.phases}
+            first = next(iter(self.phases), None)
+            if first is not None:
+                phases[first] -= integer_s
+            built = ", ".join(f"e={b.e} built to m={b.built}, proved to "
+                              f"m={b.proved}" for b in builders())
+            print(f"timing {self.args.command}: "
+                  + "".join(f"{name} {s:.3f} s, " for name, s in phases.items())
+                  + f"total {self._mark - self._start:.3f} s; "
+                  f"{built or 'no rounds built'}; {nodes} nodes, "
+                  f"{conditions} side conditions", file=sys.stderr)
+        return code
+
+
 # --- subcommands ------------------------------------------------------------
 
 def _flag_suffix(bound) -> str:
@@ -130,8 +179,10 @@ def _flag_suffix(bound) -> str:
 
 
 def cmd_query(args) -> int:
+    timings = _Timings(args)
     space = LensSpace(args.m, args.e, args.k)
     rep = report(space, conjectural=args.conjectural, external=args.external)
+    timings.lap("report")
     print(f"{space}  (m={space.m}, e={space.e}, odd factor {space.odd_factor}, "
           f"manifold dimension {space.dim})")
     lo, up = rep.lower, rep.upper
@@ -147,27 +198,33 @@ def cmd_query(args) -> int:
         print("  all bounds:")
         for b in rep.all_bounds:
             print(f"    {b}")
-    return EXIT_OK
+    timings.lap("render")
+    return timings.finish(EXIT_OK)
 
 
 def cmd_table(args) -> int:
+    timings = _Timings(args)
     rows = table_rows(args.e, args.max_m, args.k,
                       conjectural=args.conjectural, external=args.external)
+    timings.lap("report")
     sys.stdout.write(_RENDERERS[args.format](rows))
-    return EXIT_OK
+    timings.lap("render")
+    return timings.finish(EXIT_OK)
 
 
 def cmd_derive(args) -> int:
+    timings = _Timings(args)
     if args.m < 3:
         print(f"no inductive derivation exists for m={args.m} "
               "(the rounds start at m=3)", file=sys.stderr)
-        return EXIT_USAGE
+        return timings.finish(EXIT_USAGE)
     candidates = [b for m, b in derive_rounds(args.e, args.m)
                   if m == args.m and (args.external or not b.external)]
+    timings.lap("proof")
     if not candidates:
         print(f"no inductive derivation for (m={args.m}, e={args.e}); "
               "the best upper bound there is axiom-only", file=sys.stderr)
-        return EXIT_USAGE
+        return timings.finish(EXIT_USAGE)
     best = min(candidates, key=lambda b: b.dim)
     if args.format == "jsonl":
         print(json.dumps(best.derivation.to_dict(), sort_keys=True))
@@ -176,12 +233,15 @@ def cmd_derive(args) -> int:
               f"R^{best.dim} ({best.category}){_flag_suffix(best)}")
         for line in best.derivation.to_lines():
             print(line)
+    timings.lap("render")
     conditions = sum(len(n.side_conditions) for n in best.derivation.walk())
     if not best.derivation.replay():
         print("side-condition replay FAILED", file=sys.stderr)
-        return EXIT_VERIFY
+        timings.lap("replay")
+        return timings.finish(EXIT_VERIFY)
     print(f"side conditions: {conditions} replayed OK")
-    return EXIT_OK
+    timings.lap("replay")
+    return timings.finish(EXIT_OK)
 
 
 def cmd_lift(args) -> int:
@@ -249,11 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--external", action="store_true",
                        help="include external-input bounds (flagged)")
 
+    def timings_flag(p):
+        p.add_argument("--timings", action="store_true",
+                       help="print the wall time of each phase, how far the "
+                            "rounds are built and the proof nodes made to "
+                            "stderr")
+
     q = sub.add_parser("query", help="best bounds for one lens space")
     space_args(q)
     rule_flags(q)
     q.add_argument("--all", action="store_true",
                    help="list every applicable bound")
+    timings_flag(q)
     q.set_defaults(fn=cmd_query)
 
     t = sub.add_parser("table", help="bounds table for m = 1..max-m")
@@ -262,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", type=int, default=1)
     t.add_argument("--format", choices=sorted(_RENDERERS), default="human")
     rule_flags(t)
+    timings_flag(t)
     t.set_defaults(fn=cmd_table)
 
     d = sub.add_parser("derive", help="derivation tree of the best "
@@ -270,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--e", type=int, required=True)
     d.add_argument("--format", choices=("human", "jsonl"), default="human")
     d.add_argument("--external", action="store_true")
+    timings_flag(d)
     d.set_defaults(fn=cmd_derive)
 
     lf = sub.add_parser("lift", help="lifting gates for one induction "

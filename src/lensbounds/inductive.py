@@ -8,8 +8,10 @@ embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever one of two numeric
 gates holds.  Round mu runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1
 at step ell.  `round_forms` is the one closed-form table of both rounds:
 the builder checks every output against it and the catalog reads it, and
-`verify` recomputes it independently.  Every step is recorded as a
-DerivationNode whose side conditions replay from stored integer witnesses.
+`verify` recomputes it independently.  The builder evaluates the gates as
+plain integers; on demand, its proof layer (`proofs`) turns every step into
+a DerivationNode whose side conditions replay from stored integer
+witnesses.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -18,8 +20,7 @@ improperly argued immersions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter
+from time import perf_counter
 
 from .dyadic import alpha, nu, radon_pair
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
@@ -144,6 +145,39 @@ register_condition(
 register_condition("feeding-certificate", _replay_feed_certificate)
 
 
+def _gate(k: int, j: int, sigma: int, beta: int) -> tuple[int, ...] | None:
+    """Which gate of the inductive step fires: () for the strict gate
+    sigma+beta > 4j+2, the radon pair (a, b) of nu(2j+2) = 4a+b for the
+    boundary gate sigma+beta = 4j+2 with 2k+3 <= 8a+2^b, None for neither."""
+    total, need = sigma + beta, 4 * j + 2
+    if total > need:
+        return ()
+    if total == need:
+        a, b = radon_pair(nu(2 * j + 2))
+        if 2 * k + 3 <= 8 * a + 2**b:
+            return a, b
+    return None
+
+
+def _category(m: int, dim: int) -> Category:
+    """Smooth exactly in the metastable range of L(m, e) in R^dim."""
+    return (Category.SMOOTH if metastable_smoothable(2 * m + 1, dim)
+            else Category.TOPOLOGICAL)
+
+
+def _upper(m: int, dim: int, rule_id: str, citation: str, external: bool,
+           derivation: DerivationNode | None = None) -> Bound:
+    category = _category(m, dim)
+    return Bound(Direction.UPPER, dim, category, rule_id, citation,
+                 derivation, external=external,
+                 metastable=category is Category.SMOOTH)
+
+
+def _step_citation(k: int, j: int) -> str:
+    return ("inductive step over the double mapping cylinder "
+            f"decomposition (k={k}, j={j})")
+
+
 def inductive_step(k: int, j: int, e: int, alpha_dim: int, beta_dim: int,
                    sigma: int, premises: tuple[DerivationNode, ...] = (),
                    rule_id: str = "inductive-step",
@@ -159,48 +193,20 @@ def inductive_step(k: int, j: int, e: int, alpha_dim: int, beta_dim: int,
     nu(2j+2) = 4a+b, 0 <= b <= 3.  Returns the upper bound
     alpha_dim+beta_dim+1 for L(k+j+1, e), or None if neither gate fires.
     """
-    total = sigma + beta_dim
-    need = 4 * j + 2
-    if total > need:
-        gate = SideCondition.make(
-            "sections-exceed",
-            f"sigma + beta = {total} > 4j + 2 = {need}",
-            sigma=sigma, beta=beta_dim, j=j)
-    elif total == need:
-        a, b = radon_pair(nu(2 * j + 2))
-        if 2 * k + 3 > 8 * a + 2**b:
-            return None
-        gate = SideCondition.make(
-            "boundary-radon",
-            f"sigma + beta = 4j + 2 = {need} and 2k + 3 = {2 * k + 3} <= "
-            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {nu(2 * j + 2)} = 4*{a}+{b})",
-            sigma=sigma, beta=beta_dim, j=j, k=k, a=a, b=b)
-    else:
+    radon = _gate(k, j, sigma, beta_dim)
+    if radon is None:
         return None
-    m_out = k + j + 1
-    dim = alpha_dim + beta_dim + 1
-    conditions = (gate,
-                  SideCondition.make(
-                      "ambient-sum",
-                      f"ambient = alpha + beta + 1 = {alpha_dim}+{beta_dim}+1 = {dim}",
-                      alpha=alpha_dim, beta=beta_dim, dim=dim),
-                  ) + extra_conditions
-    manifold_dim = 2 * m_out + 1
-    smooth = metastable_smoothable(manifold_dim, dim)
-    category = Category.SMOOTH if smooth else Category.TOPOLOGICAL
-    node = DerivationNode(
-        rule_id, f"L(m={m_out}, e={e}) embeds ({category}) in R^{dim}",
-        premises, conditions)
-    return Bound(Direction.UPPER, dim, category, rule_id,
-                 "inductive step over the double mapping cylinder "
-                 f"decomposition (k={k}, j={j})",
-                 derivation=node, external=external, metastable=smooth)
+    from .proofs import step_node
+    node = step_node(rule_id, k, j, e, alpha_dim, beta_dim, sigma, radon,
+                     premises, extra_conditions)
+    return _upper(k + j + 1, alpha_dim + beta_dim + 1, rule_id,
+                  _step_citation(k, j), external, node)
 
 
-def _feed_node(mu: int, ell: int, e: int, lam: int) -> tuple[DerivationNode, int]:
-    """The feed 2^mu*eta over L(i, e), i = 2^mu*ell - 1, in R^(4i+3-lam)
-    and that ambient; raises RoundsDivergenceError if it is inadmissible or
-    its gate is off that closed form."""
+def _feed_ambient(mu: int, ell: int, e: int, lam: int) -> int:
+    """The ambient 4i+3-lam of the feed 2^mu*eta over L(i, e),
+    i = 2^mu*ell - 1; raises RoundsDivergenceError if the feed is
+    inadmissible or its gate is off that closed form."""
     if not _feed_admissible(mu, ell, e):
         raise RoundsDivergenceError(
             f"no feeding embedding at mu={mu}, ell={ell}, e={e}")
@@ -210,237 +216,165 @@ def _feed_node(mu: int, ell: int, e: int, lam: int) -> tuple[DerivationNode, int
         raise RoundsDivergenceError(
             f"{'sharpened ' * lam}feeding gate gives R^{ambient}, not "
             f"R^{4 * inst.n + 3 - lam}, at mu={mu}, ell={ell}")
-    route = _feed_route(mu, ell, lam)
-    route_text = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
-                  3: "low-multiple lifting"}[route]
-    conditions = (
-        SideCondition.make(
-            "feeding-admissible",
-            f"feed defined for mu={mu}, ell={ell}, e={e}",
-            mu=mu, ell=ell, e=e),
-        SideCondition.make(
-            "feeding-ambient",
-            f"gate: 2m+d+1 = {2 * inst.m + inst.d + 1} = 4i+3-lam "
-            f"(i={inst.n}, lam={lam})",
-            mu=mu, ell=ell, lam=lam, ambient=ambient),
-        SideCondition.make(
-            "feeding-certificate",
-            f"lifting certified via {route_text}",
-            mu=mu, ell=ell, lam=lam, route=route),
-    )
-    return DerivationNode(
-        "feeding",
-        f"{2**mu}*eta over L({inst.n}, e={e}) embeds in R^{ambient}",
-        (), conditions), ambient
+    return ambient
 
 
-def _igniting_node(k: int, e: int) -> DerivationNode:
-    """The tabulated embedding L(k, e) in R^(4k+2) with its section count."""
+def _sections(k: int, e: int) -> int:
+    """sigma_{k,e}; raises RoundsDivergenceError where it is not tabulated."""
     sigma = sections_table(k, e)
     if sigma is None:
         raise RoundsDivergenceError(
             f"no tabulated igniting embedding for k={k}, e={e}")
-    cond = SideCondition.make(
-        "sections-table", f"tabulated sigma(k={k}, e={e}) = {sigma}",
-        k=k, e=e, sigma=sigma)
-    return DerivationNode(
-        "axiom:igniting",
-        f"L({k}, e={e}) embeds smoothly in R^{4 * k + 2} with "
-        f"{sigma} independent normal sections", (), (cond,))
+    return sigma
 
 
-def _feed_within(feed: int, sigma: int, beta: int) -> SideCondition:
-    return SideCondition.make(
-        "feed-within",
-        f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}",
-        feed=feed, sigma=sigma, beta=beta)
-
-
-def _check_form(bound: Bound, expected: int, m: int, e: int) -> Bound:
-    if bound is None or bound.dim != expected:
-        got = "nothing" if bound is None else f"R^{bound.dim}"
+def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
+    if dim != expected:
+        got = "nothing" if dim is None else f"R^{dim}"
         raise RoundsDivergenceError(
             f"round output diverges from closed form at (m={m}, e={e}): "
             f"expected R^{expected}, derived {got}")
-    return bound
+    return dim
+
+
+# The integer record of one output: its rule id, its dimension, the gate
+# that fired (see `_gate`), beta and the feed's ambient; for the ground of
+# round 2, a weakening, ("round2:base", dim, None, the dimension weakened,
+# None).
+_Step = tuple[str, int, tuple[int, ...] | None, int, int | None]
+
+
+def _round_bound(e: int, mu: int, m: int, record: _Step,
+                 derivation: DerivationNode | None = None) -> Bound:
+    """The bound of the record of round mu at m."""
+    rule_id = record[0]
+    citation = ("ground of the second inductive round"
+                if rule_id == "round2:base"
+                else _step_citation(2**mu - 1, m - 2**mu))
+    # the e = 1 second round rests on the external PL seed
+    external = mu == 2 and e == 1 and rule_id != "round2:special"
+    return _upper(m, record[1], rule_id, citation, external, derivation)
 
 
 class Rounds:
-    """Both inductive rounds for one e, built incrementally.
+    """Both inductive rounds for one e, built incrementally in two layers.
 
-    `extend(max_m)` resumes both round loops where the last call stopped,
-    so building up to m costs O(m) in all, however many calls it takes.
-    `round_pairs[mu]` holds the (m, bound) pairs of round mu in derivation
-    order, in ascending m, and `by_m` maps m to its bounds, round 1 first,
-    since `extend` runs round 1 up to max_m before round 2.  Every pair is
-    checked against `round_forms` before any pair of the same ell is
-    stored, so a RoundsDivergenceError leaves the builder as it was after
-    the last good ell.
+    The integer pass, `extend(max_m)`, is the only place a gate is
+    evaluated: per round mu and step ell it stores the integer records of
+    the main and, where it applies, the sharpened output in `steps[mu]`
+    (by ell - 1, the round's ground first), each checked against
+    `round_forms`.  `at(m)` makes their bounds, without derivations.  The
+    proof layer, `proofs`, builds the derivations from those records only
+    when `pairs` (so `derive` or `verify`) asks.  The pass resumes where it
+    stopped, so it costs O(m) in all, and stores an ell only once all of it
+    is checked, so a RoundsDivergenceError leaves the builder at the last
+    good ell.
     """
 
     def __init__(self, e: int) -> None:
         self.e = e
-        self.built = 2  # every pair with m <= built is stored
-        self.round_pairs: dict[int, list[tuple[int, Bound]]] = {1: [], 2: []}
-        self.by_m: dict[int, list[Bound]] = {}
-        # per round, the main output of each step by ell - 1 (the next
-        # step's prior), and the igniting node L(k, e), k = 2^mu - 1
-        self._cols: dict[int, list[Bound]] = {1: [], 2: []}
-        self._ign = {mu: _igniting_node(2**mu - 1, e) for mu in (1, 2)}
+        self.built = 2  # every output with m <= built is stored
+        self.sigma = {mu: _sections(2**mu - 1, e) for mu in (1, 2)}
+        self.steps: dict[int, list[tuple[_Step, ...]]] = {1: [], 2: []}
+        # per round by ell - 1, the main output's dimension: the next
+        # step's prior
+        self.mains: dict[int, list[int]] = {1: [], 2: []}
+        self.proofs = None  # a proofs.ProofLayer once `pairs` is called
+        self.integer_s = 0.0  # the integer pass's seconds, for `--timings`
 
-    def _store(self, mu: int, pairs: list[tuple[int, Bound]]) -> None:
-        self.round_pairs[mu].extend(pairs)
-        for m, bound in pairs:
-            self.by_m.setdefault(m, []).append(bound)
+    # --- integer pass -------------------------------------------------------
 
     def extend(self, max_m: int) -> None:
-        """Build every pair with m <= max_m that is not built yet."""
+        """Store every output with m <= max_m that is not stored yet."""
         if max_m <= self.built:
             return
-        if not self._cols[1]:
+        start = perf_counter()
+        if not self.steps[1]:
             self._ground_round1()
         self._extend_round(1, max_m)
         if max_m >= 7:
-            if not self._cols[2]:
+            if not self.steps[2]:
                 self._ground_round2()
             self._extend_round(2, max_m)
         self.built = max_m
+        self.integer_s += perf_counter() - start
+
+    def _step(self, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
+              sigma: int, feed: int, expected: int) -> _Step:
+        """Gate one step and check its output against `expected`."""
+        radon = _gate(k, j, sigma, beta)
+        dim = None if radon is None else alpha_dim + beta + 1
+        return (rule_id, _check_form(dim, expected, k + j + 1, self.e), radon,
+                beta, feed)
+
+    def _store(self, mu: int, records: tuple[_Step, ...], main: int) -> None:
+        self.steps[mu].append(records)
+        self.mains[mu].append(main)
 
     def _extend_round(self, mu: int, max_m: int) -> None:
         """Round mu (k = 2^mu - 1): step ell gives m = 2^mu (ell + 1) - 1."""
-        e, k, col = self.e, 2**mu - 1, self._cols[mu]
-        ign = self._ign[mu]
-        sigma = sections_table(k, e)
-        # the e = 1 second round rests on the external PL seed
-        external = mu == 2 and e == 1
-        beta_from = "is one higher than" if mu == 1 else "from"
-        # one rule-id string per round, shared by all of its bounds
+        e, k, sigma, mains = self.e, 2**mu - 1, self.sigma[mu], self.mains[mu]
+        # one rule-id string per round, shared by all of its records
         step_rule, sharp_rule = f"round{mu}:step", f"round{mu}:sharp"
-        for ell in range(len(col) + 1, (max_m + 1) // 2**mu):
-            m, j = 2**mu * (ell + 1) - 1, 2**mu * ell - 1
-            prior = col[ell - 2]
-            prior_dim, prior_node = prior.dim, prior.derivation
+        for ell in range(len(mains) + 1, (max_m + 1) // 2**mu):
+            j = 2**mu * ell - 1
             main, sharp_dim = round_forms(mu, ell, e)
             beta = round_forms(mu, ell - 1, e)[0] + 1
-            feed, feed_dim = _feed_node(mu, ell, e, 0)
-            step = inductive_step(
-                k, j, e, 4 * k + 2, beta, sigma,
-                premises=(ign, prior_node, feed),
-                rule_id=step_rule,
-                extra_conditions=(
-                    _feed_within(feed_dim, sigma, beta),
-                    SideCondition.make(
-                        "beta-from-prior",
-                        f"beta = {beta} {beta_from} the prior round output "
-                        f"{prior_dim}",
-                        beta=beta, prior=prior_dim)),
-                external=external)
-            pairs = [(m, _check_form(step, main, m, e))]
+            records = (self._step(step_rule, k, j, 4 * k + 2, beta, sigma,
+                                  _feed_ambient(mu, ell, e, 0), main),)
             if sharp_dim is not None:
-                feed_s, feed_s_dim = _feed_node(mu, ell, e, 1)
-                sharp = inductive_step(
-                    k, j, e, 4 * k + 2, prior_dim, sigma,
-                    premises=(ign, prior_node, feed_s),
-                    rule_id=sharp_rule,
-                    extra_conditions=(
-                        _feed_within(feed_s_dim, sigma, prior_dim),
-                        SideCondition.make(
-                            "beta-from-prior",
-                            f"beta = {prior_dim} reuses the prior round output",
-                            beta=prior_dim, prior=prior_dim)),
-                    external=external)
-                pairs.append((m, _check_form(sharp, sharp_dim, m, e)))
-            col.append(step)
-            self._store(mu, pairs)
+                records += (self._step(sharp_rule, k, j, 4 * k + 2,
+                                       mains[ell - 2], sigma,
+                                       _feed_ambient(mu, ell, e, 1),
+                                       sharp_dim),)
+            self._store(mu, records, main)
 
     def _ground_round1(self) -> None:
-        """Store the m = 3 pair of round 1: the step k = j = 1 from R^5."""
+        """The m = 3 step of round 1: k = j = 1 from R^5, sigma = 2."""
         e = self.e
-        dim3 = DerivationNode(
-            "axiom:dim3-embedding",
-            f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
-            "space does)")
-        frame = DerivationNode(
-            "axiom:dim3-normal-frame",
-            "the R^5 embedding of L(1, e) has trivial normal 2-plane "
-            "bundle: sigma = 2 independent normal sections")
-        feed, feed_dim = _feed_node(1, 1, e, 0)
-        base1 = inductive_step(
-            1, 1, e, 5, 5, 2,
-            premises=(dim3, frame, feed),
-            rule_id="round1:base",
-            extra_conditions=(_feed_within(feed_dim, 2, 5),))
-        base1 = _check_form(base1, round_forms(1, 1, e)[0], 3, e)
-        self._cols[1].append(base1)
-        self._store(1, [(3, base1)])
+        record = self._step("round1:base", 1, 1, 5, 5, 2,
+                            _feed_ambient(1, 1, e, 0), round_forms(1, 1, e)[0])
+        self._store(1, (record,), record[1])
 
     def _ground_round2(self) -> None:
-        """Store the m = 7 pairs of round 2: the special triple (e <= 2)
-        and the ground L(7, e) in R^(17 + delta(e))."""
+        """The m = 7 outputs of round 2: the special triple (e <= 2), then
+        the ground L(7, e) in R^(17 + delta(e))."""
         e = self.e
-        col1 = self._cols[1]
-        sigma3 = sections_table(3, e)
-        pairs = []
-        special_node = None
+        records: tuple[_Step, ...] = ()
         if e <= 2:
-            feed, feed_dim = _feed_node(2, 1, e, 0)
-            special = inductive_step(
-                3, 3, e, 14, col1[0].dim, sigma3,
-                premises=(self._ign[2], col1[0].derivation, feed),
-                rule_id="round2:special",
-                extra_conditions=(_feed_within(feed_dim, sigma3, col1[0].dim),))
-            special = _check_form(special, ROUND2_SPECIAL, 7, e)
-            pairs.append((7, special))
-            special_node = special.derivation
-
-        base_dim = 17 + delta_e(e)
-        if e >= 3:
-            have_node, have_dim = col1[2].derivation, col1[2].dim
-        elif e == 2:
-            have_node, have_dim = special_node, ROUND2_SPECIAL
-        else:
-            have_node = DerivationNode(
-                "axiom:pl-seed",
-                "PL embedding of the 15-dimensional 2-torsion space in R^23 "
-                "(external input)")
-            have_dim = 23
-        base2 = Bound(
-            Direction.UPPER, base_dim,
-            Category.SMOOTH if metastable_smoothable(15, base_dim)
-            else Category.TOPOLOGICAL,
-            "round2:base", "ground of the second inductive round",
-            derivation=DerivationNode(
-                "round2:base",
-                f"L(m=7, e={e}) embeds in R^{base_dim}",
-                (have_node,),
-                (SideCondition.make(
-                    "weakening",
-                    f"embedding in R^{have_dim} persists into R^{base_dim}",
-                    have=have_dim, use=base_dim),)),
-            external=e == 1,
-            metastable=metastable_smoothable(15, base_dim))
-        pairs.append((7, base2))
-        self._cols[2].append(base2)
-        self._store(2, pairs)
-
-    def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
-        """The round-1 pairs with m <= max_m, then the round-2 ones."""
-        self.extend(max_m)
-        out: list[tuple[int, Bound]] = []
-        for column in self.round_pairs.values():
-            out += column[:bisect_right(column, max_m, key=itemgetter(0))]
-        return tuple(out)
+            records += (self._step(
+                "round2:special", 3, 3, 14, self.mains[1][0], self.sigma[2],
+                _feed_ambient(2, 1, e, 0), ROUND2_SPECIAL),)
+        have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 else self.mains[1][2]
+        dim = 17 + delta_e(e)
+        self._store(2, records + (("round2:base", dim, None, have, None),), dim)
 
     def at(self, m: int) -> tuple[Bound, ...]:
-        """The bounds derived for exactly this m, in derivation order.
+        """The bounds derived for exactly this m, in derivation order (round
+        1 first), without their derivations: the integer pass alone, built
+        up to m."""
+        self.extend(m)
+        out: list[Bound] = []
+        for mu, steps in self.steps.items():
+            ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
+            ell -= 1
+            if rest == 0 and 1 <= ell <= len(steps):
+                out += [_round_bound(self.e, mu, m, r) for r in steps[ell - 1]]
+        return tuple(out)
 
-        Builds the whole doubling block of m first, up to the least power
-        of two >= m, so the first lookup costs the same time and memory for
-        every m in (2^(t-1), 2^t], and a table that looks up every m up to
-        a power of two builds exactly that far.
-        """
-        self.extend(1 << max(0, m - 1).bit_length())
-        return tuple(self.by_m.get(m, ()))
+    @property
+    def proved(self) -> int:
+        """Every pair with m <= proved has its derivation."""
+        return 2 if self.proofs is None else self.proofs.proved
+
+    def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
+        """The round-1 pairs with m <= max_m, then the round-2 ones, with
+        their derivations (the proof layer is loaded on the first call)."""
+        self.extend(max_m)
+        if self.proofs is None:
+            from .proofs import ProofLayer
+            self.proofs = ProofLayer(self)
+        return self.proofs.pairs(max_m)
 
 
 _ROUNDS: dict[int, Rounds] = {}
@@ -454,6 +388,11 @@ def rounds(e: int) -> Rounds:
     if builder is None:
         builder = _ROUNDS[e] = Rounds(e)
     return builder
+
+
+def builders() -> list[Rounds]:
+    """The process-wide builders made so far, by e."""
+    return [_ROUNDS[e] for e in sorted(_ROUNDS)]
 
 
 def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:

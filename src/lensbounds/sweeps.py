@@ -4,7 +4,8 @@ The public API works on exact Python integers; the desk-scale invariant
 sweeps, however, cover millions of int64-range cases (digit-sum identities,
 Kummer-vs-Legendre grids, symbolic-vs-concrete evaluation at N = 40).  Those
 inner loops run here as vectorized numpy kernels.  Every sweep returns the
-case count and the first counterexample, and the test suite cross-checks
+number of cases it evaluated (counted, not taken from the range it was
+asked for) and the first counterexample, and the test suite cross-checks
 the identities against the exact Python functions on sampled points, so the
 kernels are not trusted blindly.
 
@@ -67,31 +68,35 @@ def _kummer_legendre(amax):
 
 
 def _alpha_identity(limit):
+    cases = 0
     fails = 0
     first = -1
     for start in range(1, limit + 1, _CHUNK):
         a = np.arange(start, min(start + _CHUNK, limit + 1), dtype=np.int64)
+        cases += a.size
         nu_a = _popcount((a & -a) - 1)
         bad = np.nonzero(_popcount(a - 1) != _popcount(a) - 1 + nu_a)[0]
         if bad.size:
             fails += int(bad.size)
             if first < 0:
                 first = int(a[bad[0]])
-    return limit, fails, first
+    return cases, fails, first
 
 
 def _alpha_symbolic(n, amax):
+    cases = 0
     fails = 0
     first = -1
     pw = np.int64(1) << n
     for start in range(1, amax + 1, _CHUNK):
         a = np.arange(start, min(start + _CHUNK, amax + 1), dtype=np.int64)
+        cases += a.size
         bad = np.nonzero(_popcount(pw - a) != n - _popcount(a - 1))[0]
         if bad.size:
             fails += int(bad.size)
             if first < 0:
                 first = int(a[bad[0]])
-    return amax, fails, first
+    return cases, fails, first
 
 
 def _nu_binom_symbolic(n, abmax):

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from lensbounds import catalog, cli, cohomology, inductive, lifting, verify
-from lensbounds.records import (Bound, Category, Direction,
-                                InconsistentBoundsError, LensSpace)
+from lensbounds.records import (Bound, Category, DerivationNode, Direction,
+                                InconsistentBoundsError, LensSpace,
+                                SideCondition, unique_nodes)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -195,6 +196,86 @@ def test_verify_timings_go_to_stderr(capsys, monkeypatch):
     assert plain == (code, out, "") and code == 2
     assert [line.split(":")[0] for line in err.splitlines()] == [
         f"timing {name}" for name in verify.SCOPES]
+
+
+_TIMING_LINE = re.compile(
+    r"timing (?P<command>query|table|derive): rounds \d+\.\d{3} s"
+    r"(, [a-z]+ \d+\.\d{3} s)*, total \d+\.\d{3} s; (no rounds built|"
+    r"(e=\d+ built to m=\d+, proved to m=\d+(, )?)+); "
+    r"(?P<nodes>\d+) nodes, (?P<conditions>\d+) side conditions\n")
+
+
+def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    # cold, the 4096-row table builds the integer pass alone
+    table = ("table", "--e", "3", "--max-m", "4096", "--format", "csv")
+    code, out, err = run_cli(capsys, *table, "--timings")
+    assert (code, out, "") == run_cli(capsys, *table) and code == 0
+    assert _TIMING_LINE.fullmatch(err)
+    assert err.startswith("timing table: rounds ")
+    assert ", report " in err and ", render " in err
+    assert err.endswith("; e=3 built to m=4096, proved to m=2; "
+                        "0 nodes, 0 side conditions\n")
+    for argv in (("query", "--m", "5000", "--e", "3", "--all"),
+                 ("query", "--m", "1", "--e", "2"),
+                 ("derive", "--m", "1023", "--e", "3", "--format", "jsonl"),
+                 ("derive", "--m", "51", "--e", "2"),
+                 ("derive", "--m", "8", "--e", "1"),
+                 ("derive", "--m", "2", "--e", "1")):
+        plain = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--timings")
+        assert (code, out) == plain[:2], argv
+        assert err.startswith(plain[2]), argv
+        match = _TIMING_LINE.fullmatch(err[len(plain[2]):])
+        assert match and match["command"] == argv[0], argv
+        if argv[0] == "query":
+            assert (match["nodes"], match["conditions"]) == ("0", "0"), argv
+    # the first derive at e = 2 proves up to m = 51 and counts what it made
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    code, _, err = run_cli(capsys, "derive", "--m", "51", "--e", "2",
+                           "--timings")
+    nodes = unique_nodes(
+        b.derivation for _, b in inductive.rounds(2).pairs(51))
+    assert code == 0 and err.endswith(
+        f"e=2 built to m=51, proved to m=51; {len(nodes)} nodes, "
+        f"{sum(len(n.side_conditions) for n in nodes)} side conditions\n")
+
+
+_PROOFS_PROBE = """
+import sys
+import lensbounds.cli as cli
+loaded = []
+for argv in (["query", "--m", "5000", "--e", "3", "--all"],
+             ["table", "--e", "2", "--max-m", "64", "--format", "csv"],
+             ["derive", "--m", "7", "--e", "2"]):
+    code = cli.main(argv)
+    loaded.append((argv[0], code, "lensbounds.proofs" in sys.modules))
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_only_derive_loads_the_proof_layer():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROOFS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(
+        [("query", 0, False), ("table", 0, False), ("derive", 0, True)])
+
+
+def test_query_and_table_make_no_proof_nodes(capsys, monkeypatch):
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    made = []
+    for cls in (DerivationNode, SideCondition):
+        def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+            made.append(cls)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert run_cli(capsys, "query", "--m", "5000", "--e", "3")[0] == 0
+    assert run_cli(capsys, "table", "--e", "2", "--max-m", "300")[0] == 0
+    assert made == []
+    assert run_cli(capsys, "derive", "--m", "7", "--e", "2")[0] == 0
+    assert DerivationNode in made and SideCondition in made
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

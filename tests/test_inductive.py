@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from lensbounds import inductive
+from lensbounds import inductive, proofs
 from lensbounds.catalog import _engine_bounds
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (Rounds, _feed_node, _igniting_node,
+from lensbounds.inductive import (Rounds, _feed_ambient, _sections,
                                   delta_e, derive_rounds, inductive_step,
                                   milgram_condition, run_rounds,
                                   sections_table)
+from lensbounds.proofs import feed_node, igniting_node
 from lensbounds.records import (Category, DerivationNode, Direction,
                                 RoundsDivergenceError, SideCondition)
 
@@ -27,11 +28,11 @@ def test_sections_table():
 
 
 def test_igniting_embedding():
-    assert _igniting_node(3, 2).conclusion == (
+    assert igniting_node(3, 2, _sections(3, 2)).conclusion == (
         "L(3, e=2) embeds smoothly in R^14 with 5 independent normal sections")
-    assert "in R^6 with 3 " in _igniting_node(1, 9).conclusion
+    assert "in R^6 with 3 " in igniting_node(1, 9, _sections(1, 9)).conclusion
     with pytest.raises(RoundsDivergenceError, match="no tabulated igniting"):
-        _igniting_node(5, 1)
+        _sections(5, 1)
 
 
 def test_inductive_step_gate_strict():
@@ -57,34 +58,41 @@ def test_inductive_step_gate_boundary():
     assert "boundary-radon" in kinds
 
 
+def _feed(mu, ell, e, lam):
+    """The feed's derivation and ambient, as the two builder layers make
+    them."""
+    ambient = _feed_ambient(mu, ell, e, lam)
+    return feed_node(mu, ell, e, lam, ambient), ambient
+
+
 def test_feeding_embedding_examples():
-    node, ambient = _feed_node(1, 1, 3, 0)
+    node, ambient = _feed(1, 1, 3, 0)
     assert ambient == 7 and node.conclusion.startswith("2*eta over L(1, e=3)")
     with pytest.raises(ValueError):                # no sharpening at ell = 1
-        _feed_node(1, 1, 3, 1)
+        _feed_ambient(1, 1, 3, 1)
     with pytest.raises(RoundsDivergenceError, match="no feeding embedding"):
-        _feed_node(2, 1, 3, 0)                     # the excluded combination
-    assert _feed_node(2, 1, 2, 0)[1] == 15         # allowed at e <= 2
-    node, ambient = _feed_node(2, 6, 2, 0)
+        _feed_ambient(2, 1, 3, 0)                  # the excluded combination
+    assert _feed_ambient(2, 1, 2, 0) == 15         # allowed at e <= 2
+    node, ambient = _feed(2, 6, 2, 0)
     assert node.conclusion == "4*eta over L(23, e=2) embeds in R^95"
     assert ambient == 95
-    assert _feed_node(2, 6, 2, 1)[1] == 94
-    for node, _ in (_feed_node(2, 6, 2, 0), _feed_node(2, 6, 2, 1)):
+    assert _feed_ambient(2, 6, 2, 1) == 94
+    for node, _ in (_feed(2, 6, 2, 0), _feed(2, 6, 2, 1)):
         assert node.replay()
     with pytest.raises(ValueError):
-        _feed_node(3, 2, 1, 0)
+        _feed_ambient(3, 2, 1, 0)
 
 
 def test_inadmissible_feed_fails_its_replay(monkeypatch):
-    # (mu=2, ell=1, e=3) is refused by _feed_node (above) and by the replay
-    # of its admissibility condition, through the same predicate
-    ok = _feed_node(2, 1, 2, 0)[0].side_conditions[0]
+    # (mu=2, ell=1, e=3) is refused by _feed_ambient (above) and by the
+    # replay of its admissibility condition, through the same predicate
+    ok = _feed(2, 1, 2, 0)[0].side_conditions[0]
     assert ok.kind == "feeding-admissible" and ok.replay()
     assert not SideCondition.make(ok.kind, ok.text, mu=2, ell=1, e=3).replay()
     monkeypatch.setattr(inductive, "_feed_admissible", lambda mu, ell, e: False)
     assert not ok.replay()
     with pytest.raises(RoundsDivergenceError, match="no feeding embedding"):
-        _feed_node(2, 1, 2, 0)
+        _feed_ambient(2, 1, 2, 0)
 
 
 def test_milgram_condition():
@@ -181,13 +189,13 @@ def test_smoothability_flags():
 def test_feeding_gate_off_its_closed_form_raises(monkeypatch):
     monkeypatch.setattr(inductive, "embedding_gate", lambda inst: 0)
     with pytest.raises(RoundsDivergenceError, match="not R\\^7"):
-        _feed_node(1, 1, 3, 0)
+        _feed_ambient(1, 1, 3, 0)
     monkeypatch.setattr(inductive, "embedding_gate",
                         lambda inst: 4 * inst.n + 3 if inst.d % 2 == 0 else 0)
-    assert _feed_node(1, 5, 3, 0)[1] == 39
-    assert _feed_node(1, 6, 3, 0)[1] == 47
+    assert _feed_ambient(1, 5, 3, 0) == 39
+    assert _feed_ambient(1, 6, 3, 0) == 47
     with pytest.raises(RoundsDivergenceError, match="sharpened"):
-        _feed_node(1, 6, 3, 1)
+        _feed_ambient(1, 6, 3, 1)
 
 
 def _shapes():
@@ -232,26 +240,33 @@ def test_extended_builder_equals_fresh_builder(a, b):
 
 
 def test_engine_bounds_are_the_pairs_at_m():
+    # the integer pass gives the proof layer's bounds, without derivations
     for e in (1, 2, 3, 6):
         pairs = derive_rounds(e, 300)
         for m in range(0, 301):
-            want = [b for mm, b in pairs if mm == m]
-            assert list(_engine_bounds(e, m)) == want, (m, e)
+            want = [replace(b, derivation=None) for mm, b in pairs if mm == m]
+            got = _engine_bounds(e, m)
+            assert list(got) == want, (m, e)
+            assert all(b.derivation is None for b in got)
 
 
-def test_lookup_builds_the_doubling_block():
+def test_lookup_builds_to_m_without_proofs():
     shape = _shapes()
-    for m, block in ((0, 2), (2, 2), (3, 4), (5, 8), (257, 512), (512, 512),
-                     (1025, 2048)):
+    for m in (0, 2, 3, 5, 257, 512, 1025):
         builder = Rounds(2)
-        found = [(m, b) for b in builder.at(m)]
-        assert builder.built == block, m
-        assert shape(found) == shape([p for p in derive_rounds(2, max(m, 3))
-                                      if p[0] == m])
+        found = builder.at(m)
+        assert builder.built == max(m, 2), m
+        assert (builder.proved, builder.proofs) == (2, None), m
+        assert found == tuple(replace(b, derivation=None)
+                              for mm, b in Rounds(2).pairs(max(m, 3))
+                              if mm == m)
     builder = Rounds(5)
     builder.at(300)
+    assert (builder.built, builder.proved) == (300, 2)
     assert shape(builder.pairs(512)) == shape(Rounds(5).pairs(512))
-    assert builder.built == 512
+    assert (builder.built, builder.proved) == (512, 512)
+    assert builder.at(400) == tuple(replace(b, derivation=None)
+                                    for m, b in builder.pairs(400) if m == 400)
 
 
 def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
@@ -268,8 +283,30 @@ def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
     monkeypatch.setattr(inductive, "_check_form", diverge)
     with pytest.raises(RoundsDivergenceError):
         builder.extend(40)
-    assert 25 not in builder.by_m
+    assert len(builder.steps[1]) == 11  # nothing stored past m = 23
+    assert builder.at(23) == Rounds(3).at(23)
     shape = _shapes()
     assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
     monkeypatch.setattr(inductive, "_check_form", real)
+    assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))
+
+
+def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
+    # building the feed of the sharpened output at m = 25 (ell = 12) fails:
+    # no pair of m = 25 may be stored without it
+    builder = Rounds(3)
+    builder.pairs(20)
+
+    def fail(mu, ell, e, lam, ambient):
+        if (mu, ell, lam) == (1, 12, 1):
+            raise RuntimeError("off")
+        return feed_node(mu, ell, e, lam, ambient)
+    monkeypatch.setattr(proofs, "feed_node", fail)
+    with pytest.raises(RuntimeError):
+        builder.pairs(40)
+    assert (builder.built, builder.proved) == (40, 20)
+    assert builder.proofs.round_pairs[1][-1][0] == 23
+    shape = _shapes()
+    assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
+    monkeypatch.setattr(proofs, "feed_node", feed_node)
     assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))

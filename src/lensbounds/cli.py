@@ -16,7 +16,7 @@ from time import perf_counter
 
 from .catalog import report
 from .dyadic import alpha
-from .inductive import builders, derive_rounds
+from .inductive import builders, rounds
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import (InconsistentBoundsError, LensSpace,
@@ -127,9 +127,8 @@ def _builder_totals() -> tuple[float, int, int]:
     """Integer-pass seconds, and the proof nodes with their side conditions,
     over the round builders of this process."""
     built = builders()
-    nodes = unique_nodes(b.derivation for r in built if r.proofs
-                         for column in r.proofs.round_pairs.values()
-                         for _, b in column)
+    nodes = unique_nodes(root for r in built if r.proofs
+                         for root in r.proofs.roots())
     return (sum(r.integer_s for r in built), len(nodes),
             sum(len(n.side_conditions) for n in nodes))
 
@@ -218,14 +217,23 @@ def cmd_derive(args) -> int:
         print(f"no inductive derivation exists for m={args.m} "
               "(the rounds start at m=3)", file=sys.stderr)
         return timings.finish(EXIT_USAGE)
-    candidates = [b for m, b in derive_rounds(args.e, args.m)
-                  if m == args.m and (args.external or not b.external)]
-    timings.lap("proof")
+    # the integer pass picks the best output; only its step is proved
+    builder = rounds(args.e)
+    found = builder.at(args.m)
+    candidates = [i for i, b in enumerate(found)
+                  if args.external or not b.external]
     if not candidates:
+        timings.lap("proof")
         print(f"no inductive derivation for (m={args.m}, e={args.e}); "
               "the best upper bound there is axiom-only", file=sys.stderr)
         return timings.finish(EXIT_USAGE)
-    best = min(candidates, key=lambda b: b.dim)
+    best = builder.prove(args.m, min(candidates, key=lambda i: found[i].dim))
+    timings.lap("proof")
+    # replay before printing, so that a derivation too deep to replay
+    # prints nothing
+    replayed = best.derivation.replay()
+    conditions = sum(len(n.side_conditions) for n in best.derivation.walk())
+    timings.lap("replay")
     if args.format == "jsonl":
         print(json.dumps(best.derivation.to_dict(), sort_keys=True))
     else:
@@ -234,13 +242,10 @@ def cmd_derive(args) -> int:
         for line in best.derivation.to_lines():
             print(line)
     timings.lap("render")
-    conditions = sum(len(n.side_conditions) for n in best.derivation.walk())
-    if not best.derivation.replay():
+    if not replayed:
         print("side-condition replay FAILED", file=sys.stderr)
-        timings.lap("replay")
         return timings.finish(EXIT_VERIFY)
     print(f"side conditions: {conditions} replayed OK")
-    timings.lap("replay")
     return timings.finish(EXIT_OK)
 
 

@@ -265,10 +265,10 @@ class Rounds:
     (by ell - 1, the round's ground first), each checked against
     `round_forms`.  `at(m)` makes their bounds, without derivations.  The
     proof layer, `proofs`, builds the derivations from those records only
-    when `pairs` (so `derive` or `verify`) asks.  The pass resumes where it
-    stopped, so it costs O(m) in all, and stores an ell only once all of it
-    is checked, so a RoundsDivergenceError leaves the builder at the last
-    good ell.
+    when `pairs` (so `verify`) or `prove` (so `derive`) asks.  The pass
+    resumes where it stopped, so it costs O(m) in all, and stores an ell
+    only once all of it is checked, so a RoundsDivergenceError leaves the
+    builder at the last good ell.
     """
 
     def __init__(self, e: int) -> None:
@@ -279,7 +279,7 @@ class Rounds:
         # per round by ell - 1, the main output's dimension: the next
         # step's prior
         self.mains: dict[int, list[int]] = {1: [], 2: []}
-        self.proofs = None  # a proofs.ProofLayer once `pairs` is called
+        self.proofs = None  # proofs.ProofLayer, made by `pairs` or `prove`
         self.integer_s = 0.0  # the integer pass's seconds, for `--timings`
 
     # --- integer pass -------------------------------------------------------
@@ -349,32 +349,51 @@ class Rounds:
         dim = 17 + delta_e(e)
         self._store(2, records + (("round2:base", dim, None, have, None),), dim)
 
+    def _steps_at(self, m: int):
+        """(mu, ell) of each round's step that reaches exactly m, round 1
+        first."""
+        for mu, steps in self.steps.items():
+            ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
+            if rest == 0 and 1 <= ell - 1 <= len(steps):
+                yield mu, ell - 1
+
     def at(self, m: int) -> tuple[Bound, ...]:
         """The bounds derived for exactly this m, in derivation order (round
         1 first), without their derivations: the integer pass alone, built
         up to m."""
         self.extend(m)
-        out: list[Bound] = []
-        for mu, steps in self.steps.items():
-            ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
-            ell -= 1
-            if rest == 0 and 1 <= ell <= len(steps):
-                out += [_round_bound(self.e, mu, m, r) for r in steps[ell - 1]]
-        return tuple(out)
+        return tuple(_round_bound(self.e, mu, m, r)
+                     for mu, ell in self._steps_at(m)
+                     for r in self.steps[mu][ell - 1])
 
     @property
     def proved(self) -> int:
         """Every pair with m <= proved has its derivation."""
         return 2 if self.proofs is None else self.proofs.proved
 
+    def _proof_layer(self):
+        if self.proofs is None:
+            from .proofs import ProofLayer
+            self.proofs = ProofLayer(self)
+        return self.proofs
+
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
         """The round-1 pairs with m <= max_m, then the round-2 ones, with
         their derivations (the proof layer is loaded on the first call)."""
         self.extend(max_m)
-        if self.proofs is None:
-            from .proofs import ProofLayer
-            self.proofs = ProofLayer(self)
-        return self.proofs.pairs(max_m)
+        return self._proof_layer().pairs(max_m)
+
+    def prove(self, m: int, index: int) -> Bound:
+        """`at(m)[index]` with its derivation.  The proof layer builds the
+        derivations of the outputs of its step and of the main outputs its
+        round reached before m, and of no other output."""
+        self.extend(m)
+        for mu, ell in self._steps_at(m):
+            count = len(self.steps[mu][ell - 1])
+            if index < count:
+                return self._proof_layer().output(mu, ell, index)
+            index -= count
+        raise IndexError(f"no output {index} at m={m}")
 
 
 _ROUNDS: dict[int, Rounds] = {}

@@ -230,14 +230,20 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
         assert match and match["command"] == argv[0], argv
         if argv[0] == "query":
             assert (match["nodes"], match["conditions"]) == ("0", "0"), argv
-    # the first derive at e = 2 proves up to m = 51 and counts what it made
+    # the first derive at e = 2 builds the integer pass up to m = 51 and
+    # proves the outputs of the one step whose derivation it prints (here
+    # round 2's, main and sharpened), and counts what it made
     monkeypatch.setattr(inductive, "_ROUNDS", {})
     code, _, err = run_cli(capsys, "derive", "--m", "51", "--e", "2",
                            "--timings")
-    nodes = unique_nodes(
-        b.derivation for _, b in inductive.rounds(2).pairs(51))
+    pairs = inductive.Rounds(2).pairs(51)
+    step = [b for m, b in pairs if m == 51 and b.rule_id.startswith("round2")]
+    assert len(step) == 2 and min(step, key=lambda b: b.dim) is min(
+        (b for m, b in pairs if m == 51), key=lambda b: b.dim)
+    nodes = unique_nodes(b.derivation for b in step)
+    assert len(nodes) < len(unique_nodes(b.derivation for _, b in pairs))
     assert code == 0 and err.endswith(
-        f"e=2 built to m=51, proved to m=51; {len(nodes)} nodes, "
+        f"e=2 built to m=51, proved to m=2; {len(nodes)} nodes, "
         f"{sum(len(n.side_conditions) for n in nodes)} side conditions\n")
 
 
@@ -276,6 +282,18 @@ def test_query_and_table_make_no_proof_nodes(capsys, monkeypatch):
     assert made == []
     assert run_cli(capsys, "derive", "--m", "7", "--e", "2")[0] == 0
     assert DerivationNode in made and SideCondition in made
+
+
+def test_derive_replays_before_it_prints(capsys, monkeypatch):
+    # a replay that cannot finish (as a chain too deep for the recursion
+    # limit cannot) leaves stdout empty instead of half a derivation
+    def fail(self):
+        raise RecursionError("too deep")
+    monkeypatch.setattr(DerivationNode, "replay", fail)
+    for fmt in ("human", "jsonl"):
+        with pytest.raises(RecursionError):
+            cli.main(["derive", "--m", "51", "--e", "2", "--format", fmt])
+        assert capsys.readouterr().out == ""
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -11,7 +11,8 @@ from lensbounds.inductive import (Rounds, _feed_ambient, _sections,
                                   sections_table)
 from lensbounds.proofs import feed_node, igniting_node
 from lensbounds.records import (Category, DerivationNode, Direction,
-                                RoundsDivergenceError, SideCondition)
+                                RoundsDivergenceError, SideCondition,
+                                unique_nodes)
 
 
 def test_sections_table():
@@ -267,6 +268,31 @@ def test_lookup_builds_to_m_without_proofs():
     assert (builder.built, builder.proved) == (512, 512)
     assert builder.at(400) == tuple(replace(b, derivation=None)
                                     for m, b in builder.pairs(400) if m == 400)
+
+
+def test_prove_builds_one_step_and_the_mains_below_it():
+    shape = _shapes()
+    full = Rounds(3).pairs(203)
+    for m in (3, 7, 11, 201, 203):
+        builder = Rounds(3)
+        got = [builder.prove(m, i) for i in range(len(builder.at(m)))]
+        assert shape((m, b) for b in got) == shape(
+            (mm, b) for mm, b in full if mm == m), m
+        assert builder.proved == 2, m
+        with pytest.raises(IndexError):
+            builder.prove(m, len(got))
+    # m = 201 is reached by round 1 alone: its proof makes no round-2 node
+    # and well under half of the nodes of every pair up to 203
+    builder = Rounds(3)
+    builder.prove(201, 0)
+    made = unique_nodes(builder.proofs.roots())
+    assert not any(n.rule_id.startswith("round2") for n in made)
+    assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
+    # a later `pairs` reuses the proved mains and gives the same pairs
+    main = builder.prove(203, 0)
+    assert shape(builder.pairs(203)) == shape(full)
+    assert builder.pairs(203)[[m for m, _ in full].index(203)][1] is main
+    assert builder.prove(203, 0) is main
 
 
 def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):

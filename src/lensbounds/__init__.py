@@ -10,8 +10,7 @@ from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          tangential_sw_class)
 from .dyadic import (SymbolicCount, alpha, alpha_sym_pow_minus,
                      hurwitz_radon, nu, nu_binom, nu_binom_sym, radon_pair)
-from .inductive import (inductive_step, milgram_condition, round_forms,
-                        run_rounds, sections_table)
+from .inductive import milgram_condition, round_forms, sections_table
 from .lifting import (LiftInstance, davis_mahowald_check, embedding_gate,
                       feeding_params, sharper_lifting_level, sharpening_drop)
 from .records import (Bound, Category, DerivationNode, Direction,
@@ -28,8 +27,7 @@ __all__ = [
     "LensSpace", "Bound", "Direction", "Category", "DerivationNode",
     "metastable_smoothable", "InconsistentBoundsError",
     "Report", "report",
-    "sections_table", "round_forms", "inductive_step", "run_rounds",
-    "milgram_condition",
+    "sections_table", "round_forms", "milgram_condition",
     "LiftInstance", "sharpening_drop", "embedding_gate", "feeding_params",
     "davis_mahowald_check", "sharper_lifting_level",
 ]

@@ -3,11 +3,11 @@ records, combined into a best-bounds report for a given lens space.
 
 Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
-pure; report() is deterministic.  Its cost does not grow with m: the
-Euler-class scans look at about log2(m) candidates, and the engine bounds
-are a lookup in the integer pass of one round builder per e, which builds
-each m once per process, up to the largest m asked for, and makes no
-derivation (report() never reads one).  The closed-form round bounds are
+pure; report() is deterministic.  In a table a row's cost does not grow
+with m: the Euler-class scans look at about log2(m) candidates, and the
+engine bounds come from `at(m)` of one round builder per e, which checks
+each step below m once per process and makes no derivation (report()
+never reads one).  The closed-form round bounds are
 read from `inductive.round_forms`, the table the round builder checks each
 of its outputs against.
 
@@ -34,15 +34,6 @@ __all__ = [
     "closed_form_uppers", "projective_pl_uppers", "conjectural_lower_bounds",
     "odd_torsion_transfer", "report", "InconsistentBoundsError",
 ]
-
-
-def _engine_bounds(e: int, m: int) -> tuple[Bound, ...]:
-    """Round-engine bounds for exactly this m, without derivations, looked
-    up in the shared builder for e, which builds each m once, so a whole
-    table costs one integer pass per e."""
-    if m < 3:
-        return ()
-    return rounds(e).at(m)
 
 
 def euler_class_condition(n: int, e: int) -> bool:
@@ -312,7 +303,7 @@ def report(space: LensSpace, conjectural: bool = False,
         primary = space if space.odd_factor == 1 else odd_torsion_transfer(space)
         cand: list[Bound] = []
         cand.extend(closed_form_uppers(primary))
-        for b in _engine_bounds(primary.e, primary.m):
+        for b in rounds(primary.e).at(primary.m):
             if external or not b.external:
                 cand.append(b)
         if external:

@@ -171,9 +171,7 @@ class _Timings:
 # --- subcommands ------------------------------------------------------------
 
 def _flag_suffix(bound) -> str:
-    flags = [name for name, on in (("conjectural", bound.conjectural),
-                                   ("external", bound.external),
-                                   ("transferred", bound.transferred)) if on]
+    flags = bound.flags
     return f"  [{', '.join(flags)}]" if flags else ""
 
 

@@ -8,10 +8,11 @@ embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever one of two numeric
 gates holds.  Round mu runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1
 at step ell.  `round_forms` is the one closed-form table of both rounds:
 the builder checks every output against it and the catalog reads it, and
-`verify` recomputes it independently.  The builder evaluates the gates as
-plain integers; on demand, its proof layer (`proofs`) turns every step into
-a DerivationNode whose side conditions replay from stored integer
-witnesses.
+`verify` recomputes it independently.  The builder `Rounds` evaluates the
+gates as plain integers in one pure function, `records`, which reads the
+steps below only through `round_forms`, so it keeps no per-step state; on
+demand, its proof layer (`proofs`) turns a step into DerivationNodes whose
+side conditions replay from stored integer witnesses.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -26,8 +27,8 @@ from .dyadic import alpha, nu, radon_pair
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop)
 from .records import (Bound, Category, DerivationNode, Direction,
-                      RoundsDivergenceError, SideCondition,
-                      metastable_smoothable, register_condition)
+                      RoundsDivergenceError, metastable_smoothable,
+                      register_condition)
 
 
 def sections_table(k: int, e: int) -> int | None:
@@ -178,31 +179,6 @@ def _step_citation(k: int, j: int) -> str:
             f"decomposition (k={k}, j={j})")
 
 
-def inductive_step(k: int, j: int, e: int, alpha_dim: int, beta_dim: int,
-                   sigma: int, premises: tuple[DerivationNode, ...] = (),
-                   rule_id: str = "inductive-step",
-                   extra_conditions: tuple[SideCondition, ...] = (),
-                   external: bool = False) -> Bound | None:
-    """One application of the inductive step, if a gate fires.
-
-    The caller vouches for the three hypothesis embeddings (ideally as
-    premise nodes): L(k,e) in R^alpha_dim with sigma normal sections,
-    L(j,e) in R^beta_dim, and the (k+1)-fold bundle over L(j,e) in
-    R^(sigma+beta_dim).  Gate (strict): sigma+beta > 4j+2.  Gate
-    (boundary): sigma+beta = 4j+2 and 2k+3 <= 8a+2^b where
-    nu(2j+2) = 4a+b, 0 <= b <= 3.  Returns the upper bound
-    alpha_dim+beta_dim+1 for L(k+j+1, e), or None if neither gate fires.
-    """
-    radon = _gate(k, j, sigma, beta_dim)
-    if radon is None:
-        return None
-    from .proofs import step_node
-    node = step_node(rule_id, k, j, e, alpha_dim, beta_dim, sigma, radon,
-                     premises, extra_conditions)
-    return _upper(k + j + 1, alpha_dim + beta_dim + 1, rule_id,
-                  _step_citation(k, j), external, node)
-
-
 def _feed_ambient(mu: int, ell: int, e: int, lam: int) -> int:
     """The ambient 4i+3-lam of the feed 2^mu*eta over L(i, e),
     i = 2^mu*ell - 1; raises RoundsDivergenceError if the feed is
@@ -256,46 +232,56 @@ def _round_bound(e: int, mu: int, m: int, record: _Step,
     return _upper(m, record[1], rule_id, citation, external, derivation)
 
 
-class Rounds:
-    """Both inductive rounds for one e, built incrementally in two layers.
+def _main_dim(mu: int, ell: int, e: int) -> int:
+    """The main output of round mu at step ell, the next step's prior: the
+    ground of round 2 weakens to R^(17 + delta(e)), every other main is on
+    `round_forms`."""
+    if (mu, ell) == (2, 1):
+        return 17 + delta_e(e)
+    return round_forms(mu, ell, e)[0]
 
-    The integer pass, `extend(max_m)`, is the only place a gate is
-    evaluated: per round mu and step ell it stores the integer records of
-    the main and, where it applies, the sharpened output in `steps[mu]`
-    (by ell - 1, the round's ground first), each checked against
-    `round_forms`.  `at(m)` makes their bounds, without derivations.  The
-    proof layer, `proofs`, builds the derivations from those records only
-    when `pairs` (so `verify`) or `prove` (so `derive`) asks.  The pass
-    resumes where it stopped, so it costs O(m) in all, and stores an ell
-    only once all of it is checked, so a RoundsDivergenceError leaves the
-    builder at the last good ell.
+
+# per round, the rule ids of its steps' main and sharpened outputs: one
+# string each, shared by every record, bound and node of the round
+_RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
+
+
+class Rounds:
+    """Both inductive rounds for one e: gated as plain integers, proved on
+    demand.
+
+    `records(mu, ell)` gates step ell of round mu and checks each of its
+    outputs against `round_forms`.  It is the only place a gate is
+    evaluated, and it reads the steps below only through their closed
+    forms, so the builder keeps no per-step state: `built` says that every
+    step with m <= built is checked.  `extend(max_m)` checks the steps up
+    to max_m that are not checked yet, so a whole table costs O(m) in all,
+    and moves `built` only once all of them pass, so a
+    RoundsDivergenceError leaves it at the last max_m fully checked.
+    `at(m)` makes the bounds of m's steps, without derivations.  The proof
+    layer, `proofs`, builds the derivations only when `pairs` (so
+    `verify`) or `prove` (so `derive`) asks.
     """
 
     def __init__(self, e: int) -> None:
         self.e = e
-        self.built = 2  # every output with m <= built is stored
+        self.built = 2  # every step with m <= built is checked
         self.sigma = {mu: _sections(2**mu - 1, e) for mu in (1, 2)}
-        self.steps: dict[int, list[tuple[_Step, ...]]] = {1: [], 2: []}
-        # per round by ell - 1, the main output's dimension: the next
-        # step's prior
-        self.mains: dict[int, list[int]] = {1: [], 2: []}
         self.proofs = None  # proofs.ProofLayer, made by `pairs` or `prove`
         self.integer_s = 0.0  # the integer pass's seconds, for `--timings`
 
     # --- integer pass -------------------------------------------------------
 
     def extend(self, max_m: int) -> None:
-        """Store every output with m <= max_m that is not stored yet."""
+        """Check every step with m <= max_m that is not checked yet."""
         if max_m <= self.built:
             return
         start = perf_counter()
-        if not self.steps[1]:
-            self._ground_round1()
-        self._extend_round(1, max_m)
-        if max_m >= 7:
-            if not self.steps[2]:
-                self._ground_round2()
-            self._extend_round(2, max_m)
+        for mu in (1, 2):
+            # step ell of round mu reaches m = 2^mu (ell + 1) - 1
+            for ell in range(max(1, (self.built + 1) // 2**mu),
+                             (max_m + 1) // 2**mu):
+                self.records(mu, ell)
         self.built = max_m
         self.integer_s += perf_counter() - start
 
@@ -307,64 +293,61 @@ class Rounds:
         return (rule_id, _check_form(dim, expected, k + j + 1, self.e), radon,
                 beta, feed)
 
-    def _store(self, mu: int, records: tuple[_Step, ...], main: int) -> None:
-        self.steps[mu].append(records)
-        self.mains[mu].append(main)
+    def records(self, mu: int, ell: int) -> tuple[_Step, ...]:
+        """The records of the outputs of step ell of round mu
+        (k = 2^mu - 1), m = 2^mu (ell + 1) - 1, each gated and checked: the
+        main, then the sharpened output where it applies.  The ground of
+        round 2 (ell = 1) gives the special triple (e <= 2), then the
+        weakened L(7, e) in R^(17 + delta(e))."""
+        e, k, sigma = self.e, 2**mu - 1, self.sigma[mu]
+        if ell == 1 and mu == 1:
+            # k = j = 1 from R^5, sigma = 2
+            return (self._step("round1:base", 1, 1, 5, 5, 2,
+                               _feed_ambient(1, 1, e, 0),
+                               round_forms(1, 1, e)[0]),)
+        if ell == 1:
+            special: tuple[_Step, ...] = ()
+            if e <= 2:
+                special = (self._step(
+                    "round2:special", 3, 3, 14, _main_dim(1, 1, e), sigma,
+                    _feed_ambient(2, 1, e, 0), ROUND2_SPECIAL),)
+            have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
+                else _main_dim(1, 3, e)
+            return special + (("round2:base", _main_dim(2, 1, e), None, have,
+                               None),)
+        j = 2**mu * ell - 1
+        main, sharp_dim = round_forms(mu, ell, e)
+        step_rule, sharp_rule = _RULES[mu]
+        records = (self._step(step_rule, k, j, 4 * k + 2,
+                              round_forms(mu, ell - 1, e)[0] + 1, sigma,
+                              _feed_ambient(mu, ell, e, 0), main),)
+        if sharp_dim is None:
+            return records
+        return records + (self._step(sharp_rule, k, j, 4 * k + 2,
+                                     _main_dim(mu, ell - 1, e), sigma,
+                                     _feed_ambient(mu, ell, e, 1),
+                                     sharp_dim),)
 
-    def _extend_round(self, mu: int, max_m: int) -> None:
-        """Round mu (k = 2^mu - 1): step ell gives m = 2^mu (ell + 1) - 1."""
-        e, k, sigma, mains = self.e, 2**mu - 1, self.sigma[mu], self.mains[mu]
-        # one rule-id string per round, shared by all of its records
-        step_rule, sharp_rule = f"round{mu}:step", f"round{mu}:sharp"
-        for ell in range(len(mains) + 1, (max_m + 1) // 2**mu):
-            j = 2**mu * ell - 1
-            main, sharp_dim = round_forms(mu, ell, e)
-            beta = round_forms(mu, ell - 1, e)[0] + 1
-            records = (self._step(step_rule, k, j, 4 * k + 2, beta, sigma,
-                                  _feed_ambient(mu, ell, e, 0), main),)
-            if sharp_dim is not None:
-                records += (self._step(sharp_rule, k, j, 4 * k + 2,
-                                       mains[ell - 2], sigma,
-                                       _feed_ambient(mu, ell, e, 1),
-                                       sharp_dim),)
-            self._store(mu, records, main)
-
-    def _ground_round1(self) -> None:
-        """The m = 3 step of round 1: k = j = 1 from R^5, sigma = 2."""
-        e = self.e
-        record = self._step("round1:base", 1, 1, 5, 5, 2,
-                            _feed_ambient(1, 1, e, 0), round_forms(1, 1, e)[0])
-        self._store(1, (record,), record[1])
-
-    def _ground_round2(self) -> None:
-        """The m = 7 outputs of round 2: the special triple (e <= 2), then
-        the ground L(7, e) in R^(17 + delta(e))."""
-        e = self.e
-        records: tuple[_Step, ...] = ()
-        if e <= 2:
-            records += (self._step(
-                "round2:special", 3, 3, 14, self.mains[1][0], self.sigma[2],
-                _feed_ambient(2, 1, e, 0), ROUND2_SPECIAL),)
-        have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 else self.mains[1][2]
-        dim = 17 + delta_e(e)
-        self._store(2, records + (("round2:base", dim, None, have, None),), dim)
-
-    def _steps_at(self, m: int):
+    @staticmethod
+    def _steps_at(m: int):
         """(mu, ell) of each round's step that reaches exactly m, round 1
         first."""
-        for mu, steps in self.steps.items():
+        for mu in (1, 2):
             ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
-            if rest == 0 and 1 <= ell - 1 <= len(steps):
+            if rest == 0 and ell >= 2:
                 yield mu, ell - 1
 
     def at(self, m: int) -> tuple[Bound, ...]:
         """The bounds derived for exactly this m, in derivation order (round
-        1 first), without their derivations: the integer pass alone, built
-        up to m."""
-        self.extend(m)
+        1 first), without their derivations: every step below m is checked,
+        then m's steps are gated once."""
+        self.extend(m - 1)
+        start = perf_counter()
+        steps = [(mu, self.records(mu, ell)) for mu, ell in self._steps_at(m)]
+        self.built = max(self.built, m)
+        self.integer_s += perf_counter() - start
         return tuple(_round_bound(self.e, mu, m, r)
-                     for mu, ell in self._steps_at(m)
-                     for r in self.steps[mu][ell - 1])
+                     for mu, records in steps for r in records)
 
     @property
     def proved(self) -> int:
@@ -384,14 +367,14 @@ class Rounds:
         return self._proof_layer().pairs(max_m)
 
     def prove(self, m: int, index: int) -> Bound:
-        """`at(m)[index]` with its derivation.  The proof layer builds the
-        derivations of the outputs of its step and of the main outputs its
-        round reached before m, and of no other output."""
+        """`at(m)[index]` with its derivation.  The proof layer proves the
+        outputs of its step and the main outputs its round reached before
+        m, and no other output."""
         self.extend(m)
         for mu, ell in self._steps_at(m):
-            count = len(self.steps[mu][ell - 1])
+            count = len(self.records(mu, ell))
             if index < count:
-                return self._proof_layer().output(mu, ell, index)
+                return self._proof_layer().outputs(mu, ell)[index]
             index -= count
         raise IndexError(f"no output {index} at m={m}")
 
@@ -428,15 +411,3 @@ def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
         raise ValueError(f"need max_m >= 3, got {max_m}")
     return builder.pairs(max_m)
 
-
-def run_rounds(e: int, max_m: int) -> dict[int, Bound]:
-    """Best derived upper bound per manifold parameter m <= max_m.
-
-    Every produced bound is checked against its closed form; any mismatch
-    raises RoundsDivergenceError naming the offending (m, e).
-    """
-    best: dict[int, Bound] = {}
-    for m, bound in derive_rounds(e, max_m):
-        if m not in best or bound.dim < best[m].dim:
-            best[m] = bound
-    return best

@@ -1,17 +1,13 @@
 """The proof layer of the inductive rounds: derivation trees on demand.
 
-`inductive.Rounds` evaluates every gate in its integer pass and keeps an
-integer record per output.  Its first `pairs` (`verify`) or `prove`
-(`derive`) call loads this module and makes a `ProofLayer`, which turns
-those records into DerivationNodes without evaluating a gate again.
-`query` and `table` read the integer pass alone and never load this
-module.
+`inductive.Rounds` gates every step as plain integers, in `records`, and
+keeps no record.  Its first `pairs` (`verify`) or `prove` (`derive`) call
+loads this module and makes a `ProofLayer`, which turns the records of
+each step it proves, gated once more by `records`, into DerivationNodes.
+`query` and `table` never load this module.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
 
 from .inductive import Rounds, _category, _feed_route, _round_bound, _Step
 from .records import Bound, DerivationNode, SideCondition
@@ -97,69 +93,45 @@ def _feed_within(feed: int, sigma: int, beta: int) -> SideCondition:
 
 
 class ProofLayer:
-    """The derivations of one round builder's outputs, built from its
-    integer records as far as asked, each node once.
+    """The derivations of one round builder's outputs, built as far as
+    asked, each node once.
 
-    Every step's main output is the next step's prior, so proving an
-    output of step ell proves the mains of the steps below it, which the
-    layer keeps (`_mains`).  `pairs` proves every output up to m and keeps
-    them: `round_pairs[mu]` holds the proved (m, bound) pairs of round mu in
-    ascending m, and every pair with m <= `proved` is there.  `output`
-    proves the outputs of one step and keeps only them and those mains,
-    which is all `derive` needs.  A step is stored only once all of it is built, so an exception
-    leaves the layer at the last good step.
+    `outputs(mu, ell)` proves every output of one step and keeps them in
+    `_outputs`; `pairs` reads every step up to m through it.  Every step's
+    main output is the next step's prior, so proving step ell first proves
+    the mains of the steps below it, which `_mains[mu]` keeps by ell - 1.
+    Each step is gated once, by `Rounds.records`, and enters neither memo
+    before all of it is built, so an exception leaves the layer at its last
+    good step.
     """
 
     def __init__(self, rounds: Rounds) -> None:
         self.rounds = rounds
-        self.proved = 2
-        self.round_pairs: dict[int, list[tuple[int, Bound]]] = {1: [], 2: []}
-        self._paired = {1: 0, 2: 0}  # the steps in round_pairs, per round
-        # per round by ell - 1, the main output with its derivation (the
-        # next step's prior); the outputs of each ground; the igniting node
-        # L(k, e), k = 2^mu - 1
+        self.proved = 2  # every pair with m <= proved has its derivation
         self._mains: dict[int, list[Bound]] = {1: [], 2: []}
-        self._grounds: dict[int, list[Bound]] = {}
-        # the outputs `output` proved beyond round_pairs, by (mu, ell)
-        self._steps: dict[tuple[int, int], list[Bound]] = {}
-        self._ign: dict[int, DerivationNode] = {}
+        self._outputs: dict[tuple[int, int], list[Bound]] = {}
+        self._ign: dict[int, DerivationNode] = {}  # L(k, e), k = 2^mu - 1
 
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
         """The round-1 pairs with m <= max_m, then the round-2 ones; the
-        builder's integer pass must reach max_m."""
-        if max_m > self.proved:
-            for mu in (1, 2):
-                column = self.round_pairs[mu]
-                for ell in range(self._paired[mu] + 1,
-                                 min(len(self.rounds.steps[mu]),
-                                     (max_m + 1) // 2**mu - 1) + 1):
-                    m = 2**mu * (ell + 1) - 1
-                    column += [(m, b) for b in self._outputs(mu, ell)]
-                    self._paired[mu] = ell
-            self.proved = max_m
-        out: list[tuple[int, Bound]] = []
-        for column in self.round_pairs.values():
-            out += column[:bisect_right(column, max_m, key=itemgetter(0))]
-        return tuple(out)
+        builder must have checked every step up to max_m."""
+        pairs = tuple((2**mu * (ell + 1) - 1, bound) for mu in (1, 2)
+                      for ell in range(1, (max_m + 1) // 2**mu)
+                      for bound in self.outputs(mu, ell))
+        self.proved = max(self.proved, max_m)
+        return pairs
 
-    def output(self, mu: int, ell: int, index: int) -> Bound:
-        """Output `index` of step ell of round mu, in the order of
-        `Rounds.steps`; the builder's integer pass must reach its m."""
-        if ell <= self._paired[mu]:
-            column, m = self.round_pairs[mu], 2**mu * (ell + 1) - 1
-            return column[bisect_left(column, m, key=itemgetter(0)) + index][1]
-        outputs = self._steps.get((mu, ell))
+    def outputs(self, mu: int, ell: int) -> list[Bound]:
+        """Every output of step ell of round mu, in the order of
+        `Rounds.records`; the builder must have checked the steps below."""
+        outputs = self._outputs.get((mu, ell))
         if outputs is None:
-            outputs = self._steps[mu, ell] = self._outputs(mu, ell)
-        return outputs[index]
+            outputs = self._outputs[mu, ell] = self._prove(mu, ell)
+        return outputs
 
     def roots(self):
         """The derivation of every output proved so far (with repeats)."""
-        for column in self.round_pairs.values():
-            for _, bound in column:
-                yield bound.derivation
-        for outputs in (*self._mains.values(), *self._grounds.values(),
-                        *self._steps.values()):
+        for outputs in (*self._mains.values(), *self._outputs.values()):
             for bound in outputs:
                 yield bound.derivation
 
@@ -183,59 +155,52 @@ class ProofLayer:
             lead + (feed,), (_feed_within(feed_dim, sigma, beta),) + extra)
         return _round_bound(e, mu, m, record, node)
 
-    def _outputs(self, mu: int, ell: int) -> list[Bound]:
-        """Every output of step ell of round mu, the main first."""
-        if ell == 1:
-            return self._ground(mu)
-        main = self._main(mu, ell)
-        rounds = self.rounds
-        _, *sharp = rounds.steps[mu][ell - 1]
-        m, k = 2**mu * (ell + 1) - 1, 2**mu - 1
-        prior_dim = rounds.mains[mu][ell - 2]
-        lead = (self._ignite(mu), self._mains[mu][ell - 2].derivation)
-        return [main] + [self._step(
-            mu, m, r, 4 * k + 2, rounds.sigma[mu],
-            feed_node(mu, ell, rounds.e, 1, r[4]), lead,
-            (SideCondition.make(
-                "beta-from-prior",
-                f"beta = {prior_dim} reuses the prior round output",
-                beta=prior_dim, prior=prior_dim),)) for r in sharp]
+    def _chained(self, mu: int, ell: int, record: _Step, prior: Bound,
+                 lam: int) -> Bound:
+        """The output of `record`, step ell >= 2 of round mu, on the prior
+        main output: the main (lam = 0) or the sharpened one (lam = 1)."""
+        rounds, k, beta = self.rounds, 2**mu - 1, record[3]
+        if lam:
+            text = f"beta = {beta} reuses the prior round output"
+        else:
+            beta_from = "is one higher than" if mu == 1 else "from"
+            text = (f"beta = {beta} {beta_from} the prior round output "
+                    f"{prior.dim}")
+        return self._step(
+            mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, rounds.sigma[mu],
+            feed_node(mu, ell, rounds.e, lam, record[4]),
+            (self._ignite(mu), prior.derivation),
+            (SideCondition.make("beta-from-prior", text, beta=beta,
+                                prior=prior.dim),))
 
     def _main(self, mu: int, ell: int) -> Bound:
         """The main output of step ell of round mu, proving the mains of
         the steps below it first."""
-        rounds, mains = self.rounds, self._mains[mu]
-        e, k, sigma = rounds.e, 2**mu - 1, rounds.sigma[mu]
-        beta_from = "is one higher than" if mu == 1 else "from"
+        mains = self._mains[mu]
         for n in range(len(mains) + 1, ell + 1):
-            if n == 1:
-                mains.append(self._ground(mu)[-1])
-                continue
-            record = rounds.steps[mu][n - 1][0]
-            beta, prior_dim = record[3], rounds.mains[mu][n - 2]
-            mains.append(self._step(
-                mu, 2**mu * (n + 1) - 1, record, 4 * k + 2, sigma,
-                feed_node(mu, n, e, 0, record[4]),
-                (self._ignite(mu), mains[n - 2].derivation),
-                (SideCondition.make(
-                    "beta-from-prior",
-                    f"beta = {beta} {beta_from} the prior round output "
-                    f"{prior_dim}",
-                    beta=beta, prior=prior_dim),)))
+            mains.append(self.outputs(mu, 1)[-1] if n == 1 else self._chained(
+                mu, n, self.rounds.records(mu, n)[0], mains[-1], 0))
         return mains[ell - 1]
 
-    def _ground(self, mu: int) -> list[Bound]:
-        """The outputs of the ground of round mu (m = 2^(mu+1) - 1)."""
-        ground = self._grounds.get(mu)
-        if ground is None:
-            ground = self._grounds[mu] = (self._ground1() if mu == 1
-                                          else self._ground2())
-        return ground
+    def _prove(self, mu: int, ell: int) -> list[Bound]:
+        """Every output of step ell of round mu, gated once; the main joins
+        `_mains` with the others."""
+        records = self.rounds.records(mu, ell)
+        if ell == 1:
+            return self._ground1(records) if mu == 1 else self._ground2(records)
+        prior, mains = self._main(mu, ell - 1), self._mains[mu]
+        main = (mains[ell - 1] if len(mains) >= ell
+                else self._chained(mu, ell, records[0], prior, 0))
+        outputs = [main] + [self._chained(mu, ell, r, prior, 1)
+                            for r in records[1:]]
+        if len(mains) < ell:
+            mains.append(main)
+        return outputs
 
-    def _ground1(self) -> list[Bound]:
+    def _ground1(self, records: tuple[_Step, ...]) -> list[Bound]:
         """L(3, e) in R^11: the step k = j = 1 from R^5, sigma = 2."""
         e = self.rounds.e
-        (record,) = self.rounds.steps[1][0]
+        (record,) = records
         dim3 = DerivationNode(
             "axiom:dim3-embedding",
             f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
@@ -247,10 +212,10 @@ class ProofLayer:
         return [self._step(1, 3, record, 5, 2,
                            feed_node(1, 1, e, 0, record[4]), (dim3, frame))]
 
-    def _ground2(self) -> list[Bound]:
+    def _ground2(self, records: tuple[_Step, ...]) -> list[Bound]:
         """The special triple (e <= 2), then the ground L(7, e)."""
         rounds, e = self.rounds, self.rounds.e
-        *special, base = rounds.steps[2][0]
+        *special, base = records
         outputs = [self._step(2, 7, record, 14, rounds.sigma[2],
                               feed_node(2, 1, e, 0, record[4]),
                               (self._ignite(2), self._main(1, 1).derivation))

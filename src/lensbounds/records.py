@@ -194,13 +194,17 @@ class Bound:
         if self.dim < 0:
             raise ValueError(f"need dim >= 0, got {self.dim}")
 
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """The names of the flags set on this bound, in a fixed order."""
+        return tuple(name for name, on in (("conjectural", self.conjectural),
+                                           ("external", self.external),
+                                           ("transferred", self.transferred))
+                     if on)
+
     def __str__(self) -> str:
         sense = ">=" if self.direction is Direction.LOWER else "<="
-        flags = "".join(
-            f" [{name}]"
-            for name, on in (("conjectural", self.conjectural),
-                             ("external", self.external),
-                             ("transferred", self.transferred)) if on)
+        flags = "".join(f" [{name}]" for name in self.flags)
         return f"emb {sense} {self.dim} ({self.category}, {self.rule_id}){flags}"
 
 

@@ -72,7 +72,7 @@ def test_c02_identity_suite():
 
 
 def test_c03_table_regeneration():
-    """run_rounds reproduces every closed form for ell <= 100, e <= 8."""
+    """derive_rounds reproduces every closed form for ell <= 100, e <= 8."""
     max_m = 4 * 100 + 3
     for e in range(1, 9):
         dlt = delta_e(e)

@@ -1,16 +1,15 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from lensbounds import inductive, proofs
-from lensbounds.catalog import _engine_bounds
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (Rounds, _feed_ambient, _sections,
-                                  delta_e, derive_rounds, inductive_step,
-                                  milgram_condition, run_rounds,
-                                  sections_table)
-from lensbounds.proofs import feed_node, igniting_node
-from lensbounds.records import (Category, DerivationNode, Direction,
+from lensbounds.inductive import (Rounds, _category, _feed_ambient, _gate,
+                                  _sections, delta_e, derive_rounds,
+                                  milgram_condition, rounds, sections_table)
+from lensbounds.proofs import feed_node, igniting_node, step_node
+from lensbounds.records import (Category, DerivationNode,
                                 RoundsDivergenceError, SideCondition,
                                 unique_nodes)
 
@@ -38,25 +37,39 @@ def test_igniting_embedding():
 
 def test_inductive_step_gate_strict():
     # base of the first round: k=j=1, alpha=beta=5, sigma=2 -> R^11
-    bound = inductive_step(1, 1, 5, 5, 5, 2)
-    assert bound is not None
-    assert (bound.direction, bound.dim) == (Direction.UPPER, 11)
-    assert bound.category is Category.TOPOLOGICAL  # (7, 11) not smoothable
+    assert _gate(1, 1, 2, 5) == ()
+    node = step_node("inductive-step", 1, 1, 5, 5, 5, 2, (), (), ())
+    assert node.conclusion == "L(m=3, e=5) embeds (topological) in R^11"
+    assert _category(3, 11) is Category.TOPOLOGICAL  # (7, 11) not smoothable
+    assert [c.kind for c in node.side_conditions] == ["sections-exceed",
+                                                       "ambient-sum"]
+    assert node.replay()
     # special (k, j) = (3, 3) at e = 2: sigma = 5, beta = 11 -> R^26
-    bound = inductive_step(3, 3, 2, 14, 11, 5)
-    assert bound.dim == 26 and bound.category is Category.SMOOTH
+    assert _gate(3, 3, 5, 11) == ()
+    assert _category(7, 26) is Category.SMOOTH
     # no gate: sigma + beta < 4j + 2
-    assert inductive_step(1, 3, 2, 6, 10, 3) is None
+    assert _gate(1, 3, 3, 10) is None
 
 
 def test_inductive_step_gate_boundary():
-    # sigma + beta = 4j + 2 with nu(2j+2) = 3: need 2k + 3 <= 8
+    # sigma + beta = 4j + 2 with nu(2j+2) = 3 = 4*0 + 3: need 2k + 3 <= 8
     j = 3  # nu(8) = 3
-    assert inductive_step(2, j, 2, 10, 11, 3) is not None   # 2k+3 = 7 <= 8
-    assert inductive_step(3, j, 2, 10, 11, 3) is None       # 2k+3 = 9 > 8
-    node = inductive_step(2, j, 2, 10, 11, 3).derivation
-    kinds = [c.kind for c in node.side_conditions]
-    assert "boundary-radon" in kinds
+    assert _gate(2, j, 3, 11) == (0, 3)      # 2k+3 = 7 <= 8
+    assert _gate(3, j, 3, 11) is None        # 2k+3 = 9 > 8
+    node = step_node("inductive-step", 2, j, 2, 10, 11, 3, (0, 3), (), ())
+    assert node.conclusion.endswith("in R^22")
+    assert [c.kind for c in node.side_conditions] == ["boundary-radon",
+                                                       "ambient-sum"]
+    assert node.replay()
+
+
+def _best(e, max_m):
+    """The best derived upper bound per m <= max_m."""
+    best = {}
+    for m, bound in derive_rounds(e, max_m):
+        if m not in best or bound.dim < best[m].dim:
+            best[m] = bound
+    return best
 
 
 def _feed(mu, ell, e, lam):
@@ -115,12 +128,12 @@ def test_delta_e():
 
 
 def test_run_rounds_examples():
-    assert run_rounds(3, 11)[11].dim == 42   # 16*2 + 10
-    assert run_rounds(2, 7)[7].dim == 26     # the special triple
-    assert run_rounds(1, 5)[5].dim == 19     # 8*2 + 3
-    assert run_rounds(5, 7)[7].dim == 27     # 8*3 + 3 doubles as the ground
+    assert _best(3, 11)[11].dim == 42   # 16*2 + 10
+    assert _best(2, 7)[7].dim == 26     # the special triple
+    assert _best(1, 5)[5].dim == 19     # 8*2 + 3
+    assert _best(5, 7)[7].dim == 27     # 8*3 + 3 doubles as the ground
     with pytest.raises(ValueError):
-        run_rounds(2, 2)
+        derive_rounds(2, 2)
 
 
 def test_run_rounds_closed_forms():
@@ -180,7 +193,7 @@ def test_beta_bookkeeping():
 
 
 def test_smoothability_flags():
-    best = run_rounds(4, 103)
+    best = _best(4, 103)
     assert best[3].category is Category.TOPOLOGICAL   # L(3) in R^11
     assert best[5].category is Category.SMOOTH        # (11, 19) is in range
     for m, b in best.items():
@@ -246,7 +259,7 @@ def test_engine_bounds_are_the_pairs_at_m():
         pairs = derive_rounds(e, 300)
         for m in range(0, 301):
             want = [replace(b, derivation=None) for mm, b in pairs if mm == m]
-            got = _engine_bounds(e, m)
+            got = rounds(e).at(m)
             assert list(got) == want, (m, e)
             assert all(b.derivation is None for b in got)
 
@@ -295,11 +308,9 @@ def test_prove_builds_one_step_and_the_mains_below_it():
     assert builder.prove(203, 0) is main
 
 
-def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
-    # the sharpened round-1 output at m = 25 (ell = 12) diverges: the step
-    # at m = 25 must not be stored without it
-    builder = Rounds(3)
-    builder.extend(20)
+def _diverge_at_25(monkeypatch):
+    """Make the sharpened round-1 output at m = 25 (ell = 12) diverge;
+    returns the real check."""
     real = inductive._check_form
 
     def diverge(bound, expected, m, e):
@@ -307,9 +318,18 @@ def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
             raise RoundsDivergenceError("off")
         return real(bound, expected, m, e)
     monkeypatch.setattr(inductive, "_check_form", diverge)
+    return real
+
+
+def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
+    # the sharpened round-1 output at m = 25 (ell = 12) diverges: `built`
+    # must not move past the last max_m whose steps all passed
+    builder = Rounds(3)
+    builder.extend(20)
+    real = _diverge_at_25(monkeypatch)
     with pytest.raises(RoundsDivergenceError):
         builder.extend(40)
-    assert len(builder.steps[1]) == 11  # nothing stored past m = 23
+    assert builder.built == 20  # the last max_m fully checked
     assert builder.at(23) == Rounds(3).at(23)
     shape = _shapes()
     assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
@@ -331,8 +351,30 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     with pytest.raises(RuntimeError):
         builder.pairs(40)
     assert (builder.built, builder.proved) == (40, 20)
-    assert builder.proofs.round_pairs[1][-1][0] == 23
     shape = _shapes()
     assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)
     assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))
+
+
+def test_cold_lookup_checks_the_chain_below_m(monkeypatch):
+    # m = 41 is reached by steps that read m = 25 only through its closed
+    # form, yet a cold `at(41)` checks every step below it
+    builder = Rounds(3)
+    real = _diverge_at_25(monkeypatch)
+    with pytest.raises(RoundsDivergenceError):
+        builder.at(41)
+    monkeypatch.setattr(inductive, "_check_form", real)
+    assert builder.at(23) == Rounds(3).at(23)
+
+
+def test_integer_pass_keeps_no_per_m_state():
+    tracemalloc.start()
+    try:
+        builder = Rounds(3)
+        builder.extend(50_000)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert builder.built == 50_000
+    assert size < 64 * 1024, size

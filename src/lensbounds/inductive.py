@@ -260,7 +260,8 @@ class Rounds:
     RoundsDivergenceError leaves it at the last max_m fully checked.
     `at(m)` makes the bounds of m's steps, without derivations.  The proof
     layer, `proofs`, builds the derivations only when `pairs` (so
-    `verify`) or `prove` (so `derive`) asks.
+    `verify`) or `prove` (so `derive`) asks; `pairs` lets the layer's own
+    `records` call for each step be its check, so each step is gated once.
     """
 
     def __init__(self, e: int) -> None:
@@ -362,9 +363,12 @@ class Rounds:
 
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
         """The round-1 pairs with m <= max_m, then the round-2 ones, with
-        their derivations (the proof layer is loaded on the first call)."""
-        self.extend(max_m)
-        return self._proof_layer().pairs(max_m)
+        their derivations (the proof layer is loaded on the first call).
+        The proof layer gates each step it proves through `records`, which
+        is the check, so `built` moves only once all of them pass."""
+        pairs = self._proof_layer().pairs(max_m)
+        self.built = max(self.built, max_m)
+        return pairs
 
     def prove(self, m: int, index: int) -> Bound:
         """`at(m)[index]` with its derivation.  The proof layer proves the

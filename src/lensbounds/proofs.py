@@ -3,11 +3,14 @@
 `inductive.Rounds` gates every step as plain integers, in `records`, and
 keeps no record.  Its first `pairs` (`verify`) or `prove` (`derive`) call
 loads this module and makes a `ProofLayer`, which turns the records of
-each step it proves, gated once more by `records`, into DerivationNodes.
+each step it proves, gated by `records` (once more after the integer pass
+for `prove`, and only there for `pairs`), into DerivationNodes.
 `query` and `table` never load this module.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .inductive import Rounds, _category, _feed_route, _round_bound, _Step
 from .records import Bound, DerivationNode, SideCondition
@@ -102,19 +105,21 @@ class ProofLayer:
     the mains of the steps below it, which `_mains[mu]` keeps by ell - 1.
     Each step is gated once, by `Rounds.records`, and enters neither memo
     before all of it is built, so an exception leaves the layer at its last
-    good step.
+    good step.  The layer holds its builder by a weak proxy, so a builder
+    that is dropped frees its derivations at once, with no cycle left for
+    the garbage collector.
     """
 
     def __init__(self, rounds: Rounds) -> None:
-        self.rounds = rounds
+        self.rounds = weakref.proxy(rounds)
         self.proved = 2  # every pair with m <= proved has its derivation
         self._mains: dict[int, list[Bound]] = {1: [], 2: []}
         self._outputs: dict[tuple[int, int], list[Bound]] = {}
         self._ign: dict[int, DerivationNode] = {}  # L(k, e), k = 2^mu - 1
 
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
-        """The round-1 pairs with m <= max_m, then the round-2 ones; the
-        builder must have checked every step up to max_m."""
+        """The round-1 pairs with m <= max_m, then the round-2 ones; each
+        step not proved yet is gated and checked as it is proved."""
         pairs = tuple((2**mu * (ell + 1) - 1, bound) for mu in (1, 2)
                       for ell in range(1, (max_m + 1) // 2**mu)
                       for bound in self.outputs(mu, ell))

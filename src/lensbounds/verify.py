@@ -19,7 +19,7 @@ from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
 from .dyadic import alpha, hurwitz_radon, nu, nu_binom, radon_pair
-from .inductive import delta_e, derive_rounds, milgram_condition
+from .inductive import Rounds, delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, unique_nodes
@@ -126,44 +126,77 @@ def _basis(ring: CohomologyRing) -> list[Mod2Class]:
     return [ring.monomial(d, j) for j in range(ring.n + 1) for d in (0, 1)]
 
 
+def _part(c: Mod2Class, d: int) -> int:
+    """The coefficient of c on the one basis class of degree d."""
+    j, odd = divmod(d, 2)
+    return ((c.odd if odd else c.even) >> j) & 1
+
+
+def _in_degree(c: Mod2Class, d: int) -> bool:
+    """Whether c lies in degree d: zero, or the basis class of degree d
+    (so zero past the top degree, where no basis class is)."""
+    j, odd = divmod(d, 2)
+    return (c.even, c.odd) in ((0, 0), (0, 1 << j) if odd else (1 << j, 0))
+
+
 def _cartan_formula() -> CheckResult:
     """Sq^i(uv) against sum_{a+b=i} Sq^a(u) Sq^b(v) over every pair of basis
-    classes.  A product of basis classes is a basis class or zero, so each
-    ring squares at most 2n+3 distinct classes, each once per degree."""
+    classes, on total squares Sq(c) = sum_a Sq^a(c).
+
+    The ring is graded, so the sum is the degree-(deg uv + i) part of
+    Sq(u) Sq(v), and one product and one equality per pair check every i,
+    provided every square and product is homogeneous.  So each Sq^a(c) is
+    checked to lie in degree deg(c) + a as its total is formed (all of
+    zero's squares to vanish), and each uv in degree deg u + deg v; a class
+    that fails is the counterexample.  A product of basis classes is then
+    a basis class or zero, so each ring squares at most 2n+3 distinct
+    classes, each once per degree.  A mismatch is split by degree to name
+    the first i.
+    """
     bad = None
     cases = 0
     for n in range(1, 17):
         for eps in (0, 1):
             ring = CohomologyRing(n, eps)
-            basis = _basis(ring)
             top = 2 * n + 2
-            # Sq^0..Sq^(top-1) of each class squared so far in this ring
-            total_square: dict[Mod2Class, list[Mod2Class]] = {}
+            # Sq(c) of each class totalled so far in this ring
+            totals: dict[Mod2Class, Mod2Class] = {}
 
-            def squares_of(c: Mod2Class) -> list[Mod2Class]:
-                sq = total_square.get(c)
+            def total(c: Mod2Class, d: int) -> Mod2Class:
+                """Sq(c) for c in degree d; records an off-degree square."""
+                nonlocal bad
+                sq = totals.get(c)
                 if sq is None:
-                    sq = total_square[c] = [steenrod_square(i, c)
-                                            for i in range(top)]
+                    even = odd = 0
+                    for a in range(top):
+                        sq_a = steenrod_square(a, c)
+                        if bad is None and not (
+                                _in_degree(sq_a, d + a) if not c.is_zero()
+                                else sq_a.is_zero()):
+                            bad = (n, eps, str(c), a, "off-degree")
+                        even ^= sq_a.even
+                        odd ^= sq_a.odd
+                    sq = totals[c] = Mod2Class(ring, even, odd)
                 return sq
 
-            # each basis class's nonzero squares, as (degree, class) pairs
-            squares = {u: [(a, sq) for a, sq in enumerate(squares_of(u))
-                           if not sq.is_zero()]
-                       for u in basis}
-            for u in basis:
-                sq_u = squares[u]
-                for v in basis:
-                    totals = [ring.zero()] * top
-                    for a, su in sq_u:
-                        for b, sv in squares[v]:
-                            if a + b < top:
-                                totals[a + b] = totals[a + b] + multiply(su, sv)
-                    sq_uv = squares_of(multiply(u, v))
+            # each basis class (one monomial) with its degree and Sq
+            basis = [(u, d + 2 * j, total(u, d + 2 * j))
+                     for u in _basis(ring) for d, j in u.monomials()]
+            for u, du, sq_u in basis:
+                for v, dv, sq_v in basis:
                     cases += top
-                    if bad is None and sq_uv != totals:
-                        i = next(i for i in range(top) if sq_uv[i] != totals[i])
-                        bad = (n, eps, str(u), str(v), i)
+                    uv = multiply(u, v)
+                    d = du + dv
+                    if not _in_degree(uv, d):
+                        bad = bad or (n, eps, str(u), str(v), "off-degree")
+                        continue
+                    sq_uv = total(uv, d)
+                    if bad is None:
+                        lhs = multiply(sq_u, sq_v)
+                        if lhs != sq_uv:
+                            first = next(k for k in range(top)
+                                         if _part(lhs, k) != _part(sq_uv, k))
+                            bad = (n, eps, str(u), str(v), first - d)
     return _result("cartan-formula", cases, bad)
 
 
@@ -179,11 +212,12 @@ def verify_cohomology() -> list[CheckResult]:
             for u in basis:
                 for v in basis:
                     cases += 1
-                    if multiply(u, v) != multiply(v, u):
+                    uv = multiply(u, v)
+                    if uv != multiply(v, u):
                         bad = bad or (n, eps, str(u), str(v))
                     for w in basis[:: max(1, len(basis) // 6)]:
                         cases += 1
-                        if multiply(multiply(u, v), w) != multiply(u, multiply(v, w)):
+                        if multiply(uv, w) != multiply(u, multiply(v, w)):
                             bad = bad or (n, eps, str(u), str(v), str(w))
     rng = random.Random(11)
     for _ in range(300):
@@ -350,42 +384,60 @@ def _replay_facts(roots) -> dict[int, tuple[bool, int, bool]]:
     return facts
 
 
+def _check_rounds(e: int, max_m: int):
+    """table-regeneration's cases and first counterexample for e, then
+    derivation-replay's, then its boundary-gate-audit hits, from one pass
+    over the pairs of a `Rounds(e)` of its own, which is dropped (with
+    every derivation) on return."""
+    pairs = Rounds(e).pairs(max_m)
+    produced = {(b.rule_id, m): b.dim for m, b in pairs}
+    expected = _expected_rounds(e, max_m)
+    table_bad = None
+    if produced != expected:
+        for key in sorted(set(produced) ^ set(expected)):
+            table_bad = table_bad or (e, *key, "missing/extra")
+        for key in sorted(set(produced) & set(expected)):
+            if produced[key] != expected[key]:
+                table_bad = table_bad or (e, *key, produced[key],
+                                          expected[key])
+
+    replay_bad = None
+    audit_hits = 0
+    facts = _replay_facts(b.derivation for _, b in pairs)
+    for m, b in pairs:
+        ok, hits, audit_ok = facts[id(b.derivation)]
+        if not ok:
+            replay_bad = replay_bad or (e, m, b.rule_id)
+        audit_hits += hits
+        if not audit_ok:
+            replay_bad = replay_bad or (e, m, "radon-audit")
+    return len(expected), table_bad, len(pairs), replay_bad, audit_hits
+
+
 def verify_rounds(max_e: int = 8, max_ell: int = 100) -> list[CheckResult]:
+    """Regenerate the rounds' table against `_expected_rounds` and replay
+    every derivation, for each e up to max_e; then the Milgram checks.
+
+    One e at a time: each gets a `Rounds` of its own (see `_check_rounds`),
+    so at most one e's derivations are alive at once and the process-wide
+    builders are left alone.
+    """
     out = []
     max_m = 4 * max_ell + 3
 
-    bad = None
-    cases = 0
+    table_bad = replay_bad = None
+    table_cases = replay_cases = audit_hits = 0
     for e in range(1, max_e + 1):
-        produced = {}
-        for m, b in derive_rounds(e, max_m):
-            produced[(b.rule_id, m)] = b.dim
-        expected = _expected_rounds(e, max_m)
-        cases += len(expected)
-        if produced != expected:
-            for key in sorted(set(produced) ^ set(expected)):
-                bad = bad or (e, *key, "missing/extra")
-            for key in sorted(set(produced) & set(expected)):
-                if produced[key] != expected[key]:
-                    bad = bad or (e, *key, produced[key], expected[key])
-    out.append(_result("table-regeneration", cases, bad))
-
-    bad = None
-    cases = 0
-    audit_hits = 0
-    for e in range(1, max_e + 1):
-        pairs = derive_rounds(e, max_m)
-        facts = _replay_facts(b.derivation for _, b in pairs)
-        for m, b in pairs:
-            cases += 1
-            ok, hits, audit_ok = facts[id(b.derivation)]
-            if not ok:
-                bad = bad or (e, m, b.rule_id)
-            audit_hits += hits
-            if not audit_ok:
-                bad = bad or (e, m, "radon-audit")
-    out.append(_result("derivation-replay", cases, bad))
-    out.append(CheckResult("boundary-gate-audit", audit_hits, bad is None))
+        t_cases, t_bad, r_cases, r_bad, hits = _check_rounds(e, max_m)
+        table_cases += t_cases
+        table_bad = table_bad or t_bad
+        replay_cases += r_cases
+        replay_bad = replay_bad or r_bad
+        audit_hits += hits
+    out.append(_result("table-regeneration", table_cases, table_bad))
+    out.append(_result("derivation-replay", replay_cases, replay_bad))
+    out.append(CheckResult("boundary-gate-audit", audit_hits,
+                           replay_bad is None))
 
     bad = None
     cases = 0

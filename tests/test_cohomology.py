@@ -160,7 +160,10 @@ def test_sq_even_binomial_parity():
 
 def test_cartan_formula():
     # Sq^i(uv) against the sum of Sq^a(u) Sq^(i-a)(v) for every i <= 2n+1;
-    # zero squares add nothing to the sum, and each product is squared once
+    # zero squares add nothing to the sum, and each product is squared once.
+    # This per-degree form is the independent oracle for `verify`'s check,
+    # which compares total squares Sq(u) Sq(v) with Sq(uv) instead: keep it
+    # per degree.
     for n in range(1, 13):
         for eps in (0, 1):
             ring = CohomologyRing(n, eps)

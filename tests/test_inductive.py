@@ -339,7 +339,8 @@ def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
 
 def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     # building the feed of the sharpened output at m = 25 (ell = 12) fails:
-    # no pair of m = 25 may be stored without it
+    # no pair of m = 25 may be stored without it, and since `pairs` lets the
+    # proof layer's gating be the check, `built` stays where it was too
     builder = Rounds(3)
     builder.pairs(20)
 
@@ -350,7 +351,7 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     monkeypatch.setattr(proofs, "feed_node", fail)
     with pytest.raises(RuntimeError):
         builder.pairs(40)
-    assert (builder.built, builder.proved) == (40, 20)
+    assert (builder.built, builder.proved) == (20, 20)
     shape = _shapes()
     assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)

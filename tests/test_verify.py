@@ -1,13 +1,29 @@
 """Every verify scope must pass at its documented desk scale."""
 
+import pathlib
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from lensbounds import cli, records, verify
-from lensbounds.cohomology import steenrod_square
+from lensbounds import cli, inductive, records, verify
+from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
 from lensbounds.inductive import derive_rounds
 from lensbounds.records import DerivationNode, SideCondition, unique_nodes
+
+# the stdout of `verify all`: each scope's check lines, in scope order, then
+# the PASS line
+GOLDEN = (pathlib.Path(__file__).parent / "golden" / "verify_all.txt"
+          ).read_text().splitlines()
+# the number of checks in each scope, so each scope has its own slice
+CHECKS = {"dyadic": 8, "cohomology": 5, "lifting": 4, "rounds": 5,
+          "bounds": 6}
+
+
+def test_golden_has_every_scope_and_the_pass_line():
+    assert list(CHECKS) == list(verify.SCOPES)
+    assert len(GOLDEN) == sum(CHECKS.values()) + 1
+    assert GOLDEN[-1] == "PASS: 28/28 checks, 18900732 cases"
 
 
 @pytest.mark.parametrize("scope", sorted(verify.SCOPES))
@@ -16,6 +32,8 @@ def test_scope_passes(scope):
     assert results
     for r in results:
         assert r.ok, r.line()
+    start = sum(CHECKS[s] for s in list(CHECKS)[:list(CHECKS).index(scope)])
+    assert [r.line() for r in results] == GOLDEN[start:start + CHECKS[scope]]
 
 
 def test_unknown_scope():
@@ -68,6 +86,69 @@ def test_cartan_failure_names_the_first_counterexample(monkeypatch):
         "cartan-formula: 374528 cases FAIL  "
         "[first counterexample (5, 1, 'x', 'y^2', 3)]")
     assert all(r.ok for name, r in by_name.items() if name != "cartan-formula")
+
+
+def _cartan_line(monkeypatch, name, bent) -> str:
+    """The cartan-formula line with verify's `name` function bent."""
+    monkeypatch.setattr(verify, name, bent)
+    return verify._cartan_formula().line()
+
+
+def test_cartan_catches_an_off_degree_square(monkeypatch):
+    # Sq^3 returns Sq^2's value, one degree low; Sq^3(y) = y^2 is the first
+    # nonzero one, in the n = 2 ring
+    assert _cartan_line(
+        monkeypatch, "steenrod_square",
+        lambda i, u: steenrod_square(2 if i == 3 else i, u)) == (
+        "cartan-formula: 374528 cases FAIL  "
+        "[first counterexample (2, 0, 'y', 3, 'off-degree')]")
+
+
+def test_cartan_catches_a_product_without_x_squared(monkeypatch):
+    # drop the epsilon * x^2 = y term of the product for n >= 9: then
+    # x * x = 0, but Sq^1(x) Sq^1(x) = y^2 = Sq^2(x * x) should hold
+    def dropped(u, v):
+        ring = u.ring
+        uv = multiply(u, v)
+        if ring.n < 9 or not ring.epsilon:
+            return uv
+        # x*y^j times x*y^k adds y^(j+k+1); take those terms back out
+        x_terms = multiply(Mod2Class(ring, u.odd, 0), Mod2Class(ring, v.odd, 0))
+        return uv + multiply(x_terms, ring.y())
+
+    assert _cartan_line(monkeypatch, "multiply", dropped) == (
+        "cartan-formula: 374528 cases FAIL  "
+        "[first counterexample (9, 1, 'x', 'x', 2)]")
+
+
+def test_cartan_names_a_product_off_its_degree(monkeypatch):
+    # x * y = y^2 in the n = 2, eps = 0 ring: degree 4, not 3
+    def bent(u, v):
+        ring = u.ring
+        if (ring.n, ring.epsilon) == (2, 0) and (u, v) == (ring.x(), ring.y()):
+            return ring.y(2)
+        return multiply(u, v)
+
+    assert _cartan_line(monkeypatch, "multiply", bent) == (
+        "cartan-formula: 374528 cases FAIL  "
+        "[first counterexample (2, 0, 'x', 'y', 'off-degree')]")
+
+
+def test_cartan_catches_an_inhomogeneous_square_that_cancels(monkeypatch):
+    # add y^4 to Sq^1(x*y^2) (degree 6 only) and to Sq^3(x*y^2) (which is
+    # zero, and degree 8) in the n = 5, eps = 1 ring: the total square of
+    # x*y^2 = x * y^2 is unchanged, so only the degree check sees it
+    def bent(i, u):
+        sq = steenrod_square(i, u)
+        ring = u.ring
+        if ((ring.n, ring.epsilon) == (5, 1) and i in (1, 3)
+                and u == ring.monomial(1, 2)):
+            return sq + ring.y(4)
+        return sq
+
+    assert _cartan_line(monkeypatch, "steenrod_square", bent) == (
+        "cartan-formula: 374528 cases FAIL  "
+        "[first counterexample (5, 1, 'x*y^2', 1, 'off-degree')]")
 
 
 def test_cartan_squares_each_class_once_per_degree(monkeypatch):
@@ -144,3 +225,31 @@ def test_each_unique_node_is_replayed_once(monkeypatch):
                for _, pairs in _rounds_roots()
                for n in unique_nodes(b.derivation for _, b in pairs))
     assert calls == want
+
+
+def test_rounds_gate_each_step_once(monkeypatch):
+    calls = 0
+    gate = inductive._gate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gate(*args)
+
+    monkeypatch.setattr(inductive, "_gate", counted)
+    assert all(r.ok for r in verify.verify_rounds())
+    assert calls == 3498
+
+
+def test_rounds_keep_one_e_alive_at_a_time():
+    layers = {b.e: b.proofs for b in inductive.builders()}
+    tracemalloc.start()
+    try:
+        assert all(r.ok for r in verify.verify_rounds())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one e's derivations take about 1.7 MB; all eight took about 14 MB
+    assert peak < 4 * 1024 * 1024, peak
+    for builder in inductive.builders():
+        assert builder.proofs is layers.get(builder.e), builder.e

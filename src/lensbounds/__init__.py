@@ -4,6 +4,12 @@ Exact lower (nonembedding) and upper (embedding) bounds, derived by
 mechanized arithmetic rules with machine-checkable derivation trees.
 """
 
+from time import perf_counter
+
+# when the package began to import: `--timings` reports the seconds from
+# here to `cli.main` as the import phase
+_IMPORT_START = perf_counter()
+
 from .catalog import Report, report
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,

@@ -18,7 +18,7 @@ provably fails in general), transfer down in torsion, and the speculative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
@@ -248,15 +248,10 @@ def odd_torsion_transfer(space: LensSpace) -> LensSpace:
     return LensSpace(space.m, space.e, 1)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "space lower upper all_bounds exact")):
     """Best lower/upper bounds with full provenance for one lens space."""
 
-    space: LensSpace
-    lower: Bound
-    upper: Bound
-    all_bounds: tuple[Bound, ...]
-    exact: bool
+    __slots__ = ()
 
     @property
     def gap(self) -> int:
@@ -313,7 +308,7 @@ def report(space: LensSpace, conjectural: bool = False,
             cand.append(sp)
         cand.append(hhmp_upper(primary))
         if space.odd_factor != 1:
-            cand = [replace(b, transferred=True) for b in cand
+            cand = [b._replace(transferred=True) for b in cand
                     if metastable_smoothable(space.dim, b.dim)]
         uppers.extend(cand)
 

@@ -8,12 +8,13 @@ round or lifting gate off its closed form, or the spin criteria disagreeing).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from time import perf_counter
 
+# json, csv and io are imported by the functions that use them: every
+# command is a process of its own, and most never read or write those formats
+
+from . import _IMPORT_START
 from .catalog import report
 from .dyadic import alpha
 from .inductive import builders, rounds
@@ -76,6 +77,8 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def parse_csv(text: str) -> list[dict]:
+    import csv
+    import io
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != COLUMNS:
@@ -93,11 +96,13 @@ def parse_csv(text: str) -> list[dict]:
 
 
 def render_jsonl(rows: list[dict]) -> str:
+    import json
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
                    for r in rows)
 
 
 def parse_jsonl(text: str) -> list[dict]:
+    import json
     return [json.loads(line) for line in text.splitlines() if line]
 
 
@@ -135,12 +140,15 @@ def _builder_totals() -> tuple[float, int, int]:
 
 class _Timings:
     """Wall time per phase of one command and what the round builders did
-    meanwhile, which `finish` prints to stderr under `--timings`."""
+    meanwhile, which `finish` prints to stderr under `--timings`.  The
+    phases are the import (from the top of the package to `main`), the
+    rounds' integer pass, then the command's laps; the total counts from
+    the top of the package."""
 
     def __init__(self, args) -> None:
         self.args, self.phases = args, {}
         self._before = _builder_totals() if args.timings else None
-        self._start = self._mark = perf_counter()
+        self._mark = perf_counter()
 
     def lap(self, phase: str) -> None:
         """Close the phase that ran since the last lap."""
@@ -152,9 +160,10 @@ class _Timings:
             integer_s, nodes, conditions = (
                 after - before
                 for after, before in zip(_builder_totals(), self._before))
-            # the integer pass runs inside the first phase: report() for
+            # the integer pass runs inside the first lap: report() for
             # query and table, the proof for derive
-            phases = {"rounds": integer_s, **self.phases}
+            phases = {"import": self.args.started - _IMPORT_START,
+                      "rounds": integer_s, **self.phases}
             first = next(iter(self.phases), None)
             if first is not None:
                 phases[first] -= integer_s
@@ -162,7 +171,7 @@ class _Timings:
                               f"m={b.proved}" for b in builders())
             print(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, " for name, s in phases.items())
-                  + f"total {self._mark - self._start:.3f} s; "
+                  + f"total {self._mark - _IMPORT_START:.3f} s; "
                   f"{built or 'no rounds built'}; {nodes} nodes, "
                   f"{conditions} side conditions", file=sys.stderr)
         return code
@@ -215,24 +224,27 @@ def cmd_derive(args) -> int:
         print(f"no inductive derivation exists for m={args.m} "
               "(the rounds start at m=3)", file=sys.stderr)
         return timings.finish(EXIT_USAGE)
-    # the integer pass picks the best output; only its step is proved
-    builder = rounds(args.e)
-    found = builder.at(args.m)
-    candidates = [i for i, b in enumerate(found)
-                  if args.external or not b.external]
-    if not candidates:
-        timings.lap("proof")
+
+    def lowest(found):
+        """The index of the output of least dimension, of the external ones
+        too only with --external; its step is the only one proved."""
+        return min((i for i, b in enumerate(found)
+                    if args.external or not b.external),
+                   key=lambda i: found[i].dim, default=None)
+
+    best = rounds(args.e).prove(args.m, lowest)
+    timings.lap("proof")
+    if best is None:
         print(f"no inductive derivation for (m={args.m}, e={args.e}); "
               "the best upper bound there is axiom-only", file=sys.stderr)
         return timings.finish(EXIT_USAGE)
-    best = builder.prove(args.m, min(candidates, key=lambda i: found[i].dim))
-    timings.lap("proof")
     # replay before printing, so that a derivation too deep to replay
     # prints nothing
     replayed = best.derivation.replay()
     conditions = sum(len(n.side_conditions) for n in best.derivation.walk())
     timings.lap("replay")
     if args.format == "jsonl":
+        import json
         print(json.dumps(best.derivation.to_dict(), sort_keys=True))
     else:
         print(f"best inductive upper bound for (m={args.m}, e={args.e}): "
@@ -314,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def timings_flag(p):
         p.add_argument("--timings", action="store_true",
-                       help="print the wall time of each phase, how far the "
-                            "rounds are built and the proof nodes made to "
-                            "stderr")
+                       help="print the wall time of each phase (the first "
+                            "is the import), how far the rounds are built "
+                            "and the proof nodes made to stderr")
 
     q = sub.add_parser("query", help="best bounds for one lens space")
     space_args(q)
@@ -361,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args.started = started
     try:
         return args.fn(args)
     except (InconsistentBoundsError, RoundsDivergenceError,

@@ -10,26 +10,32 @@ carry-less integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .dyadic import nu_binom
 
 
-@dataclass(frozen=True, slots=True)
-class CohomologyRing:
-    """Truncation parameters: top power n of y, and epsilon (1 iff e = 1)."""
+class CohomologyRing(namedtuple("CohomologyRing", "n epsilon mask")):
+    """Truncation parameters: top power n of y, and epsilon (1 iff e = 1).
 
-    n: int
-    epsilon: int
-    # coefficient mask of y^0..y^n, computed once per ring
-    mask: int = field(init=False, repr=False, compare=False)
+    `mask`, the coefficient mask of y^0..y^n, is computed once per ring
+    from n, so it is not an argument.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ring needs n >= 1, got {self.n}")
-        if self.epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        object.__setattr__(self, "mask", (1 << (self.n + 1)) - 1)
+    __slots__ = ()
+
+    def __new__(cls, n: int, epsilon: int) -> CohomologyRing:
+        if n < 1:
+            raise ValueError(f"ring needs n >= 1, got {n}")
+        if epsilon not in (0, 1):
+            raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
+        return tuple.__new__(cls, (n, epsilon, (1 << (n + 1)) - 1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.n, self.epsilon
+
+    def __repr__(self) -> str:
+        return f"CohomologyRing(n={self.n!r}, epsilon={self.epsilon!r})"
 
     @classmethod
     def for_lens(cls, n: int, e: int) -> "CohomologyRing":
@@ -73,7 +79,7 @@ class Mod2Class:
 
     Immutable, compared and hashed by value.  The verify sweeps build
     hundreds of thousands, so construction is one masking step against the
-    ring's precomputed mask, with no dataclass machinery.
+    ring's precomputed mask, and sets three slots directly.
     """
 
     __slots__ = ("ring", "even", "odd")

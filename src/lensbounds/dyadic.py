@@ -9,7 +9,7 @@ handled without picking a concrete N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def alpha(n: int) -> int:
@@ -48,8 +48,7 @@ def nu_binom(a: int, b: int) -> int:
     return (b ^ (a - b) ^ a).bit_count()
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicCount:
+class SymbolicCount(namedtuple("SymbolicCount", "n_coeff constant")):
     """Exact integer of the form n_coeff*N + constant for all large N.
 
     n_coeff is restricted to {0, 1}: nothing here ever needs a higher
@@ -58,12 +57,12 @@ class SymbolicCount:
     uniform in N.
     """
 
-    n_coeff: int
-    constant: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_coeff not in (0, 1):
-            raise ValueError(f"n_coeff must be 0 or 1, got {self.n_coeff}")
+    def __new__(cls, n_coeff: int, constant: int) -> SymbolicCount:
+        if n_coeff not in (0, 1):
+            raise ValueError(f"n_coeff must be 0 or 1, got {n_coeff}")
+        return tuple.__new__(cls, (n_coeff, constant))
 
     def at(self, n: int) -> int:
         """Evaluate at a concrete witness N."""

@@ -260,8 +260,9 @@ class Rounds:
     RoundsDivergenceError leaves it at the last max_m fully checked.
     `at(m)` makes the bounds of m's steps, without derivations.  The proof
     layer, `proofs`, builds the derivations only when `pairs` (so
-    `verify`) or `prove` (so `derive`) asks; `pairs` lets the layer's own
-    `records` call for each step be its check, so each step is gated once.
+    `verify`) or `prove` (so `derive`) asks; both let the layer's own
+    `records` call for each step it proves be that step's check, so each
+    step is gated once.
     """
 
     def __init__(self, e: int) -> None:
@@ -277,13 +278,17 @@ class Rounds:
         """Check every step with m <= max_m that is not checked yet."""
         if max_m <= self.built:
             return
-        start = perf_counter()
         for mu in (1, 2):
-            # step ell of round mu reaches m = 2^mu (ell + 1) - 1
-            for ell in range(max(1, (self.built + 1) // 2**mu),
-                             (max_m + 1) // 2**mu):
-                self.records(mu, ell)
+            self._check(mu, max_m)
         self.built = max_m
+
+    def _check(self, mu: int, max_m: int) -> None:
+        """Check the steps of round mu with built < m <= max_m."""
+        start = perf_counter()
+        # step ell of round mu reaches m = 2^mu (ell + 1) - 1
+        for ell in range(max(1, (self.built + 1) // 2**mu),
+                         (max_m + 1) // 2**mu):
+            self.records(mu, ell)
         self.integer_s += perf_counter() - start
 
     def _step(self, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
@@ -370,16 +375,33 @@ class Rounds:
         self.built = max(self.built, max_m)
         return pairs
 
-    def prove(self, m: int, index: int) -> Bound:
-        """`at(m)[index]` with its derivation.  The proof layer proves the
-        outputs of its step and the main outputs its round reached before
-        m, and no other output."""
-        self.extend(m)
-        for mu, ell in self._steps_at(m):
-            count = len(self.records(mu, ell))
-            if index < count:
-                return self._proof_layer().outputs(mu, ell)[index]
-            index -= count
+    def prove(self, m: int, pick) -> Bound | None:
+        """The output at m that `pick` chooses, with its derivation.
+
+        `pick` maps the outputs at m, as `at(m)` lists them (without
+        derivations), to the index of one of them, or to None, for which
+        nothing is proved and None is returned.  The steps at m are gated once, to make those
+        outputs.  The proof layer then proves the outputs of the chosen
+        step and the main outputs its round reached before m, and no other
+        output; its `records` calls are the check of that round below m,
+        and the integer pass checks only the other round's steps below m.
+        So each step up to m is gated once (but for the first steps of
+        round 1, which round 2's ground also proves), and `built` moves to
+        m only once both rounds pass.
+        """
+        steps = [(mu, ell, self.records(mu, ell))
+                 for mu, ell in self._steps_at(m)]
+        index = pick(tuple(_round_bound(self.e, mu, m, r)
+                           for mu, _, records in steps for r in records))
+        if index is None:
+            return None
+        for mu, ell, records in steps:
+            if index < len(records):
+                self._check(3 - mu, m - 1)
+                bound = self._proof_layer().outputs(mu, ell, records)[index]
+                self.built = max(self.built, m)
+                return bound
+            index -= len(records)
         raise IndexError(f"no output {index} at m={m}")
 
 

@@ -10,15 +10,13 @@ lifting conditions evaluated symbolically for N >> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dyadic import SymbolicCount, alpha, hurwitz_radon, nu, nu_binom_sym
 from .records import RoundsDivergenceError
 
 
-@dataclass(frozen=True, slots=True)
-class LiftInstance:
+class LiftInstance(namedtuple("LiftInstance", "n m d")):
     """Parameters of one gate query.
 
     The (m-n)-fold multiple of the canonical line bundle over L(n, e) is the
@@ -27,15 +25,14 @@ class LiftInstance:
     restricted to L(n, e).
     """
 
-    n: int
-    m: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= self.m:
-            raise ValueError(f"need m >= n >= 0, got n={self.n}, m={self.m}")
-        if self.d < 0:
-            raise ValueError(f"need d >= 0, got {self.d}")
+    def __new__(cls, n: int, m: int, d: int) -> LiftInstance:
+        if not 0 <= n <= m:
+            raise ValueError(f"need m >= n >= 0, got n={n}, m={m}")
+        if d < 0:
+            raise ValueError(f"need d >= 0, got {d}")
+        return tuple.__new__(cls, (n, m, d))
 
 
 def sharpening_drop(ell: int) -> int:
@@ -79,10 +76,8 @@ def feeding_params(mu: int, ell: int, lam: int) -> LiftInstance:
     return LiftInstance(n=2**mu * ell - 1, m=2**mu * (ell + 1) - 1, d=d)
 
 
-class DMResult(NamedTuple):
-    ok: bool
-    nu1: SymbolicCount
-    nu2: SymbolicCount
+# the gate's verdict and the valuations of C(p, 4l-4) and C(p, 4l-2)
+DMResult = namedtuple("DMResult", "ok nu1 nu2")
 
 
 def davis_mahowald_check(ell: int) -> DMResult:

@@ -3,8 +3,8 @@
 `inductive.Rounds` gates every step as plain integers, in `records`, and
 keeps no record.  Its first `pairs` (`verify`) or `prove` (`derive`) call
 loads this module and makes a `ProofLayer`, which turns the records of
-each step it proves, gated by `records` (once more after the integer pass
-for `prove`, and only there for `pairs`), into DerivationNodes.
+each step it proves, gated by `records` (which is the check of those
+steps: the integer pass skips them), into DerivationNodes.
 `query` and `table` never load this module.
 """
 
@@ -126,12 +126,14 @@ class ProofLayer:
         self.proved = max(self.proved, max_m)
         return pairs
 
-    def outputs(self, mu: int, ell: int) -> list[Bound]:
+    def outputs(self, mu: int, ell: int,
+                records: tuple[_Step, ...] | None = None) -> list[Bound]:
         """Every output of step ell of round mu, in the order of
-        `Rounds.records`; the builder must have checked the steps below."""
+        `Rounds.records`, from `records` when the caller has gated the
+        step already."""
         outputs = self._outputs.get((mu, ell))
         if outputs is None:
-            outputs = self._outputs[mu, ell] = self._prove(mu, ell)
+            outputs = self._outputs[mu, ell] = self._prove(mu, ell, records)
         return outputs
 
     def roots(self):
@@ -187,10 +189,12 @@ class ProofLayer:
                 mu, n, self.rounds.records(mu, n)[0], mains[-1], 0))
         return mains[ell - 1]
 
-    def _prove(self, mu: int, ell: int) -> list[Bound]:
-        """Every output of step ell of round mu, gated once; the main joins
-        `_mains` with the others."""
-        records = self.rounds.records(mu, ell)
+    def _prove(self, mu: int, ell: int,
+               records: tuple[_Step, ...] | None) -> list[Bound]:
+        """Every output of step ell of round mu, gated once (here, unless
+        `records` is given); the main joins `_mains` with the others."""
+        if records is None:
+            records = self.rounds.records(mu, ell)
         if ell == 1:
             return self._ground1(records) if mu == 1 else self._ground2(records)
         prior, mains = self._main(mu, ell - 1), self._mains[mu]

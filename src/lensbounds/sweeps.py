@@ -21,19 +21,18 @@ On a 2-CPU machine loading numpy costs a fresh process about 0.04 s and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
-    name: str
-    cases: int
-    failures: int
-    first: tuple[int, ...] | None
+class SweepOutcome(namedtuple("SweepOutcome", "name cases failures first")):
+    """A sweep's name, cases evaluated, failures, and the first failing
+    case (None when there is none)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import catalog
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
@@ -24,16 +24,14 @@ from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, unique_nodes
 
+TYPE_CHECKING = False  # true for type checkers; typing is slow to import
 if TYPE_CHECKING:
     from .sweeps import SweepOutcome
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    cases: int
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name cases ok detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "OK" if self.ok else "FAIL"
@@ -41,11 +39,8 @@ class CheckResult:
         return f"{self.name}: {self.cases} cases {status}{tail}"
 
 
-@dataclass(frozen=True)
-class ScopeTiming:
-    scope: str
-    seconds: float
-    cases: int
+class ScopeTiming(namedtuple("ScopeTiming", "scope seconds cases")):
+    __slots__ = ()
 
     def line(self) -> str:
         rate = self.cases / self.seconds if self.seconds > 0 else float("inf")

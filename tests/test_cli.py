@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -199,7 +200,8 @@ def test_verify_timings_go_to_stderr(capsys, monkeypatch):
 
 
 _TIMING_LINE = re.compile(
-    r"timing (?P<command>query|table|derive): rounds \d+\.\d{3} s"
+    r"timing (?P<command>query|table|derive): import \d+\.\d{3} s, "
+    r"rounds \d+\.\d{3} s"
     r"(, [a-z]+ \d+\.\d{3} s)*, total \d+\.\d{3} s; (no rounds built|"
     r"(e=\d+ built to m=\d+, proved to m=\d+(, )?)+); "
     r"(?P<nodes>\d+) nodes, (?P<conditions>\d+) side conditions\n")
@@ -212,7 +214,7 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *table, "--timings")
     assert (code, out, "") == run_cli(capsys, *table) and code == 0
     assert _TIMING_LINE.fullmatch(err)
-    assert err.startswith("timing table: rounds ")
+    assert err.startswith("timing table: import ")
     assert ", report " in err and ", render " in err
     assert err.endswith("; e=3 built to m=4096, proved to m=2; "
                         "0 nodes, 0 side conditions\n")
@@ -247,36 +249,56 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
         f"{sum(len(n.side_conditions) for n in nodes)} side conditions\n")
 
 
+# Runs one command in a fresh interpreter, with `-S` so that no module
+# `site` imports can hide one the command imports, and reports which of
+# these modules it loaded.  The report is a repr: printing json would load
+# json.
 _PROOFS_PROBE = """
 import sys
 import lensbounds.cli as cli
-loaded = []
-for argv in (["query", "--m", "5000", "--e", "3", "--all"],
-             ["table", "--e", "2", "--max-m", "64", "--format", "csv"],
-             ["derive", "--m", "7", "--e", "2"]):
-    code = cli.main(argv)
-    loaded.append((argv[0], code, "lensbounds.proofs" in sys.modules))
-print(loaded, file=sys.stderr)
+code = cli.main(sys.argv[1:])
+print((code, sorted(name for name in sys.modules if name in (
+    "lensbounds.proofs", "dataclasses", "inspect", "csv", "json"))),
+    file=sys.stderr)
 """
 
 
 def test_only_derive_loads_the_proof_layer():
+    # and each command imports only what it uses: the dataclass machinery
+    # nowhere, csv never (only the tests parse csv), json only for jsonl
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _PROOFS_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == str(
-        [("query", 0, False), ("table", 0, False), ("derive", 0, True)])
+    loaded = {}
+    for argv, jsonl in ((("query", "--m", "5000", "--e", "3", "--all"), False),
+                        (("table", "--e", "2", "--max-m", "64", "--format",
+                          "csv"), False),
+                        (("table", "--e", "2", "--max-m", "64", "--format",
+                          "jsonl"), True),
+                        (("derive", "--m", "7", "--e", "2"), False),
+                        (("derive", "--m", "7", "--e", "2", "--format",
+                          "jsonl"), True),
+                        (("verify", "lifting"), False)):
+        proc = subprocess.run([sys.executable, "-S", "-c", _PROOFS_PROBE,
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = ast.literal_eval(proc.stderr.splitlines()[-1])
+        loaded[argv[0]] = loaded.get(argv[0], False) or (
+            "lensbounds.proofs" in modules)
+        assert code == 0, argv
+        assert set(modules) - {"lensbounds.proofs"} == (
+            {"json"} if jsonl else set()), argv
+    assert loaded == {"query": False, "table": False, "derive": True,
+                      "verify": False}
 
 
 def test_query_and_table_make_no_proof_nodes(capsys, monkeypatch):
     monkeypatch.setattr(inductive, "_ROUNDS", {})
     made = []
     for cls in (DerivationNode, SideCondition):
-        def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+        def counted(this, *args, cls=cls, new=cls.__new__, **kwargs):
             made.append(cls)
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+            return new(this, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", counted)
     assert run_cli(capsys, "query", "--m", "5000", "--e", "3")[0] == 0
     assert run_cli(capsys, "table", "--e", "2", "--max-m", "300")[0] == 0
     assert made == []
@@ -350,6 +372,24 @@ def test_derives_keep_their_bytes(capsys):
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, \
                 (m, e, fmt)
+
+
+def test_derive_gates_each_step_once(capsys, monkeypatch):
+    # the proof layer's gating is the check of the round it proves (round 1
+    # here), and the integer pass checks only the other round's steps, so
+    # the derive gates the same steps as the integer pass alone, each once,
+    # and prints the bytes it printed when it gated the chain twice
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    calls = []
+    real = inductive._gate
+    monkeypatch.setattr(inductive, "_gate",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "derive", "--m", "401", "--e", "3")
+    derived, calls[:] = sorted(calls), []
+    inductive.Rounds(3).extend(401)
+    assert code == 0 and len(derived) == len(calls) == 434
+    assert derived == sorted(calls)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "dd27c291e98f5b79"
 
 
 def _nu_binom_sym_off_at(bottom: int):

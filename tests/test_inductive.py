@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -235,7 +234,7 @@ def _shapes():
         return ids[id(root)][1]
 
     def shape(pairs):
-        return [(m, replace(b, derivation=None), tree_id(b.derivation))
+        return [(m, b._replace(derivation=None), tree_id(b.derivation))
                 for m, b in pairs]
     return shape
 
@@ -258,7 +257,7 @@ def test_engine_bounds_are_the_pairs_at_m():
     for e in (1, 2, 3, 6):
         pairs = derive_rounds(e, 300)
         for m in range(0, 301):
-            want = [replace(b, derivation=None) for mm, b in pairs if mm == m]
+            want = [b._replace(derivation=None) for mm, b in pairs if mm == m]
             got = rounds(e).at(m)
             assert list(got) == want, (m, e)
             assert all(b.derivation is None for b in got)
@@ -271,7 +270,7 @@ def test_lookup_builds_to_m_without_proofs():
         found = builder.at(m)
         assert builder.built == max(m, 2), m
         assert (builder.proved, builder.proofs) == (2, None), m
-        assert found == tuple(replace(b, derivation=None)
+        assert found == tuple(b._replace(derivation=None)
                               for mm, b in Rounds(2).pairs(max(m, 3))
                               if mm == m)
     builder = Rounds(5)
@@ -279,7 +278,7 @@ def test_lookup_builds_to_m_without_proofs():
     assert (builder.built, builder.proved) == (300, 2)
     assert shape(builder.pairs(512)) == shape(Rounds(5).pairs(512))
     assert (builder.built, builder.proved) == (512, 512)
-    assert builder.at(400) == tuple(replace(b, derivation=None)
+    assert builder.at(400) == tuple(b._replace(derivation=None)
                                     for m, b in builder.pairs(400) if m == 400)
 
 
@@ -288,24 +287,32 @@ def test_prove_builds_one_step_and_the_mains_below_it():
     full = Rounds(3).pairs(203)
     for m in (3, 7, 11, 201, 203):
         builder = Rounds(3)
-        got = [builder.prove(m, i) for i in range(len(builder.at(m)))]
+        found = Rounds(3).at(m)
+        got = [builder.prove(m, lambda outputs, i=i: i)
+               for i in range(len(found))]
         assert shape((m, b) for b in got) == shape(
             (mm, b) for mm, b in full if mm == m), m
-        assert builder.proved == 2, m
+        # `pick` sees the outputs at m without their derivations
+        assert builder.prove(m, lambda outputs: outputs.index(found[-1])) \
+            is got[-1]
+        assert (builder.built, builder.proved) == (m, 2), m
         with pytest.raises(IndexError):
-            builder.prove(m, len(got))
+            builder.prove(m, lambda outputs: len(got))
+    # picking none proves nothing and checks nothing
+    builder = Rounds(3)
+    assert builder.prove(203, lambda outputs: None) is None
+    assert (builder.built, builder.proofs) == (2, None)
     # m = 201 is reached by round 1 alone: its proof makes no round-2 node
     # and well under half of the nodes of every pair up to 203
-    builder = Rounds(3)
-    builder.prove(201, 0)
+    builder.prove(201, lambda outputs: 0)
     made = unique_nodes(builder.proofs.roots())
     assert not any(n.rule_id.startswith("round2") for n in made)
     assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
     # a later `pairs` reuses the proved mains and gives the same pairs
-    main = builder.prove(203, 0)
+    main = builder.prove(203, lambda outputs: 0)
     assert shape(builder.pairs(203)) == shape(full)
     assert builder.pairs(203)[[m for m, _ in full].index(203)][1] is main
-    assert builder.prove(203, 0) is main
+    assert builder.prove(203, lambda outputs: 0) is main
 
 
 def _diverge_at_25(monkeypatch):

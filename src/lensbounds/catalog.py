@@ -19,12 +19,13 @@ provably fails in general), transfer down in torsion, and the speculative
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
 from .inductive import ROUND2_SPECIAL, round_forms, rounds
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
-                      LensSpace, metastable_smoothable)
+                      LensSpace, metastable_smoothable, upper_bound)
 
 __all__ = [
     "LensSpace", "Bound", "Report", "Direction", "Category",
@@ -56,14 +57,6 @@ def _euler_window(m: int) -> range:
 def _lower(dim: int, rule_id: str, citation: str, **flags) -> Bound:
     return Bound(Direction.LOWER, dim, Category.SMOOTH, rule_id, citation,
                  **flags)
-
-
-def _upper(space: LensSpace, dim: int, rule_id: str, citation: str,
-           smooth_rule: bool = False, **flags) -> Bound:
-    meta = metastable_smoothable(space.dim, dim)
-    cat = Category.SMOOTH if smooth_rule or meta else Category.TOPOLOGICAL
-    return Bound(Direction.UPPER, dim, cat, rule_id, citation,
-                 metastable=meta, **flags)
 
 
 def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
@@ -127,13 +120,14 @@ def low_dim_exact(space: LensSpace) -> tuple[Bound, Bound] | None:
     if space.m == 0:
         cite = "the circle embeds optimally in the plane"
         return (_lower(2, "low-dim", cite),
-                _upper(space, 2, "low-dim", cite, smooth_rule=True))
+                upper_bound(space.dim, 2, "low-dim", cite,
+                            smooth_rule=True))
     if space.m == 1:
         return (_lower(5, "low-dim",
                        "no 3-dimensional lens space embeds in R^4 (Hantzsche)"),
-                _upper(space, 5, "low-dim",
-                       "every 3-dimensional lens space embeds smoothly in "
-                       "R^5 (Hirsch)", smooth_rule=True))
+                upper_bound(space.dim, 5, "low-dim",
+                            "every 3-dimensional lens space embeds smoothly "
+                            "in R^5 (Hirsch)", smooth_rule=True))
     return None
 
 
@@ -141,9 +135,9 @@ def hhmp_upper(space: LensSpace) -> Bound:
     """General-position embedding in R^(4m+1), any (m, e) with m >= 1."""
     if space.m < 1:
         raise ValueError("use low_dim_exact for the circle")
-    return _upper(space, 4 * space.m + 1, "hhmp",
-                  "Haefliger-Hirsch-Massey-Peterson general-position "
-                  "embedding", smooth_rule=True)
+    return upper_bound(space.dim, 4 * space.m + 1, "hhmp",
+                       "Haefliger-Hirsch-Massey-Peterson general-position "
+                       "embedding", smooth_rule=True)
 
 
 def spin_upper(space: LensSpace) -> Bound | None:
@@ -157,19 +151,19 @@ def spin_upper(space: LensSpace) -> Bound | None:
         return None
     if not is_spin(space.m, space.e):
         raise AssertionError(f"spin prerequisite failed for {space}")
-    return _upper(space, 4 * space.m, "spin",
-                  "spin manifolds of dimension 7 mod 8 embed with "
-                  "codimension dim-2 (Thomas)", smooth_rule=True)
+    return upper_bound(space.dim, 4 * space.m, "spin",
+                       "spin manifolds of dimension 7 mod 8 embed with "
+                       "codimension dim-2 (Thomas)", smooth_rule=True)
 
 
 def _round_uppers(space: LensSpace, mu: int, ell: int, rule_id: str,
                   citation: str, sharp_citation: str, **flags) -> list[Bound]:
     """The main and, when it applies, sharpened form of round mu at ell."""
     main, sharp = round_forms(mu, ell, space.e)
-    out = [_upper(space, main, rule_id, citation, **flags)]
+    out = [upper_bound(space.dim, main, rule_id, citation, **flags)]
     if sharp is not None:
-        out.append(_upper(space, sharp, rule_id + "-sharp", sharp_citation,
-                          **flags))
+        out.append(upper_bound(space.dim, sharp, rule_id + "-sharp",
+                               sharp_citation, **flags))
     return out
 
 
@@ -192,8 +186,8 @@ def closed_form_uppers(space: LensSpace) -> list[Bound]:
                              "first inductive round (k=1)",
                              "first inductive round, sharpened feed")
     if m == 7 and e <= 2:
-        out.append(_upper(space, ROUND2_SPECIAL, "round2-special",
-                          "second round applied at (k, j) = (3, 3)"))
+        out.append(upper_bound(space.dim, ROUND2_SPECIAL, "round2-special",
+                               "second round applied at (k, j) = (3, 3)"))
     if m >= 11 and m % 4 == 3:
         out += _round_uppers(space, 2, (m - 3) // 4, "round2",
                              "second inductive round (k=3)",
@@ -258,14 +252,6 @@ class Report(namedtuple("Report", "space lower upper all_bounds exact")):
         return self.upper.dim - self.lower.dim
 
 
-def _best(bounds: list[Bound], want_max: bool) -> Bound:
-    best = bounds[0]
-    for b in bounds[1:]:
-        if (b.dim > best.dim) if want_max else (b.dim < best.dim):
-            best = b
-    return best
-
-
 def report(space: LensSpace, conjectural: bool = False,
            external: bool = False) -> Report:
     """Aggregate every applicable rule; best lower is the max, best upper
@@ -312,8 +298,9 @@ def report(space: LensSpace, conjectural: bool = False,
                     if metastable_smoothable(space.dim, b.dim)]
         uppers.extend(cand)
 
-    lower = _best(lowers, True)
-    upper = _best(uppers, False)
+    # max and min keep the first of equal dims
+    lower = max(lowers, key=attrgetter("dim"))
+    upper = min(uppers, key=attrgetter("dim"))
     if lower.dim > upper.dim:
         raise InconsistentBoundsError(space, lower, upper)
     return Report(space, lower, upper, tuple(lowers + uppers),

@@ -128,26 +128,21 @@ _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
 
 # --- timings ----------------------------------------------------------------
 
-def _builder_totals() -> tuple[float, int, int]:
-    """Integer-pass seconds, and the proof nodes with their side conditions,
-    over the round builders of this process."""
-    built = builders()
-    nodes = unique_nodes(root for r in built if r.proofs
-                         for root in r.proofs.roots())
-    return (sum(r.integer_s for r in built), len(nodes),
-            sum(len(n.side_conditions) for n in nodes))
+def _integer_s() -> float:
+    """The integer-pass seconds of the round builders of this process."""
+    return sum(r.integer_s for r in builders())
 
 
 class _Timings:
-    """Wall time per phase of one command and what the round builders did
-    meanwhile, which `finish` prints to stderr under `--timings`.  The
-    phases are the import (from the top of the package to `main`), the
-    rounds' integer pass, then the command's laps; the total counts from
-    the top of the package."""
+    """Wall time per phase of one command, what the round builders did
+    meanwhile and the derivation it printed, which `finish` prints to
+    stderr under `--timings`.  The phases are the import (from the top of
+    the package to `main`), the rounds' integer pass, then the command's
+    laps; the total counts from the top of the package."""
 
     def __init__(self, args) -> None:
         self.args, self.phases = args, {}
-        self._before = _builder_totals() if args.timings else None
+        self._before = _integer_s() if args.timings else None
         self._mark = perf_counter()
 
     def lap(self, phase: str) -> None:
@@ -155,11 +150,13 @@ class _Timings:
         now = perf_counter()
         self.phases[phase], self._mark = now - self._mark, now
 
-    def finish(self, code: int) -> int:
+    def finish(self, code: int, derivation=None) -> int:
+        """Print the line under `--timings`, counting the unique nodes of
+        `derivation` and their side conditions, and return `code`."""
         if self.args.timings:
-            integer_s, nodes, conditions = (
-                after - before
-                for after, before in zip(_builder_totals(), self._before))
+            integer_s = _integer_s() - self._before
+            nodes = ([] if derivation is None
+                     else unique_nodes((derivation,)))
             # the integer pass runs inside the first lap: report() for
             # query and table, the proof for derive
             phases = {"import": self.args.started - _IMPORT_START,
@@ -167,12 +164,13 @@ class _Timings:
             first = next(iter(self.phases), None)
             if first is not None:
                 phases[first] -= integer_s
-            built = ", ".join(f"e={b.e} built to m={b.built}, proved to "
-                              f"m={b.proved}" for b in builders())
+            built = ", ".join(f"e={b.e} built to m={b.built}"
+                              for b in builders())
+            conditions = sum(len(n.side_conditions) for n in nodes)
             print(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, " for name, s in phases.items())
                   + f"total {self._mark - _IMPORT_START:.3f} s; "
-                  f"{built or 'no rounds built'}; {nodes} nodes, "
+                  f"{built or 'no rounds built'}; {len(nodes)} nodes, "
                   f"{conditions} side conditions", file=sys.stderr)
         return code
 
@@ -254,9 +252,9 @@ def cmd_derive(args) -> int:
     timings.lap("render")
     if not replayed:
         print("side-condition replay FAILED", file=sys.stderr)
-        return timings.finish(EXIT_VERIFY)
+        return timings.finish(EXIT_VERIFY, best.derivation)
     print(f"side conditions: {conditions} replayed OK")
-    return timings.finish(EXIT_OK)
+    return timings.finish(EXIT_OK, best.derivation)
 
 
 def cmd_lift(args) -> int:
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true",
                        help="print the wall time of each phase (the first "
                             "is the import), how far the rounds are built "
-                            "and the proof nodes made to stderr")
+                            "and the proof nodes printed to stderr")
 
     q = sub.add_parser("query", help="best bounds for one lens space")
     space_args(q)

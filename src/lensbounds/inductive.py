@@ -11,8 +11,9 @@ the builder checks every output against it and the catalog reads it, and
 `verify` recomputes it independently.  The builder `Rounds` evaluates the
 gates as plain integers in one pure function, `records`, which reads the
 steps below only through `round_forms`, so it keeps no per-step state; on
-demand, its proof layer (`proofs`) turns a step into DerivationNodes whose
-side conditions replay from stored integer witnesses.
+demand, `proofs` walks a round's chain up to a step and turns each step it
+passes into DerivationNodes whose side conditions replay from stored
+integer witnesses, keeping none of them once it returns.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -26,9 +27,8 @@ from time import perf_counter
 from .dyadic import alpha, nu, radon_pair
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop)
-from .records import (Bound, Category, DerivationNode, Direction,
-                      RoundsDivergenceError, metastable_smoothable,
-                      register_condition)
+from .records import (Bound, DerivationNode, RoundsDivergenceError,
+                      register_condition, upper_bound)
 
 
 def sections_table(k: int, e: int) -> int | None:
@@ -160,20 +160,6 @@ def _gate(k: int, j: int, sigma: int, beta: int) -> tuple[int, ...] | None:
     return None
 
 
-def _category(m: int, dim: int) -> Category:
-    """Smooth exactly in the metastable range of L(m, e) in R^dim."""
-    return (Category.SMOOTH if metastable_smoothable(2 * m + 1, dim)
-            else Category.TOPOLOGICAL)
-
-
-def _upper(m: int, dim: int, rule_id: str, citation: str, external: bool,
-           derivation: DerivationNode | None = None) -> Bound:
-    category = _category(m, dim)
-    return Bound(Direction.UPPER, dim, category, rule_id, citation,
-                 derivation, external=external,
-                 metastable=category is Category.SMOOTH)
-
-
 def _step_citation(k: int, j: int) -> str:
     return ("inductive step over the double mapping cylinder "
             f"decomposition (k={k}, j={j})")
@@ -229,7 +215,8 @@ def _round_bound(e: int, mu: int, m: int, record: _Step,
                 else _step_citation(2**mu - 1, m - 2**mu))
     # the e = 1 second round rests on the external PL seed
     external = mu == 2 and e == 1 and rule_id != "round2:special"
-    return _upper(m, record[1], rule_id, citation, external, derivation)
+    return upper_bound(2 * m + 1, record[1], rule_id, citation, derivation,
+                       external=external)
 
 
 def _main_dim(mu: int, ell: int, e: int) -> int:
@@ -258,18 +245,17 @@ class Rounds:
     to max_m that are not checked yet, so a whole table costs O(m) in all,
     and moves `built` only once all of them pass, so a
     RoundsDivergenceError leaves it at the last max_m fully checked.
-    `at(m)` makes the bounds of m's steps, without derivations.  The proof
-    layer, `proofs`, builds the derivations only when `pairs` (so
-    `verify`) or `prove` (so `derive`) asks; both let the layer's own
-    `records` call for each step it proves be that step's check, so each
-    step is gated once.
+    `at(m)` makes the bounds of m's steps, without derivations.  Only
+    `pairs` (so `verify`) and `prove` (so `derive`) make derivations, by a
+    walk of `proofs` up each round's chain that gates each step it proves
+    through `records`, which is that step's check, so each step is gated
+    once.  The walk returns its derivations and the builder keeps none.
     """
 
     def __init__(self, e: int) -> None:
         self.e = e
         self.built = 2  # every step with m <= built is checked
         self.sigma = {mu: _sections(2**mu - 1, e) for mu in (1, 2)}
-        self.proofs = None  # proofs.ProofLayer, made by `pairs` or `prove`
         self.integer_s = 0.0  # the integer pass's seconds, for `--timings`
 
     # --- integer pass -------------------------------------------------------
@@ -355,23 +341,13 @@ class Rounds:
         return tuple(_round_bound(self.e, mu, m, r)
                      for mu, records in steps for r in records)
 
-    @property
-    def proved(self) -> int:
-        """Every pair with m <= proved has its derivation."""
-        return 2 if self.proofs is None else self.proofs.proved
-
-    def _proof_layer(self):
-        if self.proofs is None:
-            from .proofs import ProofLayer
-            self.proofs = ProofLayer(self)
-        return self.proofs
-
     def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
         """The round-1 pairs with m <= max_m, then the round-2 ones, with
-        their derivations (the proof layer is loaded on the first call).
-        The proof layer gates each step it proves through `records`, which
-        is the check, so `built` moves only once all of them pass."""
-        pairs = self._proof_layer().pairs(max_m)
+        their derivations, proved afresh (`proofs` is imported on the first
+        call).  The proof gates each step through `records`, which is the
+        check, so `built` moves only once all of them pass."""
+        from . import proofs
+        pairs = proofs.pairs(self, max_m)
         self.built = max(self.built, max_m)
         return pairs
 
@@ -380,14 +356,14 @@ class Rounds:
 
         `pick` maps the outputs at m, as `at(m)` lists them (without
         derivations), to the index of one of them, or to None, for which
-        nothing is proved and None is returned.  The steps at m are gated once, to make those
-        outputs.  The proof layer then proves the outputs of the chosen
-        step and the main outputs its round reached before m, and no other
-        output; its `records` calls are the check of that round below m,
-        and the integer pass checks only the other round's steps below m.
-        So each step up to m is gated once (but for the first steps of
-        round 1, which round 2's ground also proves), and `built` moves to
-        m only once both rounds pass.
+        nothing is proved and None is returned.  The steps at m are gated
+        once, to make those outputs.  `proofs.prove` then proves the
+        outputs of the chosen step on the main outputs its round reached
+        before m, and no other output; its `records` calls are the check of
+        that round below m, and the integer pass checks only the other
+        round's steps below m.  So each step up to m is gated once (but for
+        the first steps of round 1, which round 2's ground also proves), and
+        `built` moves to m only once both rounds pass.
         """
         steps = [(mu, ell, self.records(mu, ell))
                  for mu, ell in self._steps_at(m)]
@@ -398,7 +374,8 @@ class Rounds:
         for mu, ell, records in steps:
             if index < len(records):
                 self._check(3 - mu, m - 1)
-                bound = self._proof_layer().outputs(mu, ell, records)[index]
+                from . import proofs
+                bound = proofs.prove(self, mu, ell, records)[index]
                 self.built = max(self.built, m)
                 return bound
             index -= len(records)
@@ -428,9 +405,9 @@ def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
     derivation order (round 1, then round 2, each in ascending m), each
     bound verified against its closed form.
 
-    The pairs come from the shared builder for e (see `rounds`), which
-    builds each m once per process; nodes are shared between the bounds,
-    so the whole build is small.
+    Each call proves every pair afresh, through the shared builder for e
+    (see `rounds`), which keeps only how far it has checked; nodes are
+    shared between the bounds of one call, so the whole build is small.
     """
     builder = rounds(e)
     if max_m < 3:

@@ -1,19 +1,21 @@
-"""The proof layer of the inductive rounds: derivation trees on demand.
+"""Derivation trees of the inductive rounds, proved on demand.
 
 `inductive.Rounds` gates every step as plain integers, in `records`, and
-keeps no record.  Its first `pairs` (`verify`) or `prove` (`derive`) call
-loads this module and makes a `ProofLayer`, which turns the records of
-each step it proves, gated by `records` (which is the check of those
-steps: the integer pass skips them), into DerivationNodes.
+keeps no record.  Its `pairs` (`verify`) and `prove` (`derive`) load this
+module, whose one walk, `_walk`, climbs a round's chain from its ground
+to a step: it gates each step through `Rounds.records`, which is the check
+of that step (the integer pass skips it), and proves each main output on
+the main before it.  A walk keeps nothing once it returns, so each call
+proves afresh and its derivations live as long as its caller holds them.
 `query` and `table` never load this module.
 """
 
 from __future__ import annotations
 
-import weakref
+from collections.abc import Sequence
 
-from .inductive import Rounds, _category, _feed_route, _round_bound, _Step
-from .records import Bound, DerivationNode, SideCondition
+from .inductive import Rounds, _feed_route, _round_bound, _Step
+from .records import Bound, DerivationNode, SideCondition, upper_category
 
 
 def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
@@ -37,6 +39,7 @@ def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
             f"sigma + beta = {total} > 4j + 2 = {need}",
             sigma=sigma, beta=beta_dim, j=j)
     m, dim = k + j + 1, alpha_dim + beta_dim + 1
+    category = upper_category(2 * m + 1, dim)
     conditions = (gate,
                   SideCondition.make(
                       "ambient-sum",
@@ -44,7 +47,7 @@ def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
                       alpha=alpha_dim, beta=beta_dim, dim=dim),
                   ) + extra_conditions
     return DerivationNode(
-        rule_id, f"L(m={m}, e={e}) embeds ({_category(m, dim)}) in R^{dim}",
+        rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
         premises, conditions)
 
 
@@ -95,154 +98,136 @@ def _feed_within(feed: int, sigma: int, beta: int) -> SideCondition:
         feed=feed, sigma=sigma, beta=beta)
 
 
-class ProofLayer:
-    """The derivations of one round builder's outputs, built as far as
-    asked, each node once.
+def pairs(rounds: Rounds, max_m: int) -> tuple[tuple[int, Bound], ...]:
+    """Every output of each step with m <= max_m, with its derivation, as
+    (m, bound): round 1's walk, then round 2's, whose ground rests on the
+    round-1 mains of the same call."""
+    out: list[tuple[int, Bound]] = []
+    mains1: list[Bound] = []
+    for mu in (1, 2):
+        steps = _walk(rounds, mu, (max_m + 1) // 2**mu - 1, mains1=mains1)
+        for ell, (main, outputs) in enumerate(steps, 1):
+            if mu == 1:
+                mains1.append(main)
+            out.extend((2**mu * (ell + 1) - 1, bound) for bound in outputs)
+    return tuple(out)
 
-    `outputs(mu, ell)` proves every output of one step and keeps them in
-    `_outputs`; `pairs` reads every step up to m through it.  Every step's
-    main output is the next step's prior, so proving step ell first proves
-    the mains of the steps below it, which `_mains[mu]` keeps by ell - 1.
-    Each step is gated once, by `Rounds.records`, and enters neither memo
-    before all of it is built, so an exception leaves the layer at its last
-    good step.  The layer holds its builder by a weak proxy, so a builder
-    that is dropped frees its derivations at once, with no cycle left for
-    the garbage collector.
-    """
 
-    def __init__(self, rounds: Rounds) -> None:
-        self.rounds = weakref.proxy(rounds)
-        self.proved = 2  # every pair with m <= proved has its derivation
-        self._mains: dict[int, list[Bound]] = {1: [], 2: []}
-        self._outputs: dict[tuple[int, int], list[Bound]] = {}
-        self._ign: dict[int, DerivationNode] = {}  # L(k, e), k = 2^mu - 1
+def prove(rounds: Rounds, mu: int, ell: int,
+          records: tuple[_Step, ...]) -> list[Bound]:
+    """Every output of step ell of round mu, from its `records` (gated by
+    the caller), on the mains of the steps below it; for round 2, its
+    ground first proves the round-1 mains it rests on (to m = 3, or m = 7
+    for e >= 3)."""
+    mains1 = []
+    if mu == 2:
+        mains1 = [main for main, _ in _walk(
+            rounds, 1, 1 if rounds.e <= 2 else 3, every=False)]
+    for _, outputs in _walk(rounds, mu, ell, records, every=False,
+                            mains1=mains1):
+        pass
+    return outputs
 
-    def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
-        """The round-1 pairs with m <= max_m, then the round-2 ones; each
-        step not proved yet is gated and checked as it is proved."""
-        pairs = tuple((2**mu * (ell + 1) - 1, bound) for mu in (1, 2)
-                      for ell in range(1, (max_m + 1) // 2**mu)
-                      for bound in self.outputs(mu, ell))
-        self.proved = max(self.proved, max_m)
-        return pairs
 
-    def outputs(self, mu: int, ell: int,
-                records: tuple[_Step, ...] | None = None) -> list[Bound]:
-        """Every output of step ell of round mu, in the order of
-        `Rounds.records`, from `records` when the caller has gated the
-        step already."""
-        outputs = self._outputs.get((mu, ell))
-        if outputs is None:
-            outputs = self._outputs[mu, ell] = self._prove(mu, ell, records)
-        return outputs
-
-    def roots(self):
-        """The derivation of every output proved so far (with repeats)."""
-        for outputs in (*self._mains.values(), *self._outputs.values()):
-            for bound in outputs:
-                yield bound.derivation
-
-    def _ignite(self, mu: int) -> DerivationNode:
-        node = self._ign.get(mu)
-        if node is None:
-            rounds = self.rounds
-            node = self._ign[mu] = igniting_node(2**mu - 1, rounds.e,
-                                                 rounds.sigma[mu])
-        return node
-
-    def _step(self, mu: int, m: int, record: _Step, alpha_dim: int,
-              sigma: int, feed: DerivationNode, lead: tuple,
-              extra: tuple[SideCondition, ...] = ()) -> Bound:
-        """The output of `record`, round mu at m, with its derivation:
-        premises `lead`, then the feed."""
-        rule_id, _, radon, beta, feed_dim = record
-        e, k = self.rounds.e, 2**mu - 1
-        node = step_node(
-            rule_id, k, m - k - 1, e, alpha_dim, beta, sigma, radon,
-            lead + (feed,), (_feed_within(feed_dim, sigma, beta),) + extra)
-        return _round_bound(e, mu, m, record, node)
-
-    def _chained(self, mu: int, ell: int, record: _Step, prior: Bound,
-                 lam: int) -> Bound:
-        """The output of `record`, step ell >= 2 of round mu, on the prior
-        main output: the main (lam = 0) or the sharpened one (lam = 1)."""
-        rounds, k, beta = self.rounds, 2**mu - 1, record[3]
-        if lam:
-            text = f"beta = {beta} reuses the prior round output"
-        else:
-            beta_from = "is one higher than" if mu == 1 else "from"
-            text = (f"beta = {beta} {beta_from} the prior round output "
-                    f"{prior.dim}")
-        return self._step(
-            mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, rounds.sigma[mu],
-            feed_node(mu, ell, rounds.e, lam, record[4]),
-            (self._ignite(mu), prior.derivation),
-            (SideCondition.make("beta-from-prior", text, beta=beta,
-                                prior=prior.dim),))
-
-    def _main(self, mu: int, ell: int) -> Bound:
-        """The main output of step ell of round mu, proving the mains of
-        the steps below it first."""
-        mains = self._mains[mu]
-        for n in range(len(mains) + 1, ell + 1):
-            mains.append(self.outputs(mu, 1)[-1] if n == 1 else self._chained(
-                mu, n, self.rounds.records(mu, n)[0], mains[-1], 0))
-        return mains[ell - 1]
-
-    def _prove(self, mu: int, ell: int,
-               records: tuple[_Step, ...] | None) -> list[Bound]:
-        """Every output of step ell of round mu, gated once (here, unless
-        `records` is given); the main joins `_mains` with the others."""
-        if records is None:
-            records = self.rounds.records(mu, ell)
+def _walk(rounds: Rounds, mu: int, last: int,
+          records: tuple[_Step, ...] | None = None, every: bool = True,
+          mains1: Sequence[Bound] = ()):
+    """Walk round mu from its ground to step `last`, yielding (main,
+    outputs) per step: every output, or, unless `every`, only the main
+    below `last`.  Each step is gated by `rounds.records`, but for step
+    `last` when the caller gives its `records`; each main is proved on the
+    one before it.  `mains1` holds round 1's mains, by ell - 1, for the
+    ground of round 2."""
+    e, k, sigma = rounds.e, 2**mu - 1, rounds.sigma[mu]
+    ignite = igniting_node(k, e, sigma)
+    main = None
+    for ell in range(1, last + 1):
+        step = (records if ell == last and records is not None
+                else rounds.records(mu, ell))
         if ell == 1:
-            return self._ground1(records) if mu == 1 else self._ground2(records)
-        prior, mains = self._main(mu, ell - 1), self._mains[mu]
-        main = (mains[ell - 1] if len(mains) >= ell
-                else self._chained(mu, ell, records[0], prior, 0))
-        outputs = [main] + [self._chained(mu, ell, r, prior, 1)
-                            for r in records[1:]]
-        if len(mains) < ell:
-            mains.append(main)
-        return outputs
-
-    def _ground1(self, records: tuple[_Step, ...]) -> list[Bound]:
-        """L(3, e) in R^11: the step k = j = 1 from R^5, sigma = 2."""
-        e = self.rounds.e
-        (record,) = records
-        dim3 = DerivationNode(
-            "axiom:dim3-embedding",
-            f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
-            "space does)")
-        frame = DerivationNode(
-            "axiom:dim3-normal-frame",
-            "the R^5 embedding of L(1, e) has trivial normal 2-plane "
-            "bundle: sigma = 2 independent normal sections")
-        return [self._step(1, 3, record, 5, 2,
-                           feed_node(1, 1, e, 0, record[4]), (dim3, frame))]
-
-    def _ground2(self, records: tuple[_Step, ...]) -> list[Bound]:
-        """The special triple (e <= 2), then the ground L(7, e)."""
-        rounds, e = self.rounds, self.rounds.e
-        *special, base = records
-        outputs = [self._step(2, 7, record, 14, rounds.sigma[2],
-                              feed_node(2, 1, e, 0, record[4]),
-                              (self._ignite(2), self._main(1, 1).derivation))
-                   for record in special]
-        if e >= 3:
-            have_node = self._main(1, 3).derivation
-        elif e == 2:
-            have_node = outputs[0].derivation
+            outputs = (_ground1(e, step) if mu == 1
+                       else _ground2(e, sigma, step, ignite, mains1))
+            main = outputs[-1]
         else:
-            have_node = DerivationNode(
-                "axiom:pl-seed",
-                "PL embedding of the 15-dimensional 2-torsion space in R^23 "
-                "(external input)")
-        rule_id, dim, _, have_dim, _ = base
-        node = DerivationNode(
-            rule_id, f"L(m=7, e={e}) embeds in R^{dim}", (have_node,),
-            (SideCondition.make(
-                "weakening",
-                f"embedding in R^{have_dim} persists into R^{dim}",
-                have=have_dim, use=dim),))
-        return outputs + [_round_bound(e, 2, 7, base, node)]
+            if not every and ell < last:
+                step = step[:1]
+            outputs = [_chained(e, mu, ell, sigma, record, ignite, main, lam)
+                       for lam, record in enumerate(step)]
+            main = outputs[0]
+        yield main, outputs
+
+
+def _step(e: int, mu: int, m: int, record: _Step, alpha_dim: int,
+          sigma: int, feed: DerivationNode, lead: tuple,
+          extra: tuple[SideCondition, ...] = ()) -> Bound:
+    """The output of `record`, round mu at m, with its derivation: premises
+    `lead`, then the feed."""
+    rule_id, _, radon, beta, feed_dim = record
+    k = 2**mu - 1
+    node = step_node(
+        rule_id, k, m - k - 1, e, alpha_dim, beta, sigma, radon,
+        lead + (feed,), (_feed_within(feed_dim, sigma, beta),) + extra)
+    return _round_bound(e, mu, m, record, node)
+
+
+def _chained(e: int, mu: int, ell: int, sigma: int, record: _Step,
+             ignite: DerivationNode, prior: Bound, lam: int) -> Bound:
+    """The output of `record`, step ell >= 2 of round mu, on the prior
+    main output: the main (lam = 0) or the sharpened one (lam = 1)."""
+    k, beta = 2**mu - 1, record[3]
+    if lam:
+        text = f"beta = {beta} reuses the prior round output"
+    else:
+        beta_from = "is one higher than" if mu == 1 else "from"
+        text = (f"beta = {beta} {beta_from} the prior round output "
+                f"{prior.dim}")
+    return _step(
+        e, mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, sigma,
+        feed_node(mu, ell, e, lam, record[4]), (ignite, prior.derivation),
+        (SideCondition.make("beta-from-prior", text, beta=beta,
+                            prior=prior.dim),))
+
+
+def _ground1(e: int, records: tuple[_Step, ...]) -> list[Bound]:
+    """L(3, e) in R^11: the step k = j = 1 from R^5, sigma = 2."""
+    (record,) = records
+    dim3 = DerivationNode(
+        "axiom:dim3-embedding",
+        f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
+        "space does)")
+    frame = DerivationNode(
+        "axiom:dim3-normal-frame",
+        "the R^5 embedding of L(1, e) has trivial normal 2-plane "
+        "bundle: sigma = 2 independent normal sections")
+    return [_step(e, 1, 3, record, 5, 2, feed_node(1, 1, e, 0, record[4]),
+                  (dim3, frame))]
+
+
+def _ground2(e: int, sigma: int, records: tuple[_Step, ...],
+             ignite: DerivationNode,
+             mains1: Sequence[Bound]) -> list[Bound]:
+    """The special triple (e <= 2), on round 1's main at m = 3, then the
+    ground L(7, e), which weakens the PL seed (e = 1), the special output
+    (e = 2) or round 1's main at m = 7 (e >= 3)."""
+    *special, base = records
+    outputs = [_step(e, 2, 7, record, 14, sigma,
+                     feed_node(2, 1, e, 0, record[4]),
+                     (ignite, mains1[0].derivation))
+               for record in special]
+    if e >= 3:
+        have_node = mains1[2].derivation
+    elif e == 2:
+        have_node = outputs[0].derivation
+    else:
+        have_node = DerivationNode(
+            "axiom:pl-seed",
+            "PL embedding of the 15-dimensional 2-torsion space in R^23 "
+            "(external input)")
+    rule_id, dim, _, have_dim, _ = base
+    node = DerivationNode(
+        rule_id, f"L(m=7, e={e}) embeds in R^{dim}", (have_node,),
+        (SideCondition.make(
+            "weakening",
+            f"embedding in R^{have_dim} persists into R^{dim}",
+            have=have_dim, use=dim),))
+    return outputs + [_round_bound(e, 2, 7, base, node)]

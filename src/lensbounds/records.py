@@ -216,6 +216,27 @@ class Bound(namedtuple("Bound", "direction dim category rule_id citation "
         return f"emb {sense} {self.dim} ({self.category}, {self.rule_id}){flags}"
 
 
+def upper_category(manifold_dim: int, ambient_dim: int,
+                   smooth_rule: bool = False) -> Category:
+    """The category of an embedding in R^ambient_dim: smooth exactly in the
+    metastable range, or anywhere for a rule that embeds smoothly itself."""
+    if smooth_rule or metastable_smoothable(manifold_dim, ambient_dim):
+        return Category.SMOOTH
+    return Category.TOPOLOGICAL
+
+
+def upper_bound(manifold_dim: int, dim: int, rule_id: str, citation: str,
+                derivation: DerivationNode | None = None, *,
+                smooth_rule: bool = False, **flags: bool) -> Bound:
+    """An upper bound in R^dim, of the category `upper_category` gives, with
+    `metastable` set exactly in the metastable range."""
+    return Bound(Direction.UPPER, dim,
+                 upper_category(manifold_dim, dim, smooth_rule), rule_id,
+                 citation, derivation,
+                 metastable=metastable_smoothable(manifold_dim, dim),
+                 **flags)
+
+
 class InconsistentBoundsError(Exception):
     """A lower bound exceeded an upper bound: an engine bug, not an input error."""
 

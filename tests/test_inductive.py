@@ -1,16 +1,18 @@
+import contextlib
+import gc
 import tracemalloc
 
 import pytest
 
-from lensbounds import inductive, proofs
+from lensbounds import cli, inductive, proofs
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (Rounds, _category, _feed_ambient, _gate,
+from lensbounds.inductive import (Rounds, _feed_ambient, _gate,
                                   _sections, delta_e, derive_rounds,
                                   milgram_condition, rounds, sections_table)
 from lensbounds.proofs import feed_node, igniting_node, step_node
 from lensbounds.records import (Category, DerivationNode,
                                 RoundsDivergenceError, SideCondition,
-                                unique_nodes)
+                                unique_nodes, upper_category)
 
 
 def test_sections_table():
@@ -39,13 +41,13 @@ def test_inductive_step_gate_strict():
     assert _gate(1, 1, 2, 5) == ()
     node = step_node("inductive-step", 1, 1, 5, 5, 5, 2, (), (), ())
     assert node.conclusion == "L(m=3, e=5) embeds (topological) in R^11"
-    assert _category(3, 11) is Category.TOPOLOGICAL  # (7, 11) not smoothable
+    assert upper_category(7, 11) is Category.TOPOLOGICAL  # not smoothable
     assert [c.kind for c in node.side_conditions] == ["sections-exceed",
                                                        "ambient-sum"]
     assert node.replay()
     # special (k, j) = (3, 3) at e = 2: sigma = 5, beta = 11 -> R^26
     assert _gate(3, 3, 5, 11) == ()
-    assert _category(7, 26) is Category.SMOOTH
+    assert upper_category(15, 26) is Category.SMOOTH
     # no gate: sigma + beta < 4j + 2
     assert _gate(1, 3, 3, 10) is None
 
@@ -263,56 +265,89 @@ def test_engine_bounds_are_the_pairs_at_m():
             assert all(b.derivation is None for b in got)
 
 
-def test_lookup_builds_to_m_without_proofs():
+@contextlib.contextmanager
+def _no_nodes(monkeypatch):
+    """A context in which making a DerivationNode fails the test."""
+    def made(*args, **kwargs):
+        raise AssertionError("a DerivationNode was made")
+    with monkeypatch.context() as patch:
+        patch.setattr(DerivationNode, "__new__", made)
+        yield
+
+
+def test_lookup_builds_to_m_without_proofs(monkeypatch):
     shape = _shapes()
     for m in (0, 2, 3, 5, 257, 512, 1025):
         builder = Rounds(2)
-        found = builder.at(m)
+        with _no_nodes(monkeypatch):
+            found = builder.at(m)
         assert builder.built == max(m, 2), m
-        assert (builder.proved, builder.proofs) == (2, None), m
         assert found == tuple(b._replace(derivation=None)
                               for mm, b in Rounds(2).pairs(max(m, 3))
                               if mm == m)
     builder = Rounds(5)
-    builder.at(300)
-    assert (builder.built, builder.proved) == (300, 2)
+    with _no_nodes(monkeypatch):
+        builder.at(300)
+    assert builder.built == 300
     assert shape(builder.pairs(512)) == shape(Rounds(5).pairs(512))
-    assert (builder.built, builder.proved) == (512, 512)
+    assert builder.built == 512
     assert builder.at(400) == tuple(b._replace(derivation=None)
                                     for m, b in builder.pairs(400) if m == 400)
 
 
 def test_prove_builds_one_step_and_the_mains_below_it():
-    shape = _shapes()
-    full = Rounds(3).pairs(203)
-    for m in (3, 7, 11, 201, 203):
-        builder = Rounds(3)
-        found = Rounds(3).at(m)
-        got = [builder.prove(m, lambda outputs, i=i: i)
-               for i in range(len(found))]
-        assert shape((m, b) for b in got) == shape(
-            (mm, b) for mm, b in full if mm == m), m
-        # `pick` sees the outputs at m without their derivations
-        assert builder.prove(m, lambda outputs: outputs.index(found[-1])) \
-            is got[-1]
-        assert (builder.built, builder.proved) == (m, 2), m
-        with pytest.raises(IndexError):
-            builder.prove(m, lambda outputs: len(got))
-    # picking none proves nothing and checks nothing
+    # m = 7 is round 2's ground, which weakens the PL seed (e = 1), the
+    # special output (e = 2) or round 1's main at m = 7 (e = 3)
+    for e in (1, 2, 3):
+        shape = _shapes()
+        full = Rounds(e).pairs(203)
+        for m in (3, 7, 11, 201, 203):
+            builder = Rounds(e)
+            found = Rounds(e).at(m)
+            got = [builder.prove(m, lambda outputs, i=i: i)
+                   for i in range(len(found))]
+            assert shape((m, b) for b in got) == shape(
+                (mm, b) for mm, b in full if mm == m), (e, m)
+            # `pick` sees the outputs at m without their derivations
+            last = builder.prove(m, lambda outputs: outputs.index(found[-1]))
+            assert shape([(m, last)]) == shape([(m, got[-1])]), (e, m)
+            assert builder.built == m, (e, m)
+            with pytest.raises(IndexError):
+                builder.prove(m, lambda outputs: len(got))
+        # picking none proves nothing and checks nothing
+        builder = Rounds(e)
+        assert builder.prove(203, lambda outputs: None) is None
+        assert builder.built == 2
+        # m = 201 is reached by round 1 alone: its proof makes no round-2
+        # node and well under half of the nodes of every pair up to 203
+        made = unique_nodes([builder.prove(201, lambda outputs: 0).derivation])
+        assert not any(n.rule_id.startswith("round2") for n in made)
+        assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
+
+
+def test_a_builder_keeps_no_derivation(monkeypatch):
+    fields = {"e", "built", "sigma", "integer_s"}
     builder = Rounds(3)
-    assert builder.prove(203, lambda outputs: None) is None
-    assert (builder.built, builder.proofs) == (2, None)
-    # m = 201 is reached by round 1 alone: its proof makes no round-2 node
-    # and well under half of the nodes of every pair up to 203
-    builder.prove(201, lambda outputs: 0)
-    made = unique_nodes(builder.proofs.roots())
-    assert not any(n.rule_id.startswith("round2") for n in made)
-    assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
-    # a later `pairs` reuses the proved mains and gives the same pairs
-    main = builder.prove(203, lambda outputs: 0)
-    assert shape(builder.pairs(203)) == shape(full)
-    assert builder.pairs(203)[[m for m, _ in full].index(203)][1] is main
-    assert builder.prove(203, lambda outputs: 0) is main
+    builder.pairs(403)
+    assert set(vars(builder)) == fields
+    builder.prove(403, lambda outputs: 0)
+    assert set(vars(builder)) == fields
+    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    assert cli.main(["derive", "--m", "403", "--e", "3"]) == 0
+    assert set(vars(rounds(3))) == fields
+    # dropping the pairs frees their nodes
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        pairs = builder.pairs(403)
+        held, _ = tracemalloc.get_traced_memory()
+        del pairs
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - base > 512 * 1024, held - base
+    assert left - base < 16 * 1024, left - base
 
 
 def _diverge_at_25(monkeypatch):
@@ -346,8 +381,8 @@ def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
 
 def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     # building the feed of the sharpened output at m = 25 (ell = 12) fails:
-    # no pair of m = 25 may be stored without it, and since `pairs` lets the
-    # proof layer's gating be the check, `built` stays where it was too
+    # since `pairs` lets the proof's gating be the check, `built` stays
+    # where it was
     builder = Rounds(3)
     builder.pairs(20)
 
@@ -358,7 +393,7 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     monkeypatch.setattr(proofs, "feed_node", fail)
     with pytest.raises(RuntimeError):
         builder.pairs(40)
-    assert (builder.built, builder.proved) == (20, 20)
+    assert builder.built == 20
     shape = _shapes()
     assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)

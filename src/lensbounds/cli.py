@@ -284,8 +284,7 @@ def cmd_verify(args) -> int:
     # the check code is imported on first use; numpy loads only with the
     # sweep kernels, which verify_dyadic imports when called, so of every
     # subcommand and scope only `verify dyadic` and `verify all` pay for it
-    # (about 0.04 s and 10 MB max RSS on a 2-CPU machine, where `verify
-    # lifting` takes 0.085 s and 18 MB without it)
+    # (the README's "Sweep kernels" section gives the cost)
     from .verify import run_scope
     timings = [] if args.timings else None
     results = run_scope(args.scope, timings)

@@ -99,50 +99,50 @@ def _feed_route(mu: int, ell: int, lam: int) -> int:
     return 2 if alpha(ell) >= 2 else 3
 
 
-def _replay_feed_certificate(v: dict[str, int]) -> bool:
-    route = _feed_route(v["mu"], v["ell"], v["lam"])
-    if route != v["route"]:
+def _replay_feed_certificate(mu: int, ell: int, lam: int, route: int) -> bool:
+    if _feed_route(mu, ell, lam) != route:
         return False
     if route == 1:
-        return v["mu"] == 1 and v["lam"] == 0
+        return mu == 1 and lam == 0
     if route == 2:
-        return davis_mahowald_check(v["ell"]).ok
-    return alpha(v["ell"]) == 1
+        return davis_mahowald_check(ell).ok
+    return alpha(ell) == 1
 
 
-def _replay_boundary_radon(v: dict[str, int]) -> bool:
-    if v["sigma"] + v["beta"] != 4 * v["j"] + 2:
+def _replay_boundary_radon(sigma: int, beta: int, j: int, k: int, a: int,
+                           b: int) -> bool:
+    if sigma + beta != 4 * j + 2:
         return False
-    a, b = radon_pair(nu(2 * v["j"] + 2))
-    return (a, b) == (v["a"], v["b"]) and 2 * v["k"] + 3 <= 8 * a + 2**b
+    return (a, b) == radon_pair(nu(2 * j + 2)) and 2 * k + 3 <= 8 * a + 2**b
 
 
+# each predicate's parameters are its kind's witness fields, in order
 register_condition(
     "sections-exceed",
-    lambda v: v["sigma"] + v["beta"] > 4 * v["j"] + 2)
+    lambda sigma, beta, j: sigma + beta > 4 * j + 2)
 register_condition("boundary-radon", _replay_boundary_radon)
 register_condition(
     "feed-within",
-    lambda v: v["feed"] <= v["sigma"] + v["beta"])
+    lambda feed, sigma, beta: feed <= sigma + beta)
 register_condition(
     "ambient-sum",
-    lambda v: v["dim"] == v["alpha"] + v["beta"] + 1)
+    lambda alpha, beta, dim: dim == alpha + beta + 1)
 register_condition(
     "beta-from-prior",
-    lambda v: v["prior"] <= v["beta"] <= v["prior"] + 1)
+    lambda beta, prior: prior <= beta <= prior + 1)
 register_condition(
     "weakening",
-    lambda v: v["have"] <= v["use"])
+    lambda have, use: have <= use)
 register_condition(
     "sections-table",
-    lambda v: sections_table(v["k"], v["e"]) == v["sigma"])
+    lambda k, e, sigma: sections_table(k, e) == sigma)
 register_condition(
     "feeding-admissible",
-    lambda v: _feed_admissible(v["mu"], v["ell"], v["e"]))
+    lambda mu, ell, e: _feed_admissible(mu, ell, e))
 register_condition(
     "feeding-ambient",
-    lambda v: embedding_gate(feeding_params(v["mu"], v["ell"], v["lam"]))
-    == v["ambient"])
+    lambda mu, ell, lam, ambient:
+    embedding_gate(feeding_params(mu, ell, lam)) == ambient)
 register_condition("feeding-certificate", _replay_feed_certificate)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .inductive import Rounds, _feed_route, _round_bound, _Step
-from .records import Bound, DerivationNode, SideCondition, upper_category
+from .records import (Bound, DerivationNode, SideCondition, condition,
+                      upper_category)
 
 
 def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
@@ -25,26 +26,16 @@ def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
     """The derivation of the step L(k+j+1, e) in R^(alpha+beta+1) whose
     gate `radon` fired (see `inductive._gate`): () for the strict gate,
     (a, b) for the boundary one."""
-    total, need = sigma + beta_dim, 4 * j + 2
     if radon:
-        a, b = radon
-        gate = SideCondition.make(
-            "boundary-radon",
-            f"sigma + beta = 4j + 2 = {need} and 2k + 3 = {2 * k + 3} <= "
-            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})",
-            sigma=sigma, beta=beta_dim, j=j, k=k, a=a, b=b)
+        gate = condition("boundary-radon", _radon_text, sigma, beta_dim, j, k,
+                         *radon)
     else:
-        gate = SideCondition.make(
-            "sections-exceed",
-            f"sigma + beta = {total} > 4j + 2 = {need}",
-            sigma=sigma, beta=beta_dim, j=j)
+        gate = condition("sections-exceed", _exceed_text, sigma, beta_dim, j)
     m, dim = k + j + 1, alpha_dim + beta_dim + 1
     category = upper_category(2 * m + 1, dim)
     conditions = (gate,
-                  SideCondition.make(
-                      "ambient-sum",
-                      f"ambient = alpha + beta + 1 = {alpha_dim}+{beta_dim}+1 = {dim}",
-                      alpha=alpha_dim, beta=beta_dim, dim=dim),
+                  condition("ambient-sum", _ambient_text, alpha_dim, beta_dim,
+                            dim),
                   ) + extra_conditions
     return DerivationNode(
         rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
@@ -56,46 +47,26 @@ def feed_node(mu: int, ell: int, e: int, lam: int,
     """The feed 2^mu*eta over L(i, e), i = 2^mu*ell - 1, in the ambient
     `inductive._feed_ambient` gave: the gate's 2m+d+1 for the instance
     `feeding_params(mu, ell, lam)`."""
-    i = 2**mu * ell - 1
-    route = _feed_route(mu, ell, lam)
-    route_text = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
-                  3: "low-multiple lifting"}[route]
     conditions = (
-        SideCondition.make(
-            "feeding-admissible",
-            f"feed defined for mu={mu}, ell={ell}, e={e}",
-            mu=mu, ell=ell, e=e),
-        SideCondition.make(
-            "feeding-ambient",
-            f"gate: 2m+d+1 = {ambient} = 4i+3-lam (i={i}, lam={lam})",
-            mu=mu, ell=ell, lam=lam, ambient=ambient),
-        SideCondition.make(
-            "feeding-certificate",
-            f"lifting certified via {route_text}",
-            mu=mu, ell=ell, lam=lam, route=route),
+        condition("feeding-admissible", _admissible_text, mu, ell, e),
+        condition("feeding-ambient", _feed_ambient_text, mu, ell, lam,
+                  ambient),
+        condition("feeding-certificate", _certificate_text, mu, ell, lam,
+                  _feed_route(mu, ell, lam)),
     )
     return DerivationNode(
         "feeding",
-        f"{2**mu}*eta over L({i}, e={e}) embeds in R^{ambient}",
+        f"{2**mu}*eta over L({2**mu * ell - 1}, e={e}) embeds in R^{ambient}",
         (), conditions)
 
 
 def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
     """The tabulated embedding L(k, e) in R^(4k+2) with sigma sections."""
-    cond = SideCondition.make(
-        "sections-table", f"tabulated sigma(k={k}, e={e}) = {sigma}",
-        k=k, e=e, sigma=sigma)
+    cond = condition("sections-table", _table_text, k, e, sigma)
     return DerivationNode(
         "axiom:igniting",
         f"L({k}, e={e}) embeds smoothly in R^{4 * k + 2} with "
         f"{sigma} independent normal sections", (), (cond,))
-
-
-def _feed_within(feed: int, sigma: int, beta: int) -> SideCondition:
-    return SideCondition.make(
-        "feed-within",
-        f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}",
-        feed=feed, sigma=sigma, beta=beta)
 
 
 def pairs(rounds: Rounds, max_m: int) -> tuple[tuple[int, Bound], ...]:
@@ -166,7 +137,8 @@ def _step(e: int, mu: int, m: int, record: _Step, alpha_dim: int,
     k = 2**mu - 1
     node = step_node(
         rule_id, k, m - k - 1, e, alpha_dim, beta, sigma, radon,
-        lead + (feed,), (_feed_within(feed_dim, sigma, beta),) + extra)
+        lead + (feed,),
+        (condition("feed-within", _within_text, feed_dim, sigma, beta),) + extra)
     return _round_bound(e, mu, m, record, node)
 
 
@@ -174,18 +146,13 @@ def _chained(e: int, mu: int, ell: int, sigma: int, record: _Step,
              ignite: DerivationNode, prior: Bound, lam: int) -> Bound:
     """The output of `record`, step ell >= 2 of round mu, on the prior
     main output: the main (lam = 0) or the sharpened one (lam = 1)."""
-    k, beta = 2**mu - 1, record[3]
-    if lam:
-        text = f"beta = {beta} reuses the prior round output"
-    else:
-        beta_from = "is one higher than" if mu == 1 else "from"
-        text = (f"beta = {beta} {beta_from} the prior round output "
-                f"{prior.dim}")
+    k = 2**mu - 1
+    text = (_reuse_text if lam else _one_higher_text if mu == 1
+            else _from_prior_text)
     return _step(
         e, mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, sigma,
         feed_node(mu, ell, e, lam, record[4]), (ignite, prior.derivation),
-        (SideCondition.make("beta-from-prior", text, beta=beta,
-                            prior=prior.dim),))
+        (condition("beta-from-prior", text, record[3], prior.dim),))
 
 
 def _ground1(e: int, records: tuple[_Step, ...]) -> list[Bound]:
@@ -226,8 +193,61 @@ def _ground2(e: int, sigma: int, records: tuple[_Step, ...],
     rule_id, dim, _, have_dim, _ = base
     node = DerivationNode(
         rule_id, f"L(m=7, e={e}) embeds in R^{dim}", (have_node,),
-        (SideCondition.make(
-            "weakening",
-            f"embedding in R^{have_dim} persists into R^{dim}",
-            have=have_dim, use=dim),))
+        (condition("weakening", _weakening_text, have_dim, dim),))
     return outputs + [_round_bound(e, 2, 7, base, node)]
+
+
+# --- the texts of the side conditions, rendered when `derive` prints them --
+
+def _radon_text(sigma, beta, j, k, a, b):
+    return (f"sigma + beta = 4j + 2 = {4 * j + 2} and 2k + 3 = {2 * k + 3} <= "
+            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})")
+
+
+def _exceed_text(sigma, beta, j):
+    return f"sigma + beta = {sigma + beta} > 4j + 2 = {4 * j + 2}"
+
+
+def _ambient_text(alpha, beta, dim):
+    return f"ambient = alpha + beta + 1 = {alpha}+{beta}+1 = {dim}"
+
+
+def _admissible_text(mu, ell, e):
+    return f"feed defined for mu={mu}, ell={ell}, e={e}"
+
+
+def _feed_ambient_text(mu, ell, lam, ambient):
+    return (f"gate: 2m+d+1 = {ambient} = 4i+3-lam "
+            f"(i={2**mu * ell - 1}, lam={lam})")
+
+
+_ROUTE_TEXT = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
+               3: "low-multiple lifting"}
+
+
+def _certificate_text(mu, ell, lam, route):
+    return f"lifting certified via {_ROUTE_TEXT[route]}"
+
+
+def _table_text(k, e, sigma):
+    return f"tabulated sigma(k={k}, e={e}) = {sigma}"
+
+
+def _within_text(feed, sigma, beta):
+    return f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}"
+
+
+def _reuse_text(beta, prior):
+    return f"beta = {beta} reuses the prior round output"
+
+
+def _one_higher_text(beta, prior):
+    return f"beta = {beta} is one higher than the prior round output {prior}"
+
+
+def _from_prior_text(beta, prior):
+    return f"beta = {beta} from the prior round output {prior}"
+
+
+def _weakening_text(have, use):
+    return f"embedding in R^{have} persists into R^{use}"

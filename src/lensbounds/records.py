@@ -76,34 +76,71 @@ def metastable_smoothable(manifold_dim: int, ambient_dim: int) -> bool:
     return 2 * ambient_dim >= 3 * (manifold_dim + 1)
 
 
-# Replay predicates for side-condition kinds, keyed by kind name.  The
-# producing module registers its kinds; replay of an unknown kind fails
+# Replay predicates for side-condition kinds, keyed by kind name, and the
+# field names of each kind's witness: the predicate's positional
+# parameters, in the order every condition of the kind stores its values.
+# The producing module registers its kinds; replay of an unknown kind fails
 # loudly rather than vacuously passing.
-_REPLAY: dict[str, Callable[[dict[str, int]], bool]] = {}
+_REPLAY: dict[str, Callable[..., bool]] = {}
+_FIELDS: dict[str, tuple[str, ...]] = {}
 
 
-def register_condition(kind: str, predicate: Callable[[dict[str, int]], bool]) -> None:
+def register_condition(kind: str, predicate: Callable[..., bool]) -> None:
+    code = predicate.__code__
+    _FIELDS[kind] = code.co_varnames[:code.co_argcount]
     _REPLAY[kind] = predicate
 
 
-class SideCondition(namedtuple("SideCondition", "kind witness text")):
+class SideCondition(namedtuple("SideCondition", "kind names args form")):
     """One checked numeric condition with the integers that satisfied it:
-    its kind, the witness as sorted (name, value) pairs, and its text."""
+    its kind; the witness, as its field names (the kind's registered tuple,
+    shared by every condition of the kind) and its values in that order;
+    and its text, or a function of the values that renders it.
+
+    Only `derive` prints a text, so the round proofs pass a function and
+    the text is formatted when `text` is read.  `values` and `witness` give
+    the witness as a dict and as sorted (name, value) pairs, and `replay`
+    passes the values to the kind's predicate positionally.
+    """
 
     __slots__ = ()
 
     @classmethod
     def make(cls, kind: str, text: str, **witness: int) -> "SideCondition":
-        return cls(kind, tuple(sorted(witness.items())), text)
+        """A condition from its text and its witness by name, in any
+        order."""
+        names = _FIELDS.get(kind)
+        if names is None:
+            names = tuple(witness)
+        elif set(names) != set(witness):
+            raise ValueError(f"{kind!r} needs the witness {names}, got "
+                             f"{tuple(witness)}")
+        return cls(kind, names, tuple(witness[n] for n in names), text)
+
+    @property
+    def text(self) -> str:
+        form = self.form
+        return form if form.__class__ is str else form(*self.args)
 
     @property
     def values(self) -> dict[str, int]:
-        return dict(self.witness)
+        return dict(zip(self.names, self.args))
+
+    @property
+    def witness(self) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(zip(self.names, self.args)))
 
     def replay(self) -> bool:
-        if self.kind not in _REPLAY:
+        predicate = _REPLAY.get(self.kind)
+        if predicate is None:
             raise KeyError(f"no replay predicate registered for {self.kind!r}")
-        return _REPLAY[self.kind](self.values)
+        return predicate(*self.args)
+
+
+def condition(kind: str, form: Callable[..., str], *args: int) -> SideCondition:
+    """A condition of a registered kind from its values, in the kind's
+    field order, and the function that renders its text."""
+    return SideCondition(kind, _FIELDS[kind], args, form)
 
 
 class DerivationNode(namedtuple(

@@ -14,9 +14,10 @@ Only the dyadic scope of ``lensbounds verify`` needs this module:
 ``verify dyadic`` and ``verify all`` and by no other subcommand or scope.
 The one-dimensional sweeps stream their range in chunks of ``_CHUNK``
 int64s (0.5 MB per array), so their memory does not grow with the range.
-On a 2-CPU machine loading numpy costs a fresh process about 0.04 s and
-10 MB max RSS (``verify lifting`` takes 0.085 s and 18 MB without it), and
-``verify dyadic`` peaks at 32 MB with these chunks, 63 MB with 2^20.
+The two grids take one row of cases at a time and read what the rows
+share (a - b, 2^n - a - b, the digit sums) as slices of arrays formed
+once.  The README's "Sweep kernels" section gives what loading numpy and
+each scope cost.
 """
 
 from __future__ import annotations
@@ -42,10 +43,15 @@ class SweepOutcome(namedtuple("SweepOutcome", "name cases failures first")):
 # --- kernels --------------------------------------------------------------
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).astype(np.int64)
+    # one uint8 per value (at most 63 bits are set), so a grid row adds its
+    # bit counts in bytes; the kernels only add them, two at a time, and
+    # the Legendre side, which subtracts, is formed in int64
+    return np.bitwise_count(arr)
 
 
 def _kummer_legendre(amax):
+    # row a reads b = 0..a and a - b as slices of one arange, and the
+    # factorial valuations as slices of their running sum
     n = np.arange(amax + 1, dtype=np.int64)
     nu_n = np.zeros(amax + 1, dtype=np.int64)
     nu_n[1:] = _popcount((n[1:] & -n[1:]) - 1)
@@ -54,15 +60,14 @@ def _kummer_legendre(amax):
     fails = 0
     first = None
     for a in range(amax + 1):
-        b = np.arange(a + 1, dtype=np.int64)
-        carries = _popcount(b ^ (a - b) ^ a)
-        legendre = nu_fact[a] - nu_fact[b] - nu_fact[a - b]
-        bad = np.nonzero(carries != legendre)[0]
-        cases += a + 1
-        if bad.size:
-            fails += int(bad.size)
+        carries = _popcount(n[:a + 1] ^ n[a::-1] ^ a)
+        bad = carries != nu_fact[a] - nu_fact[:a + 1] - nu_fact[a::-1]
+        cases += bad.size
+        k = np.count_nonzero(bad)
+        if k:
+            fails += k
             if first is None:
-                first = (a, int(bad[0]))
+                first = (a, int(bad.argmax()))
     return cases, fails, *(first or (-1, -1))
 
 
@@ -74,7 +79,7 @@ def _alpha_identity(limit):
         a = np.arange(start, min(start + _CHUNK, limit + 1), dtype=np.int64)
         cases += a.size
         nu_a = _popcount((a & -a) - 1)
-        bad = np.nonzero(_popcount(a - 1) != _popcount(a) - 1 + nu_a)[0]
+        bad = np.nonzero(_popcount(a - 1) + 1 != _popcount(a) + nu_a)[0]
         if bad.size:
             fails += int(bad.size)
             if first < 0:
@@ -90,7 +95,7 @@ def _alpha_symbolic(n, amax):
     for start in range(1, amax + 1, _CHUNK):
         a = np.arange(start, min(start + _CHUNK, amax + 1), dtype=np.int64)
         cases += a.size
-        bad = np.nonzero(_popcount(pw - a) != n - _popcount(a - 1))[0]
+        bad = np.nonzero(_popcount(pw - a) + _popcount(a - 1) != n)[0]
         if bad.size:
             fails += int(bad.size)
             if first < 0:
@@ -99,22 +104,29 @@ def _alpha_symbolic(n, amax):
 
 
 def _nu_binom_symbolic(n, abmax):
-    pw = np.int64(1) << n
+    # with p = 2^n - a, the carries of b + (p - b) are popcount(b ^ (2^n - s)
+    # ^ p) for s = a + b; 2^n - s and popcount(s - 1) are formed once per s,
+    # and row a reads them as slices.  The identity is tested as carries +
+    # alpha(a+b-1) = alpha(b) + alpha(a-1), so that no side goes negative.
     b = np.arange(1, abmax + 1, dtype=np.int64)
+    s = np.arange(2 * abmax + 1, dtype=np.int64)
+    comp = (np.int64(1) << n) - s
+    pop_s1 = np.zeros(s.size, dtype=np.uint8)
+    pop_s1[1:] = _popcount(s[1:] - 1)
     pop_b = _popcount(b)
     cases = 0
     fails = 0
     first = None
     for a in range(1, abmax + 1):
-        p = pw - a
-        carries = _popcount(b ^ (p - b) ^ p)
-        sym = pop_b + (a - 1).bit_count() - _popcount(a + b - 1)
-        bad = np.nonzero(carries != sym)[0]
-        cases += abmax
-        if bad.size:
-            fails += int(bad.size)
+        row = slice(a + 1, a + abmax + 1)
+        lhs = _popcount(b ^ comp[row] ^ comp[a]) + pop_s1[row]
+        bad = lhs != pop_b + pop_s1[a]
+        cases += bad.size
+        k = np.count_nonzero(bad)
+        if k:
+            fails += k
             if first is None:
-                first = (a, int(b[bad[0]]))
+                first = (a, int(b[bad.argmax()]))
     return cases, fails, *(first or (-1, -1))
 
 

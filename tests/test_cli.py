@@ -372,6 +372,75 @@ def test_derives_keep_their_bytes(capsys):
                 (m, e, fmt)
 
 
+# (exit code, sha256(stdout)[:16] in human format, in jsonl) of `derive` at
+# each (m, e), as printed when every side condition stored its witness as
+# sorted (name, value) pairs and its text formatted; (699, 1) is too deep to
+# replay and exits 1 with no stdout, as an uncaught RecursionError does
+DERIVE_GRID = {
+    (3, 1): (0, "c044b22f7cb76965", "74f4bce9f95aa0fe"),
+    (3, 2): (0, "484a945725132df7", "dc3a8c19074d0611"),
+    (3, 3): (0, "e1b5d50c0b23a803", "5f69f3f81f57078d"),
+    (3, 4): (0, "92438e4cb36b6769", "25605b8f89c5e5b9"),
+    (3, 5): (0, "673f6db9ce00ab95", "69a069454d067160"),
+    (3, 6): (0, "43869f83efefc07e", "9b39367051a2208e"),
+    (3, 7): (0, "b4b8396277bf09f9", "3461c29e0e0c0b84"),
+    (3, 8): (0, "784e648d0f0a22af", "2c6666fca17abe1d"),
+    (7, 1): (0, "899e74231ce225d1", "8a4d3ff6d883b89f"),
+    (7, 2): (0, "431decfdf8b06b5b", "326f8aa4afbadf50"),
+    (7, 3): (0, "759653799bcd40b7", "95746c95d86bcd5f"),
+    (7, 4): (0, "6ce9bed306e65d35", "e6a5bfaafc52b860"),
+    (7, 5): (0, "1cf1fa166b54c4de", "da89796c0e6c0286"),
+    (7, 6): (0, "57a097a2998c9417", "c9b39a104c98a4a1"),
+    (7, 7): (0, "5b3e681bcacc5405", "414098f231324c9c"),
+    (7, 8): (0, "26e74aae6b56a707", "ed0fb9e1ce0028e9"),
+    (11, 1): (0, "c133ffe30f22f391", "850aa88bb10d4362"),
+    (11, 2): (0, "d3ef8aa932972e0e", "a98cbad76154e61c"),
+    (11, 3): (0, "a7c45a8f25c72fa2", "cd806c1fe2e1d98e"),
+    (11, 4): (0, "e029384b284fbc21", "da0f6bfe0bcfa58e"),
+    (11, 5): (0, "3dcd41da5a3c4973", "edb659d4ab527b7c"),
+    (11, 6): (0, "244a987b62fc0214", "f14032b39b78eb0c"),
+    (11, 7): (0, "41b12685809ee5ca", "aae9ce4235f39530"),
+    (11, 8): (0, "cad1fe42adcff57a", "6b924fecbbadeab7"),
+    (101, 1): (0, "1eafca7f0d3ab51b", "fe11c3bef24823ca"),
+    (101, 2): (0, "ec81028031ce8f73", "6f43eed03607a8eb"),
+    (101, 3): (0, "153f3d6dc21dd440", "aed4172d8576bc17"),
+    (101, 4): (0, "a0d4d7f631d377c8", "824ef58bc5e63eef"),
+    (101, 5): (0, "3d079e21ad84ba5a", "49e029f4df130474"),
+    (101, 6): (0, "8c07e047c6aec0c0", "2169421fce090153"),
+    (101, 7): (0, "22cae328748e48a0", "acc6c6f9770dad3e"),
+    (101, 8): (0, "f0e36365d630ea74", "4bcee15d166561e3"),
+    (401, 1): (0, "99a7b7b7bc6f0c6c", "3b2aeddf7d55d576"),
+    (401, 2): (0, "f7495bb8cd9d8bf1", "cffaf4a276cabdc7"),
+    (401, 3): (0, "dd27c291e98f5b79", "f7f79f646db233f5"),
+    (401, 4): (0, "920d5f6066450a90", "cf36f8bf825e811c"),
+    (401, 5): (0, "a75a39cdab79fbd6", "dd5d7e58237cdc37"),
+    (401, 6): (0, "da9f87a3e2bd3740", "4184d5cd30dd9f2d"),
+    (401, 7): (0, "a85edc7cbfc9b0db", "e068a88ee0e29e56"),
+    (401, 8): (0, "ac9e6967a8273483", "a56cedd6e604499c"),
+    (699, 1): (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    (699, 2): (0, "2ce5a014eaa54094", "be0c5656e177429d"),
+    (699, 3): (0, "6cc94a99d511103f", "8cf8b899aae83fa6"),
+    (699, 4): (0, "f569602443944154", "9054a58f40ceb551"),
+    (699, 5): (0, "01cca2abc680552e", "5bf472adfb509cea"),
+    (699, 6): (0, "79b1f64213e2d208", "0f97899ba3985bd1"),
+    (699, 7): (0, "0ddb72e10329fd16", "9ee6b62e47bdff16"),
+    (699, 8): (0, "580316a5291251a7", "951129f5369a01de"),
+}
+
+
+def test_derive_grid_keeps_its_bytes_and_exit_codes(capsys):
+    for (m, e), (want_code, *digests) in DERIVE_GRID.items():
+        for fmt, digest in zip(("human", "jsonl"), digests):
+            argv = ["derive", "--m", str(m), "--e", str(e), "--format", fmt]
+            try:
+                code = cli.main(argv)
+            except RecursionError:
+                code = 1
+            out = capsys.readouterr().out
+            assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) \
+                == (want_code, digest), argv
+
+
 def test_derive_gates_each_step_once(capsys, monkeypatch):
     # the proof layer's gating is the check of the round it proves (round 1
     # here), and the integer pass checks only the other round's steps, so

@@ -224,6 +224,26 @@ def test_normal_class_inverse_and_closed_form():
                 assert wbar.coefficient(0, j) == math.comb(n + j, j) % 2
 
 
+def _inverse_term_by_term(ring):
+    """The normal class as it was computed before it became a power of
+    (1 + y): the truncated series of w inverted one term at a time."""
+    w = tangential_sw_class(ring).even
+    inv = 1
+    prod = w  # carry-less w * inv, maintained incrementally
+    for j in range(1, ring.n + 1):
+        if (prod >> j) & 1:
+            inv |= 1 << j
+            prod ^= w << j
+    return Mod2Class(ring, inv & ring.mask, 0)
+
+
+def test_normal_class_matches_term_by_term_inversion():
+    for n in range(1, 1025):
+        for eps in (0, 1):
+            ring = CohomologyRing(n, eps)
+            assert normal_sw_class(ring) == _inverse_term_by_term(ring), (n, eps)
+
+
 def test_normal_class_examples():
     ring = CohomologyRing(4, 0)
     assert normal_sw_class(ring).coefficient(0, 3) == 1  # C(7,3) = 35 odd

@@ -16,6 +16,25 @@ def test_side_condition_replay():
         SideCondition.make("no-such-kind", "?", x=1).replay()
 
 
+def test_hand_made_side_condition_keeps_its_fields():
+    # keyword order differs from the kind's registered field order
+    cond = SideCondition.make("feed-within", "21 <= 25",
+                              sigma=10, beta=15, feed=21)
+    assert cond.text == "21 <= 25"
+    assert cond.values == {"feed": 21, "sigma": 10, "beta": 15}
+    assert cond.witness == (("beta", 15), ("feed", 21), ("sigma", 10))
+    assert cond.replay()
+    assert cond == SideCondition.make("feed-within", "21 <= 25",
+                                      feed=21, sigma=10, beta=15)
+    with pytest.raises(ValueError):
+        SideCondition.make("feed-within", "?", feed=21, sigma=10)
+    odd = SideCondition.make("no-such-kind", "?", y=2, x=1)
+    assert (odd.text, odd.values, odd.witness) == (
+        "?", {"y": 2, "x": 1}, (("x", 1), ("y", 2)))
+    with pytest.raises(KeyError):
+        odd.replay()
+
+
 def test_replay_catches_tampered_witness():
     cond = SideCondition.make("boundary-radon", "tampered",
                               sigma=3, beta=11, j=3, k=1, a=1, b=1)

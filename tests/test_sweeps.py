@@ -62,6 +62,34 @@ def test_chunk_edges_keep_failures(monkeypatch, bent, identity, symbolic):
         assert [(o.failures, o.first) for o in got] == [identity, symbolic]
 
 
+@pytest.mark.parametrize("bent, nu_binom_out, kummer_out", [
+    # 256 is alpha(b) at b = 256 and alpha(a+b-1) on the diagonal a + b = 257,
+    # 400 alpha(a+b-1) on a + b = 401; both are carry counts b ^ (p-b) ^ p
+    # too.  Bends below 256 are left out: the nu-binom kernel now reads
+    # alpha(a-1) through _popcount as well, where it used int.bit_count.
+    ({256, 400}, (3048, (2, 255)), (1, (256, 128))),
+    ({400}, (354, (73, 200)), (0, None)),
+    # 7 is (n & -n) - 1 at every n = 8 mod 16, so nu(n!) moves with it
+    ({7, 100}, None, (8225, (8, 1))),
+    ({100}, None, (81, (68, 18))),
+])
+def test_bent_popcount_keeps_the_old_kernels_failures(
+        monkeypatch, bent, nu_binom_out, kummer_out):
+    # failure counts and first counterexamples pinned from the kernels that
+    # formed every row from the range (a + b - 1, 2^n - a - b and a - b per
+    # case); the kernels that read them as slices must report the same
+    exact = sweeps._popcount
+    monkeypatch.setattr(sweeps, "_popcount",
+                        lambda arr: exact(arr) + np.isin(arr, list(bent)))
+    if nu_binom_out is not None:
+        got = sweeps.sweep_nu_binom_symbolic(40, 256)
+        assert (got.cases, got.failures, got.first) == (256 * 256,
+                                                        *nu_binom_out)
+    got = sweeps.sweep_kummer_legendre(256)
+    assert (got.cases, got.failures, got.first) == (257 * 258 // 2,
+                                                    *kummer_out)
+
+
 def test_kernels_match_exact_api():
     # the sweeps recheck identities the exact API also implements; sample
     # the same points through both routes

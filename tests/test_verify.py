@@ -195,7 +195,7 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
     predicate = records._REPLAY[cond.kind]
     monkeypatch.setitem(
         records._REPLAY, cond.kind,
-        lambda v: v != cond.values and predicate(v))
+        lambda *args: args != cond.args and predicate(*args))
 
     want = next((e, m, b.rule_id)
                 for e, pairs in _rounds_roots() for m, b in pairs
@@ -212,10 +212,10 @@ def test_each_unique_node_is_replayed_once(monkeypatch):
     calls = 0
 
     def counted(predicate):
-        def call(v):
+        def call(*args):
             nonlocal calls
             calls += 1
-            return predicate(v)
+            return predicate(*args)
         return call
 
     for kind, predicate in list(records._REPLAY.items()):

@@ -5,11 +5,10 @@ Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
 pure; report() is deterministic.  In a table a row's cost does not grow
 with m: the Euler-class scans look at about log2(m) candidates, and the
-engine bounds come from `at(m)` of one round builder per e, which checks
-each step below m once per process and makes no derivation (report()
-never reads one).  The closed-form round bounds are
-read from `inductive.round_forms`, the table the round builder checks each
-of its outputs against.
+engine bounds come from `inductive.at(m, e)`, which checks each step below
+m once per process and makes no derivation (report() never reads one).
+The closed-form round bounds are read from `inductive.round_forms`, the
+table `inductive.records` checks each round output against.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -23,7 +22,7 @@ from operator import attrgetter
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
-from .inductive import ROUND2_SPECIAL, round_forms, rounds
+from .inductive import ROUND2_SPECIAL, at, round_forms
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
                       LensSpace, metastable_smoothable, upper_bound)
 
@@ -284,7 +283,7 @@ def report(space: LensSpace, conjectural: bool = False,
         primary = space if space.odd_factor == 1 else odd_torsion_transfer(space)
         cand: list[Bound] = []
         cand.extend(closed_form_uppers(primary))
-        for b in rounds(primary.e).at(primary.m):
+        for b in at(primary.m, primary.e):
             if external or not b.external:
                 cand.append(b)
         if external:

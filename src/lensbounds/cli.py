@@ -11,13 +11,12 @@ import argparse
 import sys
 from time import perf_counter
 
-# json, csv and io are imported by the functions that use them: every
-# command is a process of its own, and most never read or write those formats
+# json is imported by the functions that use it: every command is a process
+# of its own, and most never read or write jsonl
 
-from . import _IMPORT_START
+from . import _IMPORT_START, inductive
 from .catalog import report
 from .dyadic import alpha
-from .inductive import builders, rounds
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import (InconsistentBoundsError, LensSpace,
@@ -30,7 +29,6 @@ EXIT_INTERNAL = 3
 
 COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
            "upper_category", "gap", "eff", "exact")
-_INT_COLUMNS = {"m", "dim", "e", "lower", "upper", "gap", "eff"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,34 +74,10 @@ def render_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[dict]:
-    import csv
-    import io
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != COLUMNS:
-        raise ValueError(f"unexpected header {header}")
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        row: dict = dict(zip(COLUMNS, record))
-        for key in _INT_COLUMNS:
-            row[key] = int(row[key])
-        row["exact"] = row["exact"] == "true"
-        rows.append(row)
-    return rows
-
-
 def render_jsonl(rows: list[dict]) -> str:
     import json
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
                    for r in rows)
-
-
-def parse_jsonl(text: str) -> list[dict]:
-    import json
-    return [json.loads(line) for line in text.splitlines() if line]
 
 
 def render_markdown(rows: list[dict]) -> str:
@@ -128,13 +102,8 @@ _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
 
 # --- timings ----------------------------------------------------------------
 
-def _integer_s() -> float:
-    """The integer-pass seconds of the round builders of this process."""
-    return sum(r.integer_s for r in builders())
-
-
 class _Timings:
-    """Wall time per phase of one command, what the round builders did
+    """Wall time per phase of one command, how far the rounds were checked
     meanwhile and the derivation it printed, which `finish` prints to
     stderr under `--timings`.  The phases are the import (from the top of
     the package to `main`), the rounds' integer pass, then the command's
@@ -142,7 +111,7 @@ class _Timings:
 
     def __init__(self, args) -> None:
         self.args, self.phases = args, {}
-        self._before = _integer_s() if args.timings else None
+        self._before = inductive.integer_s if args.timings else None
         self._mark = perf_counter()
 
     def lap(self, phase: str) -> None:
@@ -154,7 +123,7 @@ class _Timings:
         """Print the line under `--timings`, counting the unique nodes of
         `derivation` and their side conditions, and return `code`."""
         if self.args.timings:
-            integer_s = _integer_s() - self._before
+            integer_s = inductive.integer_s - self._before
             nodes = ([] if derivation is None
                      else unique_nodes((derivation,)))
             # the integer pass runs inside the first lap: report() for
@@ -164,8 +133,8 @@ class _Timings:
             first = next(iter(self.phases), None)
             if first is not None:
                 phases[first] -= integer_s
-            built = ", ".join(f"e={b.e} built to m={b.built}"
-                              for b in builders())
+            built = ", ".join(f"e={e} built to m={m}" for e, m
+                              in sorted(inductive.watermark.items()))
             conditions = sum(len(n.side_conditions) for n in nodes)
             print(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, " for name, s in phases.items())
@@ -230,7 +199,8 @@ def cmd_derive(args) -> int:
                     if args.external or not b.external),
                    key=lambda i: found[i].dim, default=None)
 
-    best = rounds(args.e).prove(args.m, lowest)
+    from . import proofs
+    best = proofs.prove(args.m, args.e, lowest)
     timings.lap("proof")
     if best is None:
         print(f"no inductive derivation for (m={args.m}, e={args.e}); "

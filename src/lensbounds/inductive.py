@@ -7,13 +7,14 @@ sections, an embedding of L(j, e) in R^beta, and an embedding of the
 embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever one of two numeric
 gates holds.  Round mu runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1
 at step ell.  `round_forms` is the one closed-form table of both rounds:
-the builder checks every output against it and the catalog reads it, and
-`verify` recomputes it independently.  The builder `Rounds` evaluates the
-gates as plain integers in one pure function, `records`, which reads the
-steps below only through `round_forms`, so it keeps no per-step state; on
-demand, `proofs` walks a round's chain up to a step and turns each step it
-passes into DerivationNodes whose side conditions replay from stored
-integer witnesses, keeping none of them once it returns.
+`records` checks every output against it, the catalog reads it, and
+`verify` recomputes it independently.  Each step is a pure function of
+(mu, ell, e): `records` evaluates its gates as plain integers and reads
+the steps below only through `round_forms`.  The one state is a
+watermark per e, how far the chain below m is checked, which `at` moves;
+on demand, `proofs` walks a round's chain up to a step and turns each
+step it passes into DerivationNodes whose side conditions replay from
+stored integer witnesses, keeping none of them once it returns.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -233,184 +234,111 @@ def _main_dim(mu: int, ell: int, e: int) -> int:
 _RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
 
 
-class Rounds:
-    """Both inductive rounds for one e: gated as plain integers, proved on
-    demand.
+# per e, how far the integer pass has checked: every step with
+# m <= watermark[e] has passed.  An e starts at 2, and its watermark moves
+# only once every step up to the new value passes, so a
+# RoundsDivergenceError leaves it at the last value fully checked.
+# integer_s is the pass's seconds, for `--timings`.
+watermark: dict[int, int] = {}
+integer_s = 0.0
 
-    `records(mu, ell)` gates step ell of round mu and checks each of its
-    outputs against `round_forms`.  It is the only place a gate is
-    evaluated, and it reads the steps below only through their closed
-    forms, so the builder keeps no per-step state: `built` says that every
-    step with m <= built is checked.  `extend(max_m)` checks the steps up
-    to max_m that are not checked yet, so a whole table costs O(m) in all,
-    and moves `built` only once all of them pass, so a
-    RoundsDivergenceError leaves it at the last max_m fully checked.
-    `at(m)` makes the bounds of m's steps, without derivations.  Only
-    `pairs` (so `verify`) and `prove` (so `derive`) make derivations, by a
-    walk of `proofs` up each round's chain that gates each step it proves
-    through `records`, which is that step's check, so each step is gated
-    once.  The walk returns its derivations and the builder keeps none.
-    """
 
-    def __init__(self, e: int) -> None:
-        self.e = e
-        self.built = 2  # every step with m <= built is checked
-        self.sigma = {mu: _sections(2**mu - 1, e) for mu in (1, 2)}
-        self.integer_s = 0.0  # the integer pass's seconds, for `--timings`
-
-    # --- integer pass -------------------------------------------------------
-
-    def extend(self, max_m: int) -> None:
-        """Check every step with m <= max_m that is not checked yet."""
-        if max_m <= self.built:
-            return
+def _start(e: int) -> int:
+    """The watermark of e; an e not seen yet is checked, both rounds' sigma
+    are looked up (so a missing one fails even where no step reaches m), and
+    its watermark starts at 2."""
+    built = watermark.get(e)
+    if built is None:
+        if e < 1:
+            raise ValueError(f"need e >= 1, got {e}")
         for mu in (1, 2):
-            self._check(mu, max_m)
-        self.built = max_m
+            _sections(2**mu - 1, e)
+        built = watermark[e] = 2
+    return built
 
-    def _check(self, mu: int, max_m: int) -> None:
-        """Check the steps of round mu with built < m <= max_m."""
-        start = perf_counter()
-        # step ell of round mu reaches m = 2^mu (ell + 1) - 1
-        for ell in range(max(1, (self.built + 1) // 2**mu),
-                         (max_m + 1) // 2**mu):
-            self.records(mu, ell)
-        self.integer_s += perf_counter() - start
 
-    def _step(self, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
-              sigma: int, feed: int, expected: int) -> _Step:
-        """Gate one step and check its output against `expected`."""
-        radon = _gate(k, j, sigma, beta)
-        dim = None if radon is None else alpha_dim + beta + 1
-        return (rule_id, _check_form(dim, expected, k + j + 1, self.e), radon,
-                beta, feed)
+def _step(e: int, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
+          sigma: int, feed: int, expected: int) -> _Step:
+    """Gate one step and check its output against `expected`."""
+    radon = _gate(k, j, sigma, beta)
+    dim = None if radon is None else alpha_dim + beta + 1
+    return (rule_id, _check_form(dim, expected, k + j + 1, e), radon, beta,
+            feed)
 
-    def records(self, mu: int, ell: int) -> tuple[_Step, ...]:
-        """The records of the outputs of step ell of round mu
-        (k = 2^mu - 1), m = 2^mu (ell + 1) - 1, each gated and checked: the
-        main, then the sharpened output where it applies.  The ground of
-        round 2 (ell = 1) gives the special triple (e <= 2), then the
-        weakened L(7, e) in R^(17 + delta(e))."""
-        e, k, sigma = self.e, 2**mu - 1, self.sigma[mu]
-        if ell == 1 and mu == 1:
-            # k = j = 1 from R^5, sigma = 2
-            return (self._step("round1:base", 1, 1, 5, 5, 2,
-                               _feed_ambient(1, 1, e, 0),
-                               round_forms(1, 1, e)[0]),)
-        if ell == 1:
-            special: tuple[_Step, ...] = ()
-            if e <= 2:
-                special = (self._step(
-                    "round2:special", 3, 3, 14, _main_dim(1, 1, e), sigma,
-                    _feed_ambient(2, 1, e, 0), ROUND2_SPECIAL),)
-            have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
-                else _main_dim(1, 3, e)
-            return special + (("round2:base", _main_dim(2, 1, e), None, have,
-                               None),)
-        j = 2**mu * ell - 1
-        main, sharp_dim = round_forms(mu, ell, e)
-        step_rule, sharp_rule = _RULES[mu]
-        records = (self._step(step_rule, k, j, 4 * k + 2,
-                              round_forms(mu, ell - 1, e)[0] + 1, sigma,
-                              _feed_ambient(mu, ell, e, 0), main),)
-        if sharp_dim is None:
-            return records
-        return records + (self._step(sharp_rule, k, j, 4 * k + 2,
-                                     _main_dim(mu, ell - 1, e), sigma,
-                                     _feed_ambient(mu, ell, e, 1),
-                                     sharp_dim),)
 
-    @staticmethod
-    def _steps_at(m: int):
-        """(mu, ell) of each round's step that reaches exactly m, round 1
-        first."""
+def records(mu: int, ell: int, e: int) -> tuple[_Step, ...]:
+    """The records of the outputs of step ell of round mu (k = 2^mu - 1),
+    m = 2^mu (ell + 1) - 1, each gated and checked against `round_forms`:
+    the main, then the sharpened output where it applies.  The ground of
+    round 2 (ell = 1) gives the special triple (e <= 2), then the weakened
+    L(7, e) in R^(17 + delta(e)).
+
+    This is the only place a gate is evaluated, and it reads the steps
+    below only through their closed forms."""
+    k, sigma = 2**mu - 1, _sections(2**mu - 1, e)
+    if ell == 1 and mu == 1:
+        # k = j = 1 from R^5, sigma = 2
+        return (_step(e, "round1:base", 1, 1, 5, 5, 2,
+                      _feed_ambient(1, 1, e, 0), round_forms(1, 1, e)[0]),)
+    if ell == 1:
+        special: tuple[_Step, ...] = ()
+        if e <= 2:
+            special = (_step(e, "round2:special", 3, 3, 14, _main_dim(1, 1, e),
+                             sigma, _feed_ambient(2, 1, e, 0),
+                             ROUND2_SPECIAL),)
+        have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
+            else _main_dim(1, 3, e)
+        return special + (("round2:base", _main_dim(2, 1, e), None, have,
+                           None),)
+    j = 2**mu * ell - 1
+    main, sharp_dim = round_forms(mu, ell, e)
+    step_rule, sharp_rule = _RULES[mu]
+    out = (_step(e, step_rule, k, j, 4 * k + 2,
+                 round_forms(mu, ell - 1, e)[0] + 1, sigma,
+                 _feed_ambient(mu, ell, e, 0), main),)
+    if sharp_dim is None:
+        return out
+    return out + (_step(e, sharp_rule, k, j, 4 * k + 2,
+                        _main_dim(mu, ell - 1, e), sigma,
+                        _feed_ambient(mu, ell, e, 1), sharp_dim),)
+
+
+def _check(mu: int, e: int, max_m: int) -> None:
+    """Check the steps of round mu with watermark[e] < m <= max_m; the
+    caller moves the watermark once both rounds pass."""
+    global integer_s
+    start = perf_counter()
+    # step ell of round mu reaches m = 2^mu (ell + 1) - 1
+    for ell in range(max(1, (_start(e) + 1) // 2**mu), (max_m + 1) // 2**mu):
+        records(mu, ell, e)
+    integer_s += perf_counter() - start
+
+
+def _steps_at(m: int, e: int) -> list[tuple[int, int, tuple[_Step, ...]]]:
+    """(mu, ell, records) of each round's step that reaches exactly m, round
+    1 first, each gated once."""
+    _start(e)
+    steps = []
+    for mu in (1, 2):
+        ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
+        if rest == 0 and ell >= 2:
+            steps.append((mu, ell - 1, records(mu, ell - 1, e)))
+    return steps
+
+
+def at(m: int, e: int) -> tuple[Bound, ...]:
+    """The bounds derived for exactly this m, in derivation order (round 1
+    first), without their derivations: every step below m not under the
+    watermark is checked, so a whole table costs O(m) in all, then m's
+    steps are gated once.  Only `proofs` makes derivations."""
+    global integer_s
+    if m - 1 > _start(e):
         for mu in (1, 2):
-            ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
-            if rest == 0 and ell >= 2:
-                yield mu, ell - 1
-
-    def at(self, m: int) -> tuple[Bound, ...]:
-        """The bounds derived for exactly this m, in derivation order (round
-        1 first), without their derivations: every step below m is checked,
-        then m's steps are gated once."""
-        self.extend(m - 1)
-        start = perf_counter()
-        steps = [(mu, self.records(mu, ell)) for mu, ell in self._steps_at(m)]
-        self.built = max(self.built, m)
-        self.integer_s += perf_counter() - start
-        return tuple(_round_bound(self.e, mu, m, r)
-                     for mu, records in steps for r in records)
-
-    def pairs(self, max_m: int) -> tuple[tuple[int, Bound], ...]:
-        """The round-1 pairs with m <= max_m, then the round-2 ones, with
-        their derivations, proved afresh (`proofs` is imported on the first
-        call).  The proof gates each step through `records`, which is the
-        check, so `built` moves only once all of them pass."""
-        from . import proofs
-        pairs = proofs.pairs(self, max_m)
-        self.built = max(self.built, max_m)
-        return pairs
-
-    def prove(self, m: int, pick) -> Bound | None:
-        """The output at m that `pick` chooses, with its derivation.
-
-        `pick` maps the outputs at m, as `at(m)` lists them (without
-        derivations), to the index of one of them, or to None, for which
-        nothing is proved and None is returned.  The steps at m are gated
-        once, to make those outputs.  `proofs.prove` then proves the
-        outputs of the chosen step on the main outputs its round reached
-        before m, and no other output; its `records` calls are the check of
-        that round below m, and the integer pass checks only the other
-        round's steps below m.  So each step up to m is gated once (but for
-        the first steps of round 1, which round 2's ground also proves), and
-        `built` moves to m only once both rounds pass.
-        """
-        steps = [(mu, ell, self.records(mu, ell))
-                 for mu, ell in self._steps_at(m)]
-        index = pick(tuple(_round_bound(self.e, mu, m, r)
-                           for mu, _, records in steps for r in records))
-        if index is None:
-            return None
-        for mu, ell, records in steps:
-            if index < len(records):
-                self._check(3 - mu, m - 1)
-                from . import proofs
-                bound = proofs.prove(self, mu, ell, records)[index]
-                self.built = max(self.built, m)
-                return bound
-            index -= len(records)
-        raise IndexError(f"no output {index} at m={m}")
-
-
-_ROUNDS: dict[int, Rounds] = {}
-
-
-def rounds(e: int) -> Rounds:
-    """The process-wide builder for e, so every caller shares one build."""
-    if e < 1:
-        raise ValueError(f"need e >= 1, got {e}")
-    builder = _ROUNDS.get(e)
-    if builder is None:
-        builder = _ROUNDS[e] = Rounds(e)
-    return builder
-
-
-def builders() -> list[Rounds]:
-    """The process-wide builders made so far, by e."""
-    return [_ROUNDS[e] for e in sorted(_ROUNDS)]
-
-
-def derive_rounds(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
-    """All (m, bound) pairs the two rounds produce for m <= max_m, in
-    derivation order (round 1, then round 2, each in ascending m), each
-    bound verified against its closed form.
-
-    Each call proves every pair afresh, through the shared builder for e
-    (see `rounds`), which keeps only how far it has checked; nodes are
-    shared between the bounds of one call, so the whole build is small.
-    """
-    builder = rounds(e)
-    if max_m < 3:
-        raise ValueError(f"need max_m >= 3, got {max_m}")
-    return builder.pairs(max_m)
-
+            _check(mu, e, m - 1)
+        watermark[e] = m - 1
+    start = perf_counter()
+    steps = _steps_at(m, e)
+    watermark[e] = max(watermark[e], m)
+    integer_s += perf_counter() - start
+    return tuple(_round_bound(e, mu, m, r) for mu, _, step in steps
+                 for r in step)

@@ -1,20 +1,22 @@
 """Derivation trees of the inductive rounds, proved on demand.
 
-`inductive.Rounds` gates every step as plain integers, in `records`, and
-keeps no record.  Its `pairs` (`verify`) and `prove` (`derive`) load this
-module, whose one walk, `_walk`, climbs a round's chain from its ground
-to a step: it gates each step through `Rounds.records`, which is the check
-of that step (the integer pass skips it), and proves each main output on
-the main before it.  A walk keeps nothing once it returns, so each call
-proves afresh and its derivations live as long as its caller holds them.
-`query` and `table` never load this module.
+`inductive.records` gates every step as plain integers and keeps no record.
+`pairs` (`verify`) and `prove` (`derive`) are this module's entry points;
+its one walk, `_walk`, climbs a round's chain from its ground to a step:
+it gates each step through `records`, which is the check of that step (the
+integer pass skips it), and proves each main output on the main before it.
+A walk keeps nothing once it returns, so each call proves afresh and its
+derivations live as long as its caller holds them.  `query` and `table`
+never load this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .inductive import Rounds, _feed_route, _round_bound, _Step
+from . import inductive
+from .inductive import (_check, _feed_route, _round_bound, _sections,
+                        _Step, _steps_at, records)
 from .records import (Bound, DerivationNode, SideCondition, condition,
                       upper_category)
 
@@ -69,14 +71,15 @@ def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
         f"{sigma} independent normal sections", (), (cond,))
 
 
-def pairs(rounds: Rounds, max_m: int) -> tuple[tuple[int, Bound], ...]:
+def pairs(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
     """Every output of each step with m <= max_m, with its derivation, as
     (m, bound): round 1's walk, then round 2's, whose ground rests on the
-    round-1 mains of the same call."""
+    round-1 mains of the same call.  Each step is gated through `records`;
+    the watermark is neither read nor moved."""
     out: list[tuple[int, Bound]] = []
     mains1: list[Bound] = []
     for mu in (1, 2):
-        steps = _walk(rounds, mu, (max_m + 1) // 2**mu - 1, mains1=mains1)
+        steps = _walk(e, mu, (max_m + 1) // 2**mu - 1, mains1=mains1)
         for ell, (main, outputs) in enumerate(steps, 1):
             if mu == 1:
                 mains1.append(main)
@@ -84,37 +87,56 @@ def pairs(rounds: Rounds, max_m: int) -> tuple[tuple[int, Bound], ...]:
     return tuple(out)
 
 
-def prove(rounds: Rounds, mu: int, ell: int,
-          records: tuple[_Step, ...]) -> list[Bound]:
-    """Every output of step ell of round mu, from its `records` (gated by
-    the caller), on the mains of the steps below it; for round 2, its
-    ground first proves the round-1 mains it rests on (to m = 3, or m = 7
-    for e >= 3)."""
+def prove(m: int, e: int, pick) -> Bound | None:
+    """The output at m that `pick` chooses, with its derivation.
+
+    `pick` maps the outputs at m, as `inductive.at(m, e)` lists them
+    (without derivations), to the index of one of them, or to None, for
+    which nothing is proved and None is returned.  The steps at m are gated
+    once, to make those outputs; the integer pass then checks the other
+    round's steps below m; the walk proves the chosen step's outputs on the
+    mains its round reached before m, and no other output, and its
+    `records` calls are the check of that round below m (round 2's ground
+    first proves the round-1 mains it rests on, to m = 3, or m = 7 for
+    e >= 3); and the watermark moves to m.  So each step up to m is gated
+    once (but for the first steps of round 1, which round 2's ground also
+    proves).
+    """
+    steps = _steps_at(m, e)
+    index = pick(tuple(_round_bound(e, mu, m, r)
+                       for mu, _, top in steps for r in top))
+    if index is None:
+        return None
+    for mu, ell, top in steps:
+        if index < len(top):
+            break
+        index -= len(top)
+    else:
+        raise IndexError(f"no output {index} at m={m}")
+    _check(3 - mu, e, m - 1)
     mains1 = []
     if mu == 2:
-        mains1 = [main for main, _ in _walk(
-            rounds, 1, 1 if rounds.e <= 2 else 3, every=False)]
-    for _, outputs in _walk(rounds, mu, ell, records, every=False,
-                            mains1=mains1):
+        mains1 = [main for main, _ in _walk(e, 1, 1 if e <= 2 else 3,
+                                            every=False)]
+    for _, outputs in _walk(e, mu, ell, top, every=False, mains1=mains1):
         pass
-    return outputs
+    inductive.watermark[e] = max(inductive.watermark[e], m)
+    return outputs[index]
 
 
-def _walk(rounds: Rounds, mu: int, last: int,
-          records: tuple[_Step, ...] | None = None, every: bool = True,
-          mains1: Sequence[Bound] = ()):
+def _walk(e: int, mu: int, last: int, top: tuple[_Step, ...] | None = None,
+          every: bool = True, mains1: Sequence[Bound] = ()):
     """Walk round mu from its ground to step `last`, yielding (main,
     outputs) per step: every output, or, unless `every`, only the main
-    below `last`.  Each step is gated by `rounds.records`, but for step
-    `last` when the caller gives its `records`; each main is proved on the
-    one before it.  `mains1` holds round 1's mains, by ell - 1, for the
-    ground of round 2."""
-    e, k, sigma = rounds.e, 2**mu - 1, rounds.sigma[mu]
+    below `last`.  Each step is gated by `records`, but for step `last`
+    when the caller gives its records `top`; each main is proved on the one
+    before it.  `mains1` holds round 1's mains, by ell - 1, for the ground
+    of round 2."""
+    k, sigma = 2**mu - 1, _sections(2**mu - 1, e)
     ignite = igniting_node(k, e, sigma)
     main = None
     for ell in range(1, last + 1):
-        step = (records if ell == last and records is not None
-                else rounds.records(mu, ell))
+        step = top if ell == last and top is not None else records(mu, ell, e)
         if ell == 1:
             outputs = (_ground1(e, step) if mu == 1
                        else _ground2(e, sigma, step, ignite, mains1))

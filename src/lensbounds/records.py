@@ -64,7 +64,12 @@ class LensSpace(namedtuple("LensSpace", "m e odd_factor")):
         return 2**self.e * self.odd_factor
 
     def __str__(self) -> str:
-        return f"L^{self.dim}({self.torsion})"
+        try:
+            torsion = str(self.torsion)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            torsion = f"2^{self.e}" + (f"*{self.odd_factor}"
+                                       if self.odd_factor > 1 else "")
+        return f"L^{self.dim}({torsion})"
 
 
 def metastable_smoothable(manifold_dim: int, ambient_dim: int) -> bool:

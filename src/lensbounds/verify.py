@@ -19,7 +19,7 @@ from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
 from .dyadic import alpha, hurwitz_radon, nu, nu_binom, radon_pair
-from .inductive import Rounds, delta_e, milgram_condition
+from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, unique_nodes
@@ -385,9 +385,10 @@ def _replay_facts(roots) -> dict[int, tuple[bool, int, bool]]:
 def _check_rounds(e: int, max_m: int):
     """table-regeneration's cases and first counterexample for e, then
     derivation-replay's, then its boundary-gate-audit hits, from one pass
-    over the pairs of a `Rounds(e)` of its own, which is dropped (with
-    every derivation) on return."""
-    pairs = Rounds(e).pairs(max_m)
+    over `proofs.pairs(e, max_m)`, which are dropped (with every derivation)
+    on return."""
+    from . import proofs  # here, so that the other scopes never load it
+    pairs = proofs.pairs(e, max_m)
     produced = {(b.rule_id, m): b.dim for m, b in pairs}
     expected = _expected_rounds(e, max_m)
     table_bad = None
@@ -416,9 +417,8 @@ def verify_rounds(max_e: int = 8, max_ell: int = 100) -> list[CheckResult]:
     """Regenerate the rounds' table against `_expected_rounds` and replay
     every derivation, for each e up to max_e; then the Milgram checks.
 
-    One e at a time: each gets a `Rounds` of its own (see `_check_rounds`),
-    so at most one e's derivations are alive at once and the process-wide
-    builders are left alone.
+    One e at a time (see `_check_rounds`), so at most one e's derivations
+    are alive at once; the proofs leave the rounds' watermarks alone.
     """
     out = []
     max_m = 4 * max_ell + 3

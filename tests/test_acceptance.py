@@ -18,7 +18,8 @@ from lensbounds.catalog import (closed_form_uppers, euler_class_lower_bounds,
 from lensbounds.cohomology import CohomologyRing, is_spin, normal_sw_class
 from lensbounds.dyadic import (alpha, alpha_sym_pow_minus, nu, nu_binom,
                                nu_binom_sym)
-from lensbounds.inductive import delta_e, derive_rounds
+from lensbounds.inductive import delta_e
+from lensbounds.proofs import pairs
 from lensbounds.lifting import (davis_mahowald_check, embedding_gate,
                                 feeding_params, sharpening_drop)
 from lensbounds.records import LensSpace
@@ -72,7 +73,7 @@ def test_c02_identity_suite():
 
 
 def test_c03_table_regeneration():
-    """derive_rounds reproduces every closed form for ell <= 100, e <= 8."""
+    """The proved rounds reproduce every closed form for ell <= 100, e <= 8."""
     max_m = 4 * 100 + 3
     for e in range(1, 9):
         dlt = delta_e(e)
@@ -90,7 +91,7 @@ def test_c03_table_regeneration():
             expected[("round2:step", m)] = 16 * ell + dlt
             if ell % 2 == 0 and alpha(ell) >= 2:
                 expected[("round2:sharp", m)] = 16 * ell + dlt - 1
-        produced = {(b.rule_id, m): b.dim for m, b in derive_rounds(e, max_m)}
+        produced = {(b.rule_id, m): b.dim for m, b in pairs(e, max_m)}
         assert produced == expected, e
     passed(3, "table-regeneration (e <= 8, ell <= 100)")
 

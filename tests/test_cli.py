@@ -1,5 +1,7 @@
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,7 +11,8 @@ import sys
 
 import pytest
 
-from lensbounds import catalog, cli, cohomology, inductive, lifting, verify
+from lensbounds import (catalog, cli, cohomology, inductive, lifting, proofs,
+                        verify)
 from lensbounds.records import (Bound, Category, DerivationNode, Direction,
                                 InconsistentBoundsError, LensSpace,
                                 SideCondition, unique_nodes)
@@ -25,6 +28,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_INT_COLUMNS = {"m", "dim", "e", "lower", "upper", "gap", "eff"}
+
+
+def parse_csv(text: str) -> list[dict]:
+    """The rows of a `table --format csv`, typed as `cli.table_rows` makes
+    them."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != cli.COLUMNS:
+        raise ValueError(f"unexpected header {header}")
+    rows = []
+    for record in reader:
+        if not record:
+            continue
+        row: dict = dict(zip(cli.COLUMNS, record))
+        for key in _INT_COLUMNS:
+            row[key] = int(row[key])
+        row["exact"] = row["exact"] == "true"
+        rows.append(row)
+    return rows
+
+
+def parse_jsonl(text: str) -> list[dict]:
+    """The rows of a `table --format jsonl`."""
+    return [json.loads(line) for line in text.splitlines() if line]
+
+
 def test_table_csv_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "--e", "2", "--max-m", "32",
                            "--format", "csv")
@@ -36,13 +66,13 @@ def test_table_csv_matches_golden(capsys):
 def test_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--e", "3", "--max-m", "20",
                         "--format", "csv")
-    assert cli.render_csv(cli.parse_csv(out)) == out
+    assert cli.render_csv(parse_csv(out)) == out
 
 
 def test_jsonl_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--e", "1", "--max-m", "16",
                         "--format", "jsonl")
-    rows = cli.parse_jsonl(out)
+    rows = parse_jsonl(out)
     assert cli.render_jsonl(rows) == out
     assert all(isinstance(r["exact"], bool) for r in rows)
 
@@ -52,8 +82,8 @@ def test_formats_share_rows(capsys):
                             "--format", "csv")
     _, jsonl_out, _ = run_cli(capsys, "table", "--e", "2", "--max-m", "8",
                               "--format", "jsonl")
-    csv_rows = cli.parse_csv(csv_out)
-    assert csv_rows == cli.parse_jsonl(jsonl_out)
+    csv_rows = parse_csv(csv_out)
+    assert csv_rows == parse_jsonl(jsonl_out)
     _, md_out, _ = run_cli(capsys, "table", "--e", "2", "--max-m", "8",
                            "--format", "md")
     assert md_out.count("\n") == 8 + 2
@@ -124,7 +154,7 @@ _EXTREME_INPUTS = (
 
 def test_extreme_inputs_exit_cleanly(capsys, monkeypatch):
     # a private builder cache, so the 2^14 block is freed after the test
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    monkeypatch.setattr(inductive, "watermark", {})
     for expected, argv in _EXTREME_INPUTS:
         code, out, err = run_cli(capsys, *argv)
         assert code == expected, argv
@@ -208,7 +238,7 @@ _TIMING_LINE = re.compile(
 
 
 def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    monkeypatch.setattr(inductive, "watermark", {})
     # cold, the 4096-row table builds the integer pass alone
     table = ("table", "--e", "3", "--max-m", "4096", "--format", "csv")
     code, out, err = run_cli(capsys, *table, "--timings")
@@ -234,10 +264,10 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
     # the first derive at e = 2 builds the integer pass up to m = 51 and
     # counts the nodes of the one derivation it prints (here round 2's
     # sharpened output)
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    monkeypatch.setattr(inductive, "watermark", {})
     code, _, err = run_cli(capsys, "derive", "--m", "51", "--e", "2",
                            "--timings")
-    pairs = inductive.Rounds(2).pairs(51)
+    pairs = proofs.pairs(2, 51)
     best = min((b for m, b in pairs if m == 51), key=lambda b: b.dim)
     assert best.rule_id == "round2:sharp"
     nodes = unique_nodes([best.derivation])
@@ -290,7 +320,7 @@ def test_only_derive_loads_the_proof_layer():
 
 
 def test_query_and_table_make_no_proof_nodes(capsys, monkeypatch):
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    monkeypatch.setattr(inductive, "watermark", {})
     made = []
     for cls in (DerivationNode, SideCondition):
         def counted(this, *args, cls=cls, new=cls.__new__, **kwargs):
@@ -344,6 +374,163 @@ def test_large_tables_keep_their_bytes(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
+# sha256(stdout)[:16] of `query --m m --e e --all` with each flag set, for m
+# in QUERY_MS, as printed when each e had a round builder object of its own
+QUERY_MS = (0, 1, 2, 3, 5, 7, 11, 15, 23, 25, 101, 257, 1023, 4095)
+QUERY_DIGESTS = {
+    ((), 1): (
+        "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
+        "d6ef90c0c1506737", "cd8a5234dbf71c79", "e79617d65818c327",
+        "7691912fdcea6dee", "a840f057c28d95e8", "51d5b904fc2db6a0",
+        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
+        "e28872ccf2c61d0f", "c542a4fabe7aaf9b"),
+    ((), 2): (
+        "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
+        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
+        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
+        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
+        "37ac3e73f4369e4b", "72211e9e9adff373"),
+    ((), 3): (
+        "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
+        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
+        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
+        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
+        "6a00f807ab2b03f1", "de778b1ccc056067"),
+    ((), 8): (
+        "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
+        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
+        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
+        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
+        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+    (('--external',), 1): (
+        "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
+        "d6ef90c0c1506737", "cd8a5234dbf71c79", "958972c4455a33c2",
+        "37b2a3a299b77904", "ab44e10e90a01012", "67743e07e3756fc3",
+        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
+        "2ea613c2e734feb2", "3559cf123b9ebf7f"),
+    (('--external',), 2): (
+        "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
+        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
+        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
+        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
+        "37ac3e73f4369e4b", "72211e9e9adff373"),
+    (('--external',), 3): (
+        "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
+        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
+        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
+        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
+        "6a00f807ab2b03f1", "de778b1ccc056067"),
+    (('--external',), 8): (
+        "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
+        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
+        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
+        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
+        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+    (('--conjectural',), 1): (
+        "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
+        "d6ef90c0c1506737", "cd8a5234dbf71c79", "e79617d65818c327",
+        "7691912fdcea6dee", "a840f057c28d95e8", "51d5b904fc2db6a0",
+        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
+        "b93b48eccc94de4a", "978fda8f831b5074"),
+    (('--conjectural',), 2): (
+        "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
+        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
+        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
+        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
+        "37ac3e73f4369e4b", "72211e9e9adff373"),
+    (('--conjectural',), 3): (
+        "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
+        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
+        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
+        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
+        "6a00f807ab2b03f1", "be2d8f2ce6876025"),
+    (('--conjectural',), 8): (
+        "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
+        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
+        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
+        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
+        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+    (('--k', '3'), 1): (
+        "e38f2e70a10776fe", "8b9244bdff738835", "4777d0dcd77a4f57",
+        "5f1ea5882cf95892", "3da171e9ea38ae23", "fcfbb6914d46bd7d",
+        "f12596b0e5ec2afd", "a10f626dc376316d", "806beac1b3dd4abe",
+        "3157715cf2f43b61", "8f3733920c35cf8c", "2268ea36c195c118",
+        "92cd8990c0a4e368", "44d0a4d68d737285"),
+    (('--k', '3'), 2): (
+        "b9e04081039f26a5", "66faa5f27b247bc3", "ac6e9a50de81e601",
+        "6e57fa4d209ea5fd", "eac9e73d36f536bd", "36b6b0371ea9e345",
+        "37a2dd2ef11634d8", "c4eb344a9362cdaa", "9e5f879cafa68bbc",
+        "ecd0568db2caf2a7", "40ace67672485cd9", "ee49c39d6332ebf0",
+        "317c4bda0f7963c4", "6d50781ca07bba00"),
+    (('--k', '3'), 3): (
+        "e5dd65a08906e4e4", "1cd2c42fd7b0eefd", "90484de0da012ba1",
+        "fe042ddfb55932d9", "aa8651b2bcd93b8e", "621b2cf970504b36",
+        "6953c381fab14a8c", "ff7db6c8febe28de", "729ae741eef39ad8",
+        "74060f37b52ec53a", "b36d018a272d201b", "be93563100361a79",
+        "3bfcda1beb7ee5a9", "f8bf4a99d93a90e6"),
+    (('--k', '3'), 8): (
+        "e1ce1e4878a70f1e", "1919663eee9ee845", "061f43815c17e4a2",
+        "c8f9080ade609c48", "5ba9e44aee8c58b2", "69351161d7264a3f",
+        "c1df17817992cd9e", "0bcdc33278e37970", "eb8f7313450a2721",
+        "efdfbc08dd46e06e", "ea69a0faa2c1c97a", "4556cc490e345244",
+        "d4cb9a0eed739440", "e5f18cc3ec32b5af"),
+}
+
+
+@pytest.mark.parametrize("flags, e", list(QUERY_DIGESTS), ids=[
+    f"{' '.join(flags) or 'plain'} e={e}" for flags, e in QUERY_DIGESTS])
+def test_queries_keep_their_bytes(capsys, flags, e):
+    for m, digest in zip(QUERY_MS, QUERY_DIGESTS[flags, e]):
+        argv = ("query", "--m", str(m), "--e", str(e), "--all", *flags)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
+def test_query_torsion_past_the_digit_limit(capsys):
+    # 2^e*k is printed in decimal while the interpreter's int-to-str limit
+    # (4300 digits by default) allows it, and as a power past it, where it
+    # raised a ValueError that exited 1 as a usage error
+    for argv, torsion in (((14284, 1), str(2**14284)),
+                          ((14285, 1), "2^14285"),
+                          ((14282, 3), str(2**14282 * 3)),
+                          ((14283, 3), "2^14283*3"),
+                          ((14284, 3), "2^14284*3")):
+        e, k = argv
+        code, out, err = run_cli(capsys, "query", "--m", "3", "--e", str(e),
+                                 "--k", str(k), "--all")
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(f"L^7({torsion})  (m=3, e={e}, odd factor {k},"
+                              ), argv
+
+
+# exit code, and stderr or its end, of edge inputs whose e is checked where
+# the rounds are first asked for
+_EDGE_EXITS = (
+    (("derive", "--m", "5", "--e", "0"), 1, "error: need e >= 1, got 0\n"),
+    (("derive", "--m", "2", "--e", "0"), 1,
+     "no inductive derivation exists for m=2 (the rounds start at m=3)\n"),
+    (("table", "--e", "0", "--max-m", "0"), 0, ""),
+    (("table", "--e", "0", "--max-m", "1"), 1, "error: need e >= 1, got 0\n"),
+    (("query", "--m", "1", "--e", "3", "--timings"), 0,
+     "e=3 built to m=2; 0 nodes, 0 side conditions\n"),
+    (("query", "--m", "0", "--e", "3", "--timings"), 0,
+     "; no rounds built; 0 nodes, 0 side conditions\n"),
+)
+
+
+@pytest.mark.parametrize("argv, want_code, want_err", _EDGE_EXITS)
+def test_edge_exits(capsys, monkeypatch, argv, want_code, want_err):
+    monkeypatch.setattr(inductive, "watermark", {})
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want_code
+    assert err.endswith(want_err)
+    if argv[0] == "table":
+        assert out.split() == (list(cli.COLUMNS) if code == 0 else [])
+    if "--timings" not in argv:
+        assert err == want_err
 
 
 # sha256(stdout)[:16] of `derive` in human and jsonl format, as printed
@@ -446,14 +633,15 @@ def test_derive_gates_each_step_once(capsys, monkeypatch):
     # here), and the integer pass checks only the other round's steps, so
     # the derive gates the same steps as the integer pass alone, each once,
     # and prints the bytes it printed when it gated the chain twice
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    monkeypatch.setattr(inductive, "watermark", {})
     calls = []
     real = inductive._gate
     monkeypatch.setattr(inductive, "_gate",
                         lambda *args: calls.append(args) or real(*args))
     code, out, _ = run_cli(capsys, "derive", "--m", "401", "--e", "3")
     derived, calls[:] = sorted(calls), []
-    inductive.Rounds(3).extend(401)
+    monkeypatch.setattr(inductive, "watermark", {})
+    inductive.at(401, 3)
     assert code == 0 and len(derived) == len(calls) == 434
     assert derived == sorted(calls)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "dd27c291e98f5b79"
@@ -477,11 +665,19 @@ def _nu_binom_sym_off_at(bottom: int):
      ("lift", "--ell", "6"), "nu(C(p, 4l-2)) = 5 off its closed form"),
     (lifting, {"nu": lambda n: 99},
      ("lift", "--ell", "6"), "disagrees with alpha(ell) + 1 + nu(ell)"),
-    # a fresh round builder, so the igniting section count is looked up again
-    (inductive, {"sections_table": lambda k, e: None, "_ROUNDS": {}},
+    # a fresh watermark, so the igniting section counts are looked up again
+    (inductive, {"sections_table": lambda k, e: None, "watermark": {}},
      ("derive", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
-    (inductive, {"sections_table": lambda k, e: None, "_ROUNDS": {}},
+    (inductive, {"sections_table": lambda k, e: None, "watermark": {}},
      ("query", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
+    # where no step reaches m, or only round 1's ground, whose sigma is not
+    # tabulated: both sigmas are looked up the first time an e is asked for
+    *[(inductive, {"sections_table": lambda k, e: None, "watermark": {}},
+       argv, "no tabulated igniting embedding")
+      for argv in (("query", "--m", "1", "--e", "3"),
+                   ("query", "--m", "3", "--e", "3"),
+                   ("table", "--e", "3", "--max-m", "3"),
+                   ("derive", "--m", "3", "--e", "3"))],
 ])
 def test_engine_failures_exit_3(capsys, monkeypatch, target, patches, argv,
                                 message):

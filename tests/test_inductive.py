@@ -6,10 +6,9 @@ import pytest
 
 from lensbounds import cli, inductive, proofs
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (Rounds, _feed_ambient, _gate,
-                                  _sections, delta_e, derive_rounds,
-                                  milgram_condition, rounds, sections_table)
-from lensbounds.proofs import feed_node, igniting_node, step_node
+from lensbounds.inductive import (_feed_ambient, _gate, _sections, at,
+                                  delta_e, milgram_condition, sections_table)
+from lensbounds.proofs import feed_node, igniting_node, pairs, prove, step_node
 from lensbounds.records import (Category, DerivationNode,
                                 RoundsDivergenceError, SideCondition,
                                 unique_nodes, upper_category)
@@ -67,14 +66,14 @@ def test_inductive_step_gate_boundary():
 def _best(e, max_m):
     """The best derived upper bound per m <= max_m."""
     best = {}
-    for m, bound in derive_rounds(e, max_m):
+    for m, bound in pairs(e, max_m):
         if m not in best or bound.dim < best[m].dim:
             best[m] = bound
     return best
 
 
 def _feed(mu, ell, e, lam):
-    """The feed's derivation and ambient, as the two builder layers make
+    """The feed's derivation and ambient, as `proofs` and `records` make
     them."""
     ambient = _feed_ambient(mu, ell, e, lam)
     return feed_node(mu, ell, e, lam, ambient), ambient
@@ -133,15 +132,14 @@ def test_run_rounds_examples():
     assert _best(2, 7)[7].dim == 26     # the special triple
     assert _best(1, 5)[5].dim == 19     # 8*2 + 3
     assert _best(5, 7)[7].dim == 27     # 8*3 + 3 doubles as the ground
-    with pytest.raises(ValueError):
-        derive_rounds(2, 2)
+    assert pairs(2, 2) == ()            # the rounds start at m = 3
 
 
 def test_run_rounds_closed_forms():
     for e in (1, 2, 3, 4):
         dlt = delta_e(e)
         produced = {}
-        for m, b in derive_rounds(e, 103):
+        for m, b in pairs(e, 103):
             produced.setdefault((b.rule_id, m), b.dim)
         for ell in range(1, 52):
             m = 2 * ell + 1
@@ -163,18 +161,18 @@ def test_run_rounds_closed_forms():
 
 def test_external_flagging():
     # the e=1 second round rests on the external PL seed; round 1 does not
-    for m, b in derive_rounds(1, 47):
+    for m, b in pairs(1, 47):
         if b.rule_id.startswith("round2:") and b.rule_id != "round2:special":
             assert b.external
         else:
             assert not b.external
-    for m, b in derive_rounds(2, 47):
+    for m, b in pairs(2, 47):
         assert not b.external
 
 
 def test_derivations_replay_and_audit():
     for e in (1, 2, 3):
-        for m, b in derive_rounds(e, 103):
+        for m, b in pairs(e, 103):
             assert b.derivation.replay()
             for node in b.derivation.walk():
                 for cond in node.side_conditions:
@@ -185,7 +183,7 @@ def test_derivations_replay_and_audit():
 
 def test_beta_bookkeeping():
     # every step records beta within one of the prior round's output
-    for m, b in derive_rounds(3, 103):
+    for m, b in pairs(3, 103):
         for node in b.derivation.walk():
             for cond in node.side_conditions:
                 if cond.kind == "beta-from-prior":
@@ -242,25 +240,33 @@ def _shapes():
 
 
 @pytest.mark.parametrize("a, b", [(3, 7), (7, 300), (300, 301), (5, 1023)])
-def test_extended_builder_equals_fresh_builder(a, b):
+def test_extended_builder_equals_fresh_builder(monkeypatch, a, b):
+    # a watermark moved to a, then to b, gives the lookups and proofs of one
+    # moved to b at once, and of none at all
     shape = _shapes()
+    ms = sorted({3, a, b - 1, b} - {2})
     for e in range(1, 5):
-        grown, fresh = Rounds(e), Rounds(e)
-        grown.extend(a)
-        grown.extend(b)
-        fresh.extend(b)
-        for max_m in sorted({3, a, b - 1, b} - {2}):
-            assert shape(grown.pairs(max_m)) == shape(fresh.pairs(max_m))
-        assert shape(grown.pairs(b)) == shape(derive_rounds(e, b))
+        monkeypatch.setattr(inductive, "watermark", {})
+        cold = [shape(pairs(e, max_m)) for max_m in ms]
+        got = []
+        for moves in ((a, b), (b,)):
+            monkeypatch.setattr(inductive, "watermark", {})
+            for m in moves:
+                at(m, e)
+            assert inductive.watermark == {e: b}
+            got.append(([at(m, e) for m in ms],
+                        [shape(pairs(e, max_m)) for max_m in ms]))
+        assert got[0] == got[1]
+        assert got[0][1] == cold
 
 
 def test_engine_bounds_are_the_pairs_at_m():
     # the integer pass gives the proof layer's bounds, without derivations
     for e in (1, 2, 3, 6):
-        pairs = derive_rounds(e, 300)
+        proved = pairs(e, 300)
         for m in range(0, 301):
-            want = [b._replace(derivation=None) for mm, b in pairs if mm == m]
-            got = rounds(e).at(m)
+            want = [b._replace(derivation=None) for mm, b in proved if mm == m]
+            got = at(m, e)
             assert list(got) == want, (m, e)
             assert all(b.derivation is None for b in got)
 
@@ -278,70 +284,76 @@ def _no_nodes(monkeypatch):
 def test_lookup_builds_to_m_without_proofs(monkeypatch):
     shape = _shapes()
     for m in (0, 2, 3, 5, 257, 512, 1025):
-        builder = Rounds(2)
+        monkeypatch.setattr(inductive, "watermark", {})
         with _no_nodes(monkeypatch):
-            found = builder.at(m)
-        assert builder.built == max(m, 2), m
+            found = at(m, 2)
+        assert inductive.watermark == {2: max(m, 2)}, m
         assert found == tuple(b._replace(derivation=None)
-                              for mm, b in Rounds(2).pairs(max(m, 3))
-                              if mm == m)
-    builder = Rounds(5)
+                              for mm, b in pairs(2, max(m, 3)) if mm == m)
+    monkeypatch.setattr(inductive, "watermark", {})
+    cold = shape(pairs(5, 512))
     with _no_nodes(monkeypatch):
-        builder.at(300)
-    assert builder.built == 300
-    assert shape(builder.pairs(512)) == shape(Rounds(5).pairs(512))
-    assert builder.built == 512
-    assert builder.at(400) == tuple(b._replace(derivation=None)
-                                    for m, b in builder.pairs(400) if m == 400)
+        at(300, 5)
+    assert inductive.watermark == {5: 300}
+    # the proofs neither read nor move the watermark
+    assert shape(pairs(5, 512)) == cold
+    assert inductive.watermark == {5: 300}
+    assert at(400, 5) == tuple(b._replace(derivation=None)
+                               for m, b in pairs(5, 400) if m == 400)
+    assert inductive.watermark == {5: 400}
 
 
-def test_prove_builds_one_step_and_the_mains_below_it():
+def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
     # m = 7 is round 2's ground, which weakens the PL seed (e = 1), the
     # special output (e = 2) or round 1's main at m = 7 (e = 3)
     for e in (1, 2, 3):
         shape = _shapes()
-        full = Rounds(e).pairs(203)
+        full = pairs(e, 203)
         for m in (3, 7, 11, 201, 203):
-            builder = Rounds(e)
-            found = Rounds(e).at(m)
-            got = [builder.prove(m, lambda outputs, i=i: i)
+            monkeypatch.setattr(inductive, "watermark", {})
+            found = at(m, e)
+            monkeypatch.setattr(inductive, "watermark", {})
+            got = [prove(m, e, lambda outputs, i=i: i)
                    for i in range(len(found))]
             assert shape((m, b) for b in got) == shape(
                 (mm, b) for mm, b in full if mm == m), (e, m)
             # `pick` sees the outputs at m without their derivations
-            last = builder.prove(m, lambda outputs: outputs.index(found[-1]))
+            last = prove(m, e, lambda outputs: outputs.index(found[-1]))
             assert shape([(m, last)]) == shape([(m, got[-1])]), (e, m)
-            assert builder.built == m, (e, m)
+            assert inductive.watermark == {e: m}, (e, m)
             with pytest.raises(IndexError):
-                builder.prove(m, lambda outputs: len(got))
+                prove(m, e, lambda outputs: len(got))
         # picking none proves nothing and checks nothing
-        builder = Rounds(e)
-        assert builder.prove(203, lambda outputs: None) is None
-        assert builder.built == 2
+        monkeypatch.setattr(inductive, "watermark", {})
+        assert prove(203, e, lambda outputs: None) is None
+        assert inductive.watermark == {e: 2}
         # m = 201 is reached by round 1 alone: its proof makes no round-2
         # node and well under half of the nodes of every pair up to 203
-        made = unique_nodes([builder.prove(201, lambda outputs: 0).derivation])
+        made = unique_nodes([prove(201, e, lambda outputs: 0).derivation])
         assert not any(n.rule_id.startswith("round2") for n in made)
         assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
 
 
 def test_a_builder_keeps_no_derivation(monkeypatch):
-    fields = {"e", "built", "sigma", "integer_s"}
-    builder = Rounds(3)
-    builder.pairs(403)
-    assert set(vars(builder)) == fields
-    builder.prove(403, lambda outputs: 0)
-    assert set(vars(builder)) == fields
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+    # the engine's only state is the watermark, of ints, and the seconds
+    # of the integer pass, a float
+    monkeypatch.setattr(inductive, "watermark", {})
+    state = {module: dict(vars(module)) for module in (inductive, proofs)}
+    pairs(3, 403)
+    prove(403, 3, lambda outputs: 0)
     assert cli.main(["derive", "--m", "403", "--e", "3"]) == 0
-    assert set(vars(rounds(3))) == fields
+    assert inductive.watermark == {3: 403}
+    assert type(inductive.integer_s) is float
+    for module, before in state.items():
+        assert {name for name, value in vars(module).items()
+                if before.get(name) is not value} <= {"integer_s"}, module
     # dropping the pairs frees their nodes
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        pairs = builder.pairs(403)
+        held_pairs = pairs(3, 403)
         held, _ = tracemalloc.get_traced_memory()
-        del pairs
+        del held_pairs
         gc.collect()
         left, _ = tracemalloc.get_traced_memory()
     finally:
@@ -364,27 +376,30 @@ def _diverge_at_25(monkeypatch):
 
 
 def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
-    # the sharpened round-1 output at m = 25 (ell = 12) diverges: `built`
-    # must not move past the last max_m whose steps all passed
-    builder = Rounds(3)
-    builder.extend(20)
+    # the sharpened round-1 output at m = 25 (ell = 12) diverges: the
+    # watermark must not move past the last m whose steps all passed
+    monkeypatch.setattr(inductive, "watermark", {})
+    at(20, 3)
     real = _diverge_at_25(monkeypatch)
     with pytest.raises(RoundsDivergenceError):
-        builder.extend(40)
-    assert builder.built == 20  # the last max_m fully checked
-    assert builder.at(23) == Rounds(3).at(23)
+        at(41, 3)  # checks every step up to m = 40 first
+    assert inductive.watermark == {3: 20}  # the last m fully checked
     shape = _shapes()
-    assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
+    below = at(23, 3), shape(pairs(3, 23))
     monkeypatch.setattr(inductive, "_check_form", real)
-    assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))
+    grown = at(41, 3), shape(pairs(3, 40))
+    assert inductive.watermark == {3: 41}
+    monkeypatch.setattr(inductive, "watermark", {})
+    assert below == (at(23, 3), shape(pairs(3, 23)))
+    assert grown == (at(41, 3), shape(pairs(3, 40)))
 
 
 def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     # building the feed of the sharpened output at m = 25 (ell = 12) fails:
-    # since `pairs` lets the proof's gating be the check, `built` stays
-    # where it was
-    builder = Rounds(3)
-    builder.pairs(20)
+    # `pairs` never moves the watermark, and `prove` moves it only once its
+    # proof is built, so it stays where it was
+    monkeypatch.setattr(inductive, "watermark", {})
+    at(20, 3)
 
     def fail(mu, ell, e, lam, ambient):
         if (mu, ell, lam) == (1, 12, 1):
@@ -392,32 +407,41 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
         return feed_node(mu, ell, e, lam, ambient)
     monkeypatch.setattr(proofs, "feed_node", fail)
     with pytest.raises(RuntimeError):
-        builder.pairs(40)
-    assert builder.built == 20
+        pairs(3, 40)
+    with pytest.raises(RuntimeError):
+        prove(25, 3, lambda outputs: 1)  # the sharpened output
+    assert inductive.watermark == {3: 20}
     shape = _shapes()
-    assert shape(builder.pairs(23)) == shape(Rounds(3).pairs(23))
+    below = shape(pairs(3, 23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)
-    assert shape(builder.pairs(40)) == shape(Rounds(3).pairs(40))
+    assert below == shape(pairs(3, 23))
+    assert shape([(25, prove(25, 3, lambda outputs: 1))]) == shape(
+        (m, b) for m, b in pairs(3, 40)
+        if (m, b.rule_id) == (25, "round1:sharp"))
+    assert inductive.watermark == {3: 25}
 
 
 def test_cold_lookup_checks_the_chain_below_m(monkeypatch):
     # m = 41 is reached by steps that read m = 25 only through its closed
-    # form, yet a cold `at(41)` checks every step below it
-    builder = Rounds(3)
+    # form, yet a cold `at(41, 3)` checks every step below it
+    monkeypatch.setattr(inductive, "watermark", {})
     real = _diverge_at_25(monkeypatch)
     with pytest.raises(RoundsDivergenceError):
-        builder.at(41)
+        at(41, 3)
+    assert inductive.watermark == {3: 2}
     monkeypatch.setattr(inductive, "_check_form", real)
-    assert builder.at(23) == Rounds(3).at(23)
+    below = at(23, 3)
+    monkeypatch.setattr(inductive, "watermark", {})
+    assert below == at(23, 3)
 
 
-def test_integer_pass_keeps_no_per_m_state():
+def test_integer_pass_keeps_no_per_m_state(monkeypatch):
+    monkeypatch.setattr(inductive, "watermark", {})
     tracemalloc.start()
     try:
-        builder = Rounds(3)
-        builder.extend(50_000)
+        at(50_000, 3)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert builder.built == 50_000
+    assert inductive.watermark == {3: 50_000}
     assert size < 64 * 1024, size

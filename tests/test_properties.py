@@ -12,22 +12,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lensbounds import cli, inductive
+from lensbounds import cli, inductive, proofs
 from lensbounds.catalog import report
 from lensbounds.records import LensSpace
+from test_cli import parse_csv, parse_jsonl
 
 
 def _settings(examples):
-    # the function-scoped fixture is a private builder cache, shared by the
-    # examples of one test on purpose
+    # the function-scoped fixtures are a private watermark, shared by the
+    # examples of one test on purpose, and monkeypatch
     return settings(derandomize=True, max_examples=examples, deadline=None,
                     database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @pytest.fixture
-def private_builders(monkeypatch):
-    monkeypatch.setattr(inductive, "_ROUNDS", {})
+def private_watermark(monkeypatch):
+    monkeypatch.setattr(inductive, "watermark", {})
 
 
 ms = st.integers(0, 5000)
@@ -44,7 +45,7 @@ def _main(*argv):
 
 @_settings(100)
 @given(m=ms, e=es, k=ks)
-def test_query_lower_is_at_most_upper(private_builders, m, e, k):
+def test_query_lower_is_at_most_upper(private_watermark, m, e, k):
     code, out, err = _main("query", "--m", str(m), "--e", str(e),
                            "--k", str(k))
     assert (code, err) == (0, "")
@@ -55,7 +56,7 @@ def test_query_lower_is_at_most_upper(private_builders, m, e, k):
 
 @_settings(100)
 @given(m=ms, e=es, k=ks)
-def test_flags_never_worsen_a_bound(private_builders, m, e, k):
+def test_flags_never_worsen_a_bound(private_watermark, m, e, k):
     space = LensSpace(m, e, k)
     default = report(space)
     for flags in ({"external": True}, {"conjectural": True},
@@ -68,12 +69,12 @@ def test_flags_never_worsen_a_bound(private_builders, m, e, k):
 @_settings(20)
 @given(e=es, max_m=st.integers(0, 200), k=ks, conjectural=st.booleans(),
        external=st.booleans())
-def test_table_formats_round_trip(private_builders, e, max_m, k, conjectural,
+def test_table_formats_round_trip(private_watermark, e, max_m, k, conjectural,
                                   external):
     rows = cli.table_rows(e, max_m, k, conjectural=conjectural,
                           external=external)
-    for render, parse in ((cli.render_csv, cli.parse_csv),
-                          (cli.render_jsonl, cli.parse_jsonl)):
+    for render, parse in ((cli.render_csv, parse_csv),
+                          (cli.render_jsonl, parse_jsonl)):
         text = render(rows)
         assert parse(text) == rows
         assert render(parse(text)) == text
@@ -81,8 +82,9 @@ def test_table_formats_round_trip(private_builders, e, max_m, k, conjectural,
 
 @_settings(25)
 @given(e=st.integers(1, 10), m=st.integers(0, 4096))
-def test_integer_pass_equals_proof_layer(e, m):
-    plain = inductive.Rounds(e).at(m)
-    proved = inductive.Rounds(e).pairs(max(m, 3))
+def test_integer_pass_equals_proof_layer(monkeypatch, e, m):
+    monkeypatch.setattr(inductive, "watermark", {})  # cold in each example
+    plain = inductive.at(m, e)
+    proved = proofs.pairs(e, max(m, 3))
     assert plain == tuple(b._replace(derivation=None)
                           for mm, b in proved if mm == m)

@@ -8,7 +8,7 @@ import pytest
 
 from lensbounds import cli, inductive, records, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
-from lensbounds.inductive import derive_rounds
+from lensbounds.proofs import pairs
 from lensbounds.records import DerivationNode, SideCondition, unique_nodes
 
 # the stdout of `verify all`: each scope's check lines, in scope order, then
@@ -169,7 +169,7 @@ def test_cartan_squares_each_class_once_per_degree(monkeypatch):
 
 def _rounds_roots(max_e=8, max_m=403):
     for e in range(1, max_e + 1):
-        yield e, derive_rounds(e, max_m)
+        yield e, pairs(e, max_m)
 
 
 def test_replay_facts_count_a_shared_premise_on_every_path():
@@ -188,8 +188,8 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
     # fail one witness of a feeding premise in the middle of a chain: the
     # failure has to reach every conclusion above it, and the counterexample
     # is the first bound in derivation order that rests on it
-    pairs = derive_rounds(1, 403)
-    step = pairs[len(pairs) // 3][1].derivation
+    proved = pairs(1, 403)
+    step = proved[len(proved) // 3][1].derivation
     node = next(p for p in step.premises if p.rule_id == "feeding")
     cond = next(c for c in node.side_conditions if c.kind == "feeding-ambient")
     predicate = records._REPLAY[cond.kind]
@@ -198,7 +198,7 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
         lambda *args: args != cond.args and predicate(*args))
 
     want = next((e, m, b.rule_id)
-                for e, pairs in _rounds_roots() for m, b in pairs
+                for e, proved in _rounds_roots() for m, b in proved
                 if not b.derivation.replay())
 
     by_name = {r.name: r for r in verify.verify_rounds()}
@@ -222,8 +222,8 @@ def test_each_unique_node_is_replayed_once(monkeypatch):
         monkeypatch.setitem(records._REPLAY, kind, counted(predicate))
     assert all(r.ok for r in verify.verify_rounds())
     want = sum(len(n.side_conditions)
-               for _, pairs in _rounds_roots()
-               for n in unique_nodes(b.derivation for _, b in pairs))
+               for _, proved in _rounds_roots()
+               for n in unique_nodes(b.derivation for _, b in proved))
     assert calls == want
 
 
@@ -242,7 +242,7 @@ def test_rounds_gate_each_step_once(monkeypatch):
 
 
 def test_rounds_keep_one_e_alive_at_a_time():
-    shared = [(b.e, b.built) for b in inductive.builders()]
+    shared = dict(inductive.watermark)
     tracemalloc.start()
     try:
         assert all(r.ok for r in verify.verify_rounds())
@@ -251,5 +251,5 @@ def test_rounds_keep_one_e_alive_at_a_time():
         tracemalloc.stop()
     # one e's derivations take about 1.7 MB; all eight took about 14 MB
     assert peak < 4 * 1024 * 1024, peak
-    # and the process-wide builders are left alone
-    assert [(b.e, b.built) for b in inductive.builders()] == shared
+    # and the watermarks are left alone
+    assert inductive.watermark == shared

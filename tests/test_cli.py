@@ -493,17 +493,16 @@ def test_query_torsion_past_the_digit_limit(capsys):
     # 2^e*k is printed in decimal while the interpreter's int-to-str limit
     # (4300 digits by default) allows it, and as a power past it, where it
     # raised a ValueError that exited 1 as a usage error
-    for argv, torsion in (((14284, 1), str(2**14284)),
-                          ((14285, 1), "2^14285"),
-                          ((14282, 3), str(2**14282 * 3)),
-                          ((14283, 3), "2^14283*3"),
-                          ((14284, 3), "2^14284*3")):
-        e, k = argv
+    for e, k, torsion in ((14284, 1, str(2**14284)),
+                          (14285, 1, "2^14285"),
+                          (14282, 3, str(2**14282 * 3)),
+                          (14283, 3, "2^14283*3"),
+                          (14284, 3, "2^14284*3")):
         code, out, err = run_cli(capsys, "query", "--m", "3", "--e", str(e),
                                  "--k", str(k), "--all")
-        assert (code, err) == (0, ""), argv
-        assert out.startswith(f"L^7({torsion})  (m=3, e={e}, odd factor {k},"
-                              ), argv
+        assert (code, err) == (0, ""), (e, k)
+        assert out.startswith(
+            f"L^7({torsion})  (m=3, e={e}, odd factor {k},"), (e, k)
 
 
 # exit code, and stderr or its end, of edge inputs whose e is checked where

@@ -74,46 +74,19 @@ class CohomologyRing(namedtuple("CohomologyRing", "n epsilon mask")):
         return self.monomial(k & 1, k >> 1)
 
 
-class Mod2Class:
+class Mod2Class(namedtuple("Mod2Class", "ring even odd")):
     """Element sum c_{0,j} y^j + c_{1,j} x y^j; masks truncated past y^n.
 
-    Immutable, compared and hashed by value.  The verify sweeps build
-    hundreds of thousands, so construction is one masking step against the
-    ring's precomputed mask, and sets three slots directly.
+    Compared and hashed by value.  The verify sweeps build hundreds of
+    thousands, so construction is one masking step against the ring's
+    precomputed mask.
     """
 
-    __slots__ = ("ring", "even", "odd")
-    ring: CohomologyRing
-    even: int
-    odd: int
+    __slots__ = ()
 
-    def __init__(self, ring: CohomologyRing, even: int, odd: int) -> None:
+    def __new__(cls, ring: CohomologyRing, even: int, odd: int) -> Mod2Class:
         mask = ring.mask
-        _set_ring(self, ring)
-        _set_even(self, even & mask)
-        _set_odd(self, odd & mask)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Mod2Class is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Mod2Class is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return Mod2Class, (self.ring, self.even, self.odd)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Mod2Class:
-            return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
-                and self.even == other.even and self.odd == other.odd)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.even, self.odd))
-
-    def __repr__(self) -> str:
-        return (f"Mod2Class(ring={self.ring!r}, even={self.even!r}, "
-                f"odd={self.odd!r})")
+        return tuple.__new__(cls, (ring, even & mask, odd & mask))
 
     def is_zero(self) -> bool:
         return self.even == 0 and self.odd == 0
@@ -152,12 +125,6 @@ class Mod2Class:
                 part += ("*" if part else "") + ("y" if j == 1 else f"y^{j}")
             terms.append(part or "1")
         return " + ".join(terms) if terms else "0"
-
-
-# the slot setters bypass Mod2Class.__setattr__, which refuses every write
-_set_ring = Mod2Class.ring.__set__
-_set_even = Mod2Class.even.__set__
-_set_odd = Mod2Class.odd.__set__
 
 
 def _clmul(p: int, q: int) -> int:

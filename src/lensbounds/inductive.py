@@ -1,4 +1,4 @@
-"""Inductive construction of lens-space embeddings, with derivation trees.
+"""Inductive construction of lens-space embeddings: the integer pass.
 
 One inductive *round* fixes a small k and repeatedly applies the step: from
 a smooth embedding of L(k, e) in R^alpha carrying sigma independent normal
@@ -13,8 +13,9 @@ at step ell.  `round_forms` is the one closed-form table of both rounds:
 the steps below only through `round_forms`.  The one state is a
 watermark per e, how far the chain below m is checked, which `at` moves;
 on demand, `proofs` walks a round's chain up to a step and turns each
-step it passes into DerivationNodes whose side conditions replay from
-stored integer witnesses, keeping none of them once it returns.
+step it passes into DerivationNodes, keeping none of them once it returns.
+This module makes no derivation: the kinds of their side conditions, and
+the checks that replay them, are defined in `proofs`.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -26,10 +27,9 @@ from __future__ import annotations
 from time import perf_counter
 
 from .dyadic import alpha, nu, radon_pair
-from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
-                      sharpening_drop)
+from .lifting import embedding_gate, feeding_params, sharpening_drop
 from .records import (Bound, DerivationNode, RoundsDivergenceError,
-                      register_condition, upper_bound)
+                      upper_bound)
 
 
 def sections_table(k: int, e: int) -> int | None:
@@ -85,66 +85,6 @@ def round_forms(mu: int, ell: int, e: int) -> tuple[int, int | None]:
 def _feed_admissible(mu: int, ell: int, e: int) -> bool:
     # the lifting argument does not cover 4*eta over L(3, e) for e > 2
     return not (mu == 2 and e > 2 and ell == 1)
-
-
-# --- side-condition replay predicates ------------------------------------
-
-def _feed_route(mu: int, ell: int, lam: int) -> int:
-    # 1: connectivity of the fiber (mu=1 unsharpened); 2: Davis-Mahowald
-    # digit-sum gate; 3: low-multiple / quaternionic lifting, certified
-    # directly (alpha(ell) = 1, including ell = 1).
-    if lam == 1:
-        return 2
-    if mu == 1:
-        return 1
-    return 2 if alpha(ell) >= 2 else 3
-
-
-def _replay_feed_certificate(mu: int, ell: int, lam: int, route: int) -> bool:
-    if _feed_route(mu, ell, lam) != route:
-        return False
-    if route == 1:
-        return mu == 1 and lam == 0
-    if route == 2:
-        return davis_mahowald_check(ell).ok
-    return alpha(ell) == 1
-
-
-def _replay_boundary_radon(sigma: int, beta: int, j: int, k: int, a: int,
-                           b: int) -> bool:
-    if sigma + beta != 4 * j + 2:
-        return False
-    return (a, b) == radon_pair(nu(2 * j + 2)) and 2 * k + 3 <= 8 * a + 2**b
-
-
-# each predicate's parameters are its kind's witness fields, in order
-register_condition(
-    "sections-exceed",
-    lambda sigma, beta, j: sigma + beta > 4 * j + 2)
-register_condition("boundary-radon", _replay_boundary_radon)
-register_condition(
-    "feed-within",
-    lambda feed, sigma, beta: feed <= sigma + beta)
-register_condition(
-    "ambient-sum",
-    lambda alpha, beta, dim: dim == alpha + beta + 1)
-register_condition(
-    "beta-from-prior",
-    lambda beta, prior: prior <= beta <= prior + 1)
-register_condition(
-    "weakening",
-    lambda have, use: have <= use)
-register_condition(
-    "sections-table",
-    lambda k, e, sigma: sections_table(k, e) == sigma)
-register_condition(
-    "feeding-admissible",
-    lambda mu, ell, e: _feed_admissible(mu, ell, e))
-register_condition(
-    "feeding-ambient",
-    lambda mu, ell, lam, ambient:
-    embedding_gate(feeding_params(mu, ell, lam)) == ambient)
-register_condition("feeding-certificate", _replay_feed_certificate)
 
 
 def _gate(k: int, j: int, sigma: int, beta: int) -> tuple[int, ...] | None:

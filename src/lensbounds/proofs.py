@@ -8,6 +8,11 @@ integer pass skips it), and proves each main output on the main before it.
 A walk keeps nothing once it returns, so each call proves afresh and its
 derivations live as long as its caller holds them.  `query` and `table`
 never load this module.
+
+This module also defines the ten kinds of side condition its nodes carry
+(the `ConditionKind` constants at its end): each kind's name, the check
+that replays a condition of the kind, whose parameters name its witness's
+fields, and beside it the texts that `derive` prints.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import inductive
-from .inductive import (_check, _feed_route, _round_bound, _sections,
-                        _Step, _steps_at, records)
-from .records import (Bound, DerivationNode, SideCondition, condition,
+from .dyadic import alpha, nu, radon_pair
+from .inductive import (_check, _round_bound, _sections, _Step, _steps_at,
+                        records, sections_table)
+from .lifting import davis_mahowald_check, embedding_gate, feeding_params
+from .records import (Bound, ConditionKind, DerivationNode, SideCondition,
                       upper_category)
 
 
@@ -29,15 +36,16 @@ def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
     gate `radon` fired (see `inductive._gate`): () for the strict gate,
     (a, b) for the boundary one."""
     if radon:
-        gate = condition("boundary-radon", _radon_text, sigma, beta_dim, j, k,
-                         *radon)
+        gate = SideCondition(BOUNDARY_RADON, (sigma, beta_dim, j, k, *radon),
+                             _radon_text)
     else:
-        gate = condition("sections-exceed", _exceed_text, sigma, beta_dim, j)
+        gate = SideCondition(SECTIONS_EXCEED, (sigma, beta_dim, j),
+                             _exceed_text)
     m, dim = k + j + 1, alpha_dim + beta_dim + 1
     category = upper_category(2 * m + 1, dim)
     conditions = (gate,
-                  condition("ambient-sum", _ambient_text, alpha_dim, beta_dim,
-                            dim),
+                  SideCondition(AMBIENT_SUM, (alpha_dim, beta_dim, dim),
+                                _ambient_text),
                   ) + extra_conditions
     return DerivationNode(
         rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
@@ -50,11 +58,12 @@ def feed_node(mu: int, ell: int, e: int, lam: int,
     `inductive._feed_ambient` gave: the gate's 2m+d+1 for the instance
     `feeding_params(mu, ell, lam)`."""
     conditions = (
-        condition("feeding-admissible", _admissible_text, mu, ell, e),
-        condition("feeding-ambient", _feed_ambient_text, mu, ell, lam,
-                  ambient),
-        condition("feeding-certificate", _certificate_text, mu, ell, lam,
-                  _feed_route(mu, ell, lam)),
+        SideCondition(FEEDING_ADMISSIBLE, (mu, ell, e), _admissible_text),
+        SideCondition(FEEDING_AMBIENT, (mu, ell, lam, ambient),
+                      _feed_ambient_text),
+        SideCondition(FEEDING_CERTIFICATE,
+                      (mu, ell, lam, _feed_route(mu, ell, lam)),
+                      _certificate_text),
     )
     return DerivationNode(
         "feeding",
@@ -64,7 +73,7 @@ def feed_node(mu: int, ell: int, e: int, lam: int,
 
 def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
     """The tabulated embedding L(k, e) in R^(4k+2) with sigma sections."""
-    cond = condition("sections-table", _table_text, k, e, sigma)
+    cond = SideCondition(SECTIONS_TABLE, (k, e, sigma), _table_text)
     return DerivationNode(
         "axiom:igniting",
         f"L({k}, e={e}) embeds smoothly in R^{4 * k + 2} with "
@@ -160,7 +169,8 @@ def _step(e: int, mu: int, m: int, record: _Step, alpha_dim: int,
     node = step_node(
         rule_id, k, m - k - 1, e, alpha_dim, beta, sigma, radon,
         lead + (feed,),
-        (condition("feed-within", _within_text, feed_dim, sigma, beta),) + extra)
+        (SideCondition(FEED_WITHIN, (feed_dim, sigma, beta), _within_text),)
+        + extra)
     return _round_bound(e, mu, m, record, node)
 
 
@@ -174,7 +184,7 @@ def _chained(e: int, mu: int, ell: int, sigma: int, record: _Step,
     return _step(
         e, mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, sigma,
         feed_node(mu, ell, e, lam, record[4]), (ignite, prior.derivation),
-        (condition("beta-from-prior", text, record[3], prior.dim),))
+        (SideCondition(BETA_FROM_PRIOR, (record[3], prior.dim), text),))
 
 
 def _ground1(e: int, records: tuple[_Step, ...]) -> list[Bound]:
@@ -215,33 +225,89 @@ def _ground2(e: int, sigma: int, records: tuple[_Step, ...],
     rule_id, dim, _, have_dim, _ = base
     node = DerivationNode(
         rule_id, f"L(m=7, e={e}) embeds in R^{dim}", (have_node,),
-        (condition("weakening", _weakening_text, have_dim, dim),))
+        (SideCondition(WEAKENING, (have_dim, dim), _weakening_text),))
     return outputs + [_round_bound(e, 2, 7, base, node)]
 
 
-# --- the texts of the side conditions, rendered when `derive` prints them --
+# --- the kinds of the side conditions, each with the check that replays
+# it from the witness (the check's parameters name the witness's fields, in
+# order), and the texts that `derive` prints ---------------------------------
 
-def _radon_text(sigma, beta, j, k, a, b):
-    return (f"sigma + beta = 4j + 2 = {4 * j + 2} and 2k + 3 = {2 * k + 3} <= "
-            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})")
+SECTIONS_EXCEED = ConditionKind(
+    "sections-exceed", lambda sigma, beta, j: sigma + beta > 4 * j + 2)
 
 
 def _exceed_text(sigma, beta, j):
     return f"sigma + beta = {sigma + beta} > 4j + 2 = {4 * j + 2}"
 
 
+def _boundary_radon(sigma: int, beta: int, j: int, k: int, a: int,
+                    b: int) -> bool:
+    if sigma + beta != 4 * j + 2:
+        return False
+    return (a, b) == radon_pair(nu(2 * j + 2)) and 2 * k + 3 <= 8 * a + 2**b
+
+
+BOUNDARY_RADON = ConditionKind("boundary-radon", _boundary_radon)
+
+
+def _radon_text(sigma, beta, j, k, a, b):
+    return (f"sigma + beta = 4j + 2 = {4 * j + 2} and 2k + 3 = {2 * k + 3} <= "
+            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})")
+
+
+AMBIENT_SUM = ConditionKind(
+    "ambient-sum", lambda alpha, beta, dim: dim == alpha + beta + 1)
+
+
 def _ambient_text(alpha, beta, dim):
     return f"ambient = alpha + beta + 1 = {alpha}+{beta}+1 = {dim}"
+
+
+# `inductive._feed_admissible` is looked up at each replay, so the gate
+# and the replay of its condition are one predicate
+FEEDING_ADMISSIBLE = ConditionKind(
+    "feeding-admissible",
+    lambda mu, ell, e: inductive._feed_admissible(mu, ell, e))
 
 
 def _admissible_text(mu, ell, e):
     return f"feed defined for mu={mu}, ell={ell}, e={e}"
 
 
+FEEDING_AMBIENT = ConditionKind(
+    "feeding-ambient",
+    lambda mu, ell, lam, ambient:
+    embedding_gate(feeding_params(mu, ell, lam)) == ambient)
+
+
 def _feed_ambient_text(mu, ell, lam, ambient):
     return (f"gate: 2m+d+1 = {ambient} = 4i+3-lam "
             f"(i={2**mu * ell - 1}, lam={lam})")
 
+
+def _feed_route(mu: int, ell: int, lam: int) -> int:
+    # 1: connectivity of the fiber (mu=1 unsharpened); 2: Davis-Mahowald
+    # digit-sum gate; 3: low-multiple / quaternionic lifting, certified
+    # directly (alpha(ell) = 1, including ell = 1).
+    if lam == 1:
+        return 2
+    if mu == 1:
+        return 1
+    return 2 if alpha(ell) >= 2 else 3
+
+
+def _feed_certificate(mu: int, ell: int, lam: int, route: int) -> bool:
+    if _feed_route(mu, ell, lam) != route:
+        return False
+    if route == 1:
+        return mu == 1 and lam == 0
+    if route == 2:
+        return davis_mahowald_check(ell).ok
+    return alpha(ell) == 1
+
+
+FEEDING_CERTIFICATE = ConditionKind("feeding-certificate", _feed_certificate)
 
 _ROUTE_TEXT = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
                3: "low-multiple lifting"}
@@ -251,12 +317,24 @@ def _certificate_text(mu, ell, lam, route):
     return f"lifting certified via {_ROUTE_TEXT[route]}"
 
 
+SECTIONS_TABLE = ConditionKind(
+    "sections-table", lambda k, e, sigma: sections_table(k, e) == sigma)
+
+
 def _table_text(k, e, sigma):
     return f"tabulated sigma(k={k}, e={e}) = {sigma}"
 
 
+FEED_WITHIN = ConditionKind(
+    "feed-within", lambda feed, sigma, beta: feed <= sigma + beta)
+
+
 def _within_text(feed, sigma, beta):
     return f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}"
+
+
+BETA_FROM_PRIOR = ConditionKind(
+    "beta-from-prior", lambda beta, prior: prior <= beta <= prior + 1)
 
 
 def _reuse_text(beta, prior):
@@ -269,6 +347,9 @@ def _one_higher_text(beta, prior):
 
 def _from_prior_text(beta, prior):
     return f"beta = {beta} from the prior round output {prior}"
+
+
+WEAKENING = ConditionKind("weakening", lambda have, use: have <= use)
 
 
 def _weakening_text(have, use):

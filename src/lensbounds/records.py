@@ -3,7 +3,10 @@
 A Bound is one lower or upper bound on the Euclidean embedding dimension,
 tagged with the rule that produced it and (for engine-derived bounds) a
 derivation tree whose numeric side conditions can be replayed from their
-stored integer witnesses.
+stored integer witnesses.  Each side condition carries its ConditionKind,
+which holds the kind's name, witness fields and replay check; the module
+that builds the conditions defines their kinds, so this module keeps no
+table of them.
 
 The records here, and those of the other modules, are `namedtuple`
 subclasses with `__slots__ = ()`, not data classes made by the standard
@@ -81,46 +84,35 @@ def metastable_smoothable(manifold_dim: int, ambient_dim: int) -> bool:
     return 2 * ambient_dim >= 3 * (manifold_dim + 1)
 
 
-# Replay predicates for side-condition kinds, keyed by kind name, and the
-# field names of each kind's witness: the predicate's positional
-# parameters, in the order every condition of the kind stores its values.
-# The producing module registers its kinds; replay of an unknown kind fails
-# loudly rather than vacuously passing.
-_REPLAY: dict[str, Callable[..., bool]] = {}
-_FIELDS: dict[str, tuple[str, ...]] = {}
-
-
-def register_condition(kind: str, predicate: Callable[..., bool]) -> None:
-    code = predicate.__code__
-    _FIELDS[kind] = code.co_varnames[:code.co_argcount]
-    _REPLAY[kind] = predicate
-
-
-class SideCondition(namedtuple("SideCondition", "kind names args form")):
-    """One checked numeric condition with the integers that satisfied it:
-    its kind; the witness, as its field names (the kind's registered tuple,
-    shared by every condition of the kind) and its values in that order;
-    and its text, or a function of the values that renders it.
-
-    Only `derive` prints a text, so the round proofs pass a function and
-    the text is formatted when `text` is read.  `values` and `witness` give
-    the witness as a dict and as sorted (name, value) pairs, and `replay`
-    passes the values to the kind's predicate positionally.
-    """
+class ConditionKind(namedtuple("ConditionKind", "name fields check")):
+    """A kind of side condition: its name, the field names of its witness,
+    and `check`, the predicate that replays a condition of the kind from
+    its values.  The fields are `check`'s positional parameters, read here
+    and nowhere else, so every condition of the kind stores its values in
+    that order."""
 
     __slots__ = ()
 
-    @classmethod
-    def make(cls, kind: str, text: str, **witness: int) -> "SideCondition":
-        """A condition from its text and its witness by name, in any
-        order."""
-        names = _FIELDS.get(kind)
-        if names is None:
-            names = tuple(witness)
-        elif set(names) != set(witness):
-            raise ValueError(f"{kind!r} needs the witness {names}, got "
-                             f"{tuple(witness)}")
-        return cls(kind, names, tuple(witness[n] for n in names), text)
+    def __new__(cls, name: str, check: Callable[..., bool]) -> ConditionKind:
+        code = check.__code__
+        return tuple.__new__(
+            cls, (name, code.co_varnames[:code.co_argcount], check))
+
+    def __getnewargs__(self) -> tuple[str, Callable[..., bool]]:
+        return self.name, self.check
+
+
+class SideCondition(namedtuple("SideCondition", "kind args form")):
+    """One checked numeric condition with the integers that satisfied it:
+    its kind, its witness values in the kind's field order, and its text,
+    or a function of the values that renders it.
+
+    Only `derive` prints a text, so the round proofs pass a function and
+    the text is formatted when `text` is read.  `values` gives the witness
+    as a dict, and `replay` passes the values to the kind's check.
+    """
+
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -129,23 +121,10 @@ class SideCondition(namedtuple("SideCondition", "kind names args form")):
 
     @property
     def values(self) -> dict[str, int]:
-        return dict(zip(self.names, self.args))
-
-    @property
-    def witness(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(zip(self.names, self.args)))
+        return dict(zip(self.kind.fields, self.args))
 
     def replay(self) -> bool:
-        predicate = _REPLAY.get(self.kind)
-        if predicate is None:
-            raise KeyError(f"no replay predicate registered for {self.kind!r}")
-        return predicate(*self.args)
-
-
-def condition(kind: str, form: Callable[..., str], *args: int) -> SideCondition:
-    """A condition of a registered kind from its values, in the kind's
-    field order, and the function that renders its text."""
-    return SideCondition(kind, _FIELDS[kind], args, form)
+        return self.kind.check(*self.args)
 
 
 class DerivationNode(namedtuple(
@@ -154,10 +133,6 @@ class DerivationNode(namedtuple(
     """Rule application: premises (child nodes or axioms) and side conditions."""
 
     __slots__ = ()
-
-    @property
-    def is_axiom(self) -> bool:
-        return self.rule_id.startswith("axiom:")
 
     def replay(self) -> bool:
         """Re-evaluate every side condition in the tree from its witnesses."""
@@ -183,7 +158,7 @@ class DerivationNode(namedtuple(
             "rule": self.rule_id,
             "conclusion": self.conclusion,
             "side_conditions": [
-                {"kind": c.kind, "witness": c.values, "text": c.text}
+                {"kind": c.kind.name, "witness": c.values, "text": c.text}
                 for c in self.side_conditions
             ],
             "premises": [p.to_dict() for p in self.premises],

@@ -49,15 +49,36 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
     return np.bitwise_count(arr)
 
 
-def _kummer_legendre(amax):
+def _sweep_1d(name: str, hi: int, bad_of) -> SweepOutcome:
+    """Stream 1 <= a <= hi in chunks of `_CHUNK`; `bad_of` maps a chunk to
+    the mask of its failing cases."""
+    cases = fails = 0
+    first = None
+    for start in range(1, hi + 1, _CHUNK):
+        a = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
+        bad = np.flatnonzero(bad_of(a))
+        cases += a.size
+        fails += bad.size
+        if first is None and bad.size:
+            first = (int(a[bad[0]]),)
+        # free this chunk's arrays before the next one is made, so the
+        # stream holds one chunk at a time
+        del a, bad
+    return SweepOutcome(name, cases, fails, first)
+
+
+# --- public sweeps --------------------------------------------------------
+
+def sweep_kummer_legendre(amax: int = 1024) -> SweepOutcome:
+    """Carry-count valuation of C(a, b) against the factorial-valuation
+    oracle, for all 0 <= b <= a <= amax."""
     # row a reads b = 0..a and a - b as slices of one arange, and the
     # factorial valuations as slices of their running sum
     n = np.arange(amax + 1, dtype=np.int64)
     nu_n = np.zeros(amax + 1, dtype=np.int64)
     nu_n[1:] = _popcount((n[1:] & -n[1:]) - 1)
     nu_fact = np.cumsum(nu_n)
-    cases = 0
-    fails = 0
+    cases = fails = 0
     first = None
     for a in range(amax + 1):
         carries = _popcount(n[:a + 1] ^ n[a::-1] ^ a)
@@ -68,42 +89,33 @@ def _kummer_legendre(amax):
             fails += k
             if first is None:
                 first = (a, int(bad.argmax()))
-    return cases, fails, *(first or (-1, -1))
+    return SweepOutcome("kummer-vs-legendre", cases, fails, first)
 
 
-def _alpha_identity(limit):
-    cases = 0
-    fails = 0
-    first = -1
-    for start in range(1, limit + 1, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, limit + 1), dtype=np.int64)
-        cases += a.size
-        nu_a = _popcount((a & -a) - 1)
-        bad = np.nonzero(_popcount(a - 1) + 1 != _popcount(a) + nu_a)[0]
-        if bad.size:
-            fails += int(bad.size)
-            if first < 0:
-                first = int(a[bad[0]])
-    return cases, fails, first
+def sweep_alpha_identity(limit: int = 1 << 20) -> SweepOutcome:
+    """alpha(a-1) = alpha(a) - 1 + nu(a) for 1 <= a <= limit."""
+    return _sweep_1d(
+        "alpha-digit-identity", limit,
+        lambda a: _popcount((a & -a) - 1) + _popcount(a)
+        != _popcount(a - 1) + 1)
 
 
-def _alpha_symbolic(n, amax):
-    cases = 0
-    fails = 0
-    first = -1
+def sweep_alpha_symbolic(n: int = 40, amax: int = 1 << 16) -> SweepOutcome:
+    """alpha(2^n - a) = n - alpha(a-1) at the concrete witness n."""
+    if not 20 <= n <= 62:
+        raise ValueError("concrete witness must keep 2^n - a inside int64")
     pw = np.int64(1) << n
-    for start in range(1, amax + 1, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, amax + 1), dtype=np.int64)
-        cases += a.size
-        bad = np.nonzero(_popcount(pw - a) + _popcount(a - 1) != n)[0]
-        if bad.size:
-            fails += int(bad.size)
-            if first < 0:
-                first = int(a[bad[0]])
-    return cases, fails, first
+    return _sweep_1d(f"alpha-symbolic-N{n}", amax,
+                     lambda a: _popcount(pw - a) + _popcount(a - 1) != n)
 
 
-def _nu_binom_symbolic(n, abmax):
+def sweep_nu_binom_symbolic(n: int = 40, abmax: int = 4096) -> SweepOutcome:
+    """Symbolic nu(C(2^n - a, b)) = alpha(b) + alpha(a-1) - alpha(a+b-1)
+    against the concrete carry count at witness n, over the (a, b) grid."""
+    if not 20 <= n <= 62:
+        raise ValueError("concrete witness must keep 2^n - a inside int64")
+    if (1 << n) <= 2 * abmax:
+        raise ValueError("witness too small for the grid")
     # with p = 2^n - a, the carries of b + (p - b) are popcount(b ^ (2^n - s)
     # ^ p) for s = a + b; 2^n - s and popcount(s - 1) are formed once per s,
     # and row a reads them as slices.  The identity is tested as carries +
@@ -114,8 +126,7 @@ def _nu_binom_symbolic(n, abmax):
     pop_s1 = np.zeros(s.size, dtype=np.uint8)
     pop_s1[1:] = _popcount(s[1:] - 1)
     pop_b = _popcount(b)
-    cases = 0
-    fails = 0
+    cases = fails = 0
     first = None
     for a in range(1, abmax + 1):
         row = slice(a + 1, a + abmax + 1)
@@ -127,42 +138,4 @@ def _nu_binom_symbolic(n, abmax):
             fails += k
             if first is None:
                 first = (a, int(b[bad.argmax()]))
-    return cases, fails, *(first or (-1, -1))
-
-
-# --- public sweeps --------------------------------------------------------
-
-def sweep_kummer_legendre(amax: int = 1024) -> SweepOutcome:
-    """Carry-count valuation of C(a, b) against the factorial-valuation
-    oracle, for all 0 <= b <= a <= amax."""
-    cases, fails, fa, fb = _kummer_legendre(amax)
-    return SweepOutcome("kummer-vs-legendre", int(cases), int(fails),
-                        (fa, fb) if fails else None)
-
-
-def sweep_alpha_identity(limit: int = 1 << 20) -> SweepOutcome:
-    """alpha(a-1) = alpha(a) - 1 + nu(a) for 1 <= a <= limit."""
-    cases, fails, first = _alpha_identity(limit)
-    return SweepOutcome("alpha-digit-identity", int(cases), int(fails),
-                        (first,) if fails else None)
-
-
-def sweep_alpha_symbolic(n: int = 40, amax: int = 1 << 16) -> SweepOutcome:
-    """alpha(2^n - a) = n - alpha(a-1) at the concrete witness n."""
-    if not 20 <= n <= 62:
-        raise ValueError("concrete witness must keep 2^n - a inside int64")
-    cases, fails, first = _alpha_symbolic(n, amax)
-    return SweepOutcome(f"alpha-symbolic-N{n}", int(cases), int(fails),
-                        (first,) if fails else None)
-
-
-def sweep_nu_binom_symbolic(n: int = 40, abmax: int = 4096) -> SweepOutcome:
-    """Symbolic nu(C(2^n - a, b)) = alpha(b) + alpha(a-1) - alpha(a+b-1)
-    against the concrete carry count at witness n, over the (a, b) grid."""
-    if not 20 <= n <= 62:
-        raise ValueError("concrete witness must keep 2^n - a inside int64")
-    if (1 << n) <= 2 * abmax:
-        raise ValueError("witness too small for the grid")
-    cases, fails, fa, fb = _nu_binom_symbolic(n, abmax)
-    return SweepOutcome(f"nu-binom-symbolic-N{n}", int(cases), int(fails),
-                        (fa, fb) if fails else None)
+    return SweepOutcome(f"nu-binom-symbolic-N{n}", cases, fails, first)

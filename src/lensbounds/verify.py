@@ -24,10 +24,6 @@ from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, unique_nodes
 
-TYPE_CHECKING = False  # true for type checkers; typing is slow to import
-if TYPE_CHECKING:
-    from .sweeps import SweepOutcome
-
 
 class CheckResult(namedtuple("CheckResult", "name cases ok detail",
                              defaults=("",))):
@@ -53,11 +49,6 @@ def _result(name: str, cases: int, first_bad) -> CheckResult:
                        "" if first_bad is None else f"first counterexample {first_bad}")
 
 
-def _from_sweep(outcome: SweepOutcome) -> CheckResult:
-    return CheckResult(outcome.name, outcome.cases, outcome.ok,
-                       "" if outcome.ok else f"first counterexample {outcome.first}")
-
-
 # --- dyadic ----------------------------------------------------------------
 
 def verify_dyadic() -> list[CheckResult]:
@@ -65,12 +56,11 @@ def verify_dyadic() -> list[CheckResult]:
     # here; they are called as module attributes so that a tracer that
     # wraps them on the module sees every call
     from . import sweeps
-    out = [
-        _from_sweep(sweeps.sweep_kummer_legendre(1024)),
-        _from_sweep(sweeps.sweep_alpha_identity(1 << 20)),
-        _from_sweep(sweeps.sweep_alpha_symbolic(40, 1 << 16)),
-        _from_sweep(sweeps.sweep_nu_binom_symbolic(40, 4096)),
-    ]
+    out = [_result(o.name, o.cases, o.first) for o in (
+        sweeps.sweep_kummer_legendre(1024),
+        sweeps.sweep_alpha_identity(1 << 20),
+        sweeps.sweep_alpha_symbolic(40, 1 << 16),
+        sweeps.sweep_nu_binom_symbolic(40, 4096))]
 
     # exact API against directly factored binomials (small exhaustive)
     bad = None
@@ -366,11 +356,12 @@ def _replay_facts(roots) -> dict[int, tuple[bool, int, bool]]:
     radon audit); each is its own conditions' value combined with its
     premises' facts, which `unique_nodes` lists first.
     """
+    from .proofs import BOUNDARY_RADON  # here, as in `_check_rounds`
     facts: dict[int, tuple[bool, int, bool]] = {}
     for node in unique_nodes(roots):
         ok = all(c.replay() for c in node.side_conditions)
         radon = [c.values for c in node.side_conditions
-                 if c.kind == "boundary-radon"]
+                 if c.kind is BOUNDARY_RADON]
         hits = len(radon)
         audit_ok = all(2 * v["k"] + 3 <= 8 * v["a"] + 2 ** v["b"] for v in radon)
         for p in node.premises:

@@ -8,10 +8,13 @@ from lensbounds import cli, inductive, proofs
 from lensbounds.dyadic import alpha
 from lensbounds.inductive import (_feed_ambient, _gate, _sections, at,
                                   delta_e, milgram_condition, sections_table)
-from lensbounds.proofs import feed_node, igniting_node, pairs, prove, step_node
+from lensbounds.proofs import (AMBIENT_SUM, BETA_FROM_PRIOR, BOUNDARY_RADON,
+                               FEEDING_ADMISSIBLE, SECTIONS_EXCEED,
+                               feed_node, igniting_node, pairs, prove,
+                               step_node)
 from lensbounds.records import (Category, DerivationNode,
-                                RoundsDivergenceError, SideCondition,
-                                unique_nodes, upper_category)
+                                RoundsDivergenceError, unique_nodes,
+                                upper_category)
 
 
 def test_sections_table():
@@ -41,8 +44,8 @@ def test_inductive_step_gate_strict():
     node = step_node("inductive-step", 1, 1, 5, 5, 5, 2, (), (), ())
     assert node.conclusion == "L(m=3, e=5) embeds (topological) in R^11"
     assert upper_category(7, 11) is Category.TOPOLOGICAL  # not smoothable
-    assert [c.kind for c in node.side_conditions] == ["sections-exceed",
-                                                       "ambient-sum"]
+    assert [c.kind for c in node.side_conditions] == [SECTIONS_EXCEED,
+                                                       AMBIENT_SUM]
     assert node.replay()
     # special (k, j) = (3, 3) at e = 2: sigma = 5, beta = 11 -> R^26
     assert _gate(3, 3, 5, 11) == ()
@@ -58,8 +61,8 @@ def test_inductive_step_gate_boundary():
     assert _gate(3, j, 3, 11) is None        # 2k+3 = 9 > 8
     node = step_node("inductive-step", 2, j, 2, 10, 11, 3, (0, 3), (), ())
     assert node.conclusion.endswith("in R^22")
-    assert [c.kind for c in node.side_conditions] == ["boundary-radon",
-                                                       "ambient-sum"]
+    assert [c.kind for c in node.side_conditions] == [BOUNDARY_RADON,
+                                                       AMBIENT_SUM]
     assert node.replay()
 
 
@@ -101,8 +104,8 @@ def test_inadmissible_feed_fails_its_replay(monkeypatch):
     # (mu=2, ell=1, e=3) is refused by _feed_ambient (above) and by the
     # replay of its admissibility condition, through the same predicate
     ok = _feed(2, 1, 2, 0)[0].side_conditions[0]
-    assert ok.kind == "feeding-admissible" and ok.replay()
-    assert not SideCondition.make(ok.kind, ok.text, mu=2, ell=1, e=3).replay()
+    assert ok.kind is FEEDING_ADMISSIBLE and ok.replay()
+    assert not ok._replace(args=(2, 1, 3)).replay()
     monkeypatch.setattr(inductive, "_feed_admissible", lambda mu, ell, e: False)
     assert not ok.replay()
     with pytest.raises(RoundsDivergenceError, match="no feeding embedding"):
@@ -176,7 +179,7 @@ def test_derivations_replay_and_audit():
             assert b.derivation.replay()
             for node in b.derivation.walk():
                 for cond in node.side_conditions:
-                    if cond.kind == "boundary-radon":
+                    if cond.kind is BOUNDARY_RADON:
                         v = cond.values
                         assert 2 * v["k"] + 3 <= 8 * v["a"] + 2 ** v["b"]
 
@@ -186,7 +189,7 @@ def test_beta_bookkeeping():
     for m, b in pairs(3, 103):
         for node in b.derivation.walk():
             for cond in node.side_conditions:
-                if cond.kind == "beta-from-prior":
+                if cond.kind is BETA_FROM_PRIOR:
                     v = cond.values
                     assert v["prior"] <= v["beta"] <= v["prior"] + 1
 

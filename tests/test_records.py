@@ -1,50 +1,44 @@
+import copy
+
 import pytest
 
-from lensbounds.records import (Bound, Category, DerivationNode, Direction,
-                                LensSpace, SideCondition,
-                                metastable_smoothable, unique_nodes)
-# registering the replay predicates happens on import
-import lensbounds.inductive  # noqa: F401
+from lensbounds.proofs import (AMBIENT_SUM, BOUNDARY_RADON, FEED_WITHIN,
+                               SECTIONS_EXCEED)
+from lensbounds.records import (Bound, Category, ConditionKind,
+                                DerivationNode, Direction, LensSpace,
+                                SideCondition, metastable_smoothable,
+                                unique_nodes)
 
 
 def test_side_condition_replay():
-    good = SideCondition.make("sections-exceed", "7 > 6", sigma=2, beta=5, j=1)
+    good = SideCondition(SECTIONS_EXCEED, (2, 5, 1), "7 > 6")
     assert good.replay()
-    bad = SideCondition.make("sections-exceed", "6 > 6", sigma=1, beta=5, j=1)
+    bad = SideCondition(SECTIONS_EXCEED, (1, 5, 1), "6 > 6")
     assert not bad.replay()
-    with pytest.raises(KeyError):
-        SideCondition.make("no-such-kind", "?", x=1).replay()
 
 
 def test_hand_made_side_condition_keeps_its_fields():
-    # keyword order differs from the kind's registered field order
-    cond = SideCondition.make("feed-within", "21 <= 25",
-                              sigma=10, beta=15, feed=21)
+    # a kind's fields are its check's parameters, in order
+    assert FEED_WITHIN.fields == ("feed", "sigma", "beta")
+    assert ConditionKind("any", lambda y, x: True).fields == ("y", "x")
+    cond = SideCondition(FEED_WITHIN, (21, 10, 15), "21 <= 25")
     assert cond.text == "21 <= 25"
     assert cond.values == {"feed": 21, "sigma": 10, "beta": 15}
-    assert cond.witness == (("beta", 15), ("feed", 21), ("sigma", 10))
+    assert list(cond.values) == ["feed", "sigma", "beta"]
     assert cond.replay()
-    assert cond == SideCondition.make("feed-within", "21 <= 25",
-                                      feed=21, sigma=10, beta=15)
-    with pytest.raises(ValueError):
-        SideCondition.make("feed-within", "?", feed=21, sigma=10)
-    odd = SideCondition.make("no-such-kind", "?", y=2, x=1)
-    assert (odd.text, odd.values, odd.witness) == (
-        "?", {"y": 2, "x": 1}, (("x", 1), ("y", 2)))
-    with pytest.raises(KeyError):
-        odd.replay()
+    assert cond == SideCondition(FEED_WITHIN, (21, 10, 15), "21 <= 25")
+    assert copy.deepcopy(cond) == cond
 
 
 def test_replay_catches_tampered_witness():
-    cond = SideCondition.make("boundary-radon", "tampered",
-                              sigma=3, beta=11, j=3, k=1, a=1, b=1)
+    cond = SideCondition(BOUNDARY_RADON, (3, 11, 3, 1, 1, 1), "tampered")
     # nu(8) = 3 decomposes as (0, 3), not (1, 1)
     assert not cond.replay()
 
 
 def test_derivation_tree_serialization():
     leaf = DerivationNode("axiom:igniting", "base case")
-    cond = SideCondition.make("ambient-sum", "11 = 5+5+1", alpha=5, beta=5, dim=11)
+    cond = SideCondition(AMBIENT_SUM, (5, 5, 11), "11 = 5+5+1")
     root = DerivationNode("round1:base", "conclusion", (leaf,), (cond,))
     lines = root.to_lines()
     assert lines[0].startswith("round1:base")
@@ -53,10 +47,11 @@ def test_derivation_tree_serialization():
     d = root.to_dict()
     assert d["rule"] == "round1:base"
     assert d["premises"][0]["rule"] == "axiom:igniting"
-    assert d["side_conditions"][0]["witness"] == {"alpha": 5, "beta": 5, "dim": 11}
+    assert d["side_conditions"][0] == {
+        "kind": "ambient-sum", "witness": {"alpha": 5, "beta": 5, "dim": 11},
+        "text": "11 = 5+5+1"}
     assert root.replay()
     assert [n.rule_id for n in root.walk()] == ["round1:base", "axiom:igniting"]
-    assert leaf.is_axiom and not root.is_axiom
 
 
 def test_unique_nodes_lists_a_shared_premise_once():

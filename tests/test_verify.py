@@ -6,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from lensbounds import cli, inductive, records, verify
+from lensbounds import cli, inductive, proofs, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
-from lensbounds.proofs import pairs
-from lensbounds.records import DerivationNode, SideCondition, unique_nodes
+from lensbounds.proofs import BOUNDARY_RADON, pairs
+from lensbounds.records import (ConditionKind, DerivationNode, SideCondition,
+                                unique_nodes)
 
 # the stdout of `verify all`: each scope's check lines, in scope order, then
 # the PASS line
@@ -175,8 +176,7 @@ def _rounds_roots(max_e=8, max_m=403):
 def test_replay_facts_count_a_shared_premise_on_every_path():
     for k, ok in ((0, True), (1, False)):
         # nu(2j+2) = nu(4) = 4*0 + 2, and the gate needs 2k+3 <= 8*0 + 2^2
-        gate = SideCondition.make("boundary-radon", "gate",
-                                  sigma=3, beta=3, j=1, k=k, a=0, b=2)
+        gate = SideCondition(BOUNDARY_RADON, (3, 3, 1, k, 0, 2), "gate")
         shared = DerivationNode("shared", "shared", (), (gate,))
         top = DerivationNode("top", "top", (
             DerivationNode("left", "left", (shared,)),
@@ -191,11 +191,11 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
     proved = pairs(1, 403)
     step = proved[len(proved) // 3][1].derivation
     node = next(p for p in step.premises if p.rule_id == "feeding")
-    cond = next(c for c in node.side_conditions if c.kind == "feeding-ambient")
-    predicate = records._REPLAY[cond.kind]
-    monkeypatch.setitem(
-        records._REPLAY, cond.kind,
-        lambda *args: args != cond.args and predicate(*args))
+    cond = next(c for c in node.side_conditions
+                if c.kind is proofs.FEEDING_AMBIENT)
+    predicate = cond.kind.check
+    monkeypatch.setattr(proofs, "FEEDING_AMBIENT", cond.kind._replace(
+        check=lambda *args: args != cond.args and predicate(*args)))
 
     want = next((e, m, b.rule_id)
                 for e, proved in _rounds_roots() for m, b in proved
@@ -208,6 +208,22 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
     assert not by_name["boundary-gate-audit"].ok
 
 
+# the names of the side-condition kinds `proofs` defines
+KINDS = sorted(name for name, value in vars(proofs).items()
+               if isinstance(value, ConditionKind))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_every_kind_is_replayed(monkeypatch, name):
+    # a kind whose check always fails fails the replay of the rounds
+    assert len(KINDS) == 10
+    monkeypatch.setattr(proofs, name, getattr(proofs, name)._replace(
+        check=lambda *args: False))
+    by_name = {r.name: r for r in verify.verify_rounds()}
+    assert not by_name["derivation-replay"].ok
+    assert by_name["table-regeneration"].ok
+
+
 def test_each_unique_node_is_replayed_once(monkeypatch):
     calls = 0
 
@@ -218,8 +234,10 @@ def test_each_unique_node_is_replayed_once(monkeypatch):
             return predicate(*args)
         return call
 
-    for kind, predicate in list(records._REPLAY.items()):
-        monkeypatch.setitem(records._REPLAY, kind, counted(predicate))
+    for name in KINDS:
+        kind = getattr(proofs, name)
+        monkeypatch.setattr(proofs, name,
+                            kind._replace(check=counted(kind.check)))
     assert all(r.ok for r in verify.verify_rounds())
     want = sum(len(n.side_conditions)
                for _, proved in _rounds_roots()

@@ -18,6 +18,7 @@ provably fails in general), transfer down in torsion, and the speculative
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from operator import attrgetter
 
 from .cohomology import is_spin
@@ -53,6 +54,17 @@ def _euler_window(m: int) -> range:
     return range(max(1, m - m.bit_length()), m + 1)
 
 
+def _euler_solutions(space: LensSpace) -> Iterator[tuple[int, int]]:
+    """Each (n, delta) with n + delta = m, where delta = max(0, alpha(n) - e),
+    in ascending n over `_euler_window`; none off 2-power torsion."""
+    if space.odd_factor != 1:
+        return
+    m, e = space.m, space.e
+    for n in _euler_window(m):
+        if n + max(0, alpha(n) - e) == m:
+            yield n, m - n
+
+
 def _lower(dim: int, rule_id: str, citation: str, **flags) -> Bound:
     return Bound(Direction.LOWER, dim, Category.SMOOTH, rule_id, citation,
                  **flags)
@@ -68,17 +80,11 @@ def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
     delta <= alpha(n) <= bit_length(n) <= bit_length(m), and n + delta = m
     forces n >= m - bit_length(m).  Stated for 2-power torsion only.
     """
-    if space.odd_factor != 1:
-        return []
-    out = []
-    for n in _euler_window(space.m):
-        delta = max(0, alpha(n) - space.e)
-        if n + delta == space.m and euler_class_condition(n, space.e):
-            out.append(_lower(
-                4 * n - 2 * alpha(n) + 2, "euler-class",
-                "Euler-class obstruction in connective K-theory (delta = 0) "
-                f"/ Brown-Peterson theory (delta > 0); n={n}, delta={delta}"))
-    return out
+    return [_lower(4 * n - 2 * alpha(n) + 2, "euler-class",
+                   "Euler-class obstruction in connective K-theory (delta = 0) "
+                   f"/ Brown-Peterson theory (delta > 0); n={n}, delta={delta}")
+            for n, delta in _euler_solutions(space)
+            if euler_class_condition(n, space.e)]
 
 
 def power_of_two_lower(space: LensSpace) -> Bound | None:
@@ -215,18 +221,11 @@ def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
     these bounds are tagged conjectural and never enter a default report.
     Scans the same complete window as euler_class_lower_bounds.
     """
-    if space.odd_factor != 1:
-        return []
-    out = []
-    for n in _euler_window(space.m):
-        delta = alpha(n) - space.e
-        if delta > 0 and n + delta == space.m \
-                and not euler_class_condition(n, space.e):
-            out.append(_lower(
-                4 * n - 2 * alpha(n) + 2, "euler-class-conjectural",
-                f"low-torsion Euler-class bound, hypothesis waived; n={n}, "
-                f"delta={delta}", conjectural=True))
-    return out
+    return [_lower(4 * n - 2 * alpha(n) + 2, "euler-class-conjectural",
+                   "low-torsion Euler-class bound, hypothesis waived; "
+                   f"n={n}, delta={delta}", conjectural=True)
+            for n, delta in _euler_solutions(space)
+            if delta > 0 and not euler_class_condition(n, space.e)]
 
 
 def odd_torsion_transfer(space: LensSpace) -> LensSpace:

@@ -15,9 +15,8 @@ importing that decorator's module also imports `inspect`, `ast`, `dis`
 and `tokenize`, while each decorated class generates and compiles its
 methods at import: about 20 ms of a 52 ms `import lensbounds.cli`
 (Python 3.11, bytecode not cached).  A namedtuple is built in C, so a
-record is also cheaper to make: a `Bound` takes 0.9 us where it took
-2.6 us, and `_replace` copies one in 1.2 us where the decorator module's
-`replace` took 5.1 us.  A record's checks run in its `__new__`.  Records
+record is also cheaper to make: a `Bound` takes 0.9 us, and `_replace`
+copies one in 1.2 us.  A record's checks run in its `__new__`.  Records
 compare and hash as the tuples of their fields.
 """
 
@@ -194,15 +193,14 @@ def unique_nodes(roots) -> list[DerivationNode]:
 
 
 class Bound(namedtuple("Bound", "direction dim category rule_id citation "
-                       "derivation conjectural external transferred "
-                       "metastable")):
+                       "derivation conjectural external transferred")):
     """One bound on the embedding dimension, with provenance.
 
     LOWER means "the embedding dimension is at least dim" (nonembedding in
     R^(dim-1)); UPPER means "at most dim".  derivation is the tree of an
     engine bound (None for the closed-form rules, and for the integer
-    pass).  metastable records, for upper bounds, whether the ambient
-    dimension lies in the smoothing range.
+    pass).  An upper bound's category is smooth where the ambient
+    dimension lies in the metastable range (see `upper_category`).
     """
 
     __slots__ = ()
@@ -211,13 +209,12 @@ class Bound(namedtuple("Bound", "direction dim category rule_id citation "
                 rule_id: str, citation: str,
                 derivation: DerivationNode | None = None,
                 conjectural: bool = False, external: bool = False,
-                transferred: bool = False,
-                metastable: bool | None = None) -> Bound:
+                transferred: bool = False) -> Bound:
         if dim < 0:
             raise ValueError(f"need dim >= 0, got {dim}")
         return tuple.__new__(cls, (direction, dim, category, rule_id,
                                    citation, derivation, conjectural,
-                                   external, transferred, metastable))
+                                   external, transferred))
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -245,13 +242,10 @@ def upper_category(manifold_dim: int, ambient_dim: int,
 def upper_bound(manifold_dim: int, dim: int, rule_id: str, citation: str,
                 derivation: DerivationNode | None = None, *,
                 smooth_rule: bool = False, **flags: bool) -> Bound:
-    """An upper bound in R^dim, of the category `upper_category` gives, with
-    `metastable` set exactly in the metastable range."""
+    """An upper bound in R^dim, of the category `upper_category` gives."""
     return Bound(Direction.UPPER, dim,
                  upper_category(manifold_dim, dim, smooth_rule), rule_id,
-                 citation, derivation,
-                 metastable=metastable_smoothable(manifold_dim, dim),
-                 **flags)
+                 citation, derivation, **flags)
 
 
 class InconsistentBoundsError(Exception):

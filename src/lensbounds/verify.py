@@ -1,9 +1,16 @@
 """Desk-scale invariant sweeps, grouped by scope for the verify subcommand.
 
-Each check returns its case count and, on failure, the first
-counterexample.  The big grids run on the sweep kernels; everything that
-pins down the exact public API (arbitrary-precision oracles, round replay,
-report soundness) runs through the real functions.
+Each check reports its case count and, on failure, its first
+counterexample.  Most checks are a generator that does all of the check's
+work and yields one outcome per case: None where the case passes, and the
+counterexample where it fails.  `_tally` runs it to the end, so every case
+is evaluated and counted, also after a failure, and keeps the first
+counterexample.  The four numpy sweeps, the Cartan check (which counts
+every degree of a pair as a case), the rounds' replay (three results from
+one pass) and the Milgram density report through `_result` or
+`CheckResult` themselves.  The big grids run on the sweep kernels;
+everything that pins down the exact public API (arbitrary-precision
+oracles, round replay, report soundness) runs through the real functions.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 import random
 import time
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import catalog
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
@@ -49,6 +56,18 @@ def _result(name: str, cases: int, first_bad) -> CheckResult:
                        "" if first_bad is None else f"first counterexample {first_bad}")
 
 
+def _tally(name: str, outcomes: Iterable) -> CheckResult:
+    """The result of a check that yields one outcome per case: None where
+    the case passes, its counterexample where it fails."""
+    bad = None
+    cases = 0
+    for outcome in outcomes:
+        cases += 1
+        if bad is None:
+            bad = outcome
+    return _result(name, cases, bad)
+
+
 # --- dyadic ----------------------------------------------------------------
 
 def verify_dyadic() -> list[CheckResult]:
@@ -63,46 +82,39 @@ def verify_dyadic() -> list[CheckResult]:
         sweeps.sweep_nu_binom_symbolic(40, 4096))]
 
     # exact API against directly factored binomials (small exhaustive)
-    bad = None
-    cases = 0
-    for a in range(129):
-        for b in range(a + 1):
-            cases += 1
-            c = math.comb(a, b)
-            if nu_binom(a, b) != (c & -c).bit_length() - 1:
-                bad = bad or (a, b)
-    out.append(_result("nu-binom-vs-factored", cases, bad))
+    def nu_binom_vs_factored():
+        for a in range(129):
+            for b in range(a + 1):
+                c = math.comb(a, b)
+                yield (a, b) if nu_binom(a, b) != (c & -c).bit_length() - 1 else None
 
     # kernel/API agreement on random points
-    rng = random.Random(7)
-    bad = None
-    for _ in range(2000):
-        a = rng.randrange(1, 1 << 40)
-        b = rng.randrange(0, a + 1)
-        if nu_binom(a, b) != alpha(b) + alpha(a - b) - alpha(a):
-            bad = bad or (a, b)
-    out.append(_result("kummer-carries-vs-digit-sums", 2000, bad))
+    def kummer_carries():
+        rng = random.Random(7)
+        for _ in range(2000):
+            a = rng.randrange(1, 1 << 40)
+            b = rng.randrange(0, a + 1)
+            yield ((a, b) if nu_binom(a, b) != alpha(b) + alpha(a - b) - alpha(a)
+                   else None)
 
-    bad = None
-    cases = 0
-    by_nu: dict[int, int] = {}
-    for t in range(1, 1 << 16, 2):
-        cases += 1
-        f = hurwitz_radon(t)
-        v = nu(t + 1)
-        if v <= 3 and f < v:
-            bad = bad or (t,)
-        if by_nu.setdefault(v, f) != f:
-            bad = bad or (t,)
-    out.append(_result("hurwitz-radon-by-valuation", cases, bad))
+    def hurwitz_radon_by_valuation():
+        by_nu: dict[int, int] = {}
+        for t in range(1, 1 << 16, 2):
+            f = hurwitz_radon(t)
+            v = nu(t + 1)
+            clash = by_nu.setdefault(v, f) != f  # run for every t
+            yield (t,) if (v <= 3 and f < v) or clash else None
 
-    bad = None
-    for c in range(4097):
-        a, b = radon_pair(c)
-        if not (0 <= b <= 3 and 4 * a + b == c):
-            bad = bad or (c,)
-    out.append(_result("radon-pair-roundtrip", 4097, bad))
-    return out
+    def radon_pair_roundtrip():
+        for c in range(4097):
+            a, b = radon_pair(c)
+            yield None if 0 <= b <= 3 and 4 * a + b == c else (c,)
+
+    return out + [
+        _tally("nu-binom-vs-factored", nu_binom_vs_factored()),
+        _tally("kummer-carries-vs-digit-sums", kummer_carries()),
+        _tally("hurwitz-radon-by-valuation", hurwitz_radon_by_valuation()),
+        _tally("radon-pair-roundtrip", radon_pair_roundtrip())]
 
 
 # --- cohomology ------------------------------------------------------------
@@ -186,143 +198,121 @@ def _cartan_formula() -> CheckResult:
 
 
 def verify_cohomology() -> list[CheckResult]:
-    out = []
+    def ring_laws():
+        for n in range(1, 9):
+            for eps in (0, 1):
+                ring = CohomologyRing(n, eps)
+                basis = _basis(ring)
+                ws = basis[:: max(1, len(basis) // 6)]
+                # v*w depends on no u, so it is formed once per (v, w)
+                vws = [[multiply(v, w) for w in ws] for v in basis]
+                for u in basis:
+                    for v, vw in zip(basis, vws):
+                        uv = multiply(u, v)
+                        yield ((n, eps, str(u), str(v)) if uv != multiply(v, u)
+                               else None)
+                        for w, v_w in zip(ws, vw):
+                            yield ((n, eps, str(u), str(v), str(w))
+                                   if multiply(uv, w) != multiply(u, v_w) else None)
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randrange(1, 65)
+            ring = CohomologyRing(n, rng.randrange(2))
+            cls = [Mod2Class(ring, rng.getrandbits(n + 1), rng.getrandbits(n + 1))
+                   for _ in range(3)]
+            yield ((n, "random-commutativity")
+                   if multiply(cls[0], cls[1]) != multiply(cls[1], cls[0]) else None)
+            yield ((n, "random-associativity")
+                   if multiply(multiply(*cls[:2]), cls[2])
+                   != multiply(cls[0], multiply(*cls[1:])) else None)
 
-    bad = None
-    cases = 0
-    for n in range(1, 9):
-        for eps in (0, 1):
-            ring = CohomologyRing(n, eps)
-            basis = _basis(ring)
-            ws = basis[:: max(1, len(basis) // 6)]
-            # v*w depends on no u, so it is formed once per (v, w)
-            vws = [[multiply(v, w) for w in ws] for v in basis]
-            for u in basis:
-                for v, vw in zip(basis, vws):
-                    cases += 1
-                    uv = multiply(u, v)
-                    if uv != multiply(v, u):
-                        bad = bad or (n, eps, str(u), str(v))
-                    for w, v_w in zip(ws, vw):
-                        cases += 1
-                        if multiply(uv, w) != multiply(u, v_w):
-                            bad = bad or (n, eps, str(u), str(v), str(w))
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randrange(1, 65)
-        ring = CohomologyRing(n, rng.randrange(2))
-        cls = [Mod2Class(ring, rng.getrandbits(n + 1), rng.getrandbits(n + 1))
-               for _ in range(3)]
-        cases += 2
-        if multiply(cls[0], cls[1]) != multiply(cls[1], cls[0]):
-            bad = bad or (n, "random-commutativity")
-        if multiply(multiply(*cls[:2]), cls[2]) != multiply(cls[0], multiply(*cls[1:])):
-            bad = bad or (n, "random-associativity")
-    out.append(_result("ring-commutative-associative", cases, bad))
+    def instability_and_top_square():
+        for n in range(1, 17):
+            for eps in (0, 1):
+                ring = CohomologyRing(n, eps)
+                for u in _basis(ring):
+                    deg = next(d + 2 * j for d, j in u.monomials())
+                    for i in range(deg + 1, 2 * n + 3):
+                        yield ((n, eps, str(u), i)
+                               if not steenrod_square(i, u).is_zero() else None)
+                    yield ((n, eps, str(u), "top")
+                           if steenrod_square(deg, u) != multiply(u, u) else None)
 
-    out.append(_cartan_formula())
+    def sw_class_inverse():
+        for n in range(1, 513):
+            for eps in (0, 1):
+                ring = CohomologyRing(n, eps)
+                yield ((n, eps) if multiply(tangential_sw_class(ring),
+                                            normal_sw_class(ring)) != ring.one()
+                       else None)
+        for n in range(1, 65):
+            w_bar = normal_sw_class(CohomologyRing(n, 0))
+            for j in range(n + 1):
+                yield ((n, j, "closed-form")
+                       if w_bar.coefficient(0, j) != (math.comb(n + j, j) & 1)
+                       else None)
 
-    bad = None
-    cases = 0
-    for n in range(1, 17):
-        for eps in (0, 1):
-            ring = CohomologyRing(n, eps)
-            for u in _basis(ring):
-                deg = next(d + 2 * j for d, j in u.monomials())
-                for i in range(deg + 1, 2 * n + 3):
-                    cases += 1
-                    if not steenrod_square(i, u).is_zero():
-                        bad = bad or (n, eps, str(u), i)
-                cases += 1
-                if steenrod_square(deg, u) != multiply(u, u):
-                    bad = bad or (n, eps, str(u), "top")
-    out.append(_result("instability-and-top-square", cases, bad))
-
-    bad = None
-    cases = 0
-    for n in range(1, 513):
-        for eps in (0, 1):
-            ring = CohomologyRing(n, eps)
-            cases += 1
-            if multiply(tangential_sw_class(ring), normal_sw_class(ring)) != ring.one():
-                bad = bad or (n, eps)
-    for n in range(1, 65):
-        ring = CohomologyRing(n, 0)
-        w_bar = normal_sw_class(ring)
-        for j in range(n + 1):
-            cases += 1
-            if w_bar.coefficient(0, j) != (math.comb(n + j, j) & 1):
-                bad = bad or (n, j, "closed-form")
-    out.append(_result("sw-class-inverse", cases, bad))
-
-    bad = None
-    cases = 0
-    for m in range(513):
-        for e in (1, 2, 3):
-            cases += 1
-            if is_spin(m, e) != (m == 0 or m % 2 == 1):
-                bad = bad or (m, e)
-    out.append(_result("spin-double-derivation", cases, bad))
-    return out
+    return [
+        _tally("ring-commutative-associative", ring_laws()),
+        _cartan_formula(),
+        _tally("instability-and-top-square", instability_and_top_square()),
+        _tally("sw-class-inverse", sw_class_inverse()),
+        _tally("spin-double-derivation", (
+            (m, e) if is_spin(m, e) != (m == 0 or m % 2 == 1) else None
+            for m in range(513) for e in (1, 2, 3)))]
 
 
 # --- lifting ---------------------------------------------------------------
 
 def verify_lifting() -> list[CheckResult]:
-    out = []
+    def davis_mahowald_gate():
+        for ell in range(2, 4097):
+            ok, nu1, nu2 = davis_mahowald_check(ell)
+            if (nu1.constant, nu2.constant) != (alpha(ell) - 1, alpha(ell - 1) + 2):
+                yield ell, "closed-form"
+            elif ok != (alpha(ell) >= 2):
+                yield ell, "gate"
+            else:
+                yield None
 
-    bad = None
-    cases = 0
-    for ell in range(2, 4097):
-        cases += 1
-        ok, nu1, nu2 = davis_mahowald_check(ell)
-        if (nu1.constant, nu2.constant) != (alpha(ell) - 1, alpha(ell - 1) + 2):
-            bad = bad or (ell, "closed-form")
-        if ok != (alpha(ell) >= 2):
-            bad = bad or (ell, "gate")
-    out.append(_result("davis-mahowald-gate", cases, bad))
+    def davis_mahowald_concrete():
+        n_wit = 64
+        p0 = 1 << n_wit
+        for ell in range(2, 257):
+            _, nu1, nu2 = davis_mahowald_check(ell)
+            a = 4 * (ell + 1)
+            for sym, b in ((nu1, 4 * ell - 4), (nu2, 4 * ell - 2)):
+                yield (ell, b) if sym.at(n_wit) != nu_binom(p0 - a, b) else None
 
-    bad = None
-    cases = 0
-    n_wit = 64
-    p0 = 1 << n_wit
-    for ell in range(2, 257):
-        _, nu1, nu2 = davis_mahowald_check(ell)
-        a = 4 * (ell + 1)
-        for sym, b in ((nu1, 4 * ell - 4), (nu2, 4 * ell - 2)):
-            cases += 1
-            if sym.at(n_wit) != nu_binom(p0 - a, b):
-                bad = bad or (ell, b)
-    out.append(_result("davis-mahowald-concrete-N64", cases, bad))
+    def feeding_gate_consistency():
+        for mu in (1, 2):
+            for ell in range(1, 257):
+                for lam in {0, sharpening_drop(ell)}:
+                    inst = feeding_params(mu, ell, lam)
+                    i = 2**mu * ell - 1
+                    if embedding_gate(inst) != 4 * i + 3 - lam:
+                        yield mu, ell, lam
+                    elif (2 * inst.m + inst.d == 4 * inst.n + 1) != (lam == 1):
+                        yield mu, ell, lam, "boundary"
+                    else:
+                        yield None
 
-    bad = None
-    cases = 0
-    for mu in (1, 2):
-        for ell in range(1, 257):
-            for lam in {0, sharpening_drop(ell)}:
-                cases += 1
-                inst = feeding_params(mu, ell, lam)
-                i = 2**mu * ell - 1
-                if embedding_gate(inst) != 4 * i + 3 - lam:
-                    bad = bad or (mu, ell, lam)
-                boundary = 2 * inst.m + inst.d == 4 * inst.n + 1
-                if boundary != (lam == 1):
-                    bad = bad or (mu, ell, lam, "boundary")
-    out.append(_result("feeding-gate-consistency", cases, bad))
+    def sharper_lifting_levels():
+        for ell in range(2, 513):
+            level = sharper_lifting_level(ell)
+            base = 8 * (ell - 1)
+            t = ell - 3
+            if not base - 3 <= level <= base:
+                yield (ell,)
+            elif t > 0 and t % 4 == 0 and (t & (t - 1)) == 0 and level != base - 2:
+                yield ell, "u=1 shape"
+            else:
+                yield None
 
-    bad = None
-    cases = 0
-    for ell in range(2, 513):
-        cases += 1
-        level = sharper_lifting_level(ell)
-        base = 8 * (ell - 1)
-        if not base - 3 <= level <= base:
-            bad = bad or (ell,)
-        t = ell - 3
-        if t > 0 and t % 4 == 0 and (t & (t - 1)) == 0 and level != base - 2:
-            bad = bad or (ell, "u=1 shape")
-    out.append(_result("sharper-lifting-levels", cases, bad))
-    return out
+    return [_tally("davis-mahowald-gate", davis_mahowald_gate()),
+            _tally("davis-mahowald-concrete-N64", davis_mahowald_concrete()),
+            _tally("feeding-gate-consistency", feeding_gate_consistency()),
+            _tally("sharper-lifting-levels", sharper_lifting_levels())]
 
 
 # --- rounds ----------------------------------------------------------------
@@ -404,137 +394,94 @@ def _check_rounds(e: int, max_m: int):
     return len(expected), table_bad, len(pairs), replay_bad, audit_hits
 
 
-def verify_rounds(max_e: int = 8, max_ell: int = 100) -> list[CheckResult]:
+def verify_rounds() -> list[CheckResult]:
     """Regenerate the rounds' table against `_expected_rounds` and replay
-    every derivation, for each e up to max_e; then the Milgram checks.
+    every derivation, for each e up to 8 and ell up to 100 (m up to 403);
+    then the Milgram checks.
 
     One e at a time (see `_check_rounds`), so at most one e's derivations
     are alive at once; the proofs leave the rounds' watermarks alone.
     """
-    out = []
-    max_m = 4 * max_ell + 3
-
-    table_bad = replay_bad = None
-    table_cases = replay_cases = audit_hits = 0
-    for e in range(1, max_e + 1):
-        t_cases, t_bad, r_cases, r_bad, hits = _check_rounds(e, max_m)
-        table_cases += t_cases
-        table_bad = table_bad or t_bad
-        replay_cases += r_cases
-        replay_bad = replay_bad or r_bad
-        audit_hits += hits
-    out.append(_result("table-regeneration", table_cases, table_bad))
-    out.append(_result("derivation-replay", replay_cases, replay_bad))
-    out.append(CheckResult("boundary-gate-audit", audit_hits,
-                           replay_bad is None))
-
-    bad = None
-    cases = 0
-    for mu in (1, 2):
-        for ell in range(1, 4097):
-            cases += 1
-            if not milgram_condition(mu, ell):
-                bad = bad or (mu, ell)
-    hits = sum(milgram_condition(3, ell) for ell in range(1, 4097))
-    density = hits / 4096
+    t_cases, t_bad, r_cases, r_bad, hits = zip(
+        *(_check_rounds(e, 403) for e in range(1, 9)))
+    replay_bad = next(filter(None, r_bad), None)
+    small_mu = _tally("milgram-small-mu", (
+        None if milgram_condition(mu, ell) else (mu, ell)
+        for mu in (1, 2) for ell in range(1, 4097)))
+    density = sum(milgram_condition(3, ell) for ell in range(1, 4097)) / 4096
     # "rarely holds" for mu >= 3: exact density here is 794/4096 = 19.4%;
     # documented threshold 20% (contrast: 100% for mu <= 2).
-    ok3 = density < 0.20
-    out.append(_result("milgram-small-mu", cases, bad))
-    out.append(CheckResult("milgram-mu3-rarity", 4096, ok3,
-                           f"density {density:.3f}"))
-    return out
+    return [_result("table-regeneration", sum(t_cases),
+                    next(filter(None, t_bad), None)),
+            _result("derivation-replay", sum(r_cases), replay_bad),
+            CheckResult("boundary-gate-audit", sum(hits), replay_bad is None),
+            small_mu,
+            CheckResult("milgram-mu3-rarity", 4096, density < 0.20,
+                        f"density {density:.3f}")]
 
 
 # --- bounds ----------------------------------------------------------------
 
 def verify_bounds() -> list[CheckResult]:
-    out = []
-
-    bad = None
-    cases = 0
-    for e in range(1, 11):
-        for m in range(257):
-            cases += 1
-            rep = catalog.report(LensSpace(m, e))
-            if rep.lower.dim > rep.upper.dim:
-                bad = bad or (m, e)
-    out.append(_result("soundness-sweep", cases, bad))
-
-    bad = None
-    cases = 0
-    gaps = {"round1": lambda l: 2 * alpha(l) - 1,
-            "round1-sharp": lambda l: 2 * alpha(l) - 2,
-            "round2": lambda l: 2 * alpha(l),
-            "round2-sharp": lambda l: 2 * alpha(l) - 1}
-    for ell in range(1, 101):
-        for m, rules in ((2 * ell + 1, ("round1", "round1-sharp")),
-                         (4 * ell + 3, ("round2", "round2-sharp"))):
-            e = max(3, alpha(m))
-            space = LensSpace(m, e)
-            uppers = {b.rule_id: b.dim for b in catalog.closed_form_uppers(space)}
-            lower = max((b.dim for b in catalog.euler_class_lower_bounds(space)),
-                        default=None)
-            for rule in rules:
-                if rule not in uppers:
-                    continue
-                cases += 1
-                if lower is None or uppers[rule] - lower != gaps[rule](ell):
-                    bad = bad or (m, e, rule)
-    out.append(_result("high-torsion-gap-law", cases, bad))
-
-    bad = None
-    cases = 0
-    for t in range(0, 9):
-        m = 2**t
+    def soundness_sweep():
         for e in range(1, 11):
-            cases += 1
-            rep = catalog.report(LensSpace(m, e))
-            want = 2 if m == 0 else 5 if m == 1 else 4 * m + 1
-            if not (rep.exact and rep.upper.dim == want):
-                bad = bad or (m, e)
-    out.append(_result("power-of-two-exactness", cases, bad))
+            for m in range(257):
+                rep = catalog.report(LensSpace(m, e))
+                yield (m, e) if rep.lower.dim > rep.upper.dim else None
 
-    bad = None
-    cases = 0
-    for t in range(2, 8):
-        m = 2**t + 1
-        for e in range(2, 11):
-            cases += 1
-            rep = catalog.report(LensSpace(m, e))
-            if rep.gap > 1:
-                bad = bad or (m, e)
-    out.append(_result("one-dimension-gap-family", cases, bad))
+    def high_torsion_gap_law():
+        gaps = {"round1": lambda l: 2 * alpha(l) - 1,
+                "round1-sharp": lambda l: 2 * alpha(l) - 2,
+                "round2": lambda l: 2 * alpha(l),
+                "round2-sharp": lambda l: 2 * alpha(l) - 1}
+        for ell in range(1, 101):
+            for m, rules in ((2 * ell + 1, ("round1", "round1-sharp")),
+                             (4 * ell + 3, ("round2", "round2-sharp"))):
+                e = max(3, alpha(m))
+                space = LensSpace(m, e)
+                uppers = {b.rule_id: b.dim for b in catalog.closed_form_uppers(space)}
+                lower = max((b.dim for b in catalog.euler_class_lower_bounds(space)),
+                            default=None)
+                for rule in rules:
+                    if rule in uppers:
+                        yield ((m, e, rule) if lower is None
+                               or uppers[rule] - lower != gaps[rule](ell) else None)
 
-    bad = None
-    cases = 0
-    for m in range(1, 102):
-        space = LensSpace(m, 1)
-        cases += 1
-        if catalog.report(space, external=True).upper.dim \
-                > catalog.report(space).upper.dim:
-            bad = bad or (m,)
-    out.append(_result("external-rules-monotone", cases, bad))
+    def power_of_two_exactness():
+        for t in range(0, 9):
+            m = 2**t
+            for e in range(1, 11):
+                rep = catalog.report(LensSpace(m, e))
+                want = 2 if m == 0 else 5 if m == 1 else 4 * m + 1
+                yield None if rep.exact and rep.upper.dim == want else (m, e)
 
-    bad = None
-    cases = 0
-    for e in range(1, 7):
-        # the oracle: one forward pass sends each n to the m = n + delta it
-        # bounds, so each m's list comes out in ascending n
-        want: dict[int, list[tuple[int, str]]] = {}
-        for n in range(1, 129):
-            m = n + max(0, alpha(n) - e)
-            if catalog.euler_class_condition(n, e):
-                want.setdefault(m, []).append(
-                    (4 * n - 2 * alpha(n) + 2, "euler-class"))
-        for m in range(1, 129):
-            space = LensSpace(m, e)
-            got = [(b.dim, b.rule_id) for b in catalog.euler_class_lower_bounds(space)]
-            cases += 1
-            if got != want.get(m, []):
-                bad = bad or (m, e)
-    out.append(_result("inversion-completeness", cases, bad))
-    return out
+    def inversion_completeness():
+        for e in range(1, 7):
+            # the oracle: one forward pass sends each n to the m = n + delta
+            # it bounds, so each m's list comes out in ascending n
+            want: dict[int, list[tuple[int, str]]] = {}
+            for n in range(1, 129):
+                m = n + max(0, alpha(n) - e)
+                if catalog.euler_class_condition(n, e):
+                    want.setdefault(m, []).append(
+                        (4 * n - 2 * alpha(n) + 2, "euler-class"))
+            for m in range(1, 129):
+                got = [(b.dim, b.rule_id)
+                       for b in catalog.euler_class_lower_bounds(LensSpace(m, e))]
+                yield (m, e) if got != want.get(m, []) else None
+
+    return [
+        _tally("soundness-sweep", soundness_sweep()),
+        _tally("high-torsion-gap-law", high_torsion_gap_law()),
+        _tally("power-of-two-exactness", power_of_two_exactness()),
+        _tally("one-dimension-gap-family", (
+            (m, e) if catalog.report(LensSpace(m, e)).gap > 1 else None
+            for m in [2**t + 1 for t in range(2, 8)] for e in range(2, 11))),
+        _tally("external-rules-monotone", (
+            (m,) if catalog.report(LensSpace(m, 1), external=True).upper.dim
+            > catalog.report(LensSpace(m, 1)).upper.dim else None
+            for m in range(1, 102))),
+        _tally("inversion-completeness", inversion_completeness())]
 
 
 SCOPES: dict[str, Callable[[], list[CheckResult]]] = {

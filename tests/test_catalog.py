@@ -130,11 +130,14 @@ def test_closed_form_uppers_examples():
 
 def test_closed_form_smoothability():
     # the m = 3 catalog entry is the one flagged topological
-    entry, = closed_form_uppers(LensSpace(3, 4))
+    space = LensSpace(3, 4)
+    entry, = closed_form_uppers(space)
     assert entry.dim == 11 and entry.category is Category.TOPOLOGICAL
-    assert not entry.metastable
-    entry = closed_form_uppers(LensSpace(13, 1))[0]
-    assert entry.category is Category.SMOOTH and entry.metastable
+    assert not metastable_smoothable(space.dim, entry.dim)
+    space = LensSpace(13, 1)
+    entry = closed_form_uppers(space)[0]
+    assert entry.category is Category.SMOOTH
+    assert metastable_smoothable(space.dim, entry.dim)
 
 
 def test_projective_pl_uppers():

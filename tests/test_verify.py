@@ -8,6 +8,8 @@ import pytest
 
 from lensbounds import cli, inductive, proofs, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
+from lensbounds.dyadic import radon_pair
+from lensbounds.lifting import davis_mahowald_check
 from lensbounds.proofs import BOUNDARY_RADON, pairs
 from lensbounds.records import (ConditionKind, DerivationNode, SideCondition,
                                 unique_nodes)
@@ -87,6 +89,46 @@ def test_cartan_failure_names_the_first_counterexample(monkeypatch):
         "cartan-formula: 374528 cases FAIL  "
         "[first counterexample (5, 1, 'x', 'y^2', 3)]")
     assert all(r.ok for name, r in by_name.items() if name != "cartan-formula")
+
+
+def _bend_radon_pair(c):
+    # b out of 0..3 at c = 5 and c = 9
+    a, b = radon_pair(c)
+    return (a, b + 4) if c in (5, 9) else (a, b)
+
+
+def _bend_davis_mahowald_gate(ell):
+    ok, nu1, nu2 = davis_mahowald_check(ell)
+    return (not ok if ell in (10, 12) else ok), nu1, nu2
+
+
+def _bend_davis_mahowald_gate_and_form(ell):
+    # ell = 300, past the concrete N = 64 check, fails both conditions
+    ok, nu1, nu2 = davis_mahowald_check(ell)
+    if ell == 300:
+        return not ok, nu1._replace(constant=nu1.constant + 1), nu2
+    return ok, nu1, nu2
+
+
+@pytest.mark.parametrize("scope, name, bent, line", [
+    ("dyadic", "radon_pair", _bend_radon_pair,
+     "radon-pair-roundtrip: 4097 cases FAIL  [first counterexample (5,)]"),
+    ("lifting", "davis_mahowald_check", _bend_davis_mahowald_gate,
+     "davis-mahowald-gate: 4095 cases FAIL  "
+     "[first counterexample (10, 'gate')]"),
+    ("lifting", "davis_mahowald_check", _bend_davis_mahowald_gate_and_form,
+     "davis-mahowald-gate: 4095 cases FAIL  "
+     "[first counterexample (300, 'closed-form')]"),
+], ids=["radon-pair", "davis-mahowald-gate", "davis-mahowald-closed-form"])
+def test_a_failing_check_counts_every_case_and_names_the_first(
+        monkeypatch, scope, name, bent, line):
+    # the line counts every case, also after a failure, and names the first
+    # failing case by the first condition it fails
+    monkeypatch.setattr(verify, name, bent)
+    by_name = {r.name: r for r in verify.run_scope(scope)}
+    check = line.split(":")[0]
+    assert by_name[check].line() == line
+    assert all(r.ok for r in by_name.values() if r.name != check)
 
 
 def _cartan_line(monkeypatch, name, bent) -> str:

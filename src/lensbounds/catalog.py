@@ -49,9 +49,14 @@ def euler_class_condition(n: int, e: int) -> bool:
     return e >= min(alpha(n) - 6, alpha(n) + 1 - 2 ** nu(n))
 
 
-def _euler_window(m: int) -> range:
-    """Every n that can satisfy n + delta = m with 0 <= delta <= alpha(n)."""
-    return range(max(1, m - m.bit_length()), m + 1)
+def _euler_window(m: int, e: int) -> range:
+    """Every n >= 1 that can satisfy n + delta = m, delta = max(0, alpha(n) - e).
+
+    Complete: n = m - delta <= m, and a positive delta is alpha(n) - e <=
+    bit_length(n) - e <= bit_length(m) - e, so delta <= max(0,
+    bit_length(m) - e) and n lies in the window.
+    """
+    return range(max(1, m - max(0, m.bit_length() - e)), m + 1)
 
 
 def _euler_solutions(space: LensSpace) -> Iterator[tuple[int, int]]:
@@ -60,7 +65,7 @@ def _euler_solutions(space: LensSpace) -> Iterator[tuple[int, int]]:
     if space.odd_factor != 1:
         return
     m, e = space.m, space.e
-    for n in _euler_window(m):
+    for n in _euler_window(m, e):
         if n + max(0, alpha(n) - e) == m:
             yield n, m - n
 

@@ -108,8 +108,10 @@ def alpha_sym_pow_minus(a: int) -> SymbolicCount:
 def nu_binom_sym(a: int, b: int) -> SymbolicCount:
     """nu(binomial(2**N - a, b)) for N >> 0.
 
-    Expands nu as a digit-sum difference; the two N terms cancel, so the
-    result always has n_coeff = 0 (value alpha(b) + alpha(a-1) - alpha(a+b-1)).
+    With p = 2**N - a, nu(C(p, b)) = alpha(b) + alpha(p - b) - alpha(p), and
+    `alpha_sym_pow_minus` gives alpha(p - b) = N - alpha(a + b - 1) and
+    alpha(p) = N - alpha(a - 1).  The two N terms cancel, so the result is
+    formed directly, with n_coeff = 0: alpha(b) + alpha(a-1) - alpha(a+b-1).
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
@@ -117,8 +119,7 @@ def nu_binom_sym(a: int, b: int) -> SymbolicCount:
         raise ValueError(f"need b >= 0, got {b}")
     if b == 0:
         return SymbolicCount(0, 0)
-    # nu(C(p, b)) = alpha(b) + alpha(p - b) - alpha(p) with p = 2**N - a.
-    return alpha_sym_pow_minus(a + b) - alpha_sym_pow_minus(a) + alpha(b)
+    return SymbolicCount(0, alpha(b) + alpha(a - 1) - alpha(a + b - 1))
 
 
 def radon_pair(c: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dyadic import SymbolicCount, alpha, hurwitz_radon, nu, nu_binom_sym
+from .dyadic import alpha, hurwitz_radon, nu, nu_binom_sym
 from .records import RoundsDivergenceError
 
 
@@ -86,20 +86,23 @@ def davis_mahowald_check(ell: int) -> DMResult:
     With p = 2**N - 4(ell+1) for N >> 0, the conditions are
     nu(C(p, 4ell-4)) >= 1, nu(C(p, 4ell-2)) >= 3, and 2(2ell-3) >= 2.
     The two valuations close to alpha(ell)-1 and alpha(ell-1)+2, so the
-    whole gate is equivalent to alpha(ell) >= 2.
+    whole gate is equivalent to alpha(ell) >= 2.  Both come from
+    `nu_binom_sym` with no N term, and each is compared with its closed
+    form as a plain (n_coeff, constant) pair, which a SymbolicCount equals.
     """
     if ell < 2:
         raise ValueError(f"need ell >= 2, got {ell}")
     a = 4 * (ell + 1)
+    a_ell = alpha(ell)
     nu1 = nu_binom_sym(a, 4 * ell - 4)
     nu2 = nu_binom_sym(a, 4 * ell - 2)
-    if nu1 != SymbolicCount(0, alpha(ell) - 1):
+    if nu1 != (0, a_ell - 1):
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-4)) = {nu1} off its closed form at ell={ell}")
-    if nu2 != SymbolicCount(0, alpha(ell - 1) + 2):
+    if nu2 != (0, alpha(ell - 1) + 2):
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-2)) = {nu2} off its closed form at ell={ell}")
-    if nu2.constant != alpha(ell) + 1 + nu(ell):
+    if nu2.constant != a_ell + 1 + nu(ell):
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-2)) = {nu2} disagrees with alpha(ell) + 1 + nu(ell) "
             f"at ell={ell}")

@@ -60,6 +60,20 @@ def _full_scans(e: int, max_m: int) -> tuple[dict, dict]:
     return euler, conj
 
 
+def test_euler_window_holds_every_solution():
+    # one pass over every n < 2^13 sends n to the m = n + delta it solves
+    # (n <= m), so each m's list is the brute-force scan over all n <= m
+    top = 2**13
+    for e in range(1, 13):
+        want: dict[int, list[int]] = {}
+        for n in range(1, top):
+            want.setdefault(n + max(0, alpha(n) - e), []).append(n)
+        for m in range(top):
+            got = [n for n in catalog._euler_window(m, e)
+                   if n + max(0, alpha(n) - e) == m]
+            assert got == want.get(m, []), (m, e)
+
+
 def test_euler_scans_equal_full_scan():
     top = 2**14 + 20
     ms = sorted(set(range(601)) | {m for t in range(15)

@@ -204,6 +204,15 @@ def test_lift_output(capsys):
     assert "fail" in out and "mu=1" not in out
 
 
+def test_lift_matches_golden(capsys):
+    outs = []
+    for ell in (1, 2, 3, 6, 4096, 10**21):
+        code, out, err = run_cli(capsys, "lift", "--ell", str(ell))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "lift.txt").read_text()
+
+
 def test_verify_scope_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "lifting")
     assert code == 0

@@ -106,6 +106,17 @@ def test_nu_binom_sym_examples():
         assert nu_binom_sym(a, 0) == SymbolicCount(0, 0)
 
 
+def test_nu_binom_sym_is_the_lemma_route():
+    # the direct closed form equals the digit-sum expansion through
+    # alpha(2**N - x) = N - alpha(x - 1), whose N terms cancel
+    for a in range(1, 301):
+        for b in range(1, 301):
+            got = nu_binom_sym(a, b)
+            assert type(got) is SymbolicCount
+            assert got == (alpha_sym_pow_minus(a + b) - alpha_sym_pow_minus(a)
+                           + alpha(b))
+
+
 def test_nu_binom_sym_concrete_sweep():
     n = 40
     for a in range(1, 300):

@@ -1,7 +1,8 @@
 import pytest
 
-from lensbounds.dyadic import alpha, hurwitz_radon, nu, nu_binom
-from lensbounds.lifting import (LiftInstance, davis_mahowald_check,
+from lensbounds.dyadic import (SymbolicCount, alpha, alpha_sym_pow_minus,
+                               hurwitz_radon, nu, nu_binom)
+from lensbounds.lifting import (DMResult, LiftInstance, davis_mahowald_check,
                                 embedding_gate, feeding_params,
                                 sharpening_drop, sharper_lifting_level)
 
@@ -84,6 +85,20 @@ def test_davis_mahowald_gate_is_digit_sum_condition():
         assert nu1.constant == alpha(ell) - 1
         assert nu2.constant == alpha(ell - 1) + 2 == alpha(ell) + 1 + nu(ell)
         assert ok == (alpha(ell) >= 2)
+
+
+def test_davis_mahowald_check_is_the_lemma_route():
+    # each valuation through alpha(2**N - x) = N - alpha(x - 1), N terms and
+    # all, and the gate read off the SymbolicCounts
+    for ell in range(2, 4097):
+        a = 4 * (ell + 1)
+        nu1, nu2 = (alpha_sym_pow_minus(a + b) - alpha_sym_pow_minus(a)
+                    + alpha(b) for b in (4 * ell - 4, 4 * ell - 2))
+        ok = (nu1.is_at_least(1) and nu2.is_at_least(3)
+              and 2 * (2 * ell - 3) >= 2)
+        got = davis_mahowald_check(ell)
+        assert got == DMResult(ok, nu1, nu2)
+        assert type(got.nu1) is type(got.nu2) is SymbolicCount
 
 
 def test_davis_mahowald_concrete_n64():

@@ -52,11 +52,14 @@ def euler_class_condition(n: int, e: int) -> bool:
 def _euler_window(m: int, e: int) -> range:
     """Every n >= 1 that can satisfy n + delta = m, delta = max(0, alpha(n) - e).
 
-    Complete: n = m - delta <= m, and a positive delta is alpha(n) - e <=
-    bit_length(n) - e <= bit_length(m) - e, so delta <= max(0,
-    bit_length(m) - e) and n lies in the window.
+    Complete: n = m - delta <= m, and a positive delta needs alpha(n) <=
+    bit_length(m) - 1.  For alpha(n) <= bit_length(n), with equality only
+    at n = 2^j - 1, and then m = n + delta >= 2^j has more digits than n.
+    So delta <= max(0, bit_length(m) - 1 - e) and n lies in the window.
+    Tight for every e: at m = 3 * 2^e the window's first n is m - 1, whose
+    digits are 10 and then e ones, so delta = 1 and n solves.
     """
-    return range(max(1, m - max(0, m.bit_length() - e)), m + 1)
+    return range(max(1, m - max(0, m.bit_length() - 1 - e)), m + 1)
 
 
 def _euler_solutions(space: LensSpace) -> Iterator[tuple[int, int]]:
@@ -80,10 +83,9 @@ def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
     delta = max(0, alpha(n) - e), and the rule's hypothesis holds, the
     space does not embed in R^(4n - 2 alpha(n) + 1).
 
-    Only the window n >= max(1, m - bit_length(m)) is scanned, in
-    ascending order.  It is complete: n <= m, so
-    delta <= alpha(n) <= bit_length(n) <= bit_length(m), and n + delta = m
-    forces n >= m - bit_length(m).  Stated for 2-power torsion only.
+    Only `_euler_window(m, e)` is scanned, in ascending order; its
+    docstring shows it holds every solution.  Stated for 2-power torsion
+    only.
     """
     return [_lower(4 * n - 2 * alpha(n) + 2, "euler-class",
                    "Euler-class obstruction in connective K-theory (delta = 0) "

@@ -251,10 +251,10 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the check code is imported on first use; numpy loads only with the
-    # sweep kernels, which verify_dyadic imports when called, so of every
-    # subcommand and scope only `verify dyadic` and `verify all` pay for it
-    # (the README's "Sweep kernels" section gives the cost)
+    # the check code is imported on first use, and the digit-identity
+    # automata only when verify_dyadic is called, so no other subcommand
+    # or scope pays for them; no scope loads numpy (the README's "Sweep
+    # kernels" section gives each scope's cost)
     from .verify import run_scope
     timings = [] if args.timings else None
     results = run_scope(args.scope, timings)

@@ -1,23 +1,25 @@
-"""Flat-array numpy kernels for the large verification sweeps.
+"""Flat-array numpy kernels for the large digit-identity sweeps.
 
-The public API works on exact Python integers; the desk-scale invariant
-sweeps, however, cover millions of int64-range cases (digit-sum identities,
-Kummer-vs-Legendre grids, symbolic-vs-concrete evaluation at N = 40).  Those
-inner loops run here as vectorized numpy kernels.  Every sweep returns the
-number of cases it evaluated (counted, not taken from the range it was
-asked for) and the first counterexample, and the test suite cross-checks
-the identities against the exact Python functions on sampled points, so the
-kernels are not trusted blindly.
+The public API works on exact Python integers; these sweeps cover millions
+of int64-range cases (digit-sum identities, Kummer-vs-Legendre grids,
+symbolic-vs-concrete evaluation at N = 40) as vectorized numpy kernels.
+Every sweep returns the number of cases it evaluated (counted, not taken
+from the range it was asked for) and the first counterexample, and the
+test suite cross-checks the identities against the exact Python functions
+on sampled points, so the kernels are not trusted blindly.
 
-Only the dyadic scope of ``lensbounds verify`` needs this module:
-``verify_dyadic`` imports it on first call, so numpy is loaded by
-``verify dyadic`` and ``verify all`` and by no other subcommand or scope.
+Only the tests and the benchmark use this module; no subcommand imports
+it, and numpy is a test dependency of the package, not a runtime one.
+``verify dyadic`` proves the three digit-local identities for every input
+with the automata of ``automata``; the tests run each sweep at its full
+range as an independent check, and are the only home of the Legendre
+grid, which is not digit-local.
 The one-dimensional sweeps stream their range in chunks of ``_CHUNK``
 int64s (0.5 MB per array), so their memory does not grow with the range.
 The two grids take one row of cases at a time and read what the rows
 share (a - b, 2^n - a - b, the digit sums) as slices of arrays formed
-once.  The README's "Sweep kernels" section gives what loading numpy and
-each scope cost.
+once.  The README's "Sweep kernels" section gives what loading numpy
+costs.
 """
 
 from __future__ import annotations

@@ -5,12 +5,16 @@ counterexample.  Most checks are a generator that does all of the check's
 work and yields one outcome per case: None where the case passes, and the
 counterexample where it fails.  `_tally` runs it to the end, so every case
 is evaluated and counted, also after a failure, and keeps the first
-counterexample.  The four numpy sweeps, the Cartan check (which counts
-every degree of a pair as a case), the rounds' replay (three results from
-one pass) and the Milgram density report through `_result` or
-`CheckResult` themselves.  The big grids run on the sweep kernels;
-everything that pins down the exact public API (arbitrary-precision
-oracles, round replay, report soundness) runs through the real functions.
+counterexample.  The four digit-identity proofs, the Cartan check (which
+counts every degree of a pair as a case), the rounds' replay (three results
+from one pass) and the Milgram density report through `_result` or
+`CheckResult` themselves.
+
+The dyadic scope proves its four digit identities for every input, with
+the automata of `automata`, and ties each automaton to the package's
+functions on seeded random inputs.  Everything that pins down the exact
+public API (arbitrary-precision oracles, round replay, report soundness)
+runs through the real functions.  No scope imports numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from . import catalog
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
-from .dyadic import alpha, hurwitz_radon, nu, nu_binom, radon_pair
+from .dyadic import (alpha, alpha_sym_pow_minus, hurwitz_radon, nu, nu_binom,
+                     nu_binom_sym, radon_pair)
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
@@ -70,16 +75,64 @@ def _tally(name: str, outcomes: Iterable) -> CheckResult:
 
 # --- dyadic ----------------------------------------------------------------
 
+def _digit_identity(name: str, identity, sample) -> CheckResult:
+    """`identity` proved for every input, then run on seeded random inputs
+    of N = 1..63 digits, two for each N: `sample(rng, N)` gives the inputs
+    and, for each term, the set of the package's values for it, and the
+    run must accept and match every one.  The cases are the live edges
+    checked plus the inputs run; a failing proof is reported first."""
+    proof = identity.prove()
+    rng = random.Random(63)
+    runs = 0
+    bad = None
+    for n in range(1, 64):
+        for _ in range(2):
+            inputs, want = sample(rng, n)
+            state, totals = identity.run(inputs, n)
+            runs += 1
+            if bad is None and (state not in identity.accepting or any(
+                    {t} != w for t, w in zip(totals, want))):
+                bad = (f"first failing input N={n} {inputs}: automaton "
+                       f"{state} {totals}, package {want}")
+    failure = proof.failure or bad
+    return CheckResult(name, proof.edges + runs, failure is None,
+                       failure or "")
+
+
 def verify_dyadic() -> list[CheckResult]:
-    # the only scope that needs numpy, so the sweep kernels are imported
-    # here; they are called as module attributes so that a tracer that
-    # wraps them on the module sees every call
-    from . import sweeps
-    out = [_result(o.name, o.cases, o.first) for o in (
-        sweeps.sweep_kummer_legendre(1024),
-        sweeps.sweep_alpha_identity(1 << 20),
-        sweeps.sweep_alpha_symbolic(40, 1 << 16),
-        sweeps.sweep_nu_binom_symbolic(40, 4096))]
+    # the digit identities' automata are imported here, so that only this
+    # scope loads them; they are read as module attributes, so that a test
+    # can bend one
+    from . import automata
+
+    def kummer(rng, n):
+        s = rng.randrange(1 << n)
+        b = rng.randrange(s + 1)
+        return (b, s - b), ({nu_binom(s, b)}, {alpha(b)}, {alpha(s - b)},
+                            {alpha(s)})
+
+    def alpha_pred(rng, n):
+        a = rng.randrange(1, 1 << n)
+        return (a,), ({alpha(a - 1)}, {alpha(a)}, {nu(a)})
+
+    def pow_minus(rng, n):
+        a = rng.randrange(1, 1 << n)
+        return (a,), ({alpha((1 << n) - a), alpha_sym_pow_minus(a).at(n)},
+                      {n}, {alpha(a - 1)})
+
+    def binom_pow_minus(rng, n):
+        a = rng.randrange(1, 1 << n)
+        b = rng.randrange((1 << n) - a + 1)
+        return (a, b), ({nu_binom((1 << n) - a, b), nu_binom_sym(a, b).at(n)},
+                        {alpha(b)}, {alpha(a - 1)}, {alpha(a + b - 1)})
+
+    out = [_digit_identity("kummer-digit-form-all-N", automata.KUMMER, kummer),
+           _digit_identity("alpha-digit-identity-all-N", automata.ALPHA_PRED,
+                           alpha_pred),
+           _digit_identity("alpha-symbolic-all-N", automata.POW_MINUS,
+                           pow_minus),
+           _digit_identity("nu-binom-symbolic-all-N", automata.BINOM_POW_MINUS,
+                           binom_pow_minus)]
 
     # exact API against directly factored binomials (small exhaustive)
     def nu_binom_vs_factored():

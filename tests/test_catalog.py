@@ -74,6 +74,16 @@ def test_euler_window_holds_every_solution():
             assert got == want.get(m, []), (m, e)
 
 
+def test_euler_window_is_tight():
+    # at m = 3 * 2^e, n = m - 1 (digits 10 and then e ones) has alpha(n) =
+    # e + 1, so delta = 1 and n solves n + delta = m; it is the window's
+    # first n, so a window one n narrower misses it
+    for e in range(1, 64):
+        m = 3 << e
+        n = catalog._euler_window(m, e)[0]
+        assert n == m - 1 and n + max(0, alpha(n) - e) == m, e
+
+
 def test_euler_scans_equal_full_scan():
     top = 2**14 + 20
     ms = sorted(set(range(601)) | {m for t in range(15)

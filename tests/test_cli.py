@@ -698,12 +698,15 @@ def test_engine_failures_exit_3(capsys, monkeypatch, target, patches, argv,
 
 
 # Runs in a fresh interpreter: the pytest process has numpy loaded
-# already.  Prints, after each step, whether numpy has been imported.  The
-# dyadic scope runs last: every step before it must leave numpy unloaded.
+# already.  Prints, after each step, whether numpy and the digit-identity
+# automata have been imported; every step must leave numpy unloaded, and
+# the automata load with the dyadic scope, which runs after the others.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import lensbounds.cli as cli
-steps = [("import", 0, "", "numpy" in sys.modules)]
+def loaded():
+    return ["numpy" in sys.modules, "lensbounds.automata" in sys.modules]
+steps = [("import", 0, "", loaded())]
 for argv in (["query", "--m", "8", "--e", "3"],
              ["table", "--e", "2", "--max-m", "8", "--format", "csv"],
              ["derive", "--m", "7", "--e", "2"],
@@ -712,28 +715,33 @@ for argv in (["query", "--m", "8", "--e", "3"],
              ["verify", "cohomology"],
              ["verify", "rounds"],
              ["verify", "bounds"],
-             ["verify", "dyadic"]):
+             ["verify", "dyadic"],
+             ["verify", "all"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     steps.append((" ".join(argv[:2]) if argv[0] == "verify" else argv[0],
-                  code, out.getvalue(), "numpy" in sys.modules))
+                  code, out.getvalue(), loaded()))
 print(json.dumps(steps))
 """
 
 
-def test_only_verify_imports_numpy():
+def test_no_subcommand_imports_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    loaded = {name: numpy for name, _, _, numpy in steps}
-    assert loaded == {"import": False, "query": False, "table": False,
-                      "derive": False, "lift": False,
-                      "verify lifting": False, "verify cohomology": False,
-                      "verify rounds": False, "verify bounds": False,
-                      "verify dyadic": True}
+    loaded = {name: modules for name, _, _, modules in steps}
+    assert loaded == {"import": [False, False], "query": [False, False],
+                      "table": [False, False], "derive": [False, False],
+                      "lift": [False, False],
+                      "verify lifting": [False, False],
+                      "verify cohomology": [False, False],
+                      "verify rounds": [False, False],
+                      "verify bounds": [False, False],
+                      "verify dyadic": [False, True],
+                      "verify all": [False, True]}
     assert all(code == 0 for _, code, _, _ in steps)
     assert all("PASS" in out for name, _, out, _ in steps
                if name.startswith("verify"))

@@ -28,6 +28,19 @@ def test_nu_binom_symbolic_sweep():
     assert outcome.ok and outcome.cases == 256 * 256
 
 
+def test_full_range_sweeps():
+    # each sweep at its full range: `verify dyadic` proves the three
+    # digit-local identities for every input, and these check them
+    # independently; the Legendre grid is not digit-local, so it has no
+    # proof and no other run at this range
+    outcomes = (sweeps.sweep_kummer_legendre(1024),
+                sweeps.sweep_alpha_identity(1 << 20),
+                sweeps.sweep_alpha_symbolic(40, 1 << 16),
+                sweeps.sweep_nu_binom_symbolic(40, 4096))
+    assert all(o.ok for o in outcomes), outcomes
+    assert [o.cases for o in outcomes] == [525825, 1048576, 65536, 16777216]
+
+
 # A chunk size that divides none of the ranges below, against the default.
 _ODD_CHUNK = 1000
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from lensbounds import cli, inductive, proofs, verify
+from lensbounds import automata, cli, inductive, proofs, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
 from lensbounds.dyadic import radon_pair
 from lensbounds.lifting import davis_mahowald_check
@@ -26,7 +26,7 @@ CHECKS = {"dyadic": 8, "cohomology": 5, "lifting": 4, "rounds": 5,
 def test_golden_has_every_scope_and_the_pass_line():
     assert list(CHECKS) == list(verify.SCOPES)
     assert len(GOLDEN) == sum(CHECKS.values()) + 1
-    assert GOLDEN[-1] == "PASS: 28/28 checks, 18900732 cases"
+    assert GOLDEN[-1] == "PASS: 28/28 checks, 484115 cases"
 
 
 @pytest.mark.parametrize("scope", sorted(verify.SCOPES))
@@ -129,6 +129,110 @@ def test_a_failing_check_counts_every_case_and_names_the_first(
     check = line.split(":")[0]
     assert by_name[check].line() == line
     assert all(r.ok for r in by_name.values() if r.name != check)
+
+
+def _bent_edge(identity, at, to=None):
+    """`identity` with the edge `at` (state, digits) sent to state `to`, or,
+    without `to`, with its first term, and so its weight, one higher."""
+    def step(state, digits):
+        nxt, terms = identity.step(state, digits)
+        if (state, digits) == at:
+            if to is None:
+                return nxt, (terms[0] + 1, *terms[1:])
+            return to, terms
+        return nxt, terms
+    return identity._replace(step=step)
+
+
+# each automaton's check
+_PROOFS = {"KUMMER": "kummer-digit-form-all-N",
+           "ALPHA_PRED": "alpha-digit-identity-all-N",
+           "POW_MINUS": "alpha-symbolic-all-N",
+           "BINOM_POW_MINUS": "nu-binom-symbolic-all-N"}
+
+
+@pytest.mark.parametrize("attr, at, to, detail", [
+    # the start's all-zero edge one higher: it is a loop, so its own check
+    # fails
+    ("KUMMER", (0, (0, 0)), None,
+     "134 cases FAIL  [first failing edge 0 -(0, 0)-> 0: "
+     "potential 0 + weight 1 != 0]"),
+    ("ALPHA_PRED", ((1, 1), (0,)), None,
+     "130 cases FAIL  [first failing edge (1, 1) -(0,)-> (1, 1): "
+     "potential 0 + weight 1 != 0]"),
+    ("POW_MINUS", ((0, 1), (0,)), None,
+     "130 cases FAIL  [first failing edge (0, 1) -(0,)-> (0, 1): "
+     "potential 0 + weight 1 != 0]"),
+    ("BINOM_POW_MINUS", ((0, 0, 0, 1, 0), (0, 0)), None,
+     "142 cases FAIL  [first failing edge (0, 0, 0, 1, 0) -(0, 0)-> "
+     "(0, 0, 0, 1, 0): potential 0 + weight 1 != 0]"),
+    # the same edge sent elsewhere: a spurious carry, a - 1's borrow
+    # dropped at its first digit, a spurious borrow in 0 - a, and a - 1's
+    # borrow dropped in the binomial's automaton
+    ("KUMMER", (0, (0, 0)), 1,
+     "134 cases FAIL  [first failing edge 0 -(1, 1)-> 1: "
+     "potential 0 + weight -1 != 0]"),
+    ("ALPHA_PRED", ((1, 1), (0,)), (0, 0),
+     "130 cases FAIL  [first failing edge (1, 1) -(1,)-> (0, 0): "
+     "potential 0 + weight -1 != 0]"),
+    ("POW_MINUS", ((0, 1), (0,)), (1, 1),
+     "132 cases FAIL  [first failing edge (1, 1) -(0,)-> (1, 1): "
+     "potential 0 + weight 1 != 0]"),
+    ("BINOM_POW_MINUS", ((0, 0, 0, 1, 0), (0, 0)), (0, 0, 0, 0, 0),
+     "154 cases FAIL  [first failing edge (0, 1, 1, 0, 0) -(0, 0)-> "
+     "(0, 1, 1, 0, 0): potential 1 + weight 1 != 1]"),
+    # the constant one higher
+    ("KUMMER", None, None,
+     "134 cases FAIL  [first failing accepting state 0: "
+     "potential 0 != constant 1]"),
+    ("ALPHA_PRED", None, None,
+     "130 cases FAIL  [first failing accepting state (0, 0): "
+     "potential -1 != constant 0]"),
+    ("POW_MINUS", None, None,
+     "130 cases FAIL  [first failing accepting state (1, 0): "
+     "potential 0 != constant 1]"),
+    ("BINOM_POW_MINUS", None, None,
+     "142 cases FAIL  [first failing accepting state (1, 0, 0, 0, 0): "
+     "potential 0 != constant 1]"),
+])
+def test_a_bent_automaton_fails_its_proof(monkeypatch, attr, at, to, detail):
+    # the edge `at` (state, digits) one higher, or sent to state `to`; with
+    # no edge, the constant one higher
+    identity = getattr(automata, attr)
+    if at is None:
+        bent = identity._replace(constant=identity.constant + 1)
+    else:
+        bent = _bent_edge(identity, at, to)
+    monkeypatch.setattr(automata, attr, bent)
+    check = _PROOFS[attr]
+    by_name = {r.name: r for r in verify.run_scope("dyadic")}
+    assert by_name[check].line() == f"{check}: {detail}"
+    assert all(r.ok for r in by_name.values() if r.name != check)
+
+
+def test_a_proof_with_no_reachable_accepting_state_fails(monkeypatch):
+    # an automaton that accepts no word proves nothing; its inputs are
+    # counted, and no edge is
+    monkeypatch.setattr(automata, "KUMMER",
+                        automata.KUMMER._replace(accepting=(2,)))
+    (kummer,) = [r for r in verify.verify_dyadic()
+                 if r.name == "kummer-digit-form-all-N"]
+    assert kummer.line() == ("kummer-digit-form-all-N: 126 cases FAIL  "
+                             "[no accepting state is reachable]")
+
+
+def test_a_proof_is_tied_to_the_package(monkeypatch):
+    # a bend the proof cannot see (every weight of the 2^N - a automaton is
+    # 0, so any transition between its live states keeps the identity) is
+    # caught by the inputs: a = 2 at N = 2 now counts alpha(2^2 - 2) = 1 as
+    # 0 and alpha(a - 1) = 1 as 2
+    monkeypatch.setattr(automata, "POW_MINUS", _bent_edge(
+        automata.POW_MINUS, ((0, 1), (0,)), (1, 0)))
+    (line,) = [r.line() for r in verify.verify_dyadic()
+               if r.name == "alpha-symbolic-all-N"]
+    assert line == ("alpha-symbolic-all-N: 130 cases FAIL  [first failing "
+                    "input N=2 (2,): automaton (1, 0) (0, 2, 2), "
+                    "package ({1}, {2}, {1})]")
 
 
 def _cartan_line(monkeypatch, name, bent) -> str:

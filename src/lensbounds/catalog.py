@@ -3,10 +3,11 @@ records, combined into a best-bounds report for a given lens space.
 
 Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
-pure; report() is deterministic.  In a table a row's cost does not grow
-with m: the Euler-class scans look at about log2(m) candidates, and the
-engine bounds come from `inductive.at(m, e)`, which checks each step below
-m once per process and makes no derivation (report() never reads one).
+pure; report() is deterministic.  A row costs O(log m) time and memory:
+the Euler-class scans look at about log2(m) candidates, `is_spin` forms
+no ring of the space, and the engine bounds come from `inductive.at(m,
+e)`, which gates only m's own steps and makes no derivation (report()
+never reads one).
 The closed-form round bounds are read from `inductive.round_forms`, the
 table `inductive.records` checks each round output against.
 

@@ -14,7 +14,7 @@ from time import perf_counter
 # json is imported by the functions that use it: every command is a process
 # of its own, and most never read or write jsonl
 
-from . import _IMPORT_START, inductive
+from . import _IMPORT_START
 from .catalog import report
 from .dyadic import alpha
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
@@ -32,6 +32,14 @@ COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # argparse builds a formatter for every argument it adds; at a fixed
+        # width it does not read the terminal's, which imports shutil (and
+        # bz2, lzma, zlib and fnmatch).  `build_parser` restores argparse's
+        # formatter for help and usage.
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(
+            prog, width=80), **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -103,16 +111,14 @@ _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
 # --- timings ----------------------------------------------------------------
 
 class _Timings:
-    """Wall time per phase of one command, how far the rounds were checked
-    meanwhile and the derivation it printed, which `finish` prints to
-    stderr under `--timings`.  The phases are the import (from the top of
-    the package to `main`), the rounds' integer pass, then the command's
+    """Wall time per phase of one command and the derivation it printed,
+    which `finish` prints to stderr under `--timings`.  The phases are the
+    import (from the top of the package to `main`), then the command's
     laps; the total counts from the top of the package."""
 
     def __init__(self, args) -> None:
-        self.args, self.phases = args, {}
-        self._before = inductive.integer_s if args.timings else None
-        self._mark = perf_counter()
+        self.args, self._mark = args, perf_counter()
+        self.phases = {"import": args.started - _IMPORT_START}
 
     def lap(self, phase: str) -> None:
         """Close the phase that ran since the last lap."""
@@ -123,24 +129,14 @@ class _Timings:
         """Print the line under `--timings`, counting the unique nodes of
         `derivation` and their side conditions, and return `code`."""
         if self.args.timings:
-            integer_s = inductive.integer_s - self._before
-            nodes = ([] if derivation is None
-                     else unique_nodes((derivation,)))
-            # the integer pass runs inside the first lap: report() for
-            # query and table, the proof for derive
-            phases = {"import": self.args.started - _IMPORT_START,
-                      "rounds": integer_s, **self.phases}
-            first = next(iter(self.phases), None)
-            if first is not None:
-                phases[first] -= integer_s
-            built = ", ".join(f"e={e} built to m={m}" for e, m
-                              in sorted(inductive.watermark.items()))
+            nodes = unique_nodes((derivation,)) if derivation else []
             conditions = sum(len(n.side_conditions) for n in nodes)
             print(f"timing {self.args.command}: "
-                  + "".join(f"{name} {s:.3f} s, " for name, s in phases.items())
+                  + "".join(f"{name} {s:.3f} s, "
+                            for name, s in self.phases.items())
                   + f"total {self._mark - _IMPORT_START:.3f} s; "
-                  f"{built or 'no rounds built'}; {len(nodes)} nodes, "
-                  f"{conditions} side conditions", file=sys.stderr)
+                  f"{len(nodes)} nodes, {conditions} side conditions",
+                  file=sys.stderr)
         return code
 
 
@@ -294,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     def timings_flag(p):
         p.add_argument("--timings", action="store_true",
                        help="print the wall time of each phase (the first "
-                            "is the import), how far the rounds are built "
-                            "and the proof nodes printed to stderr")
+                            "is the import) and the proof nodes printed to "
+                            "stderr")
 
     q = sub.add_parser("query", help="best bounds for one lens space")
     space_args(q)
@@ -336,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print each scope's wall time, cases and cases/s "
                         "to stderr")
     v.set_defaults(fn=cmd_verify)
+    for p in (parser, *sub.choices.values()):
+        p.formatter_class = argparse.HelpFormatter
     return parser
 
 

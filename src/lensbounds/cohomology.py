@@ -151,6 +151,20 @@ def multiply(u: Mod2Class, v: Mod2Class) -> Mod2Class:
     return Mod2Class(ring, even, odd)
 
 
+def _square_term(i: int, delta: int, j: int,
+                 epsilon: int) -> tuple[int, int] | None:
+    """Sq^i(x^delta y^j) as the basis index (delta', j') of its one term
+    before truncation, or None where it vanishes (see `steenrod_square`)."""
+    t, rem = divmod(i, 2)
+    if t > j or nu_binom(j, t) != 0:
+        return None
+    if rem == 0:
+        return delta, j + t
+    if delta and epsilon:
+        return 0, j + t + 1
+    return None
+
+
 def steenrod_square(i: int, u: Mod2Class) -> Mod2Class:
     """Sq^i(u), extended additively from the basis.
 
@@ -161,35 +175,30 @@ def steenrod_square(i: int, u: Mod2Class) -> Mod2Class:
         Sq^{2t}(x y^j)   = C(j, t) x y^{j+t}
         Sq^{2t+1}(x y^j) = epsilon * C(j, t) y^{j+t+1}
 
-    and all other squares vanish.  Binomial parity comes from the carry
-    count, so no coefficient is ever formed.
+    and all other squares vanish (`_square_term`).  Binomial parity comes
+    from the carry count, so no coefficient is ever formed.
     """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     ring = u.ring
-    even = 0
-    odd = 0
-    t, rem = divmod(i, 2)
+    parts = [0, 0]  # even, odd
     for delta, j in u.monomials():
-        if t > j or nu_binom(j, t) != 0:
-            continue
-        if rem == 0:
-            if delta:
-                odd ^= 1 << (j + t)
-            else:
-                even ^= 1 << (j + t)
-        elif delta and ring.epsilon:
-            even ^= 1 << (j + t + 1)
-    return Mod2Class(ring, even, odd)
+        term = _square_term(i, delta, j, ring.epsilon)
+        if term is not None:
+            parts[term[0]] ^= 1 << term[1]
+    return Mod2Class(ring, *parts)
 
 
 def _one_plus_y_power(ring: CohomologyRing, power: int) -> Mod2Class:
     """(1 + y)^power, truncated.  By Lucas, it is the product of
     (1 + y^(2^b)) over the set bits b of power, so the class takes one
-    shift-xor per set bit."""
+    shift-xor per set bit, from the low bit up; once 2^b passes y^n, that
+    factor and every later one is 1 in the ring."""
     even = 1
     while power:
         low = power & -power
+        if low > ring.n:
+            break
         even ^= even << low
         power ^= low
     return Mod2Class(ring, even, 0)
@@ -222,7 +231,8 @@ def is_spin(m: int, e: int) -> bool:
     Two independent routes, which must agree: w2 of the tangential class
     (the manifold is orientable, so w1 = 0), and Wu's formula, under which
     w2 = v2 vanishes exactly when Sq^2 kills H^(2m-1).  Both reduce to
-    "m = 0 or m odd".
+    "m = 0 or m odd".  Each takes O(log m) memory: no ring of the
+    (2m+1)-dimensional space, whose classes take m bits, is formed.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
@@ -230,10 +240,15 @@ def is_spin(m: int, e: int) -> bool:
         raise ValueError(f"need e >= 1, got {e}")
     if m == 0:
         return True  # the circle
-    ring = CohomologyRing.for_lens(m, e)
-    via_w2 = tangential_sw_class(ring).coefficient(0, 1) == 0
-    # H^(2m-1) is spanned by x*y^(m-1); Sq^2 lands in the top degree.
-    via_sq2 = steenrod_square(2, ring.monomial(1, m - 1)).is_zero()
+    # restriction to the 3-dimensional lens space inside is injective on
+    # H^2, and there the tangent bundle is that of L^3 plus the normal
+    # bundle, m - 1 copies of the canonical bundle, whose class is 1 + y
+    low = CohomologyRing.for_lens(1, e)
+    w = multiply(tangential_sw_class(low), _one_plus_y_power(low, m - 1))
+    via_w2 = w.coefficient(0, 1) == 0
+    # H^(2m-1) is spanned by x*y^(m-1); Sq^2 lands in the top degree, 2m+1,
+    # which truncation keeps
+    via_sq2 = _square_term(2, 1, m - 1, low.epsilon) is None
     if via_w2 != via_sq2:
         raise AssertionError(
             f"spin criteria disagree at m={m}, e={e}: w2 route {via_w2}, "

@@ -10,10 +10,12 @@ at step ell.  `round_forms` is the one closed-form table of both rounds:
 `records` checks every output against it, the catalog reads it, and
 `verify` recomputes it independently.  Each step is a pure function of
 (mu, ell, e): `records` evaluates its gates as plain integers and reads
-the steps below only through `round_forms`.  The one state is a
-watermark per e, how far the chain below m is checked, which `at` moves;
-on demand, `proofs` walks a round's chain up to a step and turns each
-step it passes into DerivationNodes, keeping none of them once it returns.
+the steps below only through `round_forms`.  The module keeps no state:
+`at(m, e)` gates only m's own steps, since `verify rounds` proves every
+step ell >= 2 of both rounds for every ell (its round-schema check) and
+gates the grounds.  On demand, `proofs` walks a round's chain up to a
+step and turns each step it passes into DerivationNodes, keeping none of
+them once it returns.
 This module makes no derivation: the kinds of their side conditions, and
 the checks that replay them, are defined in `proofs`.
 
@@ -23,8 +25,6 @@ improperly argued immersions.
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from .dyadic import alpha, nu, radon_pair
 from .lifting import embedding_gate, feeding_params, sharpening_drop
@@ -174,29 +174,6 @@ def _main_dim(mu: int, ell: int, e: int) -> int:
 _RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
 
 
-# per e, how far the integer pass has checked: every step with
-# m <= watermark[e] has passed.  An e starts at 2, and its watermark moves
-# only once every step up to the new value passes, so a
-# RoundsDivergenceError leaves it at the last value fully checked.
-# integer_s is the pass's seconds, for `--timings`.
-watermark: dict[int, int] = {}
-integer_s = 0.0
-
-
-def _start(e: int) -> int:
-    """The watermark of e; an e not seen yet is checked, both rounds' sigma
-    are looked up (so a missing one fails even where no step reaches m), and
-    its watermark starts at 2."""
-    built = watermark.get(e)
-    if built is None:
-        if e < 1:
-            raise ValueError(f"need e >= 1, got {e}")
-        for mu in (1, 2):
-            _sections(2**mu - 1, e)
-        built = watermark[e] = 2
-    return built
-
-
 def _step(e: int, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
           sigma: int, feed: int, expected: int) -> _Step:
     """Gate one step and check its output against `expected`."""
@@ -243,23 +220,15 @@ def records(mu: int, ell: int, e: int) -> tuple[_Step, ...]:
                         _feed_ambient(mu, ell, e, 1), sharp_dim),)
 
 
-def _check(mu: int, e: int, max_m: int) -> None:
-    """Check the steps of round mu with watermark[e] < m <= max_m; the
-    caller moves the watermark once both rounds pass."""
-    global integer_s
-    start = perf_counter()
-    # step ell of round mu reaches m = 2^mu (ell + 1) - 1
-    for ell in range(max(1, (_start(e) + 1) // 2**mu), (max_m + 1) // 2**mu):
-        records(mu, ell, e)
-    integer_s += perf_counter() - start
-
-
 def _steps_at(m: int, e: int) -> list[tuple[int, int, tuple[_Step, ...]]]:
     """(mu, ell, records) of each round's step that reaches exactly m, round
-    1 first, each gated once."""
-    _start(e)
+    1 first, each gated once; each round's sigma is looked up, so a missing
+    one fails even where no step reaches m."""
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
     steps = []
     for mu in (1, 2):
+        _sections(2**mu - 1, e)
         ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
         if rest == 0 and ell >= 2:
             steps.append((mu, ell - 1, records(mu, ell - 1, e)))
@@ -268,17 +237,9 @@ def _steps_at(m: int, e: int) -> list[tuple[int, int, tuple[_Step, ...]]]:
 
 def at(m: int, e: int) -> tuple[Bound, ...]:
     """The bounds derived for exactly this m, in derivation order (round 1
-    first), without their derivations: every step below m not under the
-    watermark is checked, so a whole table costs O(m) in all, then m's
-    steps are gated once.  Only `proofs` makes derivations."""
-    global integer_s
-    if m - 1 > _start(e):
-        for mu in (1, 2):
-            _check(mu, e, m - 1)
-        watermark[e] = m - 1
-    start = perf_counter()
-    steps = _steps_at(m, e)
-    watermark[e] = max(watermark[e], m)
-    integer_s += perf_counter() - start
-    return tuple(_round_bound(e, mu, m, r) for mu, _, step in steps
+    first), without their derivations: only m's own steps are gated, so a
+    lookup costs O(log m) at any m.  The chain below m needs no re-check:
+    `verify rounds` (round-schema) proves every step ell >= 2 for every
+    ell, and gates the grounds.  Only `proofs` makes derivations."""
+    return tuple(_round_bound(e, mu, m, r) for mu, _, step in _steps_at(m, e)
                  for r in step)

@@ -3,8 +3,8 @@
 `inductive.records` gates every step as plain integers and keeps no record.
 `pairs` (`verify`) and `prove` (`derive`) are this module's entry points;
 its one walk, `_walk`, climbs a round's chain from its ground to a step:
-it gates each step through `records`, which is the check of that step (the
-integer pass skips it), and proves each main output on the main before it.
+it gates each step through `records` and proves each main output on the
+main before it.
 A walk keeps nothing once it returns, so each call proves afresh and its
 derivations live as long as its caller holds them.  `query` and `table`
 never load this module.
@@ -21,8 +21,8 @@ from collections.abc import Sequence
 
 from . import inductive
 from .dyadic import alpha, nu, radon_pair
-from .inductive import (_check, _round_bound, _sections, _Step, _steps_at,
-                        records, sections_table)
+from .inductive import (_round_bound, _sections, _Step, _steps_at, records,
+                        sections_table)
 from .lifting import davis_mahowald_check, embedding_gate, feeding_params
 from .records import (Bound, ConditionKind, DerivationNode, SideCondition,
                       upper_category)
@@ -83,8 +83,8 @@ def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
 def pairs(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
     """Every output of each step with m <= max_m, with its derivation, as
     (m, bound): round 1's walk, then round 2's, whose ground rests on the
-    round-1 mains of the same call.  Each step is gated through `records`;
-    the watermark is neither read nor moved."""
+    round-1 mains of the same call.  Each step is gated through `records`
+    once."""
     out: list[tuple[int, Bound]] = []
     mains1: list[Bound] = []
     for mu in (1, 2):
@@ -102,14 +102,12 @@ def prove(m: int, e: int, pick) -> Bound | None:
     `pick` maps the outputs at m, as `inductive.at(m, e)` lists them
     (without derivations), to the index of one of them, or to None, for
     which nothing is proved and None is returned.  The steps at m are gated
-    once, to make those outputs; the integer pass then checks the other
-    round's steps below m; the walk proves the chosen step's outputs on the
-    mains its round reached before m, and no other output, and its
-    `records` calls are the check of that round below m (round 2's ground
-    first proves the round-1 mains it rests on, to m = 3, or m = 7 for
-    e >= 3); and the watermark moves to m.  So each step up to m is gated
+    once, to make those outputs; then the walk proves the chosen step's
+    outputs on the mains its round reached before m, and no other output
+    (round 2's ground first proves the round-1 mains it rests on, to m = 3,
+    or m = 7 for e >= 3).  So only the chain it proves is gated, each step
     once (but for the first steps of round 1, which round 2's ground also
-    proves).
+    proves); the other round's steps are not, as round-schema proves them.
     """
     steps = _steps_at(m, e)
     index = pick(tuple(_round_bound(e, mu, m, r)
@@ -122,14 +120,12 @@ def prove(m: int, e: int, pick) -> Bound | None:
         index -= len(top)
     else:
         raise IndexError(f"no output {index} at m={m}")
-    _check(3 - mu, e, m - 1)
     mains1 = []
     if mu == 2:
         mains1 = [main for main, _ in _walk(e, 1, 1 if e <= 2 else 3,
                                             every=False)]
     for _, outputs in _walk(e, mu, ell, top, every=False, mains1=mains1):
         pass
-    inductive.watermark[e] = max(inductive.watermark[e], m)
     return outputs[index]
 
 

@@ -25,7 +25,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
-from . import catalog
+from . import catalog, inductive
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
@@ -34,7 +34,7 @@ from .dyadic import (alpha, alpha_sym_pow_minus, hurwitz_radon, nu, nu_binom,
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
-from .records import LensSpace, unique_nodes
+from .records import LensSpace, RoundsDivergenceError, unique_nodes
 
 
 class CheckResult(namedtuple("CheckResult", "name cases ok detail",
@@ -371,25 +371,114 @@ def verify_lifting() -> list[CheckResult]:
 
 # --- rounds ----------------------------------------------------------------
 
+def _closed_form(mu: int, e: int) -> tuple[int, int]:
+    """(c1, c0) of round mu's main output, R^(c1*ell + c0) at step ell
+    (but round 2's ground), recomputed independently of the engine; a
+    sharpened output is one lower."""
+    return (8, 3) if mu == 1 else (16, delta_e(e))
+
+
 def _expected_rounds(e: int, max_m: int) -> dict[tuple[str, int], int]:
     """Closed forms recomputed independently of the engine."""
-    dlt = delta_e(e)
     expected: dict[tuple[str, int], int] = {}
-    for ell in range(1, (max_m - 1) // 2 + 1):
-        m = 2 * ell + 1
-        expected[("round1:base" if ell == 1 else "round1:step", m)] = 8 * ell + 3
-        if ell % 2 == 0 and alpha(ell) >= 2:
-            expected[("round1:sharp", m)] = 8 * ell + 2
+    for mu in (1, 2):
+        c1, c0 = _closed_form(mu, e)
+        # step ell reaches m = 2^mu (ell + 1) - 1; round 2 steps from ell = 2
+        for ell in range(mu, (max_m + 1) // 2**mu):
+            m = 2**mu * (ell + 1) - 1
+            expected[(f"round{mu}:{'base' if ell == 1 else 'step'}", m)] = \
+                c1 * ell + c0
+            if ell % 2 == 0 and alpha(ell) >= 2:
+                expected[(f"round{mu}:sharp", m)] = c1 * ell + c0 - 1
     if max_m >= 7:
         if e <= 2:
             expected[("round2:special", 7)] = 26
-        expected[("round2:base", 7)] = 17 + dlt
-        for ell in range(2, (max_m - 3) // 4 + 1):
-            m = 4 * ell + 3
-            expected[("round2:step", m)] = 16 * ell + dlt
-            if ell % 2 == 0 and alpha(ell) >= 2:
-                expected[("round2:sharp", m)] = 16 * ell + dlt - 1
+        expected[("round2:base", 7)] = 17 + delta_e(e)
     return expected
+
+
+# The schema of output lam (0 main, 1 sharpened) of step ell >= 2 of round
+# mu, every ell at once: sigma, then j, beta and the output's dim, then the
+# feed's instance (n, m, d), each a linear form c1*ell + c0 as (c1, c0).
+_Schema = namedtuple("_Schema", "sigma j beta dim n m d")
+
+
+def _step_schema(e: int, mu: int, lam: int) -> _Schema:
+    """Step ell >= 2 of round mu as `inductive.records` takes it:
+    k = 2^mu - 1 from R^(4k+2) with the engine's sigma sections,
+    j = 2^mu ell - 1, beta the main output at ell - 1, one higher unless
+    sharpened, and the feed `feeding_params(mu, ell, lam)`."""
+    k, (c1, c0) = 2**mu - 1, _closed_form(mu, e)
+    beta = (c1, c0 - c1 + 1 - lam)
+    return _Schema(inductive._sections(k, e), (2**mu, -1), beta,
+                   (c1, 4 * k + 3 + beta[1]), (2**mu, -1), (2**mu, 2**mu - 1),
+                   (2 ** (mu + 1), -(2 ** (mu + 1)) - lam))
+
+
+def _fires(margin: tuple[int, int], need: int, count: int) -> bool:
+    """Whether a gate fires for every ell on a margin linear in ell: a
+    constant positive margin fires the strict gate, and a zero one the
+    boundary gate, whose `need` must be at most the Hurwitz-Radon `count`
+    at the least valuation."""
+    return margin[0] == 0 and (
+        margin[1] > 0 or margin[1] == 0 and need <= count)
+
+
+def _round_schema():
+    """round-schema's outcomes: each step ell >= 2 of both rounds, for
+    every ell and e = 1..10, then each round's ground (ell = 1), gated by
+    `records`.
+
+    Every e >= 3 is one class: `sections_table`, `delta_e` and
+    `_feed_admissible` read e only through min(e, 3) (the last only at
+    ell = 1).  A step's gate and its feed's compare linear forms in ell,
+    whose margins must be constant (see `_fires`).  A boundary gate needs
+    2(k + 1), or 2(m - n), at most the Hurwitz-Radon count
+    F = 8a + 2^b - 1 of nu(2j + 2) = 4a + b, and F increases with 4a + b
+    (its steps are 1, 2, 4 and 1 whatever a is, checked first), so the
+    least valuation decides: nu(2j + 2) = nu(2^(mu+1)) + nu(ell), and
+    nu(ell) >= 1 where the sharpened output exists (ell even).  The output
+    must be its closed form, the feed's ambient 2m + d + 1 must be
+    4n + 3 - lam, and the feed must lie within R^(sigma + beta)."""
+    for b in range(4):
+        # 8a + 2^b at c = 4a + b, and at c + 1 = 4(a + q) + r
+        q, r = radon_pair(b + 1)
+        yield None if 8 * q + 2**r > 2**b else ("radon-steps", b)
+    for e in range(1, 11):
+        for mu in (1, 2):
+            c1, c0 = _closed_form(mu, e)
+            for lam in (0, 1):
+                sigma, j, beta, dim, n, m, d = _step_schema(e, mu, lam)
+                # F(t) with nu(t + 1) = nu(2^(mu+1)) + lam, the least
+                count = hurwitz_radon(2 ** (nu(2 * j[0]) + lam) - 1)
+                total = (2 * m[0] + d[0], 2 * m[1] + d[1])  # 2m + d
+                for name, ok in (
+                        ("valuation", 2 * j[1] + 2 == 0 and j == n),
+                        ("gate", _fires((beta[0] - 4 * j[0],
+                                         sigma + beta[1] - 4 * j[1] - 2),
+                                        2 ** (mu + 1), count)),
+                        ("output", dim == (c1, c0 - lam)),
+                        ("feed-gate", m[0] == n[0] and _fires(
+                            (total[0] - 4 * n[0], total[1] - 4 * n[1] - 1),
+                            2 * (m[1] - n[1]), count)),
+                        ("feed-ambient",
+                         (total[0], total[1] + 1) == (4 * n[0],
+                                                      4 * n[1] + 3 - lam)),
+                        ("feed-within", total[0] == beta[0]
+                         and total[1] + 1 <= sigma + beta[1])):
+                    yield None if ok else (e, mu, lam, name)
+            # the ground, gated concretely
+            top = 2 ** (mu + 1) - 1
+            want = {key: dim for key, dim in _expected_rounds(e, top).items()
+                    if key[1] == top and not key[0].endswith(":step")}
+            try:
+                ground = inductive.records(mu, 1, e)
+                ok = ({(r[0], top): r[1] for r in ground} == want
+                      and all(r[3] <= r[1] for r in ground
+                              if r[0] == "round2:base"))
+            except RoundsDivergenceError:
+                ok = False
+            yield None if ok else (e, mu, "ground")
 
 
 def _replay_facts(roots) -> dict[int, tuple[bool, int, bool]]:
@@ -423,9 +512,12 @@ def _check_rounds(e: int, max_m: int):
     over `proofs.pairs(e, max_m)`, which are dropped (with every derivation)
     on return."""
     from . import proofs  # here, so that the other scopes never load it
-    pairs = proofs.pairs(e, max_m)
-    produced = {(b.rule_id, m): b.dim for m, b in pairs}
     expected = _expected_rounds(e, max_m)
+    try:
+        pairs = proofs.pairs(e, max_m)
+    except RoundsDivergenceError as exc:
+        return len(expected), (e, str(exc)), 0, None, 0
+    produced = {(b.rule_id, m): b.dim for m, b in pairs}
     table_bad = None
     if produced != expected:
         for key in sorted(set(produced) ^ set(expected)):
@@ -451,10 +543,11 @@ def _check_rounds(e: int, max_m: int):
 def verify_rounds() -> list[CheckResult]:
     """Regenerate the rounds' table against `_expected_rounds` and replay
     every derivation, for each e up to 8 and ell up to 100 (m up to 403);
-    then the Milgram checks.
+    then prove every step for every ell (round-schema), on which
+    `inductive.at` rests; then the Milgram checks.
 
     One e at a time (see `_check_rounds`), so at most one e's derivations
-    are alive at once; the proofs leave the rounds' watermarks alone.
+    are alive at once.  A step off its closed form fails the table.
     """
     t_cases, t_bad, r_cases, r_bad, hits = zip(
         *(_check_rounds(e, 403) for e in range(1, 9)))
@@ -469,6 +562,7 @@ def verify_rounds() -> list[CheckResult]:
                     next(filter(None, t_bad), None)),
             _result("derivation-replay", sum(r_cases), replay_bad),
             CheckResult("boundary-gate-audit", sum(hits), replay_bad is None),
+            _tally("round-schema", _round_schema()),
             small_mu,
             CheckResult("milgram-mu3-rarity", 4096, density < 0.20,
                         f"density {density:.3f}")]

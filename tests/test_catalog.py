@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import lensbounds
@@ -300,3 +302,15 @@ def test_export_lists_resolve():
         namespace: dict = {}
         exec(f"from {module.__name__} import *", namespace)
         assert set(module.__all__) <= set(namespace), module.__name__
+
+
+def test_report_takes_little_memory_at_any_m():
+    # at m = 10^12 + 3 both rounds have a step and the spin rule applies
+    tracemalloc.start()
+    try:
+        rep = catalog.report(LensSpace(10**12 + 3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
+    assert "spin" in {b.rule_id for b in rep.all_bounds}

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -132,10 +133,12 @@ def test_usage_errors_exit_1(capsys):
 
 
 # Fixed extreme inputs, with the exit code each gives:
-# 0 with output, or 1 with a message and no traceback.  Every power-of-two
-# query uses one e, so the round builder is built once, up to 2^14.
+# 0 with output, or 1 with a message and no traceback.  A query gates only
+# the steps at its own m, so m = 10^12 and 10^12 + 3 (where both rounds
+# have a step and the spin rule applies) cost what m = 2 does.
 _EXTREME_INPUTS = (
-    [(0, ("query", "--m", str(m), "--e", "3")) for m in (0, 1, 2)]
+    [(0, ("query", "--m", str(m), "--e", "3"))
+     for m in (0, 1, 2, 10**12, 10**12 + 3)]
     + [(0, ("query", "--m", str(1 << t), "--e", "3")) for t in range(15)]
     + [(0, ("table", "--e", "2", "--max-m", "0")),
        (0, ("table", "--e", "2", "--max-m", "-5")),
@@ -152,9 +155,7 @@ _EXTREME_INPUTS = (
        (1, ("derive", "--m", "4", "--e", "2"))])
 
 
-def test_extreme_inputs_exit_cleanly(capsys, monkeypatch):
-    # a private builder cache, so the 2^14 block is freed after the test
-    monkeypatch.setattr(inductive, "watermark", {})
+def test_extreme_inputs_exit_cleanly(capsys):
     for expected, argv in _EXTREME_INPUTS:
         code, out, err = run_cli(capsys, *argv)
         assert code == expected, argv
@@ -239,23 +240,20 @@ def test_verify_timings_go_to_stderr(capsys, monkeypatch):
 
 
 _TIMING_LINE = re.compile(
-    r"timing (?P<command>query|table|derive): import \d+\.\d{3} s, "
-    r"rounds \d+\.\d{3} s"
-    r"(, [a-z]+ \d+\.\d{3} s)*, total \d+\.\d{3} s; (no rounds built|"
-    r"(e=\d+ built to m=\d+(, )?)+); "
+    r"timing (?P<command>query|table|derive): import \d+\.\d{3} s"
+    r"(?P<laps>(, [a-z]+ \d+\.\d{3} s)*), total \d+\.\d{3} s; "
     r"(?P<nodes>\d+) nodes, (?P<conditions>\d+) side conditions\n")
 
 
-def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
-    monkeypatch.setattr(inductive, "watermark", {})
-    # cold, the 4096-row table builds the integer pass alone
+def test_query_table_derive_timings_go_to_stderr(capsys):
     table = ("table", "--e", "3", "--max-m", "4096", "--format", "csv")
     code, out, err = run_cli(capsys, *table, "--timings")
     assert (code, out, "") == run_cli(capsys, *table) and code == 0
-    assert _TIMING_LINE.fullmatch(err)
-    assert err.startswith("timing table: import ")
-    assert ", report " in err and ", render " in err
-    assert err.endswith("; e=3 built to m=4096; 0 nodes, 0 side conditions\n")
+    match = _TIMING_LINE.fullmatch(err)
+    assert match and err.startswith("timing table: import ")
+    assert [lap.split()[0] for lap in match["laps"].split(", ")[1:]] == [
+        "report", "render"]
+    assert err.endswith("; 0 nodes, 0 side conditions\n")
     for argv in (("query", "--m", "5000", "--e", "3", "--all"),
                  ("query", "--m", "1", "--e", "2"),
                  ("derive", "--m", "1023", "--e", "3", "--format", "jsonl"),
@@ -270,10 +268,8 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
         assert match and match["command"] == argv[0], argv
         if argv[0] == "query":
             assert (match["nodes"], match["conditions"]) == ("0", "0"), argv
-    # the first derive at e = 2 builds the integer pass up to m = 51 and
-    # counts the nodes of the one derivation it prints (here round 2's
-    # sharpened output)
-    monkeypatch.setattr(inductive, "watermark", {})
+    # a derive counts the nodes of the one derivation it prints (here round
+    # 2's sharpened output)
     code, _, err = run_cli(capsys, "derive", "--m", "51", "--e", "2",
                            "--timings")
     pairs = proofs.pairs(2, 51)
@@ -282,7 +278,7 @@ def test_query_table_derive_timings_go_to_stderr(capsys, monkeypatch):
     nodes = unique_nodes([best.derivation])
     assert len(nodes) < len(unique_nodes(b.derivation for _, b in pairs))
     assert code == 0 and err.endswith(
-        f"e=2 built to m=51; {len(nodes)} nodes, "
+        f"s; {len(nodes)} nodes, "
         f"{sum(len(n.side_conditions) for n in nodes)} side conditions\n")
 
 
@@ -295,14 +291,17 @@ import sys
 import lensbounds.cli as cli
 code = cli.main(sys.argv[1:])
 print((code, sorted(name for name in sys.modules if name in (
-    "lensbounds.proofs", "dataclasses", "inspect", "csv", "json"))),
+    "lensbounds.proofs", "dataclasses", "inspect", "csv", "json",
+    "shutil"))),
     file=sys.stderr)
 """
 
 
 def test_only_derive_loads_the_proof_layer():
     # and each command imports only what it uses: the dataclass machinery
-    # nowhere, csv never (only the tests parse csv), json only for jsonl
+    # nowhere, csv never (only the tests parse csv), json only for jsonl,
+    # and shutil never (argparse reads the terminal's width through it,
+    # only to print help or usage)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     loaded = {}
     for argv, jsonl in ((("query", "--m", "5000", "--e", "3", "--all"), False),
@@ -328,8 +327,31 @@ def test_only_derive_loads_the_proof_layer():
                       "verify": False}
 
 
+_HELP_ARGVS = (("--help",), ("query", "--help"), ("table", "--help"),
+               ("derive", "--help"), ("lift", "--help"), ("verify", "--help"),
+               (), ("query",),
+               ("table", "--e", "3", "--max-m", "2", "--format", "xx"),
+               ("bogus",))
+
+
+def test_help_and_usage_keep_their_bytes(capsys, monkeypatch):
+    # help and usage errors print the bytes of parsers built by argparse's
+    # own constructor, whose formatter reads the terminal's width at every
+    # argument it adds, at 80 and at 132 columns alike
+    printed = {}
+    for columns in ("80", "132"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = [run_cli(capsys, *argv) for argv in _HELP_ARGVS]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._Parser, "__init__",
+                          argparse.ArgumentParser.__init__)
+            assert got == [run_cli(capsys, *argv) for argv in _HELP_ARGVS]
+        assert [code for code, _, _ in got] == [0] * 6 + [1] * 4
+        printed[columns] = got
+    assert printed["80"] != printed["132"]
+
+
 def test_query_and_table_make_no_proof_nodes(capsys, monkeypatch):
-    monkeypatch.setattr(inductive, "watermark", {})
     made = []
     for cls in (DerivationNode, SideCondition):
         def counted(this, *args, cls=cls, new=cls.__new__, **kwargs):
@@ -523,15 +545,14 @@ _EDGE_EXITS = (
     (("table", "--e", "0", "--max-m", "0"), 0, ""),
     (("table", "--e", "0", "--max-m", "1"), 1, "error: need e >= 1, got 0\n"),
     (("query", "--m", "1", "--e", "3", "--timings"), 0,
-     "e=3 built to m=2; 0 nodes, 0 side conditions\n"),
+     " s; 0 nodes, 0 side conditions\n"),
     (("query", "--m", "0", "--e", "3", "--timings"), 0,
-     "; no rounds built; 0 nodes, 0 side conditions\n"),
+     " s; 0 nodes, 0 side conditions\n"),
 )
 
 
 @pytest.mark.parametrize("argv, want_code, want_err", _EDGE_EXITS)
-def test_edge_exits(capsys, monkeypatch, argv, want_code, want_err):
-    monkeypatch.setattr(inductive, "watermark", {})
+def test_edge_exits(capsys, argv, want_code, want_err):
     code, out, err = run_cli(capsys, *argv)
     assert code == want_code
     assert err.endswith(want_err)
@@ -637,21 +658,17 @@ def test_derive_grid_keeps_its_bytes_and_exit_codes(capsys):
 
 
 def test_derive_gates_each_step_once(capsys, monkeypatch):
-    # the proof layer's gating is the check of the round it proves (round 1
-    # here), and the integer pass checks only the other round's steps, so
-    # the derive gates the same steps as the integer pass alone, each once,
-    # and prints the bytes it printed when it gated the chain twice
-    monkeypatch.setattr(inductive, "watermark", {})
+    # a derive gates only the chain it proves (round 1 here, from its
+    # ground to m = 401: 200 mains and 93 sharpened outputs), each step
+    # once, and prints the bytes it printed when it also gated round 2's
+    # steps below m (434 gates)
     calls = []
     real = inductive._gate
     monkeypatch.setattr(inductive, "_gate",
                         lambda *args: calls.append(args) or real(*args))
     code, out, _ = run_cli(capsys, "derive", "--m", "401", "--e", "3")
-    derived, calls[:] = sorted(calls), []
-    monkeypatch.setattr(inductive, "watermark", {})
-    inductive.at(401, 3)
-    assert code == 0 and len(derived) == len(calls) == 434
-    assert derived == sorted(calls)
+    assert code == 0 and len(calls) == len(set(calls)) == 293
+    assert {k for k, *_ in calls} == {1}
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "dd27c291e98f5b79"
 
 
@@ -673,14 +690,13 @@ def _nu_binom_sym_off_at(bottom: int):
      ("lift", "--ell", "6"), "nu(C(p, 4l-2)) = 5 off its closed form"),
     (lifting, {"nu": lambda n: 99},
      ("lift", "--ell", "6"), "disagrees with alpha(ell) + 1 + nu(ell)"),
-    # a fresh watermark, so the igniting section counts are looked up again
-    (inductive, {"sections_table": lambda k, e: None, "watermark": {}},
+    (inductive, {"sections_table": lambda k, e: None},
      ("derive", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
-    (inductive, {"sections_table": lambda k, e: None, "watermark": {}},
+    (inductive, {"sections_table": lambda k, e: None},
      ("query", "--m", "5", "--e", "3"), "no tabulated igniting embedding"),
     # where no step reaches m, or only round 1's ground, whose sigma is not
-    # tabulated: both sigmas are looked up the first time an e is asked for
-    *[(inductive, {"sections_table": lambda k, e: None, "watermark": {}},
+    # tabulated: both sigmas are looked up at every lookup
+    *[(inductive, {"sections_table": lambda k, e: None},
        argv, "no tabulated igniting embedding")
       for argv in (("query", "--m", "1", "--e", "3"),
                    ("query", "--m", "3", "--e", "3"),

@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from lensbounds.cohomology import (CohomologyRing, Mod2Class, _clmul,
-                                   is_spin, multiply, normal_sw_class,
+                                   _one_plus_y_power, _square_term, is_spin,
+                                   multiply, normal_sw_class,
                                    steenrod_square, tangential_sw_class)
 from lensbounds.dyadic import nu_binom
 
@@ -263,6 +265,49 @@ def test_is_spin():
         is_spin(-1, 1)
     with pytest.raises(ValueError):
         is_spin(3, 0)
+
+
+def test_spin_routes_equal_them_in_the_whole_ring():
+    # each route of is_spin, which forms no ring of the space itself, is
+    # the route in the space's own ring: w2 of (1 + y)^(m+1), and Sq^2 on
+    # x*y^(m-1)
+    for m in range(1, 300):
+        for e in (1, 2, 3):
+            ring = CohomologyRing.for_lens(m, e)
+            low = CohomologyRing.for_lens(1, e)
+            restricted = multiply(tangential_sw_class(low),
+                                  _one_plus_y_power(low, m - 1))
+            assert restricted.coefficient(0, 1) == \
+                tangential_sw_class(ring).coefficient(0, 1), (m, e)
+            assert (_square_term(2, 1, m - 1, ring.epsilon) is None) == \
+                steenrod_square(2, ring.monomial(1, m - 1)).is_zero(), (m, e)
+
+
+def test_one_plus_y_power_skips_the_bits_past_the_ring():
+    # (1 + y)^power is the truncated product of `power` factors 1 + y, and
+    # a factor 1 + y^(2^b) with 2^b past y^n is 1 in the ring
+    for n in (1, 2, 5, 8):
+        ring = CohomologyRing(n, 0)
+        want = ring.one()
+        for power in range(70):
+            assert _one_plus_y_power(ring, power) == want, (n, power)
+            want = multiply(want, ring.one() + ring.y(1))
+        for power in (10**30, 2**200 + 3):
+            low = power & ((1 << n.bit_length()) - 1)
+            assert _one_plus_y_power(ring, power) == \
+                _one_plus_y_power(ring, low), (n, power)
+
+
+def test_is_spin_takes_little_memory_at_any_m():
+    tracemalloc.start()
+    try:
+        for m in (10**8 + 3, 10**12, 10**12 + 3, 10**100 + 1):
+            assert is_spin(m, 3) == (m % 2 == 1)
+            assert is_spin(m, 1) == (m % 2 == 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_monomials_walk_the_support_in_order():

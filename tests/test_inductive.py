@@ -1,10 +1,13 @@
+import ast
 import contextlib
 import gc
+import pathlib
+import sys
 import tracemalloc
 
 import pytest
 
-from lensbounds import cli, inductive, proofs
+from lensbounds import cli, inductive, proofs, verify
 from lensbounds.dyadic import alpha
 from lensbounds.inductive import (_feed_ambient, _gate, _sections, at,
                                   delta_e, milgram_condition, sections_table)
@@ -244,25 +247,35 @@ def _shapes():
     return shape
 
 
+def _state():
+    """Every lensbounds module's names, with the id and repr of each value,
+    but the builtins: a module that kept state between calls would show a
+    new name, a rebound one, or a container whose repr changed."""
+    return {name: {key: (id(value), repr(value))
+                   for key, value in vars(module).items()
+                   if key != "__builtins__"}
+            for name, module in sorted(sys.modules.items())
+            if name == "lensbounds" or name.startswith("lensbounds.")}
+
+
 @pytest.mark.parametrize("a, b", [(3, 7), (7, 300), (300, 301), (5, 1023)])
-def test_extended_builder_equals_fresh_builder(monkeypatch, a, b):
-    # a watermark moved to a, then to b, gives the lookups and proofs of one
-    # moved to b at once, and of none at all
+def test_extended_builder_equals_fresh_builder(a, b):
+    # lookups at a, then at b, give the lookups and proofs of lookups at b
+    # alone, and of none at all, and leave no state behind
     shape = _shapes()
     ms = sorted({3, a, b - 1, b} - {2})
+    state = _state()
     for e in range(1, 5):
-        monkeypatch.setattr(inductive, "watermark", {})
         cold = [shape(pairs(e, max_m)) for max_m in ms]
         got = []
         for moves in ((a, b), (b,)):
-            monkeypatch.setattr(inductive, "watermark", {})
             for m in moves:
                 at(m, e)
-            assert inductive.watermark == {e: b}
             got.append(([at(m, e) for m in ms],
                         [shape(pairs(e, max_m)) for max_m in ms]))
         assert got[0] == got[1]
         assert got[0][1] == cold
+    assert _state() == state
 
 
 def test_engine_bounds_are_the_pairs_at_m():
@@ -286,26 +299,46 @@ def _no_nodes(monkeypatch):
         yield
 
 
+def _counted_records(monkeypatch):
+    """Count `inductive.records` calls, as (mu, ell) pairs."""
+    calls = []
+    real = inductive.records
+    monkeypatch.setattr(inductive, "records",
+                        lambda mu, ell, e: calls.append((mu, ell))
+                        or real(mu, ell, e))
+    return calls
+
+
 def test_lookup_builds_to_m_without_proofs(monkeypatch):
     shape = _shapes()
+    state = _state()
     for m in (0, 2, 3, 5, 257, 512, 1025):
-        monkeypatch.setattr(inductive, "watermark", {})
         with _no_nodes(monkeypatch):
             found = at(m, 2)
-        assert inductive.watermark == {2: max(m, 2)}, m
         assert found == tuple(b._replace(derivation=None)
                               for mm, b in pairs(2, max(m, 3)) if mm == m)
-    monkeypatch.setattr(inductive, "watermark", {})
+    assert _state() == state
     cold = shape(pairs(5, 512))
     with _no_nodes(monkeypatch):
         at(300, 5)
-    assert inductive.watermark == {5: 300}
-    # the proofs neither read nor move the watermark
+    # a lookup leaves the proofs as they were
     assert shape(pairs(5, 512)) == cold
-    assert inductive.watermark == {5: 300}
     assert at(400, 5) == tuple(b._replace(derivation=None)
                                for m, b in pairs(5, 400) if m == 400)
-    assert inductive.watermark == {5: 400}
+    assert _state() == state
+
+
+def test_lookup_gates_only_the_steps_at_m(monkeypatch):
+    calls = _counted_records(monkeypatch)
+    # 10^12 + 1 is odd: no step reaches 10^12; both rounds reach 10^12 + 3
+    for m, steps in ((10**12, []),
+                     (10**12 + 3, [(1, (10**12 + 4) // 2 - 1),
+                                   (2, (10**12 + 4) // 4 - 1)]),
+                     (401, [(1, 200)]), (403, [(1, 201), (2, 100)])):
+        calls[:] = []
+        found = at(m, 3)
+        assert calls == steps, m
+        assert len(found) >= len(steps), m
 
 
 def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
@@ -315,9 +348,7 @@ def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
         shape = _shapes()
         full = pairs(e, 203)
         for m in (3, 7, 11, 201, 203):
-            monkeypatch.setattr(inductive, "watermark", {})
             found = at(m, e)
-            monkeypatch.setattr(inductive, "watermark", {})
             got = [prove(m, e, lambda outputs, i=i: i)
                    for i in range(len(found))]
             assert shape((m, b) for b in got) == shape(
@@ -325,13 +356,13 @@ def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
             # `pick` sees the outputs at m without their derivations
             last = prove(m, e, lambda outputs: outputs.index(found[-1]))
             assert shape([(m, last)]) == shape([(m, got[-1])]), (e, m)
-            assert inductive.watermark == {e: m}, (e, m)
             with pytest.raises(IndexError):
                 prove(m, e, lambda outputs: len(got))
-        # picking none proves nothing and checks nothing
-        monkeypatch.setattr(inductive, "watermark", {})
-        assert prove(203, e, lambda outputs: None) is None
-        assert inductive.watermark == {e: 2}
+        # picking none proves nothing and gates only the steps at m
+        with monkeypatch.context() as patch:
+            calls = _counted_records(patch)
+            assert prove(203, e, lambda outputs: None) is None
+        assert calls == [(1, 101), (2, 50)]
         # m = 201 is reached by round 1 alone: its proof makes no round-2
         # node and well under half of the nodes of every pair up to 203
         made = unique_nodes([prove(201, e, lambda outputs: 0).derivation])
@@ -339,19 +370,28 @@ def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
         assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
 
 
-def test_a_builder_keeps_no_derivation(monkeypatch):
-    # the engine's only state is the watermark, of ints, and the seconds
-    # of the integer pass, a float
-    monkeypatch.setattr(inductive, "watermark", {})
-    state = {module: dict(vars(module)) for module in (inductive, proofs)}
+def test_package_has_no_global_statement():
+    src = pathlib.Path(inductive.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Global)
+                       for node in ast.walk(tree)), path.name
+
+
+def test_a_builder_keeps_no_derivation(capsys):
+    # no lensbounds module keeps state: proofs, query, table, derive and
+    # verify all leave every module's names and values as they were
+    from lensbounds import automata, verify  # noqa: F401  imported lazily
+    state = _state()
     pairs(3, 403)
     prove(403, 3, lambda outputs: 0)
-    assert cli.main(["derive", "--m", "403", "--e", "3"]) == 0
-    assert inductive.watermark == {3: 403}
-    assert type(inductive.integer_s) is float
-    for module, before in state.items():
-        assert {name for name, value in vars(module).items()
-                if before.get(name) is not value} <= {"integer_s"}, module
+    for argv in (("query", "--m", "403", "--e", "3", "--all"),
+                 ("table", "--e", "3", "--max-m", "64", "--format", "jsonl"),
+                 ("derive", "--m", "403", "--e", "3"),
+                 ("verify", "all")):
+        assert cli.main(list(argv)) == 0, argv
+    capsys.readouterr()
+    assert _state() == state
     # dropping the pairs frees their nodes
     tracemalloc.start()
     try:
@@ -368,13 +408,13 @@ def test_a_builder_keeps_no_derivation(monkeypatch):
 
 
 def _diverge_at_25(monkeypatch):
-    """Make the sharpened round-1 output at m = 25 (ell = 12) diverge;
-    returns the real check."""
+    """Make the sharpened round-1 output at m = 25 (ell = 12) diverge from
+    its closed form; returns the real check."""
     real = inductive._check_form
 
     def diverge(bound, expected, m, e):
         if (m, expected) == (25, 8 * 12 + 2):
-            raise RoundsDivergenceError("off")
+            return real(bound, expected + 1, m, e)  # raises, naming m = 25
         return real(bound, expected, m, e)
     monkeypatch.setattr(inductive, "_check_form", diverge)
     return real
@@ -382,29 +422,28 @@ def _diverge_at_25(monkeypatch):
 
 def test_builder_keeps_its_state_when_a_round_diverges(monkeypatch):
     # the sharpened round-1 output at m = 25 (ell = 12) diverges: the
-    # watermark must not move past the last m whose steps all passed
-    monkeypatch.setattr(inductive, "watermark", {})
-    at(20, 3)
-    real = _diverge_at_25(monkeypatch)
-    with pytest.raises(RoundsDivergenceError):
-        at(41, 3)  # checks every step up to m = 40 first
-    assert inductive.watermark == {3: 20}  # the last m fully checked
+    # lookup at 25 raises and leaves no state behind, and every other
+    # lookup and proof is as it is without the divergence
+    state = _state()
     shape = _shapes()
-    below = at(23, 3), shape(pairs(3, 23))
+    real = _diverge_at_25(monkeypatch)
+    with pytest.raises(RoundsDivergenceError, match=r"\(m=25, e=3\)"):
+        at(25, 3)
+    with pytest.raises(RoundsDivergenceError, match=r"\(m=25, e=3\)"):
+        pairs(3, 40)
+    diverged = at(23, 3), shape(pairs(3, 23)), at(41, 3)
     monkeypatch.setattr(inductive, "_check_form", real)
-    grown = at(41, 3), shape(pairs(3, 40))
-    assert inductive.watermark == {3: 41}
-    monkeypatch.setattr(inductive, "watermark", {})
-    assert below == (at(23, 3), shape(pairs(3, 23)))
-    assert grown == (at(41, 3), shape(pairs(3, 40)))
+    assert _state() == state
+    assert diverged == (at(23, 3), shape(pairs(3, 23)), at(41, 3))
+    assert at(25, 3) == tuple(b._replace(derivation=None)
+                              for m, b in pairs(3, 25) if m == 25)
 
 
 def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     # building the feed of the sharpened output at m = 25 (ell = 12) fails:
-    # `pairs` never moves the watermark, and `prove` moves it only once its
-    # proof is built, so it stays where it was
-    monkeypatch.setattr(inductive, "watermark", {})
-    at(20, 3)
+    # neither `pairs` nor `prove` leaves state behind, and the proofs made
+    # once the failure is gone are those made without it
+    state = _state()
 
     def fail(mu, ell, e, lam, ambient):
         if (mu, ell, lam) == (1, 12, 1):
@@ -415,38 +454,38 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
         pairs(3, 40)
     with pytest.raises(RuntimeError):
         prove(25, 3, lambda outputs: 1)  # the sharpened output
-    assert inductive.watermark == {3: 20}
     shape = _shapes()
     below = shape(pairs(3, 23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)
+    assert _state() == state
     assert below == shape(pairs(3, 23))
     assert shape([(25, prove(25, 3, lambda outputs: 1))]) == shape(
         (m, b) for m, b in pairs(3, 40)
         if (m, b.rule_id) == (25, "round1:sharp"))
-    assert inductive.watermark == {3: 25}
 
 
-def test_cold_lookup_checks_the_chain_below_m(monkeypatch):
+def test_verify_rounds_checks_the_chain_below_m(monkeypatch):
     # m = 41 is reached by steps that read m = 25 only through its closed
-    # form, yet a cold `at(41, 3)` checks every step below it
-    monkeypatch.setattr(inductive, "watermark", {})
-    real = _diverge_at_25(monkeypatch)
+    # form, so `at(41, 3)` gates no step at m = 25 and is unchanged by a
+    # divergence there; `verify rounds`, on which the lookups rest, fails
+    # and names it, and `at(25, 3)` itself raises
+    want = at(41, 3)
+    _diverge_at_25(monkeypatch)
+    assert at(41, 3) == want
     with pytest.raises(RoundsDivergenceError):
-        at(41, 3)
-    assert inductive.watermark == {3: 2}
-    monkeypatch.setattr(inductive, "_check_form", real)
-    below = at(23, 3)
-    monkeypatch.setattr(inductive, "watermark", {})
-    assert below == at(23, 3)
+        at(25, 3)
+    results = {r.name: r for r in verify.verify_rounds()}
+    table = results["table-regeneration"]
+    assert not table.ok and "(m=25, e=1)" in table.detail, table.line()
+    assert results["round-schema"].ok
 
 
-def test_integer_pass_keeps_no_per_m_state(monkeypatch):
-    monkeypatch.setattr(inductive, "watermark", {})
+def test_integer_pass_keeps_no_per_m_state():
     tracemalloc.start()
     try:
-        at(50_000, 3)
+        for m in (50_000, 10**12 + 3):
+            at(m, 3)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert inductive.watermark == {3: 50_000}
     assert size < 64 * 1024, size

@@ -8,8 +8,7 @@ import contextlib
 import io
 import re
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensbounds import cli, inductive, proofs
@@ -19,16 +18,8 @@ from test_cli import parse_csv, parse_jsonl
 
 
 def _settings(examples):
-    # the function-scoped fixtures are a private watermark, shared by the
-    # examples of one test on purpose, and monkeypatch
     return settings(derandomize=True, max_examples=examples, deadline=None,
-                    database=None,
-                    suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@pytest.fixture
-def private_watermark(monkeypatch):
-    monkeypatch.setattr(inductive, "watermark", {})
+                    database=None)
 
 
 ms = st.integers(0, 5000)
@@ -45,7 +36,7 @@ def _main(*argv):
 
 @_settings(100)
 @given(m=ms, e=es, k=ks)
-def test_query_lower_is_at_most_upper(private_watermark, m, e, k):
+def test_query_lower_is_at_most_upper(m, e, k):
     code, out, err = _main("query", "--m", str(m), "--e", str(e),
                            "--k", str(k))
     assert (code, err) == (0, "")
@@ -56,7 +47,7 @@ def test_query_lower_is_at_most_upper(private_watermark, m, e, k):
 
 @_settings(100)
 @given(m=ms, e=es, k=ks)
-def test_flags_never_worsen_a_bound(private_watermark, m, e, k):
+def test_flags_never_worsen_a_bound(m, e, k):
     space = LensSpace(m, e, k)
     default = report(space)
     for flags in ({"external": True}, {"conjectural": True},
@@ -69,8 +60,7 @@ def test_flags_never_worsen_a_bound(private_watermark, m, e, k):
 @_settings(20)
 @given(e=es, max_m=st.integers(0, 200), k=ks, conjectural=st.booleans(),
        external=st.booleans())
-def test_table_formats_round_trip(private_watermark, e, max_m, k, conjectural,
-                                  external):
+def test_table_formats_round_trip(e, max_m, k, conjectural, external):
     rows = cli.table_rows(e, max_m, k, conjectural=conjectural,
                           external=external)
     for render, parse in ((cli.render_csv, parse_csv),
@@ -82,8 +72,7 @@ def test_table_formats_round_trip(private_watermark, e, max_m, k, conjectural,
 
 @_settings(25)
 @given(e=st.integers(1, 10), m=st.integers(0, 4096))
-def test_integer_pass_equals_proof_layer(monkeypatch, e, m):
-    monkeypatch.setattr(inductive, "watermark", {})  # cold in each example
+def test_integer_pass_equals_proof_layer(e, m):
     plain = inductive.at(m, e)
     proved = proofs.pairs(e, max(m, 3))
     assert plain == tuple(b._replace(derivation=None)

@@ -8,25 +8,26 @@ import pytest
 
 from lensbounds import automata, cli, inductive, proofs, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
-from lensbounds.dyadic import radon_pair
-from lensbounds.lifting import davis_mahowald_check
+from lensbounds.dyadic import nu, radon_pair
+from lensbounds.lifting import davis_mahowald_check, sharpening_drop
 from lensbounds.proofs import BOUNDARY_RADON, pairs
 from lensbounds.records import (ConditionKind, DerivationNode, SideCondition,
                                 unique_nodes)
+from test_inductive import _state
 
 # the stdout of `verify all`: each scope's check lines, in scope order, then
 # the PASS line
 GOLDEN = (pathlib.Path(__file__).parent / "golden" / "verify_all.txt"
           ).read_text().splitlines()
 # the number of checks in each scope, so each scope has its own slice
-CHECKS = {"dyadic": 8, "cohomology": 5, "lifting": 4, "rounds": 5,
+CHECKS = {"dyadic": 8, "cohomology": 5, "lifting": 4, "rounds": 6,
           "bounds": 6}
 
 
 def test_golden_has_every_scope_and_the_pass_line():
     assert list(CHECKS) == list(verify.SCOPES)
     assert len(GOLDEN) == sum(CHECKS.values()) + 1
-    assert GOLDEN[-1] == "PASS: 28/28 checks, 484115 cases"
+    assert GOLDEN[-1] == "PASS: 29/29 checks, 484379 cases"
 
 
 @pytest.mark.parametrize("scope", sorted(verify.SCOPES))
@@ -56,9 +57,10 @@ def test_rounds_output_is_pinned(capsys):
         "table-regeneration: 3506 cases OK\n"
         "derivation-replay: 3506 cases OK\n"
         "boundary-gate-audit: 1096 cases OK\n"
+        "round-schema: 264 cases OK\n"
         "milgram-small-mu: 8192 cases OK\n"
         "milgram-mu3-rarity: 4096 cases OK\n"
-        "PASS: 5/5 checks, 20396 cases\n")
+        "PASS: 6/6 checks, 20660 cases\n")
 
 
 def test_cohomology_output_is_pinned(capsys):
@@ -402,11 +404,14 @@ def test_rounds_gate_each_step_once(monkeypatch):
 
     monkeypatch.setattr(inductive, "_gate", counted)
     assert all(r.ok for r in verify.verify_rounds())
-    assert calls == 3498
+    # the walks gate each of the 3,498 steps up to m = 403 once, and
+    # round-schema gates the grounds once more: round 1's for each e = 1..10,
+    # and round 2's special step for e = 1, 2
+    assert calls == 3498 + 10 + 2
 
 
 def test_rounds_keep_one_e_alive_at_a_time():
-    shared = dict(inductive.watermark)
+    state = _state()
     tracemalloc.start()
     try:
         assert all(r.ok for r in verify.verify_rounds())
@@ -415,5 +420,70 @@ def test_rounds_keep_one_e_alive_at_a_time():
         tracemalloc.stop()
     # one e's derivations take about 1.7 MB; all eight took about 14 MB
     assert peak < 4 * 1024 * 1024, peak
-    # and the watermarks are left alone
-    assert inductive.watermark == shared
+    # and every module is left as it was
+    assert _state() == state
+
+
+def test_round_schema_is_the_records_of_every_step():
+    # the schema, evaluated at ell, is what `inductive.records` gives, field
+    # by field, for e = 1..10, both rounds and ell = 2..4096
+    def at(form, ell):
+        return form[0] * ell + form[1]
+    for e in range(1, 11):
+        for mu in (1, 2):
+            schemas = [verify._step_schema(e, mu, lam) for lam in (0, 1)]
+            for ell in range(2, 4097):
+                want = []
+                for lam in range(1 + sharpening_drop(ell)):
+                    sigma, j, beta, dim, n, m, d = schemas[lam]
+                    j, beta = at(j, ell), at(beta, ell)
+                    radon = (() if sigma + beta > 4 * j + 2
+                             else radon_pair(nu(2 * j + 2)))
+                    want.append((inductive._RULES[mu][lam], at(dim, ell),
+                                 radon, beta, 2 * at(m, ell) + at(d, ell) + 1))
+                    assert at(n, ell) == j
+                assert inductive.records(mu, ell, e) == tuple(want), \
+                    (e, mu, ell)
+
+
+def _schema_line(monkeypatch, target, name, bent) -> str:
+    monkeypatch.setattr(target, name, bent)
+    return verify._tally("round-schema", verify._round_schema()).line()
+
+
+def test_round_schema_fails_on_a_bent_sigma(monkeypatch):
+    # sigma = 3 for (k, e) = (3, 3) makes round 2's main gate a boundary
+    # one, which the Hurwitz-Radon count at nu(2j + 2) = 3 does not pass
+    real = inductive.sections_table
+    assert _schema_line(
+        monkeypatch, inductive, "sections_table",
+        lambda k, e: 3 if (k, e) == (3, 3) else real(k, e)) == (
+        "round-schema: 264 cases FAIL  [first counterexample "
+        "(3, 2, 0, 'gate')]")
+
+
+def test_round_schema_fails_on_a_bent_radon_threshold(monkeypatch):
+    # both boundaries of round 2's sharpened output are tight at the least
+    # valuation (9 <= 9 and 8 <= 8): one less fails them for every e
+    real = verify.hurwitz_radon
+    line = _schema_line(monkeypatch, verify, "hurwitz_radon",
+                        lambda t: real(t) - 1)
+    assert line == ("round-schema: 264 cases FAIL  [first counterexample "
+                    "(1, 2, 1, 'gate')]")
+
+
+def test_round_schema_fails_on_a_bent_ground(monkeypatch):
+    real = inductive.records
+    assert _schema_line(
+        monkeypatch, inductive, "records",
+        lambda mu, ell, e: real(mu, ell, e)[1:] if (mu, e) == (2, 2)
+        else real(mu, ell, e)) == (
+        "round-schema: 264 cases FAIL  [first counterexample "
+        "(2, 2, 'ground')]")
+
+
+def test_round_schema_fails_on_radon_steps_that_do_not_rise(monkeypatch):
+    assert _schema_line(monkeypatch, verify, "radon_pair",
+                        lambda c: (0, 0)) == (
+        "round-schema: 264 cases FAIL  [first counterexample "
+        "('radon-steps', 0)]")

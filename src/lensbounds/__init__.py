@@ -14,8 +14,8 @@ from .catalog import Report, report
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
-from .dyadic import (SymbolicCount, alpha, alpha_sym_pow_minus,
-                     hurwitz_radon, nu, nu_binom, nu_binom_sym, radon_pair)
+from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
+                     radon_pair)
 from .inductive import milgram_condition, round_forms, sections_table
 from .lifting import (LiftInstance, davis_mahowald_check, embedding_gate,
                       feeding_params, sharper_lifting_level, sharpening_drop)
@@ -26,8 +26,7 @@ from .records import (Bound, Category, DerivationNode, Direction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "alpha", "nu", "nu_binom", "SymbolicCount", "alpha_sym_pow_minus",
-    "nu_binom_sym", "hurwitz_radon", "radon_pair",
+    "alpha", "nu", "nu_binom", "nu_binom_sym", "hurwitz_radon", "radon_pair",
     "CohomologyRing", "Mod2Class", "multiply", "steenrod_square",
     "tangential_sw_class", "normal_sw_class", "is_spin",
     "LensSpace", "Bound", "Direction", "Category", "DerivationNode",

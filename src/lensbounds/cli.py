@@ -147,26 +147,32 @@ def _flag_suffix(bound) -> str:
     return f"  [{', '.join(flags)}]" if flags else ""
 
 
+def _write_lines(lines: list[str]) -> None:
+    """Write a command's whole text at once, after every line is formed, so
+    that a number past the interpreter's int-to-str digit limit leaves
+    stdout empty."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def cmd_query(args) -> int:
     timings = _Timings(args)
     space = LensSpace(args.m, args.e, args.k)
     rep = report(space, conjectural=args.conjectural, external=args.external)
     timings.lap("report")
-    print(f"{space}  (m={space.m}, e={space.e}, odd factor {space.odd_factor}, "
-          f"manifold dimension {space.dim})")
     lo, up = rep.lower, rep.upper
-    print(f"  lower: emb >= {lo.dim}  via {lo.rule_id}: {lo.citation}"
-          f"{_flag_suffix(lo)}")
-    print(f"  upper: emb <= {up.dim} ({up.category})  via {up.rule_id}: "
-          f"{up.citation}{_flag_suffix(up)}")
-    if rep.exact:
-        print(f"  exact: embedding dimension = {up.dim}")
-    else:
-        print(f"  gap: {rep.gap}")
+    lines = [
+        f"{space}  (m={space.m}, e={space.e}, odd factor {space.odd_factor}, "
+        f"manifold dimension {space.dim})",
+        f"  lower: emb >= {lo.dim}  via {lo.rule_id}: {lo.citation}"
+        f"{_flag_suffix(lo)}",
+        f"  upper: emb <= {up.dim} ({up.category})  via {up.rule_id}: "
+        f"{up.citation}{_flag_suffix(up)}",
+        f"  exact: embedding dimension = {up.dim}" if rep.exact
+        else f"  gap: {rep.gap}"]
     if args.all:
-        print("  all bounds:")
-        for b in rep.all_bounds:
-            print(f"    {b}")
+        lines.append("  all bounds:")
+        lines.extend(f"    {b}" for b in rep.all_bounds)
+    _write_lines(lines)
     timings.lap("render")
     return timings.finish(EXIT_OK)
 
@@ -226,14 +232,15 @@ def cmd_derive(args) -> int:
 def cmd_lift(args) -> int:
     ell = args.ell
     lam = sharpening_drop(ell)
-    print(f"ell={ell}: alpha(ell)={alpha(ell)}, sharpening drop lambda={lam}")
+    lines = [f"ell={ell}: alpha(ell)={alpha(ell)}, "
+             f"sharpening drop lambda={lam}"]
     if ell >= 2:
         ok, nu1, nu2 = davis_mahowald_check(ell)
-        print(f"davis-mahowald: nu(C(p, 4l-4)) = {nu1} (need >= 1), "
-              f"nu(C(p, 4l-2)) = {nu2} (need >= 3) -> "
-              f"{'pass' if ok else 'fail'}")
-        print(f"certified BO level for mu=2: {sharper_lifting_level(ell)} "
-              f"(unsharpened baseline {8 * (ell - 1)})")
+        lines += [f"davis-mahowald: nu(C(p, 4l-4)) = {nu1} (need >= 1), "
+                  f"nu(C(p, 4l-2)) = {nu2} (need >= 3) -> "
+                  f"{'pass' if ok else 'fail'}",
+                  f"certified BO level for mu=2: {sharper_lifting_level(ell)} "
+                  f"(unsharpened baseline {8 * (ell - 1)})"]
     for mu in ((args.mu,) if args.mu else (1, 2)):
         inst = feeding_params(mu, ell, 0)
         ambient = embedding_gate(inst)
@@ -242,7 +249,8 @@ def cmd_lift(args) -> int:
         if lam:
             sharp = embedding_gate(feeding_params(mu, ell, 1))
             line += f", sharpened R^{sharp}"
-        print(line)
+        lines.append(line)
+    _write_lines(lines)
     return EXIT_OK
 
 

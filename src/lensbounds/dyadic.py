@@ -1,15 +1,12 @@
 """Exact 2-adic combinatorics.
 
 Everything here works on plain Python integers, so all values are arbitrary
-precision: binomial arguments like 2**64 - a never overflow.  The symbolic
-side (`SymbolicCount`) carries numbers of the form c1*N + c0 that are valid
-for every sufficiently large N, which is how digit sums of 2**N - a are
-handled without picking a concrete N.
+precision: binomial arguments like 2**64 - a never overflow.  Valuations of
+binomials of 2**N - a that hold for every large N are plain integers too,
+since their N terms cancel (`nu_binom_sym`).
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 
 def alpha(n: int) -> int:
@@ -48,78 +45,19 @@ def nu_binom(a: int, b: int) -> int:
     return (b ^ (a - b) ^ a).bit_count()
 
 
-class SymbolicCount(namedtuple("SymbolicCount", "n_coeff constant")):
-    """Exact integer of the form n_coeff*N + constant for all large N.
+def nu_binom_sym(a: int, b: int) -> int:
+    """nu(binomial(2**N - a, b)), the same for every N with 2**N >= a + b.
 
-    n_coeff is restricted to {0, 1}: nothing here ever needs a higher
-    multiple of N, and the restriction keeps equality componentwise and
-    honest.  No validity threshold is stored; every operation below is
-    uniform in N.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n_coeff: int, constant: int) -> SymbolicCount:
-        if n_coeff not in (0, 1):
-            raise ValueError(f"n_coeff must be 0 or 1, got {n_coeff}")
-        return tuple.__new__(cls, (n_coeff, constant))
-
-    def at(self, n: int) -> int:
-        """Evaluate at a concrete witness N."""
-        return self.n_coeff * n + self.constant
-
-    def is_at_least(self, k: int) -> bool:
-        """Whether n_coeff*N + constant >= k holds for all large N."""
-        return self.n_coeff == 1 or self.constant >= k
-
-    def __add__(self, other: "SymbolicCount | int") -> "SymbolicCount":
-        if isinstance(other, int):
-            return SymbolicCount(self.n_coeff, self.constant + other)
-        return SymbolicCount(self.n_coeff + other.n_coeff,
-                             self.constant + other.constant)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "SymbolicCount | int") -> "SymbolicCount":
-        if isinstance(other, int):
-            return SymbolicCount(self.n_coeff, self.constant - other)
-        return SymbolicCount(self.n_coeff - other.n_coeff,
-                             self.constant - other.constant)
-
-    def __str__(self) -> str:
-        if self.n_coeff == 0:
-            return str(self.constant)
-        if self.constant == 0:
-            return "N"
-        return f"N{self.constant:+d}"
-
-
-def alpha_sym_pow_minus(a: int) -> SymbolicCount:
-    """alpha(2**N - a) for N >> 0, as a SymbolicCount.
-
-    2**N - a = (2**N - 1) - (a - 1) is a bitwise subtraction from N ones,
-    so the digit sum is N - alpha(a - 1).
-    """
-    if a < 1:
-        raise ValueError(f"need a >= 1, got {a}")
-    return SymbolicCount(1, -alpha(a - 1))
-
-
-def nu_binom_sym(a: int, b: int) -> SymbolicCount:
-    """nu(binomial(2**N - a, b)) for N >> 0.
-
-    With p = 2**N - a, nu(C(p, b)) = alpha(b) + alpha(p - b) - alpha(p), and
-    `alpha_sym_pow_minus` gives alpha(p - b) = N - alpha(a + b - 1) and
-    alpha(p) = N - alpha(a - 1).  The two N terms cancel, so the result is
-    formed directly, with n_coeff = 0: alpha(b) + alpha(a-1) - alpha(a+b-1).
+    With p = 2**N - a, nu(C(p, b)) = alpha(b) + alpha(p - b) - alpha(p).
+    Subtracting x - 1 from N ones borrows nothing, so alpha(2**N - x) =
+    N - alpha(x - 1) for 1 <= x <= 2**N; the two N terms cancel, leaving
+    alpha(b) + alpha(a - 1) - alpha(a + b - 1).
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if b < 0:
         raise ValueError(f"need b >= 0, got {b}")
-    if b == 0:
-        return SymbolicCount(0, 0)
-    return SymbolicCount(0, alpha(b) + alpha(a - 1) - alpha(a + b - 1))
+    return alpha(b) + alpha(a - 1) - alpha(a + b - 1)
 
 
 def radon_pair(c: int) -> tuple[int, int]:

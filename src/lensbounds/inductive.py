@@ -4,9 +4,11 @@ One inductive *round* fixes a small k and repeatedly applies the step: from
 a smooth embedding of L(k, e) in R^alpha carrying sigma independent normal
 sections, an embedding of L(j, e) in R^beta, and an embedding of the
 (k+1)-fold bundle over L(j, e) in R^(sigma+beta), produce a (topological)
-embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever one of two numeric
-gates holds.  Round mu runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1
-at step ell.  `round_forms` is the one closed-form table of both rounds:
+embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever the bundle passes
+`lifting.radon_gate`, the Hurwitz-Radon gate that also certifies the
+feeds: general position (sigma+beta > 4j+2) or its boundary.  Round mu
+runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1 at step ell.
+`round_forms` is the one closed-form table of both rounds:
 `records` checks every output against it, the catalog reads it, and
 `verify` recomputes it independently.  Each step is a pure function of
 (mu, ell, e): `records` evaluates its gates as plain integers and reads
@@ -26,8 +28,9 @@ improperly argued immersions.
 
 from __future__ import annotations
 
-from .dyadic import alpha, nu, radon_pair
-from .lifting import embedding_gate, feeding_params, sharpening_drop
+from .dyadic import alpha
+from .lifting import (embedding_gate, feeding_params, radon_gate,
+                      sharpening_drop)
 from .records import (Bound, DerivationNode, RoundsDivergenceError,
                       upper_bound)
 
@@ -87,20 +90,6 @@ def _feed_admissible(mu: int, ell: int, e: int) -> bool:
     return not (mu == 2 and e > 2 and ell == 1)
 
 
-def _gate(k: int, j: int, sigma: int, beta: int) -> tuple[int, ...] | None:
-    """Which gate of the inductive step fires: () for the strict gate
-    sigma+beta > 4j+2, the radon pair (a, b) of nu(2j+2) = 4a+b for the
-    boundary gate sigma+beta = 4j+2 with 2k+3 <= 8a+2^b, None for neither."""
-    total, need = sigma + beta, 4 * j + 2
-    if total > need:
-        return ()
-    if total == need:
-        a, b = radon_pair(nu(2 * j + 2))
-        if 2 * k + 3 <= 8 * a + 2**b:
-            return a, b
-    return None
-
-
 def _step_citation(k: int, j: int) -> str:
     return ("inductive step over the double mapping cylinder "
             f"decomposition (k={k}, j={j})")
@@ -141,9 +130,9 @@ def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
 
 
 # The integer record of one output: its rule id, its dimension, the gate
-# that fired (see `_gate`), beta and the feed's ambient; for the ground of
-# round 2, a weakening, ("round2:base", dim, None, the dimension weakened,
-# None).
+# that fired (see `lifting.radon_gate`), beta and the feed's ambient; for
+# the ground of round 2, a weakening, ("round2:base", dim, None, the
+# dimension weakened, None).
 _Step = tuple[str, int, tuple[int, ...] | None, int, int | None]
 
 
@@ -177,7 +166,7 @@ _RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
 def _step(e: int, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
           sigma: int, feed: int, expected: int) -> _Step:
     """Gate one step and check its output against `expected`."""
-    radon = _gate(k, j, sigma, beta)
+    radon = radon_gate(j, k + 1, sigma + beta)
     dim = None if radon is None else alpha_dim + beta + 1
     return (rule_id, _check_form(dim, expected, k + j + 1, e), radon, beta,
             feed)

@@ -2,17 +2,19 @@
 
 The inductive engine consumes embeddings of Whitney multiples
 2^mu * eta over L(i, e) into R^(4i+3) (and a one-dimension sharpening).
-Their existence reduces to arithmetic: an embedding gate on the triple
-(n, m, d) describing the normal representative, a parity/digit-sum rule
-deciding when the sharpened variant applies, and the Davis-Mahowald
-lifting conditions evaluated symbolically for N >> 0.
+Their existence reduces to arithmetic: one Hurwitz-Radon gate
+(`radon_gate`), which certifies both these feeds and the inductive step,
+applied here to the triple (n, m, d) describing the normal representative,
+a parity/digit-sum rule deciding when the sharpened variant applies, and
+the Davis-Mahowald lifting conditions, whose valuations are the same
+integers for every large N.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .dyadic import alpha, hurwitz_radon, nu, nu_binom_sym
+from .dyadic import alpha, nu, nu_binom_sym, radon_pair
 from .records import RoundsDivergenceError
 
 
@@ -42,20 +44,29 @@ def sharpening_drop(ell: int) -> int:
     return 1 if ell % 2 == 0 and alpha(ell) >= 2 else 0
 
 
-def embedding_gate(inst: LiftInstance) -> int | None:
-    """Ambient dimension 2m+d+1 for (m-n)eta over L(n, e), when certified.
-
-    Passes outright when 2m+d > 4n+1 (general position); on the boundary
-    2m+d = 4n+1 it additionally needs 2(m-n) <= F(2n+1), the Hurwitz-Radon
-    vector-field count of the covering sphere.
-    """
-    total = 2 * inst.m + inst.d
-    margin = total - (4 * inst.n + 1)
-    if margin > 0:
-        return total + 1
-    if margin == 0 and 2 * (inst.m - inst.n) <= hurwitz_radon(2 * inst.n + 1):
-        return total + 1
+def radon_gate(n: int, r: int, ambient: int) -> tuple[int, ...] | None:
+    """Which gate certifies an r-fold bundle over L(n, e) in R^ambient:
+    () for general position, ambient > 4n+2; the radon pair (a, b) of
+    nu(2n+2) = 4a+b on the boundary ambient = 4n+2, which also needs
+    2r <= F(2n+1) = 8a+2^b-1, the Hurwitz-Radon vector-field count of the
+    covering sphere; None for neither."""
+    need = 4 * n + 2
+    if ambient > need:
+        return ()
+    if ambient == need:
+        a, b = radon_pair(nu(2 * n + 2))
+        if 2 * r <= 8 * a + 2**b - 1:
+            return a, b
     return None
+
+
+def embedding_gate(inst: LiftInstance) -> int | None:
+    """Ambient dimension 2m+d+1 for (m-n)eta over L(n, e), when
+    `radon_gate` certifies it there."""
+    ambient = 2 * inst.m + inst.d + 1
+    if radon_gate(inst.n, inst.m - inst.n, ambient) is None:
+        return None
+    return ambient
 
 
 def feeding_params(mu: int, ell: int, lam: int) -> LiftInstance:
@@ -85,10 +96,9 @@ def davis_mahowald_check(ell: int) -> DMResult:
 
     With p = 2**N - 4(ell+1) for N >> 0, the conditions are
     nu(C(p, 4ell-4)) >= 1, nu(C(p, 4ell-2)) >= 3, and 2(2ell-3) >= 2.
-    The two valuations close to alpha(ell)-1 and alpha(ell-1)+2, so the
-    whole gate is equivalent to alpha(ell) >= 2.  Both come from
-    `nu_binom_sym` with no N term, and each is compared with its closed
-    form as a plain (n_coeff, constant) pair, which a SymbolicCount equals.
+    The two valuations, from `nu_binom_sym`, are the same integers for
+    every such N and close to alpha(ell)-1 and alpha(ell-1)+2, so the
+    whole gate is equivalent to alpha(ell) >= 2.
     """
     if ell < 2:
         raise ValueError(f"need ell >= 2, got {ell}")
@@ -96,18 +106,17 @@ def davis_mahowald_check(ell: int) -> DMResult:
     a_ell = alpha(ell)
     nu1 = nu_binom_sym(a, 4 * ell - 4)
     nu2 = nu_binom_sym(a, 4 * ell - 2)
-    if nu1 != (0, a_ell - 1):
+    if nu1 != a_ell - 1:
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-4)) = {nu1} off its closed form at ell={ell}")
-    if nu2 != (0, alpha(ell - 1) + 2):
+    if nu2 != alpha(ell - 1) + 2:
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-2)) = {nu2} off its closed form at ell={ell}")
-    if nu2.constant != a_ell + 1 + nu(ell):
+    if nu2 != a_ell + 1 + nu(ell):
         raise RoundsDivergenceError(
             f"nu(C(p, 4l-2)) = {nu2} disagrees with alpha(ell) + 1 + nu(ell) "
             f"at ell={ell}")
-    ok = (nu1.is_at_least(1) and nu2.is_at_least(3)
-          and 2 * (2 * ell - 3) >= 5 - 3)
+    ok = nu1 >= 1 and nu2 >= 3 and 2 * (2 * ell - 3) >= 5 - 3
     return DMResult(ok, nu1, nu2)
 
 

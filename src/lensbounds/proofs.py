@@ -33,7 +33,7 @@ def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
               premises: tuple[DerivationNode, ...],
               extra_conditions: tuple[SideCondition, ...]) -> DerivationNode:
     """The derivation of the step L(k+j+1, e) in R^(alpha+beta+1) whose
-    gate `radon` fired (see `inductive._gate`): () for the strict gate,
+    gate `radon` fired (see `lifting.radon_gate`): () for the strict gate,
     (a, b) for the boundary one."""
     if radon:
         gate = SideCondition(BOUNDARY_RADON, (sigma, beta_dim, j, k, *radon),

@@ -22,6 +22,7 @@ compare and hash as the tuples of their fields.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
@@ -66,11 +67,17 @@ class LensSpace(namedtuple("LensSpace", "m e odd_factor")):
         return 2**self.e * self.odd_factor
 
     def __str__(self) -> str:
-        try:
-            torsion = str(self.torsion)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            torsion = f"2^{self.e}" + (f"*{self.odd_factor}"
-                                       if self.odd_factor > 1 else "")
+        torsion = f"2^{self.e}" + (f"*{self.odd_factor}"
+                                   if self.odd_factor > 1 else "")
+        # the interpreter's int-to-str digit limit (0 where it has none);
+        # past e = 10/3 of it, 2^e alone has more digits than it prints
+        # (log2(10) < 10/3), so the number is not formed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or self.e <= limit * 10 // 3:
+            try:
+                torsion = str(self.torsion)
+            except ValueError:  # past the digit limit all the same
+                pass
         return f"L^{self.dim}({torsion})"
 
 

@@ -29,8 +29,8 @@ from . import catalog, inductive
 from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
                          normal_sw_class, steenrod_square,
                          tangential_sw_class)
-from .dyadic import (alpha, alpha_sym_pow_minus, hurwitz_radon, nu, nu_binom,
-                     nu_binom_sym, radon_pair)
+from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
+                     radon_pair)
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
@@ -117,13 +117,12 @@ def verify_dyadic() -> list[CheckResult]:
 
     def pow_minus(rng, n):
         a = rng.randrange(1, 1 << n)
-        return (a,), ({alpha((1 << n) - a), alpha_sym_pow_minus(a).at(n)},
-                      {n}, {alpha(a - 1)})
+        return (a,), ({alpha((1 << n) - a)}, {n}, {alpha(a - 1)})
 
     def binom_pow_minus(rng, n):
         a = rng.randrange(1, 1 << n)
         b = rng.randrange((1 << n) - a + 1)
-        return (a, b), ({nu_binom((1 << n) - a, b), nu_binom_sym(a, b).at(n)},
+        return (a, b), ({nu_binom((1 << n) - a, b), nu_binom_sym(a, b)},
                         {alpha(b)}, {alpha(a - 1)}, {alpha(a + b - 1)})
 
     out = [_digit_identity("kummer-digit-form-all-N", automata.KUMMER, kummer),
@@ -322,7 +321,7 @@ def verify_lifting() -> list[CheckResult]:
         for ell in range(2, 4097):
             ok, nu1, nu2 = davis_mahowald_check(ell)
             a_ell = alpha(ell)
-            if (nu1.constant, nu2.constant) != (a_ell - 1, alpha(ell - 1) + 2):
+            if (nu1, nu2) != (a_ell - 1, alpha(ell - 1) + 2):
                 yield ell, "closed-form"
             elif ok != (a_ell >= 2):
                 yield ell, "gate"
@@ -335,8 +334,8 @@ def verify_lifting() -> list[CheckResult]:
         for ell in range(2, 257):
             _, nu1, nu2 = davis_mahowald_check(ell)
             a = 4 * (ell + 1)
-            for sym, b in ((nu1, 4 * ell - 4), (nu2, 4 * ell - 2)):
-                yield (ell, b) if sym.at(n_wit) != nu_binom(p0 - a, b) else None
+            for got, b in ((nu1, 4 * ell - 4), (nu2, 4 * ell - 2)):
+                yield (ell, b) if got != nu_binom(p0 - a, b) else None
 
     def feeding_gate_consistency():
         for mu in (1, 2):
@@ -481,28 +480,25 @@ def _round_schema():
             yield None if ok else (e, mu, "ground")
 
 
-def _replay_facts(roots) -> dict[int, tuple[bool, int, bool]]:
+def _replay_facts(roots) -> dict[int, tuple[bool, int]]:
     """Replay each node of the derivation DAG once, keyed by id(node).
 
     A node's facts are (its tree replays OK, the boundary-radon conditions
-    in its tree counted with multiplicity, every one of them passes the
-    radon audit); each is its own conditions' value combined with its
-    premises' facts, which `unique_nodes` lists first.
+    in its tree counted with multiplicity); each is its own conditions'
+    value combined with its premises' facts, which `unique_nodes` lists
+    first.  A boundary-radon condition's replay is the whole audit of its
+    gate, the Hurwitz-Radon bound included, so it needs no second test.
     """
     from .proofs import BOUNDARY_RADON  # here, as in `_check_rounds`
-    facts: dict[int, tuple[bool, int, bool]] = {}
+    facts: dict[int, tuple[bool, int]] = {}
     for node in unique_nodes(roots):
         ok = all(c.replay() for c in node.side_conditions)
-        radon = [c.values for c in node.side_conditions
-                 if c.kind is BOUNDARY_RADON]
-        hits = len(radon)
-        audit_ok = all(2 * v["k"] + 3 <= 8 * v["a"] + 2 ** v["b"] for v in radon)
+        hits = sum(c.kind is BOUNDARY_RADON for c in node.side_conditions)
         for p in node.premises:
-            p_ok, p_hits, p_audit_ok = facts[id(p)]
+            p_ok, p_hits = facts[id(p)]
             ok = ok and p_ok
             hits += p_hits
-            audit_ok = audit_ok and p_audit_ok
-        facts[id(node)] = (ok, hits, audit_ok)
+        facts[id(node)] = (ok, hits)
     return facts
 
 
@@ -531,12 +527,10 @@ def _check_rounds(e: int, max_m: int):
     audit_hits = 0
     facts = _replay_facts(b.derivation for _, b in pairs)
     for m, b in pairs:
-        ok, hits, audit_ok = facts[id(b.derivation)]
+        ok, hits = facts[id(b.derivation)]
         if not ok:
             replay_bad = replay_bad or (e, m, b.rule_id)
         audit_hits += hits
-        if not audit_ok:
-            replay_bad = replay_bad or (e, m, "radon-audit")
     return len(expected), table_bad, len(pairs), replay_bad, audit_hits
 
 

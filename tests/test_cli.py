@@ -140,6 +140,12 @@ _EXTREME_INPUTS = (
     [(0, ("query", "--m", str(m), "--e", "3"))
      for m in (0, 1, 2, 10**12, 10**12 + 3)]
     + [(0, ("query", "--m", str(1 << t), "--e", "3")) for t in range(15)]
+    # 2^e past the int-to-str digit limit is printed as 2^e, not formed
+    + [(0, ("query", "--m", "3", "--e", str(e))) for e in (14285, 10**11)]
+    # a number past the digit limit leaves stdout empty: the dimension of
+    # the query and the BO level of the lift, after lines that print
+    + [(1, ("query", "--m", str(3 * 10**4299), "--e", "3")),
+       (1, ("lift", "--ell", "9" * 4300))]
     + [(0, ("table", "--e", "2", "--max-m", "0")),
        (0, ("table", "--e", "2", "--max-m", "-5")),
        (1, ("query", "--m", "-1", "--e", "3")),
@@ -167,9 +173,11 @@ def test_extreme_inputs_exit_cleanly(capsys):
         elif argv[0] == "table":
             assert not err and out.split() == list(cli.COLUMNS), argv
         else:
-            m = int(argv[2])
+            m, e = int(argv[2]), int(argv[4])
+            torsion = 8 if e == 3 else f"2^{e}"
             assert not err, argv
-            assert out.startswith(f"L^{2 * m + 1}(8)  (m={m}, e=3,"), argv
+            head = f"L^{2 * m + 1}({torsion})  (m={m}, e={e},"
+            assert out.startswith(head), argv
 
 
 def test_derive_replays(capsys):
@@ -663,12 +671,12 @@ def test_derive_gates_each_step_once(capsys, monkeypatch):
     # once, and prints the bytes it printed when it also gated round 2's
     # steps below m (434 gates)
     calls = []
-    real = inductive._gate
-    monkeypatch.setattr(inductive, "_gate",
+    real = inductive.radon_gate
+    monkeypatch.setattr(inductive, "radon_gate",
                         lambda *args: calls.append(args) or real(*args))
     code, out, _ = run_cli(capsys, "derive", "--m", "401", "--e", "3")
     assert code == 0 and len(calls) == len(set(calls)) == 293
-    assert {k for k, *_ in calls} == {1}
+    assert {r for _, r, _ in calls} == {2}  # r = k + 1, k = 1
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "dd27c291e98f5b79"
 
 

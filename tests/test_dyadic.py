@@ -1,8 +1,7 @@
 import pytest
 
-from lensbounds.dyadic import (SymbolicCount, alpha, alpha_sym_pow_minus,
-                               hurwitz_radon, nu, nu_binom, nu_binom_sym,
-                               radon_pair)
+from lensbounds.dyadic import (alpha, hurwitz_radon, nu, nu_binom,
+                               nu_binom_sym, radon_pair)
 
 
 def nu_factorial(n):
@@ -63,65 +62,55 @@ def test_alpha_digit_identity_small():
         assert alpha(a - 1) == alpha(a) - 1 + nu(a)
 
 
-def test_symbolic_count_restrictions():
-    with pytest.raises(ValueError):
-        SymbolicCount(2, 0)
-    with pytest.raises(ValueError):
-        SymbolicCount(-1, 3)
-    c = SymbolicCount(1, -2)
-    assert c.at(30) == 28
-    assert c.is_at_least(10**9)  # grows with N
-    assert not SymbolicCount(0, 2).is_at_least(3)
-    assert SymbolicCount(0, 3).is_at_least(3)
-    # adding two N-terms would leave the representable family
-    with pytest.raises(ValueError):
-        SymbolicCount(1, 0) + SymbolicCount(1, 0)
-    assert str(SymbolicCount(1, -2)) == "N-2"
-    assert str(SymbolicCount(0, 4)) == "4"
-
-
-def test_alpha_sym_pow_minus_examples():
-    assert alpha_sym_pow_minus(1) == SymbolicCount(1, 0)
+def test_alpha_of_pow_minus_examples():
+    # alpha(2**N - a) = N - alpha(a - 1): 2**N - a = (2**N - 1) - (a - 1)
+    # subtracts a - 1 from N ones without a borrow
+    for n in (1, 5, 30, 64, 200):
+        assert alpha(2**n - 1) == n - alpha(0) == n
     # oracles: alpha(2^30 - 4) = 28, alpha(2^30 - 6) = 28
-    assert alpha_sym_pow_minus(4).at(30) == alpha(2**30 - 4) == 28
-    assert alpha_sym_pow_minus(6).at(30) == alpha(2**30 - 6) == 28
-    with pytest.raises(ValueError):
-        alpha_sym_pow_minus(0)
+    assert alpha(2**30 - 4) == 30 - alpha(3) == 28
+    assert alpha(2**30 - 6) == 30 - alpha(5) == 28
 
 
-def test_alpha_sym_pow_minus_concrete_sweep():
-    n = 40
-    for a in range(1, 1 << 12):
-        assert alpha_sym_pow_minus(a).at(n) == alpha((1 << n) - a)
+def test_alpha_of_pow_minus_sweep():
+    for n in (12, 13, 40, 64):
+        for a in range(1, 1 << 12):
+            assert alpha((1 << n) - a) == n - alpha(a - 1)
 
 
 def test_nu_binom_sym_examples():
     ell = 6
     a = 4 * (ell + 1)
-    assert nu_binom_sym(a, 4 * ell - 2) == SymbolicCount(0, alpha(ell - 1) + 2)
-    assert nu_binom_sym(a, 4 * ell - 2).constant == 4
-    assert nu_binom_sym(a, 4 * ell - 4) == SymbolicCount(0, alpha(ell) - 1)
-    assert nu_binom_sym(a, 4 * ell - 4).constant == 1
+    assert nu_binom_sym(a, 4 * ell - 2) == alpha(ell - 1) + 2 == 4
+    assert nu_binom_sym(a, 4 * ell - 4) == alpha(ell) - 1 == 1
     for a in (1, 2, 77, 4096):
-        assert nu_binom_sym(a, 0) == SymbolicCount(0, 0)
+        assert nu_binom_sym(a, 0) == 0
+    for got in (nu_binom_sym(a, 4 * ell - 2), nu_binom_sym(1, 0)):
+        assert type(got) is int
+    with pytest.raises(ValueError):
+        nu_binom_sym(0, 1)
+    with pytest.raises(ValueError):
+        nu_binom_sym(1, -1)
 
 
 def test_nu_binom_sym_is_the_lemma_route():
-    # the direct closed form equals the digit-sum expansion through
-    # alpha(2**N - x) = N - alpha(x - 1), whose N terms cancel
+    # the direct closed form equals the digit-sum expansion
+    # alpha(b) + alpha(p - b) - alpha(p), p = 2**N - a, at every N with
+    # 2**N >= a + b, whose N terms cancel
     for a in range(1, 301):
         for b in range(1, 301):
             got = nu_binom_sym(a, b)
-            assert type(got) is SymbolicCount
-            assert got == (alpha_sym_pow_minus(a + b) - alpha_sym_pow_minus(a)
-                           + alpha(b))
+            assert type(got) is int
+            for n in ((a + b - 1).bit_length(), 10, 40, 64):
+                p = (1 << n) - a
+                assert got == alpha(b) + alpha(p - b) - alpha(p), (a, b, n)
 
 
 def test_nu_binom_sym_concrete_sweep():
     n = 40
     for a in range(1, 300):
         for b in range(1, 300):
-            assert nu_binom_sym(a, b).at(n) == nu_binom((1 << n) - a, b)
+            assert nu_binom_sym(a, b) == nu_binom((1 << n) - a, b)
 
 
 @pytest.mark.parametrize("t,expected", [(1, 1), (3, 3), (7, 7), (15, 8),

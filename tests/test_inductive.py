@@ -9,8 +9,9 @@ import pytest
 
 from lensbounds import cli, inductive, proofs, verify
 from lensbounds.dyadic import alpha
-from lensbounds.inductive import (_feed_ambient, _gate, _sections, at,
-                                  delta_e, milgram_condition, sections_table)
+from lensbounds.inductive import (_feed_ambient, _sections, at, delta_e,
+                                  milgram_condition, sections_table)
+from lensbounds.lifting import radon_gate
 from lensbounds.proofs import (AMBIENT_SUM, BETA_FROM_PRIOR, BOUNDARY_RADON,
                                FEEDING_ADMISSIBLE, SECTIONS_EXCEED,
                                feed_node, igniting_node, pairs, prove,
@@ -42,8 +43,9 @@ def test_igniting_embedding():
 
 
 def test_inductive_step_gate_strict():
+    # a step (k, j) is gated as radon_gate(j, k + 1, sigma + beta)
     # base of the first round: k=j=1, alpha=beta=5, sigma=2 -> R^11
-    assert _gate(1, 1, 2, 5) == ()
+    assert radon_gate(1, 1 + 1, 2 + 5) == ()
     node = step_node("inductive-step", 1, 1, 5, 5, 5, 2, (), (), ())
     assert node.conclusion == "L(m=3, e=5) embeds (topological) in R^11"
     assert upper_category(7, 11) is Category.TOPOLOGICAL  # not smoothable
@@ -51,17 +53,17 @@ def test_inductive_step_gate_strict():
                                                        AMBIENT_SUM]
     assert node.replay()
     # special (k, j) = (3, 3) at e = 2: sigma = 5, beta = 11 -> R^26
-    assert _gate(3, 3, 5, 11) == ()
+    assert radon_gate(3, 3 + 1, 5 + 11) == ()
     assert upper_category(15, 26) is Category.SMOOTH
     # no gate: sigma + beta < 4j + 2
-    assert _gate(1, 3, 3, 10) is None
+    assert radon_gate(3, 1 + 1, 3 + 10) is None
 
 
 def test_inductive_step_gate_boundary():
     # sigma + beta = 4j + 2 with nu(2j+2) = 3 = 4*0 + 3: need 2k + 3 <= 8
     j = 3  # nu(8) = 3
-    assert _gate(2, j, 3, 11) == (0, 3)      # 2k+3 = 7 <= 8
-    assert _gate(3, j, 3, 11) is None        # 2k+3 = 9 > 8
+    assert radon_gate(j, 2 + 1, 3 + 11) == (0, 3)  # 2k+3 = 7 <= 8
+    assert radon_gate(j, 3 + 1, 3 + 11) is None    # 2k+3 = 9 > 8
     node = step_node("inductive-step", 2, j, 2, 10, 11, 3, (0, 3), (), ())
     assert node.conclusion.endswith("in R^22")
     assert [c.kind for c in node.side_conditions] == [BOUNDARY_RADON,

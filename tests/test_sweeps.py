@@ -112,7 +112,7 @@ def test_kernels_match_exact_api():
         b = rng.randrange(0, a + 1)
         assert nu_binom(a, b) == alpha(b) + alpha(a - b) - alpha(a)
         assert alpha(a - 1) == alpha(a) - 1 + nu(a)
-        assert nu_binom_sym(a, b + 1).at(40) == nu_binom((1 << 40) - a, b + 1)
+        assert nu_binom_sym(a, b + 1) == nu_binom((1 << 40) - a, b + 1)
 
 
 def test_witness_bounds_guarded():

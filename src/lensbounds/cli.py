@@ -2,12 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency (an engine bug: a lower bound exceeding an upper bound, a
-round or lifting gate off its closed form, or the spin criteria disagreeing).
+round or lifting gate off its closed form, or the spin criteria disagreeing),
+141 (128 + SIGPIPE) stdout closed, or its reader gone before it was written.
+
+Each subcommand forms its whole stdout and returns it with its exit code;
+`main` alone writes it, once, after the command's last check, so a command
+that fails leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from time import perf_counter
 
@@ -26,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
            "upper_category", "gap", "eff", "exact")
@@ -50,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def table_rows(e: int, max_m: int, odd_factor: int = 1,
                conjectural: bool = False, external: bool = False) -> list[dict]:
+    LensSpace(1, e, odd_factor)  # checks e and k where no row is made
     rows = []
     for m in range(1, max_m + 1):
         rep = report(LensSpace(m, e, odd_factor), conjectural=conjectural,
@@ -76,32 +84,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_csv(rows: list[dict]) -> str:
-    lines = [",".join(COLUMNS)]
-    lines.extend(",".join(_cell(r[c]) for c in COLUMNS) for r in rows)
-    return "\n".join(lines) + "\n"
+def render_csv(rows: list[dict]) -> list[str]:
+    return [",".join(COLUMNS),
+            *(",".join(_cell(r[c]) for c in COLUMNS) for r in rows)]
 
 
-def render_jsonl(rows: list[dict]) -> str:
+def render_jsonl(rows: list[dict]) -> list[str]:
     import json
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in rows)
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in rows]
 
 
-def render_markdown(rows: list[dict]) -> str:
-    out = ["| " + " | ".join(COLUMNS) + " |",
-           "|" + "|".join(" --- " for _ in COLUMNS) + "|"]
-    out.extend("| " + " | ".join(_cell(r[c]) for c in COLUMNS) + " |"
-               for r in rows)
-    return "\n".join(out) + "\n"
+def render_markdown(rows: list[dict]) -> list[str]:
+    return ["| " + " | ".join(COLUMNS) + " |",
+            "|" + "|".join(" --- " for _ in COLUMNS) + "|",
+            *("| " + " | ".join(_cell(r[c]) for c in COLUMNS) + " |"
+              for r in rows)]
 
 
-def render_human(rows: list[dict]) -> str:
+def render_human(rows: list[dict]) -> list[str]:
     cells = [COLUMNS] + [tuple(_cell(r[c]) for c in COLUMNS) for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(COLUMNS))]
-    lines = ["  ".join(row[i].rjust(widths[i]) for i in range(len(COLUMNS)))
-             for row in cells]
-    return "\n".join(lines) + "\n"
+    return ["  ".join(row[i].rjust(widths[i]) for i in range(len(COLUMNS)))
+            for row in cells]
 
 
 _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
@@ -111,10 +115,11 @@ _RENDERERS = {"csv": render_csv, "jsonl": render_jsonl,
 # --- timings ----------------------------------------------------------------
 
 class _Timings:
-    """Wall time per phase of one command and the derivation it printed,
+    """Wall time per phase of one command and the derivation it prints,
     which `finish` prints to stderr under `--timings`.  The phases are the
     import (from the top of the package to `main`), then the command's
-    laps; the total counts from the top of the package."""
+    laps, the last of which, render, forms the text that `main` writes; the
+    total counts from the top of the package."""
 
     def __init__(self, args) -> None:
         self.args, self._mark = args, perf_counter()
@@ -125,11 +130,11 @@ class _Timings:
         now = perf_counter()
         self.phases[phase], self._mark = now - self._mark, now
 
-    def finish(self, code: int, derivation=None) -> int:
+    def finish(self, code: int, nodes=()) -> int:
         """Print the line under `--timings`, counting the unique nodes of
-        `derivation` and their side conditions, and return `code`."""
+        the derivation printed and their side conditions, and return
+        `code`."""
         if self.args.timings:
-            nodes = unique_nodes((derivation,)) if derivation else []
             conditions = sum(len(n.side_conditions) for n in nodes)
             print(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, "
@@ -147,14 +152,7 @@ def _flag_suffix(bound) -> str:
     return f"  [{', '.join(flags)}]" if flags else ""
 
 
-def _write_lines(lines: list[str]) -> None:
-    """Write a command's whole text at once, after every line is formed, so
-    that a number past the interpreter's int-to-str digit limit leaves
-    stdout empty."""
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
-
-
-def cmd_query(args) -> int:
+def cmd_query(args) -> tuple[int, list[str]]:
     timings = _Timings(args)
     space = LensSpace(args.m, args.e, args.k)
     rep = report(space, conjectural=args.conjectural, external=args.external)
@@ -172,27 +170,26 @@ def cmd_query(args) -> int:
     if args.all:
         lines.append("  all bounds:")
         lines.extend(f"    {b}" for b in rep.all_bounds)
-    _write_lines(lines)
     timings.lap("render")
-    return timings.finish(EXIT_OK)
+    return timings.finish(EXIT_OK), lines
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, list[str]]:
     timings = _Timings(args)
     rows = table_rows(args.e, args.max_m, args.k,
                       conjectural=args.conjectural, external=args.external)
     timings.lap("report")
-    sys.stdout.write(_RENDERERS[args.format](rows))
+    lines = _RENDERERS[args.format](rows)
     timings.lap("render")
-    return timings.finish(EXIT_OK)
+    return timings.finish(EXIT_OK), lines
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> tuple[int, list[str]]:
     timings = _Timings(args)
     if args.m < 3:
         print(f"no inductive derivation exists for m={args.m} "
               "(the rounds start at m=3)", file=sys.stderr)
-        return timings.finish(EXIT_USAGE)
+        return timings.finish(EXIT_USAGE), []
 
     def lowest(found):
         """The index of the output of least dimension, of the external ones
@@ -207,29 +204,34 @@ def cmd_derive(args) -> int:
     if best is None:
         print(f"no inductive derivation for (m={args.m}, e={args.e}); "
               "the best upper bound there is axiom-only", file=sys.stderr)
-        return timings.finish(EXIT_USAGE)
-    # replay before printing, so that a derivation too deep to replay
-    # prints nothing
+        return timings.finish(EXIT_USAGE), []
+    # replay first, so that a derivation too deep to replay is not rendered
     replayed = best.derivation.replay()
-    conditions = sum(len(n.side_conditions) for n in best.derivation.walk())
+    # the side conditions on every path from the root, as the printed tree
+    # repeats a shared premise under each node that cites it
+    nodes = unique_nodes((best.derivation,))
+    on_paths: dict[int, int] = {}
+    for n in nodes:
+        on_paths[id(n)] = len(n.side_conditions) + sum(
+            on_paths[id(p)] for p in n.premises)
     timings.lap("replay")
     if args.format == "jsonl":
         import json
-        print(json.dumps(best.derivation.to_dict(), sort_keys=True))
+        lines = [json.dumps(best.derivation.to_dict(), sort_keys=True)]
     else:
-        print(f"best inductive upper bound for (m={args.m}, e={args.e}): "
-              f"R^{best.dim} ({best.category}){_flag_suffix(best)}")
-        for line in best.derivation.to_lines():
-            print(line)
+        lines = [f"best inductive upper bound for (m={args.m}, e={args.e}): "
+                 f"R^{best.dim} ({best.category}){_flag_suffix(best)}",
+                 *best.derivation.to_lines()]
     timings.lap("render")
     if not replayed:
         print("side-condition replay FAILED", file=sys.stderr)
-        return timings.finish(EXIT_VERIFY, best.derivation)
-    print(f"side conditions: {conditions} replayed OK")
-    return timings.finish(EXIT_OK, best.derivation)
+        return timings.finish(EXIT_VERIFY, nodes), lines
+    lines.append(f"side conditions: {on_paths[id(best.derivation)]} "
+                 "replayed OK")
+    return timings.finish(EXIT_OK, nodes), lines
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple[int, list[str]]:
     ell = args.ell
     lam = sharpening_drop(ell)
     lines = [f"ell={ell}: alpha(ell)={alpha(ell)}, "
@@ -250,11 +252,10 @@ def cmd_lift(args) -> int:
             sharp = embedding_gate(feeding_params(mu, ell, 1))
             line += f", sharpened R^{sharp}"
         lines.append(line)
-    _write_lines(lines)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str]]:
     # the check code is imported on first use, and the digit-identity
     # automata only when verify_dyadic is called, so no other subcommand
     # or scope pays for them; no scope loads numpy (the README's "Sweep
@@ -262,16 +263,13 @@ def cmd_verify(args) -> int:
     from .verify import run_scope
     timings = [] if args.timings else None
     results = run_scope(args.scope, timings)
-    for r in results:
-        print(r.line())
     for t in timings or ():
         print(t.line(), file=sys.stderr)
-    failed = [r for r in results if not r.ok]
-    total_cases = sum(r.cases for r in results)
-    verdict = "FAIL" if failed else "PASS"
-    print(f"{verdict}: {len(results) - len(failed)}/{len(results)} checks, "
-          f"{total_cases} cases")
-    return EXIT_VERIFY if failed else EXIT_OK
+    failed = sum(not r.ok for r in results)
+    return EXIT_VERIFY if failed else EXIT_OK, [
+        *(r.line() for r in results),
+        f"{'FAIL' if failed else 'PASS'}: {len(results) - failed}/"
+        f"{len(results)} checks, {sum(r.cases for r in results)} cases"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     args.started = started
     try:
-        return args.fn(args)
+        code, lines = args.fn(args)
     except (InconsistentBoundsError, RoundsDivergenceError,
             AssertionError) as exc:
         # AssertionError is raised explicitly, not by assert statements, when
@@ -364,6 +362,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        return EXIT_PIPE if lines else code
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has left; the interpreter flushes stdout again at exit,
+        # and that flush goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), 1)
+        return EXIT_PIPE
+    return code
 
 
 def entry() -> None:

@@ -145,16 +145,10 @@ class DerivationNode(namedtuple(
         return (all(c.replay() for c in self.side_conditions)
                 and all(p.replay() for p in self.premises))
 
-    def walk(self):
-        yield self
-        for p in self.premises:
-            yield from p.walk()
-
     def to_lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
-        lines = [f"{pad}{self.rule_id}: {self.conclusion}"]
-        for c in self.side_conditions:
-            lines.append(f"{pad}  | {c.text}")
+        lines = [f"{pad}{self.rule_id}: {self.conclusion}",
+                 *(f"{pad}  | {c.text}" for c in self.side_conditions)]
         for p in self.premises:
             lines.extend(p.to_lines(indent + 1))
         return lines

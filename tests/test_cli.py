@@ -56,6 +56,11 @@ def parse_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line]
 
 
+def text(lines: list[str]) -> str:
+    """The stdout `cli.main` writes for a command's lines."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def test_table_csv_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "--e", "2", "--max-m", "32",
                            "--format", "csv")
@@ -67,14 +72,14 @@ def test_table_csv_matches_golden(capsys):
 def test_csv_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--e", "3", "--max-m", "20",
                         "--format", "csv")
-    assert cli.render_csv(parse_csv(out)) == out
+    assert text(cli.render_csv(parse_csv(out))) == out
 
 
 def test_jsonl_round_trip(capsys):
     _, out, _ = run_cli(capsys, "table", "--e", "1", "--max-m", "16",
                         "--format", "jsonl")
     rows = parse_jsonl(out)
-    assert cli.render_jsonl(rows) == out
+    assert text(cli.render_jsonl(rows)) == out
     assert all(isinstance(r["exact"], bool) for r in rows)
 
 
@@ -385,6 +390,44 @@ def test_derive_replays_before_it_prints(capsys, monkeypatch):
         assert capsys.readouterr().out == ""
 
 
+# The environment of a CLI run with block-buffered stdout.  Under
+# PYTHONUNBUFFERED the text layer writes straight to the file descriptor
+# and drops a short write to a pipe whose reader has left, so the reader's
+# leaving goes unseen.
+_BUFFERED_ENV = {name: value for name, value in os.environ.items()
+                 if name != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(SRC)}
+
+
+def test_reader_leaving_exits_141():
+    # as `derive --m 401 --e 3 | head -n 1`: 552 KB of stdout, far past what
+    # a pipe holds, so the write fails once the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lensbounds.cli", "derive", "--m", "401",
+         "--e", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_BUFFERED_ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_PIPE, b"")
+    assert first == b"best inductive upper bound for (m=401, e=3): " \
+                    b"R^1602 (smooth)\n"
+
+
+def test_closed_stdout_exits_141():
+    # as `query --m 3 --e 3 >&-`; a command with no stdout keeps its code
+    for argv, want in (
+            (("query", "--m", "3", "--e", "3"), (cli.EXIT_PIPE, "")),
+            (("derive", "--m", "2", "--e", "3"),
+             (1, "no inductive derivation exists for m=2 "
+                 "(the rounds start at m=3)\n"))):
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m lensbounds.cli "$@" >&-', sys.executable,
+             *argv], env=_BUFFERED_ENV, capture_output=True, text=True,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == want, argv
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     def explode(*a, **k):
         space = LensSpace(1, 1)
@@ -545,17 +588,20 @@ def test_query_torsion_past_the_digit_limit(capsys):
 
 
 # exit code, and stderr or its end, of edge inputs whose e is checked where
-# the rounds are first asked for
+# the rounds are first asked for, or, for a table, before its first row (so
+# a table with no rows checks e and k too)
 _EDGE_EXITS = (
     (("derive", "--m", "5", "--e", "0"), 1, "error: need e >= 1, got 0\n"),
     (("derive", "--m", "2", "--e", "0"), 1,
      "no inductive derivation exists for m=2 (the rounds start at m=3)\n"),
-    (("table", "--e", "0", "--max-m", "0"), 0, ""),
+    (("table", "--e", "0", "--max-m", "0"), 1, "error: need e >= 1, got 0\n"),
     (("table", "--e", "0", "--max-m", "1"), 1, "error: need e >= 1, got 0\n"),
     (("query", "--m", "1", "--e", "3", "--timings"), 0,
      " s; 0 nodes, 0 side conditions\n"),
     (("query", "--m", "0", "--e", "3", "--timings"), 0,
      " s; 0 nodes, 0 side conditions\n"),
+    (("table", "--e", "3", "--max-m", "0", "--k", "4"), 1,
+     "error: odd_factor must be odd >= 1, got 4\n"),
 )
 
 

@@ -182,7 +182,7 @@ def test_derivations_replay_and_audit():
     for e in (1, 2, 3):
         for m, b in pairs(e, 103):
             assert b.derivation.replay()
-            for node in b.derivation.walk():
+            for node in unique_nodes([b.derivation]):
                 for cond in node.side_conditions:
                     if cond.kind is BOUNDARY_RADON:
                         v = cond.values
@@ -192,7 +192,7 @@ def test_derivations_replay_and_audit():
 def test_beta_bookkeeping():
     # every step records beta within one of the prior round's output
     for m, b in pairs(3, 103):
-        for node in b.derivation.walk():
+        for node in unique_nodes([b.derivation]):
             for cond in node.side_conditions:
                 if cond.kind is BETA_FROM_PRIOR:
                     v = cond.values

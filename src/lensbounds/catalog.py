@@ -5,11 +5,11 @@ Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
 pure; report() is deterministic.  A row costs O(log m) time and memory:
 the Euler-class scans look at about log2(m) candidates, `is_spin` forms
-no ring of the space, and the engine bounds come from `inductive.at(m,
-e)`, which gates only m's own steps and makes no derivation (report()
-never reads one).
-The closed-form round bounds are read from `inductive.round_forms`, the
-table `inductive.records` checks each round output against.
+no ring of the space, and the round bounds come from `inductive.at(m,
+e)`, which gates only m's own steps, checks each output against its
+closed form and makes no derivation (report() never reads one).  The
+catalog computes no round dimension: `closed_form_uppers` gives the
+engine's bounds under the catalog's rule names, with the engine's flags.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -24,7 +24,7 @@ from operator import attrgetter
 
 from .cohomology import is_spin
 from .dyadic import alpha, nu
-from .inductive import ROUND2_SPECIAL, at, round_forms
+from .inductive import at
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
                       LensSpace, metastable_smoothable, upper_bound)
 
@@ -33,8 +33,8 @@ __all__ = [
     "metastable_smoothable", "euler_class_condition",
     "euler_class_lower_bounds", "power_of_two_lower", "codim2_lower",
     "compactness_floor", "low_dim_exact", "hhmp_upper", "spin_upper",
-    "closed_form_uppers", "projective_pl_uppers", "conjectural_lower_bounds",
-    "odd_torsion_transfer", "report", "InconsistentBoundsError",
+    "closed_form_uppers", "conjectural_lower_bounds", "odd_torsion_transfer",
+    "report", "InconsistentBoundsError",
 ]
 
 
@@ -169,57 +169,41 @@ def spin_upper(space: LensSpace) -> Bound | None:
                        "codimension dim-2 (Thomas)", smooth_rule=True)
 
 
-def _round_uppers(space: LensSpace, mu: int, ell: int, rule_id: str,
-                  citation: str, sharp_citation: str, **flags) -> list[Bound]:
-    """The main and, when it applies, sharpened form of round mu at ell."""
-    main, sharp = round_forms(mu, ell, space.e)
-    out = [upper_bound(space.dim, main, rule_id, citation, **flags)]
-    if sharp is not None:
-        out.append(upper_bound(space.dim, sharp, rule_id + "-sharp",
-                               sharp_citation, **flags))
-    return out
+# the catalog's name and citation of each round rule `inductive.at` gives;
+# the ground round2:base keeps the engine's
+_CATALOG_RULES = {
+    "round1:base": ("round1", "first inductive round (k=1)"),
+    "round1:step": ("round1", "first inductive round (k=1)"),
+    "round1:sharp": ("round1-sharp", "first inductive round, sharpened feed"),
+    "round2:special": ("round2-special",
+                       "second round applied at (k, j) = (3, 3)"),
+    "round2:step": ("round2", "second inductive round (k=3)"),
+    "round2:sharp": ("round2-sharp", "second inductive round, sharpened feed"),
+}
 
 
 def closed_form_uppers(space: LensSpace) -> list[Bound]:
-    """The closed-form embedding catalog the inductive rounds regenerate.
+    """The round bounds at m, as `inductive.at(m, e)` gates them, under the
+    catalog's names; none off 2-power torsion.
 
     For m = 2l+1 (l >= 1): R^(8l+3); sharpened to R^(8l+2) for even l with
     alpha(l) >= 2.  For m = 4l+3 (l >= 2): R^(16l+delta(e)) with
     delta(1,2,>=3) = 7, 9, 10; sharpened to one less for even l with
-    alpha(l) >= 2.  Special case m = 7, e <= 2: R^26.  Category is smooth
-    exactly in the metastable range; the one case outside it (m = 3 into
-    R^11) is topological.
+    alpha(l) >= 2.  Special case m = 7, e <= 2: R^26; at m = 7 the ground
+    round2:base, R^(17+delta(e)).  At e = 1 the second round rests on the
+    PL embedding of P^15 in R^23 (Rees), so its bounds, but for the special
+    case, are flagged external.  Category is smooth exactly in the
+    metastable range; the one case outside it (m = 3 into R^11) is
+    topological.
     """
     if space.odd_factor != 1:
         return []
-    m, e = space.m, space.e
     out = []
-    if m >= 3 and m % 2 == 1:
-        out += _round_uppers(space, 1, (m - 1) // 2, "round1",
-                             "first inductive round (k=1)",
-                             "first inductive round, sharpened feed")
-    if m == 7 and e <= 2:
-        out.append(upper_bound(space.dim, ROUND2_SPECIAL, "round2-special",
-                               "second round applied at (k, j) = (3, 3)"))
-    if m >= 11 and m % 4 == 3:
-        out += _round_uppers(space, 2, (m - 3) // 4, "round2",
-                             "second inductive round (k=3)",
-                             "second inductive round, sharpened feed")
+    for b in at(space.m, space.e):
+        rule_id, citation = _CATALOG_RULES.get(b.rule_id,
+                                               (b.rule_id, b.citation))
+        out.append(b._replace(rule_id=rule_id, citation=citation))
     return out
-
-
-def projective_pl_uppers(space: LensSpace) -> list[Bound]:
-    """2-torsion-only bounds seeded with the PL embedding of the
-    15-dimensional projective space in R^23 (external input): for
-    2m+1 = 8j+7, j >= 2, an embedding in R^(16j+7), and in R^(16j+6) for
-    even j that is not a power of 2, i.e. the e = 1 forms of round 2."""
-    if space.e != 1 or space.odd_factor != 1:
-        return []
-    if space.m % 4 != 3 or space.m < 11:
-        return []
-    cite = "second round seeded with the PL embedding of P^15 in R^23 (Rees)"
-    return _round_uppers(space, 2, (space.m - 3) // 4, "pl-round2", cite,
-                         cite, external=True)
 
 
 def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
@@ -264,8 +248,10 @@ def report(space: LensSpace, conjectural: bool = False,
     the min (ties keep the earlier, more specific rule).
 
     conjectural / external opt into the flagged rule sets; without them no
-    conjectural or external-input bound is consulted.  Raises
-    InconsistentBoundsError if lower exceeds upper (an engine bug).
+    conjectural or external-input bound is consulted (the e = 1 second
+    round among them).  The round uppers are `closed_form_uppers`, one
+    `inductive.at` lookup.  Raises InconsistentBoundsError if lower
+    exceeds upper (an engine bug).
     """
     lowers: list[Bound] = []
     uppers: list[Bound] = []
@@ -288,13 +274,8 @@ def report(space: LensSpace, conjectural: bool = False,
 
     if space.m >= 1:
         primary = space if space.odd_factor == 1 else odd_torsion_transfer(space)
-        cand: list[Bound] = []
-        cand.extend(closed_form_uppers(primary))
-        for b in at(primary.m, primary.e):
-            if external or not b.external:
-                cand.append(b)
-        if external:
-            cand.extend(projective_pl_uppers(primary))
+        cand = [b for b in closed_form_uppers(primary)
+                if external or not b.external]
         sp = spin_upper(primary)
         if sp is not None:
             cand.append(sp)

@@ -343,6 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(stream, text: str) -> None:
+    """Write `text` to `stream` and flush it.  Under PYTHONUNBUFFERED the
+    binary layer of stdout is the raw file, whose write to a pipe whose
+    reader has left may return short without an error, so the bytes are
+    written in a loop that checks each count: the next write raises
+    BrokenPipeError.  A stream with no binary layer (an io.StringIO) takes
+    the text."""
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        stream.write(text)
+        stream.flush()
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     started = perf_counter()
     parser = build_parser()
@@ -365,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # fd 1 was closed when the process started
         return EXIT_PIPE if lines else code
     try:
-        sys.stdout.write("".join(f"{line}\n" for line in lines))
-        sys.stdout.flush()
+        _write_all(sys.stdout, "".join(f"{line}\n" for line in lines))
     except BrokenPipeError:
         # the reader has left; the interpreter flushes stdout again at exit,
         # and that flush goes to devnull

@@ -8,11 +8,13 @@ embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever the bundle passes
 `lifting.radon_gate`, the Hurwitz-Radon gate that also certifies the
 feeds: general position (sigma+beta > 4j+2) or its boundary.  Round mu
 runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1 at step ell.
-`round_forms` is the one closed-form table of both rounds:
-`records` checks every output against it, the catalog reads it, and
-`verify` recomputes it independently.  Each step is a pure function of
-(mu, ell, e): `records` evaluates its gates as plain integers and reads
-the steps below only through `round_forms`.  The module keeps no state:
+`round_forms` is the one closed-form table of both rounds: `records`
+checks every output against it, and `verify` recomputes it independently.
+`at` is the one source of the catalog's round bounds, which it renames,
+and so the only round check a `query` or `table` makes.  Each step is a
+pure function of (mu, ell, e): `records` evaluates its gates as plain
+integers and reads the steps below only through `round_forms`.  The
+module keeps no state:
 `at(m, e)` gates only m's own steps, since `verify rounds` proves every
 step ell >= 2 of both rounds for every ell (its round-schema check) and
 gates the grounds.  On demand, `proofs` walks a round's chain up to a

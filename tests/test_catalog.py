@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 import lensbounds
-from lensbounds import catalog, verify
+from lensbounds import catalog, proofs, verify
 from lensbounds.catalog import (LensSpace,
                                 closed_form_uppers, codim2_lower,
                                 compactness_floor, conjectural_lower_bounds,
@@ -11,9 +11,9 @@ from lensbounds.catalog import (LensSpace,
                                 euler_class_lower_bounds, hhmp_upper,
                                 low_dim_exact, metastable_smoothable,
                                 odd_torsion_transfer, power_of_two_lower,
-                                projective_pl_uppers, report, spin_upper)
+                                report, spin_upper)
 from lensbounds.dyadic import alpha
-from lensbounds.records import Category
+from lensbounds.records import Category, unique_nodes
 
 
 def test_lens_space_validation():
@@ -144,14 +144,27 @@ def test_spin_upper():
 
 def test_closed_form_uppers_examples():
     dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(7, 5))}
-    assert dims == {"round1": 27}
+    assert dims == {"round1": 27, "round2:base": 27}
     dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(11, 2))}
     assert dims == {"round1": 43, "round2": 41}
     dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(13, 1))}
     assert dims == {"round1": 51, "round1-sharp": 50}
     dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(7, 2))}
-    assert dims == {"round1": 27, "round2-special": 26}
+    assert dims == {"round1": 27, "round2-special": 26, "round2:base": 26}
     assert closed_form_uppers(LensSpace(4, 2)) == []
+    assert closed_form_uppers(LensSpace(11, 1, 3)) == []
+
+    # at e = 1 the second round rests on the PL embedding of P^15 in R^23,
+    # and only its special case at m = 7 does not
+    def flagged(m, e):
+        return {(b.rule_id, b.dim) for b in closed_form_uppers(LensSpace(m, e))
+                if b.external}
+    assert flagged(11, 1) == {("round2", 39)}
+    assert flagged(27, 1) == {("round2", 103), ("round2-sharp", 102)}
+    assert flagged(7, 1) == {("round2:base", 24)}
+    assert flagged(19, 1) == {("round2", 71)}
+    for m in range(404):
+        assert flagged(m, 2) == set(), m
 
 
 def test_closed_form_smoothability():
@@ -164,15 +177,6 @@ def test_closed_form_smoothability():
     entry = closed_form_uppers(space)[0]
     assert entry.category is Category.SMOOTH
     assert metastable_smoothable(space.dim, entry.dim)
-
-
-def test_projective_pl_uppers():
-    assert [b.dim for b in projective_pl_uppers(LensSpace(11, 1))] == [39]
-    dims = [b.dim for b in projective_pl_uppers(LensSpace(27, 1))]
-    assert sorted(dims) == [102, 103]
-    assert projective_pl_uppers(LensSpace(11, 2)) == []
-    assert projective_pl_uppers(LensSpace(7, 1)) == []   # j = 1 excluded
-    assert all(b.external for b in projective_pl_uppers(LensSpace(19, 1)))
 
 
 def test_metastable_smoothable():
@@ -277,23 +281,43 @@ def test_gap_law_spot():
 
 
 # the catalog rule each rule of the rounds oracle regenerates; the ground
-# round2:base at m = 7 has no catalog entry
+# round2:base at m = 7 keeps its id
 CATALOG_RULE = {"round1:base": "round1", "round1:step": "round1",
                 "round1:sharp": "round1-sharp",
-                "round2:special": "round2-special", "round2:step": "round2",
-                "round2:sharp": "round2-sharp"}
+                "round2:special": "round2-special", "round2:base": "round2:base",
+                "round2:step": "round2", "round2:sharp": "round2-sharp"}
 
 
 def test_closed_forms_agree_with_the_rounds_oracle():
     for e in range(1, 9):
         want: dict[int, dict[str, int]] = {}
         for (rule, m), dim in verify._expected_rounds(e, 403).items():
-            if rule != "round2:base":
-                want.setdefault(m, {})[CATALOG_RULE[rule]] = dim
+            want.setdefault(m, {})[CATALOG_RULE[rule]] = dim
         for m in range(0, 404):
             bounds = closed_form_uppers(LensSpace(m, e))
             got = {b.rule_id: b.dim for b in bounds}
             assert len(got) == len(bounds) and got == want.get(m, {}), (m, e)
+
+
+def _flag_mismatches(e: int, max_m: int) -> list[tuple[int, int, str, int]]:
+    """Each round bound of `report(..., external=True)` at m <= max_m that
+    no output of `proofs.pairs(e, max_m)` at m of its dim matches, or whose
+    `external` flag is not set exactly when that output's derivation rests
+    on the PL seed."""
+    seeded: dict[tuple[int, int], set[bool]] = {}
+    for m, b in proofs.pairs(e, max_m):
+        rests = any(n.rule_id == "axiom:pl-seed"
+                    for n in unique_nodes((b.derivation,)))
+        seeded.setdefault((m, b.dim), set()).add(rests)
+    return [(m, e, b.rule_id, b.dim) for m in range(max_m + 1)
+            for b in report(LensSpace(m, e), external=True).all_bounds
+            if b.rule_id.startswith("round")
+            and seeded.get((m, b.dim)) != {b.external}]
+
+
+def test_round_flags_match_the_derivations():
+    for e in (1, 2, 3):
+        assert _flag_mismatches(e, 403) == [], e
 
 
 def test_export_lists_resolve():

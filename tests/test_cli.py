@@ -123,6 +123,24 @@ def test_query_external_flagged(capsys):
     assert "[external]" in out
 
 
+def test_query_and_derive_agree_on_the_pl_seed(capsys):
+    # the e = 1 second round rests on the external PL seed: without
+    # --external both take round 1's R^43, with it both take R^39, flagged
+    for flags, dim, rule in (((), 43, "round1"),
+                             (("--external",), 39, "round2")):
+        code, out, _ = run_cli(capsys, "query", "--m", "11", "--e", "1",
+                               *flags)
+        upper = out.splitlines()[2]
+        assert code == 0 and upper.startswith(
+            f"  upper: emb <= {dim} (smooth)  via {rule}: "), flags
+        assert upper.endswith("  [external]") == bool(flags), flags
+        code, out, _ = run_cli(capsys, "derive", "--m", "11", "--e", "1",
+                               *flags)
+        assert code == 0 and out.splitlines()[0] == (
+            f"best inductive upper bound for (m=11, e=1): R^{dim} (smooth)"
+            + "  [external]" * bool(flags)), flags
+
+
 def test_query_odd_torsion(capsys):
     code, out, _ = run_cli(capsys, "query", "--m", "9", "--e", "2",
                            "--k", "3", "--all")
@@ -390,42 +408,46 @@ def test_derive_replays_before_it_prints(capsys, monkeypatch):
         assert capsys.readouterr().out == ""
 
 
-# The environment of a CLI run with block-buffered stdout.  Under
-# PYTHONUNBUFFERED the text layer writes straight to the file descriptor
-# and drops a short write to a pipe whose reader has left, so the reader's
-# leaving goes unseen.
+# The environments of a CLI run with block-buffered stdout, and with
+# PYTHONUNBUFFERED set, where stdout's binary layer is the raw file, whose
+# write to a pipe whose reader has left may return short without an error.
 _BUFFERED_ENV = {name: value for name, value in os.environ.items()
                  if name != "PYTHONUNBUFFERED"} | {"PYTHONPATH": str(SRC)}
+_ENVS = (_BUFFERED_ENV, _BUFFERED_ENV | {"PYTHONUNBUFFERED": "1"})
 
 
 def test_reader_leaving_exits_141():
     # as `derive --m 401 --e 3 | head -n 1`: 552 KB of stdout, far past what
     # a pipe holds, so the write fails once the reader has gone
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "lensbounds.cli", "derive", "--m", "401",
-         "--e", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=_BUFFERED_ENV)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=120), err) == (cli.EXIT_PIPE, b"")
-    assert first == b"best inductive upper bound for (m=401, e=3): " \
-                    b"R^1602 (smooth)\n"
+    for env in _ENVS:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lensbounds.cli", "derive", "--m", "401",
+             "--e", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (cli.EXIT_PIPE, b""), \
+            env.get("PYTHONUNBUFFERED")
+        assert first == b"best inductive upper bound for (m=401, e=3): " \
+                        b"R^1602 (smooth)\n"
 
 
 def test_closed_stdout_exits_141():
     # as `query --m 3 --e 3 >&-`; a command with no stdout keeps its code
-    for argv, want in (
-            (("query", "--m", "3", "--e", "3"), (cli.EXIT_PIPE, "")),
-            (("derive", "--m", "2", "--e", "3"),
-             (1, "no inductive derivation exists for m=2 "
-                 "(the rounds start at m=3)\n"))):
-        proc = subprocess.run(
-            ["sh", "-c", '"$0" -m lensbounds.cli "$@" >&-', sys.executable,
-             *argv], env=_BUFFERED_ENV, capture_output=True, text=True,
-            timeout=120)
-        assert (proc.returncode, proc.stderr) == want, argv
+    for env in _ENVS:
+        for argv, want in (
+                (("query", "--m", "3", "--e", "3"), (cli.EXIT_PIPE, "")),
+                (("derive", "--m", "2", "--e", "3"),
+                 (1, "no inductive derivation exists for m=2 "
+                     "(the rounds start at m=3)\n"))):
+            proc = subprocess.run(
+                ["sh", "-c", '"$0" -m lensbounds.cli "$@" >&-',
+                 sys.executable, *argv], env=env, capture_output=True,
+                text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == want, \
+                (argv, env.get("PYTHONUNBUFFERED"))
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
@@ -441,8 +463,10 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
 
 
 # sha256(stdout)[:16] of each table the benchmark's table-sweep workload
-# runs, in its order, as printed before the rounds were built incrementally
-TABLE_DIGESTS = ("70684a2e6f39d8eb", "69d7d6bd7ee9db67", "25165d4790e4d28b",
+# runs, in its order, as printed before the rounds were built incrementally,
+# but for `table --e 1 --max-m 256`, whose default rows now leave the e = 1
+# second round out (it rests on the external PL seed)
+TABLE_DIGESTS = ("70684a2e6f39d8eb", "69d7d6bd7ee9db67", "1a1c7cf208be33ac",
                  "98a81c72084cdc07", "8f3d8d86f95c9a19", "cad46721563caf3b",
                  "d4045ef2ac2a98f2", "8dba970e5042cec0")
 
@@ -459,105 +483,107 @@ def test_large_tables_keep_their_bytes(capsys, monkeypatch):
 
 
 # sha256(stdout)[:16] of `query --m m --e e --all` with each flag set, for m
-# in QUERY_MS, as printed when each e had a round builder object of its own
+# in QUERY_MS, as printed when `inductive.at` became the one source of the
+# round uppers: each round bound is listed once, under its catalog name, and
+# at e = 1 the second round's carry [external]
 QUERY_MS = (0, 1, 2, 3, 5, 7, 11, 15, 23, 25, 101, 257, 1023, 4095)
 QUERY_DIGESTS = {
     ((), 1): (
         "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
-        "d6ef90c0c1506737", "cd8a5234dbf71c79", "e79617d65818c327",
-        "7691912fdcea6dee", "a840f057c28d95e8", "51d5b904fc2db6a0",
-        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
-        "e28872ccf2c61d0f", "c542a4fabe7aaf9b"),
+        "11236c4e9756472e", "36bdd15d64fc15ed", "ccffe63ef1fc36fe",
+        "fa5ce73be37f78e2", "882bd6e0cce9b91c", "8123fd3887bf0c0f",
+        "7e9fc900cc74d758", "44ed1072f841f51e", "1c5ff94bf2c2a463",
+        "ec50df270fa8a86a", "a7771021f6aaef17"),
     ((), 2): (
         "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
-        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
-        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
-        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
-        "37ac3e73f4369e4b", "72211e9e9adff373"),
+        "012b42f03fa41e77", "c379d6113fb5cef9", "268c60fdce5e5f6d",
+        "2fa4c2219a1e49b2", "e1d9f01e07f43230", "5dc9cd70b1e005b1",
+        "b1918716d75fe507", "01a57dbcd1d5ee63", "965b34d9b92cadb4",
+        "6fb706394224eb9b", "3efb6c237b196ce0"),
     ((), 3): (
         "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
-        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
-        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
-        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
-        "6a00f807ab2b03f1", "de778b1ccc056067"),
+        "a60371e8133a3fbd", "7c925548b69fed4a", "cca471b2feeb6aa9",
+        "fa38d17cda88a310", "aa2a30a3e851be65", "3a50b86c0d2c094c",
+        "0b89591a930c1b62", "5a6772b4343bd436", "750155c83a3161cf",
+        "6dbc72527e9014e5", "527bb8d6aa0cd97f"),
     ((), 8): (
         "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
-        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
-        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
-        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
-        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+        "01126c9c9105dc5a", "95bd8089b2b75242", "767955206a9ab71c",
+        "0642c34964a39d1c", "1707b803db7481cf", "3d5204f796f9b00d",
+        "4d7c145f7e98df27", "e5e84e665b71c26b", "8a75be14d39983a3",
+        "5e645906dadabca6", "a1dc50f807a93ffe"),
     (('--external',), 1): (
         "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
-        "d6ef90c0c1506737", "cd8a5234dbf71c79", "958972c4455a33c2",
-        "37b2a3a299b77904", "ab44e10e90a01012", "67743e07e3756fc3",
-        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
-        "2ea613c2e734feb2", "3559cf123b9ebf7f"),
+        "11236c4e9756472e", "36bdd15d64fc15ed", "d2dbcc6a05a07458",
+        "1c5719b8a812268c", "00cb99a7fcb4fe85", "f78bb4cb86fd5741",
+        "7e9fc900cc74d758", "44ed1072f841f51e", "1c5ff94bf2c2a463",
+        "208297a082e2e87e", "5747d3916b931a41"),
     (('--external',), 2): (
         "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
-        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
-        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
-        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
-        "37ac3e73f4369e4b", "72211e9e9adff373"),
+        "012b42f03fa41e77", "c379d6113fb5cef9", "268c60fdce5e5f6d",
+        "2fa4c2219a1e49b2", "e1d9f01e07f43230", "5dc9cd70b1e005b1",
+        "b1918716d75fe507", "01a57dbcd1d5ee63", "965b34d9b92cadb4",
+        "6fb706394224eb9b", "3efb6c237b196ce0"),
     (('--external',), 3): (
         "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
-        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
-        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
-        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
-        "6a00f807ab2b03f1", "de778b1ccc056067"),
+        "a60371e8133a3fbd", "7c925548b69fed4a", "cca471b2feeb6aa9",
+        "fa38d17cda88a310", "aa2a30a3e851be65", "3a50b86c0d2c094c",
+        "0b89591a930c1b62", "5a6772b4343bd436", "750155c83a3161cf",
+        "6dbc72527e9014e5", "527bb8d6aa0cd97f"),
     (('--external',), 8): (
         "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
-        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
-        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
-        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
-        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+        "01126c9c9105dc5a", "95bd8089b2b75242", "767955206a9ab71c",
+        "0642c34964a39d1c", "1707b803db7481cf", "3d5204f796f9b00d",
+        "4d7c145f7e98df27", "e5e84e665b71c26b", "8a75be14d39983a3",
+        "5e645906dadabca6", "a1dc50f807a93ffe"),
     (('--conjectural',), 1): (
         "b8a8ab072281b6f5", "90b73993d1f2f992", "fbf899522afb9d8b",
-        "d6ef90c0c1506737", "cd8a5234dbf71c79", "e79617d65818c327",
-        "7691912fdcea6dee", "a840f057c28d95e8", "51d5b904fc2db6a0",
-        "0ae76c7f4ee20675", "31186904235808af", "1674685ebdca6085",
-        "b93b48eccc94de4a", "978fda8f831b5074"),
+        "11236c4e9756472e", "36bdd15d64fc15ed", "ccffe63ef1fc36fe",
+        "fa5ce73be37f78e2", "882bd6e0cce9b91c", "8123fd3887bf0c0f",
+        "7e9fc900cc74d758", "44ed1072f841f51e", "1c5ff94bf2c2a463",
+        "6ada6a961e7472d4", "0baf8adc66e1f587"),
     (('--conjectural',), 2): (
         "3b1416ffcf61cfea", "262f277d40b533a3", "ad19f932e59deecc",
-        "0c74c62bd075d947", "e22348543fe146d1", "dce3eda098fd4a2e",
-        "882eb98ac69f8c04", "69e924c2b8e4b83b", "986204b359840995",
-        "51105f52903c7ef9", "aa3ff599aed75fbc", "a1cd7a8d7bfdad3f",
-        "37ac3e73f4369e4b", "72211e9e9adff373"),
+        "012b42f03fa41e77", "c379d6113fb5cef9", "268c60fdce5e5f6d",
+        "2fa4c2219a1e49b2", "e1d9f01e07f43230", "5dc9cd70b1e005b1",
+        "b1918716d75fe507", "01a57dbcd1d5ee63", "965b34d9b92cadb4",
+        "6fb706394224eb9b", "3efb6c237b196ce0"),
     (('--conjectural',), 3): (
         "00356c5c29baf7c5", "fde456d2d3fe7545", "3fec4f143cf31df7",
-        "a9fa44fa2e69d907", "ed90d6c82cd8e4ea", "6eec29f0ed14c6a3",
-        "be8001a3c7171fb6", "c8ad0f6aa06e9b17", "8bb5e83e053a9d47",
-        "5bcc663f0e21887b", "e10d9878bd918ac7", "67be6f9e86e2d16d",
-        "6a00f807ab2b03f1", "be2d8f2ce6876025"),
+        "a60371e8133a3fbd", "7c925548b69fed4a", "cca471b2feeb6aa9",
+        "fa38d17cda88a310", "aa2a30a3e851be65", "3a50b86c0d2c094c",
+        "0b89591a930c1b62", "5a6772b4343bd436", "750155c83a3161cf",
+        "6dbc72527e9014e5", "399185e575eba5de"),
     (('--conjectural',), 8): (
         "25211b1ee147ed16", "bad3e1c1c7110307", "34012336441be9a0",
-        "bff6da94882ce34c", "0fedf55dead6306b", "8fa42e165991776f",
-        "ab460bb7f837b4a9", "58842e810b439f76", "49c2e0e035769111",
-        "d34b043fd644b889", "501e60a8c04f24ee", "ea6127cfb555aaf2",
-        "56fc31f76d377a5c", "9f136cb5b1781c27"),
+        "01126c9c9105dc5a", "95bd8089b2b75242", "767955206a9ab71c",
+        "0642c34964a39d1c", "1707b803db7481cf", "3d5204f796f9b00d",
+        "4d7c145f7e98df27", "e5e84e665b71c26b", "8a75be14d39983a3",
+        "5e645906dadabca6", "a1dc50f807a93ffe"),
     (('--k', '3'), 1): (
         "e38f2e70a10776fe", "8b9244bdff738835", "4777d0dcd77a4f57",
-        "5f1ea5882cf95892", "3da171e9ea38ae23", "fcfbb6914d46bd7d",
-        "f12596b0e5ec2afd", "a10f626dc376316d", "806beac1b3dd4abe",
-        "3157715cf2f43b61", "8f3733920c35cf8c", "2268ea36c195c118",
-        "92cd8990c0a4e368", "44d0a4d68d737285"),
+        "5f1ea5882cf95892", "4c0f6ee12442b348", "dde120d0f9626d4d",
+        "0c423eb178220548", "836d1b5b6cd2784c", "673b73099c7bd331",
+        "ec8bc841f6ff1b0c", "a360160eeb46c6f2", "904b72947a890e18",
+        "51e26c01644852ff", "d2bfa41f91fb1fe0"),
     (('--k', '3'), 2): (
         "b9e04081039f26a5", "66faa5f27b247bc3", "ac6e9a50de81e601",
-        "6e57fa4d209ea5fd", "eac9e73d36f536bd", "36b6b0371ea9e345",
-        "37a2dd2ef11634d8", "c4eb344a9362cdaa", "9e5f879cafa68bbc",
-        "ecd0568db2caf2a7", "40ace67672485cd9", "ee49c39d6332ebf0",
-        "317c4bda0f7963c4", "6d50781ca07bba00"),
+        "6e57fa4d209ea5fd", "216572f160b10637", "9d0c5691762c9181",
+        "a02493bd8435ab5a", "aa11e6d2ed30dc97", "099b71635657e83c",
+        "9a43d446007dce30", "2f1d744cadaa68b3", "65abe64ecf765e66",
+        "e6bd44f254bb66ba", "1be90b9523298186"),
     (('--k', '3'), 3): (
         "e5dd65a08906e4e4", "1cd2c42fd7b0eefd", "90484de0da012ba1",
-        "fe042ddfb55932d9", "aa8651b2bcd93b8e", "621b2cf970504b36",
-        "6953c381fab14a8c", "ff7db6c8febe28de", "729ae741eef39ad8",
-        "74060f37b52ec53a", "b36d018a272d201b", "be93563100361a79",
-        "3bfcda1beb7ee5a9", "f8bf4a99d93a90e6"),
+        "fe042ddfb55932d9", "cdeafd792d0f0a45", "2e16c587c71a2d8c",
+        "bf71fd52e0864bb1", "1299246579f525eb", "0301aafcf33d02f6",
+        "757e1d8a6ecdef68", "06736806dced3c30", "2f9350bbdcfb42e5",
+        "1c17dbab64ddf3e9", "6a6cfd066fdd7380"),
     (('--k', '3'), 8): (
         "e1ce1e4878a70f1e", "1919663eee9ee845", "061f43815c17e4a2",
-        "c8f9080ade609c48", "5ba9e44aee8c58b2", "69351161d7264a3f",
-        "c1df17817992cd9e", "0bcdc33278e37970", "eb8f7313450a2721",
-        "efdfbc08dd46e06e", "ea69a0faa2c1c97a", "4556cc490e345244",
-        "d4cb9a0eed739440", "e5f18cc3ec32b5af"),
+        "c8f9080ade609c48", "21f9bbab42170fba", "58e14fd46fc95c14",
+        "60a3cccd1b069ad6", "7d94636f63b208bb", "be2731601abc8a23",
+        "e764195fcb033840", "3d2df5384fe64058", "fc702d5322d9c850",
+        "a7fbcd1b41ab552e", "05ad7e3995fc5960"),
 }
 
 

@@ -154,6 +154,8 @@ def test_closed_form_uppers_examples():
     assert closed_form_uppers(LensSpace(4, 2)) == []
     assert closed_form_uppers(LensSpace(11, 1, 3)) == []
 
+
+def test_projective_pl_uppers():
     # at e = 1 the second round rests on the PL embedding of P^15 in R^23,
     # and only its special case at m = 7 does not
     def flagged(m, e):

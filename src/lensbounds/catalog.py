@@ -8,8 +8,8 @@ the Euler-class scans look at about log2(m) candidates, `is_spin` forms
 no ring of the space, and the round bounds come from `inductive.at(m,
 e)`, which gates only m's own steps, checks each output against its
 closed form and makes no derivation (report() never reads one).  The
-catalog computes no round dimension: `closed_form_uppers` gives the
-engine's bounds under the catalog's rule names, with the engine's flags.
+catalog computes and names no round bound: `closed_form_uppers` is
+`inductive.at`, whose bounds carry their names, citations and flags.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -169,22 +169,9 @@ def spin_upper(space: LensSpace) -> Bound | None:
                        "codimension dim-2 (Thomas)", smooth_rule=True)
 
 
-# the catalog's name and citation of each round rule `inductive.at` gives;
-# the ground round2:base keeps the engine's
-_CATALOG_RULES = {
-    "round1:base": ("round1", "first inductive round (k=1)"),
-    "round1:step": ("round1", "first inductive round (k=1)"),
-    "round1:sharp": ("round1-sharp", "first inductive round, sharpened feed"),
-    "round2:special": ("round2-special",
-                       "second round applied at (k, j) = (3, 3)"),
-    "round2:step": ("round2", "second inductive round (k=3)"),
-    "round2:sharp": ("round2-sharp", "second inductive round, sharpened feed"),
-}
-
-
 def closed_form_uppers(space: LensSpace) -> list[Bound]:
-    """The round bounds at m, as `inductive.at(m, e)` gates them, under the
-    catalog's names; none off 2-power torsion.
+    """The round bounds at m, `inductive.at(m, e)`; none off 2-power
+    torsion.
 
     For m = 2l+1 (l >= 1): R^(8l+3); sharpened to R^(8l+2) for even l with
     alpha(l) >= 2.  For m = 4l+3 (l >= 2): R^(16l+delta(e)) with
@@ -196,14 +183,7 @@ def closed_form_uppers(space: LensSpace) -> list[Bound]:
     metastable range; the one case outside it (m = 3 into R^11) is
     topological.
     """
-    if space.odd_factor != 1:
-        return []
-    out = []
-    for b in at(space.m, space.e):
-        rule_id, citation = _CATALOG_RULES.get(b.rule_id,
-                                               (b.rule_id, b.citation))
-        out.append(b._replace(rule_id=rule_id, citation=citation))
-    return out
+    return list(at(space.m, space.e)) if space.odd_factor == 1 else []
 
 
 def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:

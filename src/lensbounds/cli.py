@@ -3,11 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency (an engine bug: a lower bound exceeding an upper bound, a
 round or lifting gate off its closed form, or the spin criteria disagreeing),
-141 (128 + SIGPIPE) stdout closed, or its reader gone before it was written.
+74 (EX_IOERR) stdout could not be written (a full disk, say), 141 (128 +
+SIGPIPE) stdout closed, or its reader gone before it was written.
 
 Each subcommand forms its whole stdout and returns it with its exit code;
 `main` alone writes it, once, after the command's last check, so a command
-that fails leaves stdout empty.
+that fails leaves stdout empty.  Every diagnostic goes through `_warn`, and
+a diagnostic never costs stdout or the exit code: where stderr cannot be
+written, or is closed, the line is dropped.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .dyadic import alpha
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
 from .records import (InconsistentBoundsError, LensSpace,
-                      RoundsDivergenceError, unique_nodes)
+                      RoundsDivergenceError, on_paths, unique_nodes)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+EXIT_IOERR = 74  # EX_IOERR
 EXIT_PIPE = 128 + 13  # SIGPIPE
 
 COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
@@ -48,9 +52,29 @@ class _Parser(argparse.ArgumentParser):
             prog, width=80), **kwargs)
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _warn(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+
+def _to_devnull(fd: int) -> None:
+    """Point `fd` at devnull, so that the interpreter's flush at exit of
+    what a failed write left in a buffer goes nowhere, and silently."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), fd)
+
+
+def _warn(line: str) -> None:
+    """Write one diagnostic line to stderr, the only way this module does.
+    A diagnostic never costs a command its stdout or its exit code: where
+    stderr cannot take the line it is dropped and fd 2 goes to devnull, and
+    where there is no stderr nothing is written."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(f"{line}\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(2)
 
 
 # --- table rendering (byte-stable per format) ------------------------------
@@ -136,12 +160,11 @@ class _Timings:
         `code`."""
         if self.args.timings:
             conditions = sum(len(n.side_conditions) for n in nodes)
-            print(f"timing {self.args.command}: "
+            _warn(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, "
                             for name, s in self.phases.items())
                   + f"total {self._mark - _IMPORT_START:.3f} s; "
-                  f"{len(nodes)} nodes, {conditions} side conditions",
-                  file=sys.stderr)
+                  f"{len(nodes)} nodes, {conditions} side conditions")
         return code
 
 
@@ -187,8 +210,8 @@ def cmd_table(args) -> tuple[int, list[str]]:
 def cmd_derive(args) -> tuple[int, list[str]]:
     timings = _Timings(args)
     if args.m < 3:
-        print(f"no inductive derivation exists for m={args.m} "
-              "(the rounds start at m=3)", file=sys.stderr)
+        _warn(f"no inductive derivation exists for m={args.m} "
+              "(the rounds start at m=3)")
         return timings.finish(EXIT_USAGE), []
 
     def lowest(found):
@@ -202,18 +225,14 @@ def cmd_derive(args) -> tuple[int, list[str]]:
     best = proofs.prove(args.m, args.e, lowest)
     timings.lap("proof")
     if best is None:
-        print(f"no inductive derivation for (m={args.m}, e={args.e}); "
-              "the best upper bound there is axiom-only", file=sys.stderr)
+        _warn(f"no inductive derivation for (m={args.m}, e={args.e}); "
+              "the best upper bound there is axiom-only")
         return timings.finish(EXIT_USAGE), []
     # replay first, so that a derivation too deep to replay is not rendered
     replayed = best.derivation.replay()
-    # the side conditions on every path from the root, as the printed tree
-    # repeats a shared premise under each node that cites it
     nodes = unique_nodes((best.derivation,))
-    on_paths: dict[int, int] = {}
-    for n in nodes:
-        on_paths[id(n)] = len(n.side_conditions) + sum(
-            on_paths[id(p)] for p in n.premises)
+    conditions = on_paths((best.derivation,), lambda c: True)[
+        id(best.derivation)]
     timings.lap("replay")
     if args.format == "jsonl":
         import json
@@ -224,10 +243,9 @@ def cmd_derive(args) -> tuple[int, list[str]]:
                  *best.derivation.to_lines()]
     timings.lap("render")
     if not replayed:
-        print("side-condition replay FAILED", file=sys.stderr)
+        _warn("side-condition replay FAILED")
         return timings.finish(EXIT_VERIFY, nodes), lines
-    lines.append(f"side conditions: {on_paths[id(best.derivation)]} "
-                 "replayed OK")
+    lines.append(f"side conditions: {conditions} replayed OK")
     return timings.finish(EXIT_OK, nodes), lines
 
 
@@ -264,7 +282,7 @@ def cmd_verify(args) -> tuple[int, list[str]]:
     timings = [] if args.timings else None
     results = run_scope(args.scope, timings)
     for t in timings or ():
-        print(t.line(), file=sys.stderr)
+        _warn(t.line())
     failed = sum(not r.ok for r in results)
     return EXIT_VERIFY if failed else EXIT_OK, [
         *(r.line() for r in results),
@@ -376,21 +394,22 @@ def main(argv: list[str] | None = None) -> int:
             AssertionError) as exc:
         # AssertionError is raised explicitly, not by assert statements, when
         # the two spin criteria disagree or the spin prerequisite fails
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        _warn(f"internal inconsistency: {exc}")
         return EXIT_INTERNAL
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_USAGE
     if sys.stdout is None:  # fd 1 was closed when the process started
         return EXIT_PIPE if lines else code
     try:
         _write_all(sys.stdout, "".join(f"{line}\n" for line in lines))
-    except BrokenPipeError:
-        # the reader has left; the interpreter flushes stdout again at exit,
-        # and that flush goes to devnull
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), 1)
+    except BrokenPipeError:  # the reader has left
+        _to_devnull(1)
         return EXIT_PIPE
+    except OSError as exc:
+        _to_devnull(1)
+        _warn(f"error: cannot write stdout: {exc.strerror or exc}")
+        return EXIT_IOERR
     return code
 
 

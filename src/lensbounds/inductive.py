@@ -10,18 +10,19 @@ feeds: general position (sigma+beta > 4j+2) or its boundary.  Round mu
 runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1 at step ell.
 `round_forms` is the one closed-form table of both rounds: `records`
 checks every output against it, and `verify` recomputes it independently.
-`at` is the one source of the catalog's round bounds, which it renames,
-and so the only round check a `query` or `table` makes.  Each step is a
+`at` is the one source of the catalog's round bounds, and so the only
+round check a `query` or `table` makes.  `_round_bound` names every round
+bound, `at`'s and `proofs`', from one table keyed by the rule id; the
+derivation nodes keep the rule id, which `derive` prints.  Each step is a
 pure function of (mu, ell, e): `records` evaluates its gates as plain
 integers and reads the steps below only through `round_forms`.  The
-module keeps no state:
-`at(m, e)` gates only m's own steps, since `verify rounds` proves every
-step ell >= 2 of both rounds for every ell (its round-schema check) and
-gates the grounds.  On demand, `proofs` walks a round's chain up to a
-step and turns each step it passes into DerivationNodes, keeping none of
-them once it returns.
-This module makes no derivation: the kinds of their side conditions, and
-the checks that replay them, are defined in `proofs`.
+module keeps no state: `at(m, e)` gates only m's own steps, since `verify
+rounds` proves every step ell >= 2 of both rounds for every ell (its
+round-schema check) and gates the grounds.  On demand, `proofs` walks a
+round's chain up to a step and turns each step it passes into
+DerivationNodes, keeping none of them once it returns.  This module makes
+no derivation: the kinds of their side conditions, and the checks that
+replay them, are defined in `proofs`.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -92,11 +93,6 @@ def _feed_admissible(mu: int, ell: int, e: int) -> bool:
     return not (mu == 2 and e > 2 and ell == 1)
 
 
-def _step_citation(k: int, j: int) -> str:
-    return ("inductive step over the double mapping cylinder "
-            f"decomposition (k={k}, j={j})")
-
-
 def _feed_ambient(mu: int, ell: int, e: int, lam: int) -> int:
     """The ambient 4i+3-lam of the feed 2^mu*eta over L(i, e),
     i = 2^mu*ell - 1; raises RoundsDivergenceError if the feed is
@@ -138,16 +134,27 @@ def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
 _Step = tuple[str, int, tuple[int, ...] | None, int, int | None]
 
 
+# the name and citation of the bounds of each rule, by its rule id; the
+# derivation nodes keep the rule id
+_NAMES = {
+    "round1:base": ("round1", "first inductive round (k=1)"),
+    "round1:step": ("round1", "first inductive round (k=1)"),
+    "round1:sharp": ("round1-sharp", "first inductive round, sharpened feed"),
+    "round2:special": ("round2-special",
+                       "second round applied at (k, j) = (3, 3)"),
+    "round2:base": ("round2:base", "ground of the second inductive round"),
+    "round2:step": ("round2", "second inductive round (k=3)"),
+    "round2:sharp": ("round2-sharp", "second inductive round, sharpened feed"),
+}
+
+
 def _round_bound(e: int, mu: int, m: int, record: _Step,
                  derivation: DerivationNode | None = None) -> Bound:
-    """The bound of the record of round mu at m."""
+    """The bound of the record of round mu at m, under its rule's name."""
     rule_id = record[0]
-    citation = ("ground of the second inductive round"
-                if rule_id == "round2:base"
-                else _step_citation(2**mu - 1, m - 2**mu))
     # the e = 1 second round rests on the external PL seed
     external = mu == 2 and e == 1 and rule_id != "round2:special"
-    return upper_bound(2 * m + 1, record[1], rule_id, citation, derivation,
+    return upper_bound(2 * m + 1, record[1], *_NAMES[rule_id], derivation,
                        external=external)
 
 

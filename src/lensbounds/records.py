@@ -6,7 +6,9 @@ derivation tree whose numeric side conditions can be replayed from their
 stored integer witnesses.  Each side condition carries its ConditionKind,
 which holds the kind's name, witness fields and replay check; the module
 that builds the conditions defines their kinds, so this module keeps no
-table of them.
+table of them.  `DerivationNode.replay` is the one routine that replays a
+derivation, and `on_paths` the one count of the side conditions on its
+paths: `derive` and `verify rounds` both use them.
 
 The records here, and those of the other modules, are `namedtuple`
 subclasses with `__slots__ = ()`, not data classes made by the standard
@@ -140,10 +142,19 @@ class DerivationNode(namedtuple(
 
     __slots__ = ()
 
-    def replay(self) -> bool:
-        """Re-evaluate every side condition in the tree from its witnesses."""
-        return (all(c.replay() for c in self.side_conditions)
-                and all(p.replay() for p in self.premises))
+    def replay(self, memo: dict[int, bool] | None = None) -> bool:
+        """Re-evaluate every side condition in the tree from its witnesses.
+
+        Each node of the DAG is replayed once: `memo` keeps the verdicts by
+        id(node), and roots replayed with one memo share them.  A premise
+        is replayed by recursion, so the depth a replay reaches is the
+        depth of the tree.
+        """
+        memo = {} if memo is None else memo
+        if id(self) not in memo:
+            memo[id(self)] = (all(c.replay() for c in self.side_conditions)
+                              and all(p.replay(memo) for p in self.premises))
+        return memo[id(self)]
 
     def to_lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -191,6 +202,21 @@ def unique_nodes(roots) -> list[DerivationNode]:
                 stack.pop()
                 order.append(node)
     return order
+
+
+def on_paths(roots, counted) -> dict[int, int]:
+    """For each node reachable from `roots`, by id, how many side
+    conditions that `counted` accepts lie on the paths down from it.
+
+    A condition is counted once per path, as the printed tree repeats a
+    shared premise under each node that cites it.  The fold runs over
+    `unique_nodes`, premises first, so it works at any depth.
+    """
+    counts: dict[int, int] = {}
+    for node in unique_nodes(roots):
+        counts[id(node)] = sum(map(counted, node.side_conditions)) + sum(
+            counts[id(p)] for p in node.premises)
+    return counts
 
 
 class Bound(namedtuple("Bound", "direction dim category rule_id citation "

@@ -7,7 +7,7 @@ counterexample where it fails.  `_tally` runs it to the end, so every case
 is evaluated and counted, also after a failure, and keeps the first
 counterexample.  The four digit-identity proofs, the Cartan check (which
 counts every degree of a pair as a case), the rounds' replay (three results
-from one pass) and the Milgram density report through `_result` or
+from one set of proofs) and the Milgram density report through `_result` or
 `CheckResult` themselves.
 
 The dyadic scope proves its four digit identities for every input, with
@@ -34,7 +34,7 @@ from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
-from .records import LensSpace, RoundsDivergenceError, unique_nodes
+from .records import LensSpace, RoundsDivergenceError, on_paths
 
 
 class CheckResult(namedtuple("CheckResult", "name cases ok detail",
@@ -480,40 +480,23 @@ def _round_schema():
             yield None if ok else (e, mu, "ground")
 
 
-def _replay_facts(roots) -> dict[int, tuple[bool, int]]:
-    """Replay each node of the derivation DAG once, keyed by id(node).
-
-    A node's facts are (its tree replays OK, the boundary-radon conditions
-    in its tree counted with multiplicity); each is its own conditions'
-    value combined with its premises' facts, which `unique_nodes` lists
-    first.  A boundary-radon condition's replay is the whole audit of its
-    gate, the Hurwitz-Radon bound included, so it needs no second test.
-    """
-    from .proofs import BOUNDARY_RADON  # here, as in `_check_rounds`
-    facts: dict[int, tuple[bool, int]] = {}
-    for node in unique_nodes(roots):
-        ok = all(c.replay() for c in node.side_conditions)
-        hits = sum(c.kind is BOUNDARY_RADON for c in node.side_conditions)
-        for p in node.premises:
-            p_ok, p_hits = facts[id(p)]
-            ok = ok and p_ok
-            hits += p_hits
-        facts[id(node)] = (ok, hits)
-    return facts
-
-
 def _check_rounds(e: int, max_m: int):
     """table-regeneration's cases and first counterexample for e, then
-    derivation-replay's, then its boundary-gate-audit hits, from one pass
-    over `proofs.pairs(e, max_m)`, which are dropped (with every derivation)
-    on return."""
+    derivation-replay's, then its boundary-gate-audit hits, from
+    `proofs.pairs(e, max_m)`, which are dropped (with every derivation) on
+    return.  The pairs are keyed by their derivations' rule ids.
+
+    Every pair's derivation is replayed with one memo, so each node of
+    their DAG is replayed once.  A boundary-radon condition's replay is the
+    whole audit of its gate, the Hurwitz-Radon bound included, so the audit
+    only counts them, on every path down from each pair."""
     from . import proofs  # here, so that the other scopes never load it
     expected = _expected_rounds(e, max_m)
     try:
         pairs = proofs.pairs(e, max_m)
     except RoundsDivergenceError as exc:
         return len(expected), (e, str(exc)), 0, None, 0
-    produced = {(b.rule_id, m): b.dim for m, b in pairs}
+    produced = {(b.derivation.rule_id, m): b.dim for m, b in pairs}
     table_bad = None
     if produced != expected:
         for key in sorted(set(produced) ^ set(expected)):
@@ -523,15 +506,13 @@ def _check_rounds(e: int, max_m: int):
                 table_bad = table_bad or (e, *key, produced[key],
                                           expected[key])
 
-    replay_bad = None
-    audit_hits = 0
-    facts = _replay_facts(b.derivation for _, b in pairs)
-    for m, b in pairs:
-        ok, hits = facts[id(b.derivation)]
-        if not ok:
-            replay_bad = replay_bad or (e, m, b.rule_id)
-        audit_hits += hits
-    return len(expected), table_bad, len(pairs), replay_bad, audit_hits
+    memo: dict[int, bool] = {}
+    replay_bad = next(((e, m, b.derivation.rule_id) for m, b in pairs
+                       if not b.derivation.replay(memo)), None)
+    hits = on_paths((b.derivation for _, b in pairs),
+                    lambda c: c.kind is proofs.BOUNDARY_RADON)
+    return (len(expected), table_bad, len(pairs), replay_bad,
+            sum(hits[id(b.derivation)] for _, b in pairs))
 
 
 def verify_rounds() -> list[CheckResult]:

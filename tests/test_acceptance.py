@@ -91,7 +91,8 @@ def test_c03_table_regeneration():
             expected[("round2:step", m)] = 16 * ell + dlt
             if ell % 2 == 0 and alpha(ell) >= 2:
                 expected[("round2:sharp", m)] = 16 * ell + dlt - 1
-        produced = {(b.rule_id, m): b.dim for m, b in pairs(e, max_m)}
+        produced = {(b.derivation.rule_id, m): b.dim
+                    for m, b in pairs(e, max_m)}
         assert produced == expected, e
     passed(3, "table-regeneration (e <= 8, ell <= 100)")
 

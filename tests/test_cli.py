@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -305,7 +306,7 @@ def test_query_table_derive_timings_go_to_stderr(capsys):
                            "--timings")
     pairs = proofs.pairs(2, 51)
     best = min((b for m, b in pairs if m == 51), key=lambda b: b.dim)
-    assert best.rule_id == "round2:sharp"
+    assert best.derivation.rule_id == "round2:sharp"
     nodes = unique_nodes([best.derivation])
     assert len(nodes) < len(unique_nodes(b.derivation for _, b in pairs))
     assert code == 0 and err.endswith(
@@ -434,6 +435,13 @@ def test_reader_leaving_exits_141():
                         b"R^1602 (smooth)\n"
 
 
+def _shell_run(redirect: str, argv, env, **kwargs):
+    """Run the CLI under `sh` with `redirect` applied to it alone."""
+    return subprocess.run(
+        ["sh", "-c", f'"$0" -m lensbounds.cli "$@" {redirect}',
+         sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
 def test_closed_stdout_exits_141():
     # as `query --m 3 --e 3 >&-`; a command with no stdout keeps its code
     for env in _ENVS:
@@ -442,12 +450,48 @@ def test_closed_stdout_exits_141():
                 (("derive", "--m", "2", "--e", "3"),
                  (1, "no inductive derivation exists for m=2 "
                      "(the rounds start at m=3)\n"))):
-            proc = subprocess.run(
-                ["sh", "-c", '"$0" -m lensbounds.cli "$@" >&-',
-                 sys.executable, *argv], env=env, capture_output=True,
-                text=True, timeout=120)
+            proc = _shell_run(">&-", argv, env, capture_output=True,
+                              text=True)
             assert (proc.returncode, proc.stderr) == want, \
                 (argv, env.get("PYTHONUNBUFFERED"))
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="no /dev/full")
+
+
+@_NO_DEV_FULL
+def test_stderr_that_cannot_be_written_costs_no_stdout():
+    # as `query --m 5 --e 3 --timings 2>/dev/full` and `... 2>&-`: the
+    # diagnostics are lost, and the exit code and stdout are a plain run's
+    for argv, code in ((("query", "--m", "5", "--e", "3"), 0),
+                       (("derive", "--m", "7", "--e", "2"), 0),
+                       (("verify", "lifting"), 0),
+                       (("derive", "--m", "2", "--e", "3"), 1),
+                       (("query", "--m", "5"), 1)):  # a usage error
+        plain = subprocess.run(
+            [sys.executable, "-m", "lensbounds.cli", *argv], env=_BUFFERED_ENV,
+            capture_output=True, timeout=120)
+        assert (plain.returncode, bool(plain.stdout)) == (code, not code)
+        for redirect in ("2>/dev/full", "2>&-"):
+            proc = _shell_run(redirect, (*argv, "--timings"), _BUFFERED_ENV,
+                              stdout=subprocess.PIPE)
+            assert (proc.returncode, proc.stdout) == (
+                plain.returncode, plain.stdout), (argv, redirect)
+
+
+@_NO_DEV_FULL
+def test_stdout_that_cannot_be_written_exits_74():
+    # as `table --e 2 --max-m 32 --format csv > /dev/full`: one line on
+    # stderr and no traceback
+    argv = ("table", "--e", "2", "--max-m", "32", "--format", "csv")
+    for env in _ENVS:
+        proc = _shell_run(">/dev/full", argv, env, capture_output=True,
+                          text=True)
+        assert (proc.returncode, proc.stderr) == (
+            cli.EXIT_IOERR,
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"), \
+            env.get("PYTHONUNBUFFERED")
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -148,7 +148,7 @@ def test_run_rounds_closed_forms():
         dlt = delta_e(e)
         produced = {}
         for m, b in pairs(e, 103):
-            produced.setdefault((b.rule_id, m), b.dim)
+            produced.setdefault((b.derivation.rule_id, m), b.dim)
         for ell in range(1, 52):
             m = 2 * ell + 1
             if m > 103:
@@ -170,7 +170,8 @@ def test_run_rounds_closed_forms():
 def test_external_flagging():
     # the e=1 second round rests on the external PL seed; round 1 does not
     for m, b in pairs(1, 47):
-        if b.rule_id.startswith("round2:") and b.rule_id != "round2:special":
+        rule_id = b.derivation.rule_id
+        if rule_id.startswith("round2:") and rule_id != "round2:special":
             assert b.external
         else:
             assert not b.external
@@ -398,7 +399,7 @@ def test_a_builder_keeps_no_derivation(capsys):
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        held_pairs = pairs(3, 403)
+        held_pairs = pairs(3, 803)
         held, _ = tracemalloc.get_traced_memory()
         del held_pairs
         gc.collect()
@@ -463,7 +464,7 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     assert below == shape(pairs(3, 23))
     assert shape([(25, prove(25, 3, lambda outputs: 1))]) == shape(
         (m, b) for m, b in pairs(3, 40)
-        if (m, b.rule_id) == (25, "round1:sharp"))
+        if (m, b.derivation.rule_id) == (25, "round1:sharp"))
 
 
 def test_verify_rounds_checks_the_chain_below_m(monkeypatch):

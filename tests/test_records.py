@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 
 import pytest
 
@@ -53,6 +54,29 @@ def test_derivation_tree_serialization():
     assert root.replay()
     assert [n.rule_id for n in unique_nodes([root])] == [
         "axiom:igniting", "round1:base"]
+
+
+def test_roots_sharing_a_memo_replay_each_node_once():
+    checks = Counter()
+
+    def check(name):
+        checks[name] += 1
+        return True
+    kind = ConditionKind("counted", check)
+    base = DerivationNode("base", "base", (),
+                          (SideCondition(kind, ("base",), ""),))
+    mid = DerivationNode("mid", "mid", (base,),
+                         (SideCondition(kind, ("mid",), ""),))
+    left = DerivationNode("left", "left", (mid, base))
+    right = DerivationNode("right", "right", (mid,))
+    memo = {}
+    assert left.replay(memo) and right.replay(memo)
+    assert checks == {"base": 1, "mid": 1}
+    assert set(memo) == {id(n) for n in (base, mid, left, right)}
+    # a replay given no memo also checks each shared node once
+    checks.clear()
+    assert DerivationNode("top", "top", (left, right)).replay()
+    assert checks == {"base": 1, "mid": 1}
 
 
 def test_unique_nodes_lists_a_shared_premise_once():

@@ -12,7 +12,7 @@ from lensbounds.dyadic import nu, radon_pair
 from lensbounds.lifting import davis_mahowald_check, sharpening_drop
 from lensbounds.proofs import BOUNDARY_RADON, pairs
 from lensbounds.records import (ConditionKind, DerivationNode, SideCondition,
-                                unique_nodes)
+                                on_paths, unique_nodes)
 from test_inductive import _state
 
 # the stdout of `verify all`: each scope's check lines, in scope order, then
@@ -329,7 +329,9 @@ def test_replay_facts_count_a_shared_premise_on_every_path():
         top = DerivationNode("top", "top", (
             DerivationNode("left", "left", (shared,)),
             DerivationNode("right", "right", (shared,))))
-        assert verify._replay_facts([top])[id(top)] == (ok, 2)
+        assert top.replay({}) is ok
+        hits = on_paths([top], lambda c: c.kind is BOUNDARY_RADON)
+        assert hits[id(top)] == 2
 
 
 def test_replay_failure_names_the_first_bound(monkeypatch):
@@ -345,7 +347,7 @@ def test_replay_failure_names_the_first_bound(monkeypatch):
     monkeypatch.setattr(proofs, "FEEDING_AMBIENT", cond.kind._replace(
         check=lambda *args: args != cond.args and predicate(*args)))
 
-    want = next((e, m, b.rule_id)
+    want = next((e, m, b.derivation.rule_id)
                 for e, proved in _rounds_roots() for m, b in proved
                 if not b.derivation.replay())
 

@@ -8,9 +8,11 @@ SIGPIPE) stdout closed, or its reader gone before it was written.
 
 Each subcommand forms its whole stdout and returns it with its exit code;
 `main` alone writes it, once, after the command's last check, so a command
-that fails leaves stdout empty.  Every diagnostic goes through `_warn`, and
-a diagnostic never costs stdout or the exit code: where stderr cannot be
-written, or is closed, the line is dropped.
+that fails leaves stdout empty.  The help that `--help` asks for is written
+the same way, with the same exit codes when stdout fails.  Every
+diagnostic goes through `_warn`, and a diagnostic never costs stdout or
+the exit code: where stderr cannot be written, or is closed, the line is
+dropped.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ COLUMNS = ("m", "dim", "e", "lower", "lower_rule", "upper", "upper_rule",
            "upper_category", "gap", "eff", "exact")
 
 
+class _Help(Exception):
+    """The help a parser was asked for (`--help`), which `main` writes to
+    stdout as it writes a command's."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         # argparse builds a formatter for every argument it adds; at a fixed
@@ -54,6 +61,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         _warn(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _to_devnull(fd: int) -> None:
@@ -385,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _Help as exc:
+        return _write_stdout(exc.args[0], EXIT_OK)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     args.started = started
@@ -399,10 +411,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _warn(f"error: {exc}")
         return EXIT_USAGE
+    return _write_stdout("".join(f"{line}\n" for line in lines), code)
+
+
+def _write_stdout(text: str, code: int) -> int:
+    """Write `text`, a command's whole stdout, and return the command's
+    exit `code`, or the code of the write that failed."""
     if sys.stdout is None:  # fd 1 was closed when the process started
-        return EXIT_PIPE if lines else code
+        return EXIT_PIPE if text else code
     try:
-        _write_all(sys.stdout, "".join(f"{line}\n" for line in lines))
+        _write_all(sys.stdout, text)
     except BrokenPipeError:  # the reader has left
         _to_devnull(1)
         return EXIT_PIPE

@@ -8,21 +8,21 @@ embedding of L(k+j+1, e) in R^(alpha+beta+1) whenever the bundle passes
 `lifting.radon_gate`, the Hurwitz-Radon gate that also certifies the
 feeds: general position (sigma+beta > 4j+2) or its boundary.  Round mu
 runs k = 2^mu - 1 and reaches m = 2^mu (ell+1) - 1 at step ell.
-`round_forms` is the one closed-form table of both rounds: `records`
-checks every output against it, and `verify` recomputes it independently.
+
+Each step ell >= 2 is stated once, as linear forms in ell: `step_forms`
+(sigma, j, beta and the output's dim) and `lifting.feed_forms` (the feed's
+instance).  `records` evaluates them at one ell, gates the step as plain
+integers, checks its output against the dim form and returns one named
+`Step` per output, which carries everything `proofs` builds its node from;
+`verify`'s round-schema proves the same forms for every ell, against a
+closed form it recomputes independently, and gates the grounds (ell = 1).
 `at` is the one source of the catalog's round bounds, and so the only
-round check a `query` or `table` makes.  `_round_bound` names every round
-bound, `at`'s and `proofs`', from one table keyed by the rule id; the
-derivation nodes keep the rule id, which `derive` prints.  Each step is a
-pure function of (mu, ell, e): `records` evaluates its gates as plain
-integers and reads the steps below only through `round_forms`.  The
-module keeps no state: `at(m, e)` gates only m's own steps, since `verify
-rounds` proves every step ell >= 2 of both rounds for every ell (its
-round-schema check) and gates the grounds.  On demand, `proofs` walks a
-round's chain up to a step and turns each step it passes into
-DerivationNodes, keeping none of them once it returns.  This module makes
-no derivation: the kinds of their side conditions, and the checks that
-replay them, are defined in `proofs`.
+round check a `query` or `table` makes: it gates only m's own steps, and
+keeps no state.  `_round_bound` names every round bound, `at`'s and
+`proofs`', from one table keyed by the rule id; the derivation nodes keep
+the rule id, which `derive` prints.  This module makes no derivation: the
+kinds of their side conditions, and the checks that replay them, are
+defined in `proofs`.
 
 The third round (k=7) is deliberately not run: it yields nothing new for
 e >= 2, and the larger section counts sometimes quoted for e = 1 rest on
@@ -30,6 +30,8 @@ improperly argued immersions.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .dyadic import alpha
 from .lifting import (embedding_gate, feeding_params, radon_gate,
@@ -75,16 +77,38 @@ def delta_e(e: int) -> int:
 ROUND2_SPECIAL = 26
 
 
-def round_forms(mu: int, ell: int, e: int) -> tuple[int, int | None]:
-    """Closed forms of round mu at step ell, m = 2^mu (ell + 1) - 1.
+def _sections(k: int, e: int) -> int:
+    """sigma_{k,e}; raises RoundsDivergenceError where it is not tabulated."""
+    sigma = sections_table(k, e)
+    if sigma is None:
+        raise RoundsDivergenceError(
+            f"no tabulated igniting embedding for k={k}, e={e}")
+    return sigma
 
-    The main output R^(8 ell + 3) (mu = 1) or R^(16 ell + delta(e))
-    (mu = 2), and the sharpened output one dimension lower when the feed's
-    sharpening drop applies (None otherwise).
-    """
+
+def step_forms(mu: int, lam: int, e: int) -> tuple[
+        int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """Output lam (0 main, 1 sharpened) of step ell >= 2 of round mu, for
+    every ell at once: sigma, then j, beta and the output's dim, each a
+    linear form c1*ell + c0 as (c1, c0).  The step extends L(k, e) in
+    R^(4k+2), k = 2^mu - 1, with its tabulated sigma sections, by L(j, e),
+    j = 2^mu ell - 1, in R^beta: the main output at ell - 1, one higher
+    unless sharpened.  The main output is R^(8 ell + 3) (mu = 1) or
+    R^(16 ell + delta(e)) (mu = 2), the sharpened one one lower."""
+    k = 2**mu - 1
+    c1, c0 = (8, 3) if mu == 1 else (16, delta_e(e))
+    return (_sections(k, e), (k + 1, -1), (c1, c0 - c1 + 1 - lam),
+            (c1, c0 - lam))
+
+
+def round_forms(mu: int, ell: int, e: int) -> tuple[int, int | None]:
+    """Closed forms of round mu at step ell, m = 2^mu (ell + 1) - 1: the
+    main output of `step_forms`, and the sharpened output one dimension
+    lower when the feed's sharpening drop applies (None otherwise)."""
     if mu not in (1, 2):
         raise ValueError(f"mu must be 1 or 2, got {mu}")
-    main = 8 * ell + 3 if mu == 1 else 16 * ell + delta_e(e)
+    _, _, _, (c1, c0) = step_forms(mu, 0, e)
+    main = c1 * ell + c0
     return main, main - 1 if sharpening_drop(ell) else None
 
 
@@ -109,15 +133,6 @@ def _feed_ambient(mu: int, ell: int, e: int, lam: int) -> int:
     return ambient
 
 
-def _sections(k: int, e: int) -> int:
-    """sigma_{k,e}; raises RoundsDivergenceError where it is not tabulated."""
-    sigma = sections_table(k, e)
-    if sigma is None:
-        raise RoundsDivergenceError(
-            f"no tabulated igniting embedding for k={k}, e={e}")
-    return sigma
-
-
 def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
     if dim != expected:
         got = "nothing" if dim is None else f"R^{dim}"
@@ -127,11 +142,19 @@ def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
     return dim
 
 
-# The integer record of one output: its rule id, its dimension, the gate
-# that fired (see `lifting.radon_gate`), beta and the feed's ambient; for
-# the ground of round 2, a weakening, ("round2:base", dim, None, the
-# dimension weakened, None).
-_Step = tuple[str, int, tuple[int, ...] | None, int, int | None]
+class Step(namedtuple("Step", "rule_id dim radon beta feed mu ell lam "
+                      "alpha sigma")):
+    """The integer record of one output of step ell of round mu, which
+    reaches m = 2^mu (ell + 1) - 1 from k = 2^mu - 1 and j = 2^mu ell - 1:
+    its rule id and dimension, the gate that fired (see
+    `lifting.radon_gate`), beta, the feed's ambient, then lam (0 main, 1
+    sharpened) and the alpha and sigma of the embedding of L(k, e) it
+    extends.  The ground of round 2 (`round2:base`) is a weakening: beta is
+    the dimension it weakens, and it has no gate, feed, alpha or sigma.
+    `records` builds each with `tuple.__new__`, skipping the argument
+    parsing of the generated constructor."""
+
+    __slots__ = ()
 
 
 # the name and citation of the bounds of each rule, by its rule id; the
@@ -148,89 +171,89 @@ _NAMES = {
 }
 
 
-def _round_bound(e: int, mu: int, m: int, record: _Step,
+def _round_bound(e: int, record: Step,
                  derivation: DerivationNode | None = None) -> Bound:
-    """The bound of the record of round mu at m, under its rule's name."""
-    rule_id = record[0]
+    """The bound of `record`, under its rule's name."""
+    rule_id, dim, _, _, _, mu, ell, _, _, _ = record
+    m = 2**mu * (ell + 1) - 1
     # the e = 1 second round rests on the external PL seed
     external = mu == 2 and e == 1 and rule_id != "round2:special"
-    return upper_bound(2 * m + 1, record[1], *_NAMES[rule_id], derivation,
+    return upper_bound(2 * m + 1, dim, *_NAMES[rule_id], derivation,
                        external=external)
-
-
-def _main_dim(mu: int, ell: int, e: int) -> int:
-    """The main output of round mu at step ell, the next step's prior: the
-    ground of round 2 weakens to R^(17 + delta(e)), every other main is on
-    `round_forms`."""
-    if (mu, ell) == (2, 1):
-        return 17 + delta_e(e)
-    return round_forms(mu, ell, e)[0]
 
 
 # per round, the rule ids of its steps' main and sharpened outputs: one
 # string each, shared by every record, bound and node of the round
 _RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
 
+_new = tuple.__new__
 
-def _step(e: int, rule_id: str, k: int, j: int, alpha_dim: int, beta: int,
-          sigma: int, feed: int, expected: int) -> _Step:
-    """Gate one step and check its output against `expected`."""
+
+def _step(e: int, rule_id: str, mu: int, ell: int, lam: int, j: int,
+          alpha_dim: int, beta: int, sigma: int, expected: int) -> Step:
+    """Gate output lam of step ell of round mu, L(k + j + 1, e) in
+    R^(alpha + beta + 1), k = 2^mu - 1, with its feed, and check the
+    output against `expected`."""
+    feed = _feed_ambient(mu, ell, e, lam)
+    k = 2**mu - 1
     radon = radon_gate(j, k + 1, sigma + beta)
     dim = None if radon is None else alpha_dim + beta + 1
-    return (rule_id, _check_form(dim, expected, k + j + 1, e), radon, beta,
-            feed)
+    return _new(Step, (rule_id, _check_form(dim, expected, k + j + 1, e),
+                       radon, beta, feed, mu, ell, lam, alpha_dim, sigma))
 
 
-def records(mu: int, ell: int, e: int) -> tuple[_Step, ...]:
+def _stated(e: int, mu: int, ell: int, lam: int) -> Step:
+    """Output lam of step ell >= 2 of round mu, gated on the values of
+    `step_forms` at ell, from R^(4k+2)."""
+    sigma, (j1, j0), (b1, b0), (d1, d0) = step_forms(mu, lam, e)
+    return _step(e, _RULES[mu][lam], mu, ell, lam, j1 * ell + j0,
+                 4 * 2**mu - 2, b1 * ell + b0, sigma, d1 * ell + d0)
+
+
+def records(mu: int, ell: int, e: int) -> tuple[Step, ...]:
     """The records of the outputs of step ell of round mu (k = 2^mu - 1),
-    m = 2^mu (ell + 1) - 1, each gated and checked against `round_forms`:
-    the main, then the sharpened output where it applies.  The ground of
-    round 2 (ell = 1) gives the special triple (e <= 2), then the weakened
+    m = 2^mu (ell + 1) - 1, each gated and checked against its closed
+    form: the main, then the sharpened output where it applies, each
+    evaluated from `step_forms`.  The ground of round 1 extends L(1, e) in
+    R^5, whose normal bundle is trivial (sigma = 2), by itself; the ground
+    of round 2 gives the special triple (e <= 2), then the weakened
     L(7, e) in R^(17 + delta(e)).
 
     This is the only place a gate is evaluated, and it reads the steps
     below only through their closed forms."""
-    k, sigma = 2**mu - 1, _sections(2**mu - 1, e)
-    if ell == 1 and mu == 1:
-        # k = j = 1 from R^5, sigma = 2
-        return (_step(e, "round1:base", 1, 1, 5, 5, 2,
-                      _feed_ambient(1, 1, e, 0), round_forms(1, 1, e)[0]),)
-    if ell == 1:
-        special: tuple[_Step, ...] = ()
-        if e <= 2:
-            special = (_step(e, "round2:special", 3, 3, 14, _main_dim(1, 1, e),
-                             sigma, _feed_ambient(2, 1, e, 0),
-                             ROUND2_SPECIAL),)
-        have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
-            else _main_dim(1, 3, e)
-        return special + (("round2:base", _main_dim(2, 1, e), None, have,
-                           None),)
-    j = 2**mu * ell - 1
-    main, sharp_dim = round_forms(mu, ell, e)
-    step_rule, sharp_rule = _RULES[mu]
-    out = (_step(e, step_rule, k, j, 4 * k + 2,
-                 round_forms(mu, ell - 1, e)[0] + 1, sigma,
-                 _feed_ambient(mu, ell, e, 0), main),)
-    if sharp_dim is None:
-        return out
-    return out + (_step(e, sharp_rule, k, j, 4 * k + 2,
-                        _main_dim(mu, ell - 1, e), sigma,
-                        _feed_ambient(mu, ell, e, 1), sharp_dim),)
+    if ell >= 2:
+        main = _stated(e, mu, ell, 0)
+        return (main, _stated(e, mu, ell, 1)) if sharpening_drop(ell) \
+            else (main,)
+    main1 = round_forms(1, 1, e)[0]
+    if mu == 1:
+        return (_step(e, "round1:base", 1, 1, 0, 1, 5, 5, 2, main1),)
+    sigma = _sections(3, e)
+    special: tuple[Step, ...] = ()
+    if e <= 2:
+        special = (_step(e, "round2:special", 2, 1, 0, 3, 14, main1, sigma,
+                         ROUND2_SPECIAL),)
+    have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
+        else round_forms(1, 3, e)[0]
+    return special + (_new(Step, ("round2:base", 17 + delta_e(e), None, have,
+                                  None, 2, 1, 0, None, None)),)
 
 
-def _steps_at(m: int, e: int) -> list[tuple[int, int, tuple[_Step, ...]]]:
-    """(mu, ell, records) of each round's step that reaches exactly m, round
-    1 first, each gated once; each round's sigma is looked up, so a missing
-    one fails even where no step reaches m."""
+def _steps_at(m: int, e: int) -> list[Step]:
+    """The records of each round's step that reaches exactly m, round 1
+    first, each step gated once; each round's sigma is looked up, by
+    `records` or here, so a missing one fails even where no step reaches
+    m."""
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    steps = []
+    found = []
     for mu in (1, 2):
-        _sections(2**mu - 1, e)
         ell, rest = divmod(m + 1, 2**mu)  # m = 2^mu (ell + 1) - 1
         if rest == 0 and ell >= 2:
-            steps.append((mu, ell - 1, records(mu, ell - 1, e)))
-    return steps
+            found.extend(records(mu, ell - 1, e))
+        else:
+            _sections(2**mu - 1, e)
+    return found
 
 
 def at(m: int, e: int) -> tuple[Bound, ...]:
@@ -239,5 +262,4 @@ def at(m: int, e: int) -> tuple[Bound, ...]:
     lookup costs O(log m) at any m.  The chain below m needs no re-check:
     `verify rounds` (round-schema) proves every step ell >= 2 for every
     ell, and gates the grounds.  Only `proofs` makes derivations."""
-    return tuple(_round_bound(e, mu, m, r) for mu, _, step in _steps_at(m, e)
-                 for r in step)
+    return tuple([_round_bound(e, r) for r in _steps_at(m, e)])

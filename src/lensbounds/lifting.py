@@ -4,7 +4,9 @@ The inductive engine consumes embeddings of Whitney multiples
 2^mu * eta over L(i, e) into R^(4i+3) (and a one-dimension sharpening).
 Their existence reduces to arithmetic: one Hurwitz-Radon gate
 (`radon_gate`), which certifies both these feeds and the inductive step,
-applied here to the triple (n, m, d) describing the normal representative,
+applied here to the triple (n, m, d) describing the normal representative
+(`feed_forms` states it once, as linear forms in the round's step ell,
+which `feeding_params` evaluates and `verify`'s round-schema proves),
 a parity/digit-sum rule deciding when the sharpened variant applies, and
 the Davis-Mahowald lifting conditions, whose valuations are the same
 integers for every large N.
@@ -69,22 +71,32 @@ def embedding_gate(inst: LiftInstance) -> int | None:
     return ambient
 
 
-def feeding_params(mu: int, ell: int, lam: int) -> LiftInstance:
-    """The gate instance behind the feeding embedding for (mu, ell).
-
+def feed_forms(mu: int, lam: int) -> tuple[tuple[int, int], ...]:
+    """The instance (n, m, d) of the feed of round mu, sharpened by lam,
+    for every ell at once, each a linear form c1*ell + c0 as (c1, c0):
     n = 2^mu*ell - 1, m = 2^mu*(ell+1) - 1, d = 2^(mu+1)*(ell-1) - lam.
-    Rejected when the drop would make d negative (ell = 1).
-    """
+    `feeding_params` evaluates them, and `verify`'s round-schema proves
+    the feed's gate on them for every ell."""
     if mu not in (1, 2):
         raise ValueError(f"mu must be 1 or 2, got {mu}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     if lam not in (0, 1):
         raise ValueError(f"lam must be 0 or 1, got {lam}")
-    d = 2 ** (mu + 1) * (ell - 1) - lam
+    p = 2**mu
+    return (p, -1), (p, p - 1), (2 * p, -2 * p - lam)
+
+
+def feeding_params(mu: int, ell: int, lam: int) -> LiftInstance:
+    """The gate instance behind the feeding embedding for (mu, ell): the
+    forms of `feed_forms` at ell.  Rejected when the drop would make d
+    negative (ell = 1).
+    """
+    (n1, n0), (m1, m0), (d1, d0) = feed_forms(mu, lam)
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
+    d = d1 * ell + d0
     if d < 0:
         raise ValueError(f"fiber dimension would be negative (ell={ell}, lam={lam})")
-    return LiftInstance(n=2**mu * ell - 1, m=2**mu * (ell + 1) - 1, d=d)
+    return LiftInstance(n1 * ell + n0, m1 * ell + m0, d)
 
 
 # the gate's verdict and the valuations of C(p, 4l-4) and C(p, 4l-2)

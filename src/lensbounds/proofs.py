@@ -4,7 +4,10 @@
 `pairs` (`verify`) and `prove` (`derive`) are this module's entry points;
 its one walk, `_walk`, climbs a round's chain from its ground to a step:
 it gates each step through `records` and proves each main output on the
-main before it.
+main before it.  One builder, `_output`, turns any of the named `Step`
+records that `records` returns into its node, on the output it stands on:
+every number of the node (k, j, m, alpha, sigma, beta and the feed, the
+grounds' too) is read or worked out from the record.
 A walk keeps nothing once it returns, so each call proves afresh and its
 derivations live as long as its caller holds them.  `query` and `table`
 never load this module.
@@ -21,7 +24,7 @@ from collections.abc import Sequence
 
 from . import inductive
 from .dyadic import alpha, nu, radon_pair
-from .inductive import (_round_bound, _sections, _Step, _steps_at, records,
+from .inductive import (Step, _round_bound, _sections, _steps_at, records,
                         sections_table)
 from .lifting import davis_mahowald_check, embedding_gate, feeding_params
 from .records import (Bound, ConditionKind, DerivationNode, SideCondition,
@@ -109,120 +112,93 @@ def prove(m: int, e: int, pick) -> Bound | None:
     once (but for the first steps of round 1, which round 2's ground also
     proves); the other round's steps are not, as round-schema proves them.
     """
-    steps = _steps_at(m, e)
-    index = pick(tuple(_round_bound(e, mu, m, r)
-                       for mu, _, top in steps for r in top))
+    found = _steps_at(m, e)
+    index = pick(tuple([_round_bound(e, r) for r in found]))
     if index is None:
         return None
-    for mu, ell, top in steps:
-        if index < len(top):
-            break
-        index -= len(top)
-    else:
-        raise IndexError(f"no output {index} at m={m}")
+    record = found[index]
+    top = tuple(r for r in found if r.mu == record.mu)
     mains1 = []
-    if mu == 2:
+    if record.mu == 2:
         mains1 = [main for main, _ in _walk(e, 1, 1 if e <= 2 else 3,
                                             every=False)]
-    for _, outputs in _walk(e, mu, ell, top, every=False, mains1=mains1):
+    for _, outputs in _walk(e, record.mu, record.ell, top, every=False,
+                            mains1=mains1):
         pass
-    return outputs[index]
+    return outputs[top.index(record)]
 
 
-def _walk(e: int, mu: int, last: int, top: tuple[_Step, ...] | None = None,
+def _walk(e: int, mu: int, last: int, top: tuple[Step, ...] | None = None,
           every: bool = True, mains1: Sequence[Bound] = ()):
     """Walk round mu from its ground to step `last`, yielding (main,
     outputs) per step: every output, or, unless `every`, only the main
     below `last`.  Each step is gated by `records`, but for step `last`
     when the caller gives its records `top`; each main is proved on the one
     before it.  `mains1` holds round 1's mains, by ell - 1, for the ground
-    of round 2."""
-    k, sigma = 2**mu - 1, _sections(2**mu - 1, e)
-    ignite = igniting_node(k, e, sigma)
+    of round 2: its special step stands on the main at m = 3, and its
+    weakening on the main at m = 7 (e >= 3), on the special output
+    (e = 2) or on the external PL seed (e = 1)."""
+    k = 2**mu - 1
+    ignite = igniting_node(k, e, _sections(k, e))
     main = None
     for ell in range(1, last + 1):
         step = top if ell == last and top is not None else records(mu, ell, e)
-        if ell == 1:
-            outputs = (_ground1(e, step) if mu == 1
-                       else _ground2(e, sigma, step, ignite, mains1))
-            main = outputs[-1]
-        else:
-            if not every and ell < last:
-                step = step[:1]
-            outputs = [_chained(e, mu, ell, sigma, record, ignite, main, lam)
-                       for lam, record in enumerate(step)]
-            main = outputs[0]
+        if ell > 1 and not every and ell < last:
+            step = step[:1]
+        outputs: list[Bound] = []
+        for record in step:
+            prior = main
+            if (mu, ell) == (2, 1):
+                prior = (mains1[0] if record.radon is not None
+                         else mains1[2] if e >= 3
+                         else outputs[0] if e == 2 else None)
+            outputs.append(_output(e, record, ignite, prior))
+        main = outputs[-1] if ell == 1 else outputs[0]
         yield main, outputs
 
 
-def _step(e: int, mu: int, m: int, record: _Step, alpha_dim: int,
-          sigma: int, feed: DerivationNode, lead: tuple,
-          extra: tuple[SideCondition, ...] = ()) -> Bound:
-    """The output of `record`, round mu at m, with its derivation: premises
-    `lead`, then the feed."""
-    rule_id, _, radon, beta, feed_dim = record
-    k = 2**mu - 1
-    node = step_node(
-        rule_id, k, m - k - 1, e, alpha_dim, beta, sigma, radon,
-        lead + (feed,),
-        (SideCondition(FEED_WITHIN, (feed_dim, sigma, beta), _within_text),)
-        + extra)
-    return _round_bound(e, mu, m, record, node)
-
-
-def _chained(e: int, mu: int, ell: int, sigma: int, record: _Step,
-             ignite: DerivationNode, prior: Bound, lam: int) -> Bound:
-    """The output of `record`, step ell >= 2 of round mu, on the prior
-    main output: the main (lam = 0) or the sharpened one (lam = 1)."""
-    k = 2**mu - 1
-    text = (_reuse_text if lam else _one_higher_text if mu == 1
-            else _from_prior_text)
-    return _step(
-        e, mu, 2**mu * (ell + 1) - 1, record, 4 * k + 2, sigma,
-        feed_node(mu, ell, e, lam, record[4]), (ignite, prior.derivation),
-        (SideCondition(BETA_FROM_PRIOR, (record[3], prior.dim), text),))
-
-
-def _ground1(e: int, records: tuple[_Step, ...]) -> list[Bound]:
-    """L(3, e) in R^11: the step k = j = 1 from R^5, sigma = 2."""
-    (record,) = records
-    dim3 = DerivationNode(
-        "axiom:dim3-embedding",
-        f"L(m=1, e={e}) embeds smoothly in R^5 (every 3-dim lens "
-        "space does)")
-    frame = DerivationNode(
-        "axiom:dim3-normal-frame",
-        "the R^5 embedding of L(1, e) has trivial normal 2-plane "
-        "bundle: sigma = 2 independent normal sections")
-    return [_step(e, 1, 3, record, 5, 2, feed_node(1, 1, e, 0, record[4]),
-                  (dim3, frame))]
-
-
-def _ground2(e: int, sigma: int, records: tuple[_Step, ...],
-             ignite: DerivationNode,
-             mains1: Sequence[Bound]) -> list[Bound]:
-    """The special triple (e <= 2), on round 1's main at m = 3, then the
-    ground L(7, e), which weakens the PL seed (e = 1), the special output
-    (e = 2) or round 1's main at m = 7 (e >= 3)."""
-    *special, base = records
-    outputs = [_step(e, 2, 7, record, 14, sigma,
-                     feed_node(2, 1, e, 0, record[4]),
-                     (ignite, mains1[0].derivation))
-               for record in special]
-    if e >= 3:
-        have_node = mains1[2].derivation
-    elif e == 2:
-        have_node = outputs[0].derivation
-    else:
-        have_node = DerivationNode(
+def _output(e: int, record: Step, ignite: DerivationNode,
+            prior: Bound | None) -> Bound:
+    """The output of `record` with its derivation, on the output `prior`
+    it stands on: a weakening (round 2's ground) of prior, or of the
+    external PL seed where there is none; round 1's ground, on the axioms
+    of L(k, e) in R^alpha with sigma normal sections, and its feed; any
+    other step on the igniting embedding, prior and its feed, from ell = 2
+    with beta checked against prior's dimension."""
+    rule_id, dim, radon, beta, feed, mu, ell, lam, alpha_dim, sigma = record
+    k, j = 2**mu - 1, 2**mu * ell - 1
+    if radon is None:
+        m = k + j + 1
+        have = prior.derivation if prior is not None else DerivationNode(
             "axiom:pl-seed",
-            "PL embedding of the 15-dimensional 2-torsion space in R^23 "
-            "(external input)")
-    rule_id, dim, _, have_dim, _ = base
-    node = DerivationNode(
-        rule_id, f"L(m=7, e={e}) embeds in R^{dim}", (have_node,),
-        (SideCondition(WEAKENING, (have_dim, dim), _weakening_text),))
-    return outputs + [_round_bound(e, 2, 7, base, node)]
+            f"PL embedding of the {2 * m + 1}-dimensional 2-torsion space "
+            f"in R^{beta} (external input)")
+        node = DerivationNode(
+            rule_id, f"L(m={m}, e={e}) embeds in R^{dim}", (have,),
+            (SideCondition(WEAKENING, (beta, dim), _weakening_text),))
+        return _round_bound(e, record, node)
+    conditions = (SideCondition(FEED_WITHIN, (feed, sigma, beta),
+                                _within_text),)
+    if prior is None:
+        lead = (DerivationNode(
+                    "axiom:dim3-embedding",
+                    f"L(m={j}, e={e}) embeds smoothly in R^{alpha_dim} "
+                    "(every 3-dim lens space does)"),
+                DerivationNode(
+                    "axiom:dim3-normal-frame",
+                    f"the R^{alpha_dim} embedding of L({j}, e) has trivial "
+                    f"normal {sigma}-plane bundle: sigma = {sigma} "
+                    "independent normal sections"))
+    else:
+        lead = (ignite, prior.derivation)
+        if ell > 1:
+            text = (_reuse_text if lam else _one_higher_text if mu == 1
+                    else _from_prior_text)
+            conditions += (SideCondition(BETA_FROM_PRIOR, (beta, prior.dim),
+                                         text),)
+    node = step_node(rule_id, k, j, e, alpha_dim, beta, sigma, radon,
+                     lead + (feed_node(mu, ell, e, lam, feed),), conditions)
+    return _round_bound(e, record, node)
 
 
 # --- the kinds of the side conditions, each with the check that replays

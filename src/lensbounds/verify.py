@@ -12,9 +12,13 @@ from one set of proofs) and the Milgram density report through `_result` or
 
 The dyadic scope proves its four digit identities for every input, with
 the automata of `automata`, and ties each automaton to the package's
-functions on seeded random inputs.  Everything that pins down the exact
-public API (arbitrary-precision oracles, round replay, report soundness)
-runs through the real functions.  No scope imports numpy.
+functions on seeded random inputs.  The rounds scope's round-schema proves
+the engine's own linear forms of each step (`inductive.step_forms`,
+`lifting.feed_forms`), those `inductive.records` evaluates, against closed
+forms recomputed here (`_closed_form`, `_expected_rounds`).  Everything
+that pins down the exact public API (arbitrary-precision oracles, round
+replay, report soundness) runs through the real functions.  No scope
+imports numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .cohomology import (CohomologyRing, Mod2Class, is_spin, multiply,
 from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
                      radon_pair)
 from .inductive import delta_e, milgram_condition
-from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
-                      sharpening_drop, sharper_lifting_level)
+from .lifting import (davis_mahowald_check, embedding_gate, feed_forms,
+                      feeding_params, sharpening_drop, sharper_lifting_level)
 from .records import LensSpace, RoundsDivergenceError, on_paths
 
 
@@ -396,24 +400,6 @@ def _expected_rounds(e: int, max_m: int) -> dict[tuple[str, int], int]:
     return expected
 
 
-# The schema of output lam (0 main, 1 sharpened) of step ell >= 2 of round
-# mu, every ell at once: sigma, then j, beta and the output's dim, then the
-# feed's instance (n, m, d), each a linear form c1*ell + c0 as (c1, c0).
-_Schema = namedtuple("_Schema", "sigma j beta dim n m d")
-
-
-def _step_schema(e: int, mu: int, lam: int) -> _Schema:
-    """Step ell >= 2 of round mu as `inductive.records` takes it:
-    k = 2^mu - 1 from R^(4k+2) with the engine's sigma sections,
-    j = 2^mu ell - 1, beta the main output at ell - 1, one higher unless
-    sharpened, and the feed `feeding_params(mu, ell, lam)`."""
-    k, (c1, c0) = 2**mu - 1, _closed_form(mu, e)
-    beta = (c1, c0 - c1 + 1 - lam)
-    return _Schema(inductive._sections(k, e), (2**mu, -1), beta,
-                   (c1, 4 * k + 3 + beta[1]), (2**mu, -1), (2**mu, 2**mu - 1),
-                   (2 ** (mu + 1), -(2 ** (mu + 1)) - lam))
-
-
 def _fires(margin: tuple[int, int], need: int, count: int) -> bool:
     """Whether a gate fires for every ell on a margin linear in ell: a
     constant positive margin fires the strict gate, and a zero one the
@@ -425,38 +411,46 @@ def _fires(margin: tuple[int, int], need: int, count: int) -> bool:
 
 def _round_schema():
     """round-schema's outcomes: each step ell >= 2 of both rounds, for
-    every ell and e = 1..10, then each round's ground (ell = 1), gated by
+    every ell and e = 1..10, as the engine states it (`inductive.step_forms`
+    and `lifting.feed_forms`), then each round's ground (ell = 1), gated by
     `records`.
 
     Every e >= 3 is one class: `sections_table`, `delta_e` and
     `_feed_admissible` read e only through min(e, 3) (the last only at
-    ell = 1).  A step's gate and its feed's compare linear forms in ell,
-    whose margins must be constant (see `_fires`).  A boundary gate needs
-    2(k + 1), or 2(m - n), at most the Hurwitz-Radon count
-    F = 8a + 2^b - 1 of nu(2j + 2) = 4a + b, and F increases with 4a + b
-    (its steps are 1, 2, 4 and 1 whatever a is, checked first), so the
-    least valuation decides: nu(2j + 2) = nu(2^(mu+1)) + nu(ell), and
-    nu(ell) >= 1 where the sharpened output exists (ell even).  The output
-    must be its closed form, the feed's ambient 2m + d + 1 must be
-    4n + 3 - lam, and the feed must lie within R^(sigma + beta)."""
+    ell = 1).  The step's j and its feed's n must both be 2^mu ell - 1, so
+    that the step reaches m = 2^mu (ell + 1) - 1.  A step's gate and its
+    feed's compare linear forms in ell, whose margins must be constant (see
+    `_fires`).  A boundary gate needs 2(k + 1), or 2(m - n), at most the
+    Hurwitz-Radon count F = 8a + 2^b - 1 of nu(2j + 2) = 4a + b, and F
+    increases with 4a + b (its steps are 1, 2, 4 and 1 whatever a is,
+    checked first), so the least valuation decides: nu(2j + 2) =
+    nu(2^(mu+1)) + nu(ell), and nu(ell) >= 1 where the sharpened output
+    exists (ell even).  Beta must
+    be the main output at ell - 1 of `_closed_form`, one higher unless
+    sharpened, and the output R^(alpha + beta + 1), alpha = 4k + 2, and its
+    closed form; the feed's ambient 2m + d + 1 must be 4n + 3 - lam, and
+    the feed must lie within R^(sigma + beta)."""
     for b in range(4):
         # 8a + 2^b at c = 4a + b, and at c + 1 = 4(a + q) + r
         q, r = radon_pair(b + 1)
         yield None if 8 * q + 2**r > 2**b else ("radon-steps", b)
     for e in range(1, 11):
         for mu in (1, 2):
-            c1, c0 = _closed_form(mu, e)
+            k, (c1, c0) = 2**mu - 1, _closed_form(mu, e)
             for lam in (0, 1):
-                sigma, j, beta, dim, n, m, d = _step_schema(e, mu, lam)
+                sigma, j, beta, dim = inductive.step_forms(mu, lam, e)
+                n, m, d = feed_forms(mu, lam)
                 # F(t) with nu(t + 1) = nu(2^(mu+1)) + lam, the least
                 count = hurwitz_radon(2 ** (nu(2 * j[0]) + lam) - 1)
                 total = (2 * m[0] + d[0], 2 * m[1] + d[1])  # 2m + d
                 for name, ok in (
-                        ("valuation", 2 * j[1] + 2 == 0 and j == n),
+                        ("valuation", j == n == (k + 1, -1)),
                         ("gate", _fires((beta[0] - 4 * j[0],
                                          sigma + beta[1] - 4 * j[1] - 2),
                                         2 ** (mu + 1), count)),
-                        ("output", dim == (c1, c0 - lam)),
+                        ("output", beta == (c1, c0 - c1 + 1 - lam)
+                         and dim == (beta[0], 4 * k + 3 + beta[1])
+                         == (c1, c0 - lam)),
                         ("feed-gate", m[0] == n[0] and _fires(
                             (total[0] - 4 * n[0], total[1] - 4 * n[1] - 1),
                             2 * (m[1] - n[1]), count)),
@@ -472,9 +466,9 @@ def _round_schema():
                     if key[1] == top and not key[0].endswith(":step")}
             try:
                 ground = inductive.records(mu, 1, e)
-                ok = ({(r[0], top): r[1] for r in ground} == want
-                      and all(r[3] <= r[1] for r in ground
-                              if r[0] == "round2:base"))
+                ok = ({(r.rule_id, top): r.dim for r in ground} == want
+                      and all(r.beta <= r.dim for r in ground
+                              if r.rule_id == "round2:base"))
             except RoundsDivergenceError:
                 ok = False
             yield None if ok else (e, mu, "ground")

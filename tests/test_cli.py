@@ -494,6 +494,35 @@ def test_stdout_that_cannot_be_written_exits_74():
             env.get("PYTHONUNBUFFERED")
 
 
+def test_help_prints_the_parsers_own_help(capsys):
+    # `--help` prints through `main`'s one write of stdout: the bytes of the
+    # parser's own help, for the root parser and for a subcommand
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    for argv, helped in ((("--help",), parser),
+                         (("derive", "--help"), sub.choices["derive"])):
+        assert run_cli(capsys, *argv) == (0, helped.format_help(), ""), argv
+
+
+@_NO_DEV_FULL
+def test_help_that_cannot_be_written_exits_as_a_command_does():
+    # `--help > /dev/full` exits 74 with one line on stderr, and
+    # `query --help >&-` exits 141 with nothing on stderr
+    for env in _ENVS:
+        for argv in (("--help",), ("query", "--help")):
+            full = _shell_run(">/dev/full", argv, env, capture_output=True,
+                              text=True)
+            assert (full.returncode, full.stderr) == (
+                cli.EXIT_IOERR,
+                f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+            ), (argv, env.get("PYTHONUNBUFFERED"))
+            closed = _shell_run(">&-", argv, env, capture_output=True,
+                                text=True)
+            assert (closed.returncode, closed.stderr) == (cli.EXIT_PIPE, ""), \
+                (argv, env.get("PYTHONUNBUFFERED"))
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     def explode(*a, **k):
         space = LensSpace(1, 1)

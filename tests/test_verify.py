@@ -9,9 +9,11 @@ import pytest
 from lensbounds import automata, cli, inductive, proofs, verify
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
 from lensbounds.dyadic import nu, radon_pair
-from lensbounds.lifting import davis_mahowald_check, sharpening_drop
+from lensbounds.lifting import (davis_mahowald_check, feed_forms,
+                               sharpening_drop)
 from lensbounds.proofs import BOUNDARY_RADON, pairs
-from lensbounds.records import (ConditionKind, DerivationNode, SideCondition,
+from lensbounds.records import (ConditionKind, DerivationNode,
+                                RoundsDivergenceError, SideCondition,
                                 on_paths, unique_nodes)
 from test_inductive import _state
 
@@ -427,23 +429,28 @@ def test_rounds_keep_one_e_alive_at_a_time():
 
 
 def test_round_schema_is_the_records_of_every_step():
-    # the schema, evaluated at ell, is what `inductive.records` gives, field
-    # by field, for e = 1..10, both rounds and ell = 2..4096
+    # the engine's forms, which round-schema proves, evaluated at ell are the
+    # named fields of each record `inductive.records` gives, for e = 1..10,
+    # both rounds and ell = 2..4096
     def at(form, ell):
         return form[0] * ell + form[1]
     for e in range(1, 11):
         for mu in (1, 2):
-            schemas = [verify._step_schema(e, mu, lam) for lam in (0, 1)]
+            forms = [(inductive.step_forms(mu, lam, e), feed_forms(mu, lam))
+                     for lam in (0, 1)]
             for ell in range(2, 4097):
                 want = []
                 for lam in range(1 + sharpening_drop(ell)):
-                    sigma, j, beta, dim, n, m, d = schemas[lam]
+                    (sigma, j, beta, dim), (n, m, d) = forms[lam]
                     j, beta = at(j, ell), at(beta, ell)
+                    assert at(n, ell) == j == 2**mu * ell - 1
                     radon = (() if sigma + beta > 4 * j + 2
                              else radon_pair(nu(2 * j + 2)))
-                    want.append((inductive._RULES[mu][lam], at(dim, ell),
-                                 radon, beta, 2 * at(m, ell) + at(d, ell) + 1))
-                    assert at(n, ell) == j
+                    want.append(inductive.Step(
+                        rule_id=f"round{mu}:{'sharp' if lam else 'step'}",
+                        dim=at(dim, ell), radon=radon, beta=beta,
+                        feed=2 * at(m, ell) + at(d, ell) + 1, mu=mu, ell=ell,
+                        lam=lam, alpha=4 * 2**mu - 2, sigma=sigma))
                 assert inductive.records(mu, ell, e) == tuple(want), \
                     (e, mu, ell)
 
@@ -482,6 +489,26 @@ def test_round_schema_fails_on_a_bent_ground(monkeypatch):
         else real(mu, ell, e)) == (
         "round-schema: 264 cases FAIL  [first counterexample "
         "(2, 2, 'ground')]")
+
+
+def test_round_schema_fails_on_a_bent_engine_form(monkeypatch):
+    # round 2's beta one lower in the engine's own forms makes its main gate
+    # a boundary one, which the Hurwitz-Radon count at nu(2j + 2) = 3 (ell
+    # odd) does not pass: round-schema fails and names the case, and the
+    # engine's records fail too, with nothing at ell = 3 and an output one
+    # lower at ell = 2, where nu(2j + 2) = 4 passes the boundary gate
+    real = inductive.step_forms
+
+    def bent(mu, lam, e):
+        sigma, j, (b1, b0), dim = real(mu, lam, e)
+        return sigma, j, (b1, b0 - (mu == 2)), dim
+    assert _schema_line(monkeypatch, inductive, "step_forms", bent) == (
+        "round-schema: 264 cases FAIL  [first counterexample "
+        "(1, 2, 0, 'gate')]")
+    for m, got in ((11, "R\\^41"), (15, "nothing")):
+        with pytest.raises(RoundsDivergenceError,
+                           match=rf"\(m={m}, e=3\): .* derived {got}$"):
+            inductive.records(2, (m + 1) // 4 - 1, 3)
 
 
 def test_round_schema_fails_on_radon_steps_that_do_not_rise(monkeypatch):

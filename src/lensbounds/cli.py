@@ -25,7 +25,7 @@ from time import perf_counter
 # json is imported by the functions that use it: every command is a process
 # of its own, and most never read or write jsonl
 
-from . import _IMPORT_START
+from . import _IMPORT_START, inductive
 from .catalog import report
 from .dyadic import alpha
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
@@ -279,6 +279,11 @@ def cmd_lift(args) -> tuple[int, list[str]]:
         if lam:
             sharp = embedding_gate(feeding_params(mu, ell, 1))
             line += f", sharpened R^{sharp}"
+        # the torsions whose feed it is, e >= 3 being one class
+        torsions = [t for e, t in ((1, "e = 1"), (2, "e = 2"), (3, "e >= 3"))
+                    if inductive._feed_admissible(mu, ell, e)]
+        if len(torsions) < 3:
+            line += f" for {' or '.join(torsions) or 'no e'}"
         lines.append(line)
     return EXIT_OK, lines
 

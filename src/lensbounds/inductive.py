@@ -13,9 +13,12 @@ Each step ell >= 2 is stated once, as linear forms in ell: `step_forms`
 (sigma, j, beta and the output's dim) and `lifting.feed_forms` (the feed's
 instance).  `records` evaluates them at one ell, gates the step as plain
 integers, checks its output against the dim form and returns one named
-`Step` per output, which carries everything `proofs` builds its node from;
-`verify`'s round-schema proves the same forms for every ell, against a
-closed form it recomputes independently, and gates the grounds (ell = 1).
+`Step` per output, which carries everything `proofs` builds its node from,
+the link to the output it stands on (`Step.prior`) included: the main at
+ell - 1 for a step, and for round 2's ground what `_weakened` states, once,
+for `records` and `_round_bound`'s `external` flag alike.  `verify`'s
+round-schema proves the same forms for every ell, against a closed form it
+recomputes independently, and gates the grounds (ell = 1).
 `at` is the one source of the catalog's round bounds, and so the only
 round check a `query` or `table` makes: it gates only m's own steps, and
 keeps no state.  `_round_bound` names every round bound, `at`'s and
@@ -73,8 +76,12 @@ def delta_e(e: int) -> int:
     return 7 if e == 1 else 9 if e == 2 else 10
 
 
-# L(7, e) in R^26 for e <= 2: round 2 applied once at (k, j) = (3, 3)
+# L(7, e) in R^26 where its feed is admissible: round 2 applied once at
+# (k, j) = (3, 3)
 ROUND2_SPECIAL = 26
+
+# P^15 in R^23: the external PL seed, on which no record is keyed
+PL_SEED = 23
 
 
 def _sections(k: int, e: int) -> int:
@@ -143,13 +150,15 @@ def _check_form(dim: int | None, expected: int, m: int, e: int) -> int:
 
 
 class Step(namedtuple("Step", "rule_id dim radon beta feed mu ell lam "
-                      "alpha sigma")):
+                      "alpha sigma prior")):
     """The integer record of one output of step ell of round mu, which
     reaches m = 2^mu (ell + 1) - 1 from k = 2^mu - 1 and j = 2^mu ell - 1:
     its rule id and dimension, the gate that fired (see
     `lifting.radon_gate`), beta, the feed's ambient, then lam (0 main, 1
-    sharpened) and the alpha and sigma of the embedding of L(k, e) it
-    extends.  The ground of round 2 (`round2:base`) is a weakening: beta is
+    sharpened), the alpha and sigma of the embedding of L(k, e) it extends,
+    and `prior`, the key (mu, ell, rule_id) of the output it stands on: the
+    main at ell - 1 for a step ell >= 2, and for a ground what `_weakened`
+    states.  The ground of round 2 (`round2:base`) is a weakening: beta is
     the dimension it weakens, and it has no gate, feed, alpha or sigma.
     `records` builds each with `tuple.__new__`, skipping the argument
     parsing of the generated constructor."""
@@ -174,10 +183,11 @@ _NAMES = {
 def _round_bound(e: int, record: Step,
                  derivation: DerivationNode | None = None) -> Bound:
     """The bound of `record`, under its rule's name."""
-    rule_id, dim, _, _, _, mu, ell, _, _, _ = record
+    rule_id, dim, _, _, _, mu, ell, _, _, _, _ = record
     m = 2**mu * (ell + 1) - 1
-    # the e = 1 second round rests on the external PL seed
-    external = mu == 2 and e == 1 and rule_id != "round2:special"
+    # round 2, but for its special output, rests on its weakened ground
+    external = (mu == 2 and rule_id != "round2:special"
+                and _weakened(e) is None)
     return upper_bound(2 * m + 1, dim, *_NAMES[rule_id], derivation,
                        external=external)
 
@@ -186,11 +196,27 @@ def _round_bound(e: int, record: Step,
 # string each, shared by every record, bound and node of the round
 _RULES = {mu: (f"round{mu}:step", f"round{mu}:sharp") for mu in (1, 2)}
 
+# per round, the key (mu, ell, rule_id) of its ground's main output, on
+# which step ell = 2 stands, and the key of round 2's special output
+_GROUNDS = {1: (1, 1, "round1:base"), 2: (2, 1, "round2:base")}
+_SPECIAL = (2, 1, "round2:special")
+
+
+def _weakened(e: int) -> tuple[int, int, str] | None:
+    """What round 2's ground stands on: the key of the output that the
+    weakened L(7, e) in R^(17 + delta(e)) weakens.  That is the external
+    PL seed (e = 1), which has no key; the special output (e = 2); or
+    round 1's main at m = 7 (e >= 3).  The special output stands on round
+    1's main at m = 3, and round 1's ground on axioms alone."""
+    return None if e == 1 else _SPECIAL if e == 2 else (1, 3, _RULES[1][0])
+
+
 _new = tuple.__new__
 
 
 def _step(e: int, rule_id: str, mu: int, ell: int, lam: int, j: int,
-          alpha_dim: int, beta: int, sigma: int, expected: int) -> Step:
+          alpha_dim: int, beta: int, sigma: int, expected: int,
+          prior: tuple[int, int, str] | None) -> Step:
     """Gate output lam of step ell of round mu, L(k + j + 1, e) in
     R^(alpha + beta + 1), k = 2^mu - 1, with its feed, and check the
     output against `expected`."""
@@ -199,15 +225,17 @@ def _step(e: int, rule_id: str, mu: int, ell: int, lam: int, j: int,
     radon = radon_gate(j, k + 1, sigma + beta)
     dim = None if radon is None else alpha_dim + beta + 1
     return _new(Step, (rule_id, _check_form(dim, expected, k + j + 1, e),
-                       radon, beta, feed, mu, ell, lam, alpha_dim, sigma))
+                       radon, beta, feed, mu, ell, lam, alpha_dim, sigma,
+                       prior))
 
 
-def _stated(e: int, mu: int, ell: int, lam: int) -> Step:
+def _stated(e: int, mu: int, ell: int, lam: int,
+            prior: tuple[int, int, str]) -> Step:
     """Output lam of step ell >= 2 of round mu, gated on the values of
-    `step_forms` at ell, from R^(4k+2)."""
+    `step_forms` at ell, from R^(4k+2), on the output `prior`."""
     sigma, (j1, j0), (b1, b0), (d1, d0) = step_forms(mu, lam, e)
     return _step(e, _RULES[mu][lam], mu, ell, lam, j1 * ell + j0,
-                 4 * 2**mu - 2, b1 * ell + b0, sigma, d1 * ell + d0)
+                 4 * 2**mu - 2, b1 * ell + b0, sigma, d1 * ell + d0, prior)
 
 
 def records(mu: int, ell: int, e: int) -> tuple[Step, ...]:
@@ -216,27 +244,31 @@ def records(mu: int, ell: int, e: int) -> tuple[Step, ...]:
     form: the main, then the sharpened output where it applies, each
     evaluated from `step_forms`.  The ground of round 1 extends L(1, e) in
     R^5, whose normal bundle is trivial (sigma = 2), by itself; the ground
-    of round 2 gives the special triple (e <= 2), then the weakened
-    L(7, e) in R^(17 + delta(e)).
+    of round 2 gives the special triple where its feed is admissible, then
+    the weakened L(7, e) in R^(17 + delta(e)), on what `_weakened` states.
+    Each record names the output it stands on (`Step.prior`).
 
     This is the only place a gate is evaluated, and it reads the steps
     below only through their closed forms."""
     if ell >= 2:
-        main = _stated(e, mu, ell, 0)
-        return (main, _stated(e, mu, ell, 1)) if sharpening_drop(ell) \
-            else (main,)
+        prior = (mu, ell - 1, _RULES[mu][0]) if ell > 2 else _GROUNDS[mu]
+        main = _stated(e, mu, ell, 0, prior)
+        return (main, _stated(e, mu, ell, 1, prior)) \
+            if sharpening_drop(ell) else (main,)
     main1 = round_forms(1, 1, e)[0]
     if mu == 1:
-        return (_step(e, "round1:base", 1, 1, 0, 1, 5, 5, 2, main1),)
+        return (_step(e, "round1:base", 1, 1, 0, 1, 5, 5, 2, main1, None),)
     sigma = _sections(3, e)
     special: tuple[Step, ...] = ()
-    if e <= 2:
+    if _feed_admissible(2, 1, e):
         special = (_step(e, "round2:special", 2, 1, 0, 3, 14, main1, sigma,
-                         ROUND2_SPECIAL),)
-    have = 23 if e == 1 else ROUND2_SPECIAL if e == 2 \
-        else round_forms(1, 3, e)[0]
+                         ROUND2_SPECIAL, _GROUNDS[1]),)
+    prior = _weakened(e)
+    # the dimension of the output prior names
+    have = PL_SEED if prior is None else ROUND2_SPECIAL \
+        if prior == _SPECIAL else round_forms(prior[0], prior[1], e)[0]
     return special + (_new(Step, ("round2:base", 17 + delta_e(e), None, have,
-                                  None, 2, 1, 0, None, None)),)
+                                  None, 2, 1, 0, None, None, prior)),)
 
 
 def _steps_at(m: int, e: int) -> list[Step]:

@@ -1,16 +1,15 @@
 """Derivation trees of the inductive rounds, proved on demand.
 
 `inductive.records` gates every step as plain integers and keeps no record.
-`pairs` (`verify`) and `prove` (`derive`) are this module's entry points;
-its one walk, `_walk`, climbs a round's chain from its ground to a step:
-it gates each step through `records` and proves each main output on the
-main before it.  One builder, `_output`, turns any of the named `Step`
-records that `records` returns into its node, on the output it stands on:
-every number of the node (k, j, m, alpha, sigma, beta and the feed, the
-grounds' too) is read or worked out from the record.
-A walk keeps nothing once it returns, so each call proves afresh and its
-derivations live as long as its caller holds them.  `query` and `table`
-never load this module.
+`pairs` (`verify`) and `prove` (`derive`) are this module's entry points:
+each proves a record on the output it stands on, which the record names
+(`Step.prior`), so neither states a choice of ground.  One builder,
+`_output`, turns any of the named `Step` records that `records` returns
+into its node, on that output: every number of the node (k, j, m, alpha,
+sigma, beta and the feed, the grounds' too) is read or worked out from the
+record.  A call keeps nothing once it returns, so each call proves afresh
+and its derivations live as long as its caller holds them.  `query` and
+`table` never load this module.
 
 This module also defines the ten kinds of side condition its nodes carry
 (the `ConditionKind` constants at its end): each kind's name, the check
@@ -19,8 +18,6 @@ fields, and beside it the texts that `derive` prints.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from . import inductive
 from .dyadic import alpha, nu, radon_pair
@@ -85,17 +82,18 @@ def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
 
 def pairs(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
     """Every output of each step with m <= max_m, with its derivation, as
-    (m, bound): round 1's walk, then round 2's, whose ground rests on the
-    round-1 mains of the same call.  Each step is gated through `records`
-    once."""
+    (m, bound), round 1 first: each record is proved on the output it
+    stands on (`Step.prior`), proved before it in the same call.  Each
+    step is gated through `records` once."""
     out: list[tuple[int, Bound]] = []
-    mains1: list[Bound] = []
+    proved: dict = {None: None}  # no prior: axioms, or the external seed
     for mu in (1, 2):
-        steps = _walk(e, mu, (max_m + 1) // 2**mu - 1, mains1=mains1)
-        for ell, (main, outputs) in enumerate(steps, 1):
-            if mu == 1:
-                mains1.append(main)
-            out.extend((2**mu * (ell + 1) - 1, bound) for bound in outputs)
+        ignite = igniting_node(2**mu - 1, e, _sections(2**mu - 1, e))
+        for ell in range(1, (max_m + 1) // 2**mu):
+            for record in records(mu, ell, e):
+                bound = _output(e, record, ignite, proved[record.prior])
+                proved[mu, ell, record.rule_id] = bound
+                out.append((2**mu * (ell + 1) - 1, bound))
     return tuple(out)
 
 
@@ -105,56 +103,28 @@ def prove(m: int, e: int, pick) -> Bound | None:
     `pick` maps the outputs at m, as `inductive.at(m, e)` lists them
     (without derivations), to the index of one of them, or to None, for
     which nothing is proved and None is returned.  The steps at m are gated
-    once, to make those outputs; then the walk proves the chosen step's
-    outputs on the mains its round reached before m, and no other output
-    (round 2's ground first proves the round-1 mains it rests on, to m = 3,
-    or m = 7 for e >= 3).  So only the chain it proves is gated, each step
-    once (but for the first steps of round 1, which round 2's ground also
-    proves); the other round's steps are not, as round-schema proves them.
+    once, to make those outputs; then the chosen record's `prior` links are
+    followed down to the axioms (or the external PL seed), gating each step
+    they reach once, and the chain is proved back up, with one igniting
+    node per round.  So only the chain it proves is gated; the other
+    steps are not, as round-schema proves them.
     """
     found = _steps_at(m, e)
     index = pick(tuple([_round_bound(e, r) for r in found]))
     if index is None:
         return None
-    record = found[index]
-    top = tuple(r for r in found if r.mu == record.mu)
-    mains1 = []
-    if record.mu == 2:
-        mains1 = [main for main, _ in _walk(e, 1, 1 if e <= 2 else 3,
-                                            every=False)]
-    for _, outputs in _walk(e, record.mu, record.ell, top, every=False,
-                            mains1=mains1):
-        pass
-    return outputs[top.index(record)]
-
-
-def _walk(e: int, mu: int, last: int, top: tuple[Step, ...] | None = None,
-          every: bool = True, mains1: Sequence[Bound] = ()):
-    """Walk round mu from its ground to step `last`, yielding (main,
-    outputs) per step: every output, or, unless `every`, only the main
-    below `last`.  Each step is gated by `records`, but for step `last`
-    when the caller gives its records `top`; each main is proved on the one
-    before it.  `mains1` holds round 1's mains, by ell - 1, for the ground
-    of round 2: its special step stands on the main at m = 3, and its
-    weakening on the main at m = 7 (e >= 3), on the special output
-    (e = 2) or on the external PL seed (e = 1)."""
-    k = 2**mu - 1
-    ignite = igniting_node(k, e, _sections(k, e))
-    main = None
-    for ell in range(1, last + 1):
-        step = top if ell == last and top is not None else records(mu, ell, e)
-        if ell > 1 and not every and ell < last:
-            step = step[:1]
-        outputs: list[Bound] = []
-        for record in step:
-            prior = main
-            if (mu, ell) == (2, 1):
-                prior = (mains1[0] if record.radon is not None
-                         else mains1[2] if e >= 3
-                         else outputs[0] if e == 2 else None)
-            outputs.append(_output(e, record, ignite, prior))
-        main = outputs[-1] if ell == 1 else outputs[0]
-        yield main, outputs
+    chain = [found[index]]
+    while chain[-1].prior is not None:
+        mu, ell, rule_id = chain[-1].prior
+        # the steps at m were gated above; the chain reaches each other once
+        step = found if 2**mu * (ell + 1) - 1 == m else records(mu, ell, e)
+        chain.append(next(r for r in step if r.rule_id == rule_id))
+    ignite = {mu: igniting_node(2**mu - 1, e, _sections(2**mu - 1, e))
+              for mu in {r.mu for r in chain}}
+    bound = None
+    for record in reversed(chain):
+        bound = _output(e, record, ignite[record.mu], bound)
+    return bound
 
 
 def _output(e: int, record: Step, ignite: DerivationNode,
@@ -165,7 +135,7 @@ def _output(e: int, record: Step, ignite: DerivationNode,
     of L(k, e) in R^alpha with sigma normal sections, and its feed; any
     other step on the igniting embedding, prior and its feed, from ell = 2
     with beta checked against prior's dimension."""
-    rule_id, dim, radon, beta, feed, mu, ell, lam, alpha_dim, sigma = record
+    rule_id, dim, radon, beta, feed, mu, ell, lam, alpha_dim, sigma, _ = record
     k, j = 2**mu - 1, 2**mu * ell - 1
     if radon is None:
         m = k + j + 1

@@ -246,6 +246,22 @@ def test_lift_matches_golden(capsys):
     assert "".join(outs) == (GOLDEN / "lift.txt").read_text()
 
 
+def test_lift_qualifies_a_feed_by_the_torsions_it_admits(capsys,
+                                                        monkeypatch):
+    # the qualifier reads `inductive._feed_admissible` at e = 1, 2 and 3
+    # (e >= 3 is one class), and a feed every torsion admits has none
+    for admitted, qualifier in (
+            (lambda mu, ell, e: True, ""),
+            (lambda mu, ell, e: e >= 3, " for e >= 3"),
+            (lambda mu, ell, e: e != 2, " for e = 1 or e >= 3"),
+            (lambda mu, ell, e: False, " for no e")):
+        monkeypatch.setattr(inductive, "_feed_admissible", admitted)
+        code, out, _ = run_cli(capsys, "lift", "--ell", "1", "--mu", "2")
+        assert (code, out.splitlines()[-1]) == (
+            0, "feeding mu=2: (n, m, d) = (3, 7, 0) -> 4*eta over L(3, e) "
+               f"embeds in R^15{qualifier}")
+
+
 def test_verify_scope_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "lifting")
     assert code == 0

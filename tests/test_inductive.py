@@ -373,6 +373,41 @@ def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
         assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
 
 
+def test_every_record_stands_on_a_record_it_names():
+    # each record's prior names a record that `records` returns at that
+    # step, whose dim its beta comes from; only round 1's ground and the
+    # seeded weakening (e = 1) stand on no output
+    for e in range(1, 11):
+        named = {(r.mu, r.ell, r.rule_id): r for mu in (1, 2)
+                 for ell in range(1, 1025)
+                 for r in inductive.records(mu, ell, e)}
+        unlinked = set()
+        for key, record in named.items():
+            if record.prior is None:
+                unlinked.add(key)
+            else:
+                assert BETA_FROM_PRIOR.check(
+                    record.beta, named[record.prior].dim), (e, key)
+        assert unlinked == {(1, 1, "round1:base")} | (
+            {(2, 1, "round2:base")} if e == 1 else set()), e
+
+
+def test_round2_ground_is_stated_once(monkeypatch):
+    # the weakening at e = 2 moved onto the seed, by the one statement of
+    # what it stands on: the round-2 bounds turn external, and their proof
+    # rests on the seed
+    real = inductive._weakened
+    monkeypatch.setattr(inductive, "_weakened",
+                        lambda e: None if e == 2 else real(e))
+    found = at(11, 2)
+    assert [(b.rule_id, b.external) for b in found] == [
+        ("round1", False), ("round2", True)]
+    proved = prove(11, 2, lambda outputs: outputs.index(found[1]))
+    assert proved.external
+    assert "axiom:pl-seed" in {n.rule_id
+                               for n in unique_nodes([proved.derivation])}
+
+
 def test_package_has_no_global_statement():
     src = pathlib.Path(inductive.__file__).parent
     for path in sorted(src.glob("*.py")):

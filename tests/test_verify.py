@@ -431,7 +431,7 @@ def test_rounds_keep_one_e_alive_at_a_time():
 def test_round_schema_is_the_records_of_every_step():
     # the engine's forms, which round-schema proves, evaluated at ell are the
     # named fields of each record `inductive.records` gives, for e = 1..10,
-    # both rounds and ell = 2..4096
+    # both rounds and ell = 2..4096; each stands on the main at ell - 1
     def at(form, ell):
         return form[0] * ell + form[1]
     for e in range(1, 11):
@@ -450,7 +450,9 @@ def test_round_schema_is_the_records_of_every_step():
                         rule_id=f"round{mu}:{'sharp' if lam else 'step'}",
                         dim=at(dim, ell), radon=radon, beta=beta,
                         feed=2 * at(m, ell) + at(d, ell) + 1, mu=mu, ell=ell,
-                        lam=lam, alpha=4 * 2**mu - 2, sigma=sigma))
+                        lam=lam, alpha=4 * 2**mu - 2, sigma=sigma,
+                        prior=(mu, ell - 1,
+                               f"round{mu}:{'base' if ell == 2 else 'step'}")))
                 assert inductive.records(mu, ell, e) == tuple(want), \
                     (e, mu, ell)
 

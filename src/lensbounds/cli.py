@@ -1,8 +1,12 @@
 """Command-line interface: query, table, derive, lift, verify.
 
+`derive` selects no bound itself: `proofs.prove(m, e, external)` proves
+the least output at m, an external one only under `--external`.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency (an engine bug: a lower bound exceeding an upper bound, a
-round or lifting gate off its closed form, or the spin criteria disagreeing),
+round or lifting gate off its closed form, a weakening off the output it
+stands on, or the spin criteria disagreeing),
 74 (EX_IOERR) stdout could not be written (a full disk, say), 141 (128 +
 SIGPIPE) stdout closed, or its reader gone before it was written.
 
@@ -223,16 +227,8 @@ def cmd_derive(args) -> tuple[int, list[str]]:
         _warn(f"no inductive derivation exists for m={args.m} "
               "(the rounds start at m=3)")
         return timings.finish(EXIT_USAGE), []
-
-    def lowest(found):
-        """The index of the output of least dimension, of the external ones
-        too only with --external; its step is the only one proved."""
-        return min((i for i, b in enumerate(found)
-                    if args.external or not b.external),
-                   key=lambda i: found[i].dim, default=None)
-
     from . import proofs
-    best = proofs.prove(args.m, args.e, lowest)
+    best = proofs.prove(args.m, args.e, args.external)
     timings.lap("proof")
     if best is None:
         _warn(f"no inductive derivation for (m={args.m}, e={args.e}); "

@@ -2,14 +2,20 @@
 
 `inductive.records` gates every step as plain integers and keeps no record.
 `pairs` (`verify`) and `prove` (`derive`) are this module's entry points:
-each proves a record on the output it stands on, which the record names
-(`Step.prior`), so neither states a choice of ground.  One builder,
-`_output`, turns any of the named `Step` records that `records` returns
-into its node, on that output: every number of the node (k, j, m, alpha,
-sigma, beta and the feed, the grounds' too) is read or worked out from the
-record.  A call keeps nothing once it returns, so each call proves afresh
-and its derivations live as long as its caller holds them.  `query` and
-`table` never load this module.
+`pairs` lists every step up to max_m, and `prove(m, e, external)` the
+chain below the least output at m, which it picks itself.  Both pass their
+records to one loop, `_proved`, which proves each on the output it stands
+on, which the record names (`Step.prior`), so neither states a choice of
+ground.  One builder, `_output`, turns any of the named `Step` records
+that `records` returns into its node, on that output, and `step_node` and
+`feed_node` take the record too: every number of the node (k, j, m,
+alpha, sigma, beta, dim and the feed, the grounds' too) is read or worked
+out from the record, so a record's dim is what its node concludes and its
+ambient sum replays.  A weakening whose beta is not the dimension of the
+output it stands on raises `RoundsDivergenceError`.  A call keeps nothing
+once it returns, so each call proves afresh and its derivations live as
+long as its caller holds them.  `query` and `table` never load this
+module.
 
 This module also defines the ten kinds of side condition its nodes carry
 (the `ConditionKind` constants at its end): each kind's name, the check
@@ -24,51 +30,47 @@ from .dyadic import alpha, nu, radon_pair
 from .inductive import (Step, _round_bound, _sections, _steps_at, records,
                         sections_table)
 from .lifting import davis_mahowald_check, embedding_gate, feeding_params
-from .records import (Bound, ConditionKind, DerivationNode, SideCondition,
-                      upper_category)
+from .records import (Bound, ConditionKind, DerivationNode,
+                      RoundsDivergenceError, SideCondition, upper_category)
 
 
-def step_node(rule_id: str, k: int, j: int, e: int, alpha_dim: int,
-              beta_dim: int, sigma: int, radon: tuple[int, ...],
-              premises: tuple[DerivationNode, ...],
+def step_node(record: Step, e: int, premises: tuple[DerivationNode, ...],
               extra_conditions: tuple[SideCondition, ...]) -> DerivationNode:
-    """The derivation of the step L(k+j+1, e) in R^(alpha+beta+1) whose
-    gate `radon` fired (see `lifting.radon_gate`): () for the strict gate,
-    (a, b) for the boundary one."""
-    if radon:
-        gate = SideCondition(BOUNDARY_RADON, (sigma, beta_dim, j, k, *radon),
-                             _radon_text)
+    """The derivation of `record`'s output L(k+j+1, e) in R^dim, k = 2^mu - 1
+    and j = 2^mu ell - 1, whose gate `radon` fired (see
+    `lifting.radon_gate`): () for the strict gate, (a, b) for the boundary
+    one.  Its ambient-sum witness is the record's alpha, beta and dim."""
+    k, j = 2**record.mu - 1, 2**record.mu * record.ell - 1
+    sigma, beta, dim = record.sigma, record.beta, record.dim
+    if record.radon:
+        gate = SideCondition(BOUNDARY_RADON,
+                             (sigma, beta, j, k, *record.radon), _radon_text)
     else:
-        gate = SideCondition(SECTIONS_EXCEED, (sigma, beta_dim, j),
-                             _exceed_text)
-    m, dim = k + j + 1, alpha_dim + beta_dim + 1
+        gate = SideCondition(SECTIONS_EXCEED, (sigma, beta, j), _exceed_text)
+    m = k + j + 1
     category = upper_category(2 * m + 1, dim)
-    conditions = (gate,
-                  SideCondition(AMBIENT_SUM, (alpha_dim, beta_dim, dim),
-                                _ambient_text),
-                  ) + extra_conditions
     return DerivationNode(
-        rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
-        premises, conditions)
+        record.rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
+        premises, (gate, SideCondition(AMBIENT_SUM, (record.alpha, beta, dim),
+                                       _ambient_text), *extra_conditions))
 
 
-def feed_node(mu: int, ell: int, e: int, lam: int,
-              ambient: int) -> DerivationNode:
-    """The feed 2^mu*eta over L(i, e), i = 2^mu*ell - 1, in the ambient
-    `inductive._feed_ambient` gave: the gate's 2m+d+1 for the instance
-    `feeding_params(mu, ell, lam)`."""
+def feed_node(record: Step, e: int) -> DerivationNode:
+    """The feed of `record`, 2^mu*eta over L(i, e), i = 2^mu*ell - 1, in the
+    ambient `inductive._feed_ambient` gave it: the gate's 2m+d+1 for the
+    instance `feeding_params(mu, ell, lam)`."""
+    mu, ell, lam = record.mu, record.ell, record.lam
     conditions = (
         SideCondition(FEEDING_ADMISSIBLE, (mu, ell, e), _admissible_text),
-        SideCondition(FEEDING_AMBIENT, (mu, ell, lam, ambient),
+        SideCondition(FEEDING_AMBIENT, (mu, ell, lam, record.feed),
                       _feed_ambient_text),
         SideCondition(FEEDING_CERTIFICATE,
                       (mu, ell, lam, _feed_route(mu, ell, lam)),
                       _certificate_text),
     )
     return DerivationNode(
-        "feeding",
-        f"{2**mu}*eta over L({2**mu * ell - 1}, e={e}) embeds in R^{ambient}",
-        (), conditions)
+        "feeding", f"{2**mu}*eta over L({2**mu * ell - 1}, e={e}) embeds in "
+        f"R^{record.feed}", (), conditions)
 
 
 def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
@@ -82,92 +84,98 @@ def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
 
 def pairs(e: int, max_m: int) -> tuple[tuple[int, Bound], ...]:
     """Every output of each step with m <= max_m, with its derivation, as
-    (m, bound), round 1 first: each record is proved on the output it
-    stands on (`Step.prior`), proved before it in the same call.  Each
-    step is gated through `records` once."""
-    out: list[tuple[int, Bound]] = []
-    proved: dict = {None: None}  # no prior: axioms, or the external seed
-    for mu in (1, 2):
-        ignite = igniting_node(2**mu - 1, e, _sections(2**mu - 1, e))
-        for ell in range(1, (max_m + 1) // 2**mu):
-            for record in records(mu, ell, e):
-                bound = _output(e, record, ignite, proved[record.prior])
-                proved[mu, ell, record.rule_id] = bound
-                out.append((2**mu * (ell + 1) - 1, bound))
-    return tuple(out)
+    (m, bound), round 1 first.  Each step is gated through `records`
+    once."""
+    return tuple(_proved(e, [record for mu in (1, 2)
+                             for ell in range(1, (max_m + 1) // 2**mu)
+                             for record in records(mu, ell, e)]))
 
 
-def prove(m: int, e: int, pick) -> Bound | None:
-    """The output at m that `pick` chooses, with its derivation.
+def prove(m: int, e: int, external: bool = False) -> Bound | None:
+    """The least output at m, the first of equal dims, with its derivation;
+    an external output only under `external`, and None where no output is
+    left.
 
-    `pick` maps the outputs at m, as `inductive.at(m, e)` lists them
-    (without derivations), to the index of one of them, or to None, for
-    which nothing is proved and None is returned.  The steps at m are gated
-    once, to make those outputs; then the chosen record's `prior` links are
-    followed down to the axioms (or the external PL seed), gating each step
-    they reach once, and the chain is proved back up, with one igniting
-    node per round.  So only the chain it proves is gated; the other
-    steps are not, as round-schema proves them.
+    The steps at m are gated once, to make those outputs; then the least
+    one's `prior` links are followed down to the axioms (or the external
+    PL seed), gating each step they reach once, and that chain is proved.
+    So only the chain it proves is gated; the other steps are not, as
+    round-schema proves them.
     """
     found = _steps_at(m, e)
-    index = pick(tuple([_round_bound(e, r) for r in found]))
-    if index is None:
+    outputs = [r for r in found
+               if external or not _round_bound(e, r).external]
+    if not outputs:
         return None
-    chain = [found[index]]
+    chain = [min(outputs, key=lambda r: r.dim)]
     while chain[-1].prior is not None:
         mu, ell, rule_id = chain[-1].prior
         # the steps at m were gated above; the chain reaches each other once
         step = found if 2**mu * (ell + 1) - 1 == m else records(mu, ell, e)
         chain.append(next(r for r in step if r.rule_id == rule_id))
+    return _proved(e, chain[::-1])[-1][1]
+
+
+def _proved(e: int, steps: list[Step]) -> list[tuple[int, Bound]]:
+    """Each record of `steps`, as (m, bound), proved on the output it
+    stands on (`Step.prior`), which `steps` lists before it, with one
+    igniting node per round."""
     ignite = {mu: igniting_node(2**mu - 1, e, _sections(2**mu - 1, e))
-              for mu in {r.mu for r in chain}}
-    bound = None
-    for record in reversed(chain):
-        bound = _output(e, record, ignite[record.mu], bound)
-    return bound
+              for mu in (1, 2)}
+    proved: dict = {None: None}  # no prior: axioms, or the external seed
+    for record in steps:
+        proved[record.mu, record.ell, record.rule_id] = _output(
+            e, record, ignite[record.mu], proved[record.prior])
+    return [(2**r.mu * (r.ell + 1) - 1, proved[r.mu, r.ell, r.rule_id])
+            for r in steps]
 
 
 def _output(e: int, record: Step, ignite: DerivationNode,
             prior: Bound | None) -> Bound:
     """The output of `record` with its derivation, on the output `prior`
-    it stands on: a weakening (round 2's ground) of prior, or of the
-    external PL seed where there is none; round 1's ground, on the axioms
-    of L(k, e) in R^alpha with sigma normal sections, and its feed; any
-    other step on the igniting embedding, prior and its feed, from ell = 2
-    with beta checked against prior's dimension."""
-    rule_id, dim, radon, beta, feed, mu, ell, lam, alpha_dim, sigma, _ = record
-    k, j = 2**mu - 1, 2**mu * ell - 1
-    if radon is None:
-        m = k + j + 1
+    it stands on: a weakening (round 2's ground) of prior, whose dimension
+    must be the record's beta, or of the external PL seed where there is
+    none; round 1's ground, on the axioms of L(j, e) in R^alpha with sigma
+    normal sections, and its feed; any other step on the igniting
+    embedding, prior and its feed, from ell = 2 with beta checked against
+    prior's dimension."""
+    rule_id, beta = record.rule_id, record.beta
+    if record.radon is None:
+        m = 2**record.mu * (record.ell + 1) - 1
+        if prior is not None and prior.dim != beta:
+            raise RoundsDivergenceError(
+                f"{rule_id} weakens R^{beta}, but the output it stands on "
+                f"is R^{prior.dim}, at (m={m}, e={e})")
         have = prior.derivation if prior is not None else DerivationNode(
             "axiom:pl-seed",
             f"PL embedding of the {2 * m + 1}-dimensional 2-torsion space "
             f"in R^{beta} (external input)")
         node = DerivationNode(
-            rule_id, f"L(m={m}, e={e}) embeds in R^{dim}", (have,),
-            (SideCondition(WEAKENING, (beta, dim), _weakening_text),))
+            rule_id, f"L(m={m}, e={e}) embeds in R^{record.dim}", (have,),
+            (SideCondition(WEAKENING, (beta, record.dim), _weakening_text),))
         return _round_bound(e, record, node)
-    conditions = (SideCondition(FEED_WITHIN, (feed, sigma, beta),
+    sigma = record.sigma
+    conditions = (SideCondition(FEED_WITHIN, (record.feed, sigma, beta),
                                 _within_text),)
     if prior is None:
+        j = 2**record.mu * record.ell - 1
         lead = (DerivationNode(
                     "axiom:dim3-embedding",
-                    f"L(m={j}, e={e}) embeds smoothly in R^{alpha_dim} "
+                    f"L(m={j}, e={e}) embeds smoothly in R^{record.alpha} "
                     "(every 3-dim lens space does)"),
                 DerivationNode(
                     "axiom:dim3-normal-frame",
-                    f"the R^{alpha_dim} embedding of L({j}, e) has trivial "
-                    f"normal {sigma}-plane bundle: sigma = {sigma} "
+                    f"the R^{record.alpha} embedding of L({j}, e) has "
+                    f"trivial normal {sigma}-plane bundle: sigma = {sigma} "
                     "independent normal sections"))
     else:
         lead = (ignite, prior.derivation)
-        if ell > 1:
-            text = (_reuse_text if lam else _one_higher_text if mu == 1
-                    else _from_prior_text)
+        if record.ell > 1:
+            text = (_reuse_text if record.lam else _one_higher_text
+                    if record.mu == 1 else _from_prior_text)
             conditions += (SideCondition(BETA_FROM_PRIOR, (beta, prior.dim),
                                          text),)
-    node = step_node(rule_id, k, j, e, alpha_dim, beta, sigma, radon,
-                     lead + (feed_node(mu, ell, e, lam, feed),), conditions)
+    node = step_node(record, e, lead + (feed_node(record, e),), conditions)
     return _round_bound(e, record, node)
 
 

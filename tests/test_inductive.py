@@ -46,12 +46,17 @@ def test_inductive_step_gate_strict():
     # a step (k, j) is gated as radon_gate(j, k + 1, sigma + beta)
     # base of the first round: k=j=1, alpha=beta=5, sigma=2 -> R^11
     assert radon_gate(1, 1 + 1, 2 + 5) == ()
-    node = step_node("inductive-step", 1, 1, 5, 5, 5, 2, (), (), ())
+    record, = inductive.records(1, 1, 5)
+    node = step_node(record, 5, (), ())
     assert node.conclusion == "L(m=3, e=5) embeds (topological) in R^11"
     assert upper_category(7, 11) is Category.TOPOLOGICAL  # not smoothable
     assert [c.kind for c in node.side_conditions] == [SECTIONS_EXCEED,
                                                        AMBIENT_SUM]
     assert node.replay()
+    # the conclusion and the ambient-sum witness are the record's dim, so
+    # a dim off alpha + beta + 1 fails the replay
+    bent = step_node(record._replace(dim=12), 5, (), ())
+    assert bent.conclusion.endswith("in R^12") and not bent.replay()
     # special (k, j) = (3, 3) at e = 2: sigma = 5, beta = 11 -> R^26
     assert radon_gate(3, 3 + 1, 5 + 11) == ()
     assert upper_category(15, 26) is Category.SMOOTH
@@ -64,8 +69,12 @@ def test_inductive_step_gate_boundary():
     j = 3  # nu(8) = 3
     assert radon_gate(j, 2 + 1, 3 + 11) == (0, 3)  # 2k+3 = 7 <= 8
     assert radon_gate(j, 3 + 1, 3 + 11) is None    # 2k+3 = 9 > 8
-    node = step_node("inductive-step", 2, j, 2, 10, 11, 3, (0, 3), (), ())
-    assert node.conclusion.endswith("in R^22")
+    # round 1's sharpened step at ell = 6 (j = 11): sigma + beta = 3 + 43
+    # = 4j + 2 with nu(2j+2) = nu(24) = 3, and 2k + 3 = 5 <= 8
+    record = inductive.records(1, 6, 1)[1]
+    assert (record.rule_id, record.radon) == ("round1:sharp", (0, 3))
+    node = step_node(record, 1, (), ())
+    assert node.conclusion == "L(m=13, e=1) embeds (smooth) in R^50"
     assert [c.kind for c in node.side_conditions] == [BOUNDARY_RADON,
                                                        AMBIENT_SUM]
     assert node.replay()
@@ -81,10 +90,11 @@ def _best(e, max_m):
 
 
 def _feed(mu, ell, e, lam):
-    """The feed's derivation and ambient, as `proofs` and `records` make
-    them."""
-    ambient = _feed_ambient(mu, ell, e, lam)
-    return feed_node(mu, ell, e, lam, ambient), ambient
+    """The derivation and ambient of the feed of output lam of step ell of
+    round mu, as `proofs` and `records` make them."""
+    record = next(r for r in inductive.records(mu, ell, e)
+                  if r.lam == lam and r.feed is not None)
+    return feed_node(record, e), record.feed
 
 
 def test_feeding_embedding_examples():
@@ -226,11 +236,10 @@ def _shapes():
     """A function mapping (m, bound) pairs to comparable values in which a
     derivation becomes an id shared exactly by equal trees.  Iterative:
     comparing deep trees with == would recurse once per round step."""
-    # id(node) -> (node, tree id); holding the node keeps its id unique
-    ids: dict[int, tuple[DerivationNode, int]] = {}
     sigs: dict[tuple, int] = {}
 
-    def tree_id(root: DerivationNode) -> int:
+    def tree_id(root: DerivationNode,
+                ids: dict[int, tuple[DerivationNode, int]]) -> int:
         stack = [root]
         while stack:
             node = stack[-1]
@@ -245,7 +254,10 @@ def _shapes():
         return ids[id(root)][1]
 
     def shape(pairs):
-        return [(m, b._replace(derivation=None), tree_id(b.derivation))
+        # id(node) -> (node, tree id), for the nodes of these pairs only:
+        # holding the node keeps its id unique
+        ids: dict[int, tuple[DerivationNode, int]] = {}
+        return [(m, b._replace(derivation=None), tree_id(b.derivation, ids))
                 for m, b in pairs]
     return shape
 
@@ -345,30 +357,37 @@ def test_lookup_gates_only_the_steps_at_m(monkeypatch):
 
 
 def test_prove_builds_one_step_and_the_mains_below_it(monkeypatch):
-    # m = 7 is round 2's ground, which weakens the PL seed (e = 1), the
-    # special output (e = 2) or round 1's main at m = 7 (e = 3)
-    for e in (1, 2, 3):
+    # at every m, `prove` gives the least bound of `at(m, e)` that its
+    # filter leaves, the first of equal dims, with the derivation `pairs`
+    # gives it, and None exactly where the filter leaves none; m = 7 is
+    # round 2's ground, which weakens the PL seed (e = 1), the special
+    # output (e = 2) or round 1's main at m = 7 (e >= 3)
+    for e in range(1, 9):
         shape = _shapes()
-        full = pairs(e, 203)
-        for m in (3, 7, 11, 201, 203):
-            found = at(m, e)
-            got = [prove(m, e, lambda outputs, i=i: i)
-                   for i in range(len(found))]
-            assert shape((m, b) for b in got) == shape(
-                (mm, b) for mm, b in full if mm == m), (e, m)
-            # `pick` sees the outputs at m without their derivations
-            last = prove(m, e, lambda outputs: outputs.index(found[-1]))
-            assert shape([(m, last)]) == shape([(m, got[-1])]), (e, m)
-            with pytest.raises(IndexError):
-                prove(m, e, lambda outputs: len(got))
-        # picking none proves nothing and gates only the steps at m
+        want = {(m, b): tree for m, b, tree in shape(pairs(e, 403))}
+        for external in (False, True):
+            for m in range(3, 404):
+                least = min((b for b in at(m, e)
+                             if external or not b.external),
+                            key=lambda b: b.dim, default=None)
+                got = prove(m, e, external)
+                assert (got is None) == (least is None), (m, e, external)
+                if got is not None:
+                    [(_, bound, tree)] = shape([(m, got)])
+                    assert bound == least, (m, e, external)
+                    assert tree == want[m, least], (m, e, external)
+    # at e = 1 the filter decides: round 2 rests on the external seed
+    assert (prove(11, 1).dim, prove(11, 1, external=True).dim) == (43, 39)
+    for e in (1, 2, 3):
+        # where no step reaches m, nothing is proved and nothing gated
         with monkeypatch.context() as patch:
             calls = _counted_records(patch)
-            assert prove(203, e, lambda outputs: None) is None
-        assert calls == [(1, 101), (2, 50)]
+            assert prove(202, e, external=True) is None
+        assert calls == []
         # m = 201 is reached by round 1 alone: its proof makes no round-2
         # node and well under half of the nodes of every pair up to 203
-        made = unique_nodes([prove(201, e, lambda outputs: 0).derivation])
+        full = pairs(e, 203)
+        made = unique_nodes([prove(201, e).derivation])
         assert not any(n.rule_id.startswith("round2") for n in made)
         assert len(made) < len(unique_nodes(b.derivation for _, b in full)) / 2
 
@@ -402,10 +421,47 @@ def test_round2_ground_is_stated_once(monkeypatch):
     found = at(11, 2)
     assert [(b.rule_id, b.external) for b in found] == [
         ("round1", False), ("round2", True)]
-    proved = prove(11, 2, lambda outputs: outputs.index(found[1]))
-    assert proved.external
+    assert prove(11, 2).rule_id == "round1"
+    proved = prove(11, 2, external=True)
+    assert (proved.rule_id, proved.external) == ("round2", True)
     assert "axiom:pl-seed" in {n.rule_id
                                for n in unique_nodes([proved.derivation])}
+
+
+def _bend(monkeypatch, at_e, key, **fields):
+    """Wrap `records`, in `inductive` and in `proofs`, so that at e = at_e
+    the record keyed (mu, ell, rule_id) = key has `fields` replaced."""
+    real = inductive.records
+
+    def bent(mu, ell, e):
+        return tuple(r._replace(**fields)
+                     if (e, mu, ell, r.rule_id) == (at_e, *key) else r
+                     for r in real(mu, ell, e))
+    monkeypatch.setattr(inductive, "records", bent)
+    monkeypatch.setattr(proofs, "records", bent)
+
+
+def test_a_weakening_weakens_the_output_it_stands_on(monkeypatch, capsys):
+    # round 2's ground at e = 2 weakens the special output, R^26; a record
+    # that says it weakens R^25 stops the proof at that link
+    _bend(monkeypatch, 2, (2, 1, "round2:base"), beta=25)
+    table = {r.name: r for r in verify.verify_rounds()}["table-regeneration"]
+    assert not table.ok and table.detail.startswith(
+        "first counterexample (2, 'round2:base weakens R^25"), table.line()
+    assert cli.main(["derive", "--m", "11", "--e", "2"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_a_step_concludes_the_dim_of_its_record(monkeypatch, capsys):
+    # round 1's main at m = 11 bent to R^44: the proof concludes R^44, and
+    # the replay of its ambient sum 6 + 36 + 1 = 43 fails
+    _bend(monkeypatch, 1, (1, 5, "round1:step"), dim=44)
+    assert cli.main(["derive", "--m", "11", "--e", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:2] == [
+        "best inductive upper bound for (m=11, e=1): R^44 (smooth)",
+        "round1:step: L(m=11, e=1) embeds (smooth) in R^44"]
+    assert "side-condition replay FAILED" in err
 
 
 def test_package_has_no_global_statement():
@@ -422,7 +478,7 @@ def test_a_builder_keeps_no_derivation(capsys):
     from lensbounds import automata, verify  # noqa: F401  imported lazily
     state = _state()
     pairs(3, 403)
-    prove(403, 3, lambda outputs: 0)
+    prove(403, 3)
     for argv in (("query", "--m", "403", "--e", "3", "--all"),
                  ("table", "--e", "3", "--max-m", "64", "--format", "jsonl"),
                  ("derive", "--m", "403", "--e", "3"),
@@ -483,21 +539,21 @@ def test_proof_layer_keeps_its_state_when_it_fails(monkeypatch):
     # once the failure is gone are those made without it
     state = _state()
 
-    def fail(mu, ell, e, lam, ambient):
-        if (mu, ell, lam) == (1, 12, 1):
+    def fail(record, e):
+        if (record.mu, record.ell, record.lam) == (1, 12, 1):
             raise RuntimeError("off")
-        return feed_node(mu, ell, e, lam, ambient)
+        return feed_node(record, e)
     monkeypatch.setattr(proofs, "feed_node", fail)
     with pytest.raises(RuntimeError):
         pairs(3, 40)
     with pytest.raises(RuntimeError):
-        prove(25, 3, lambda outputs: 1)  # the sharpened output
+        prove(25, 3)  # the sharpened output, the least at m = 25
     shape = _shapes()
     below = shape(pairs(3, 23))
     monkeypatch.setattr(proofs, "feed_node", feed_node)
     assert _state() == state
     assert below == shape(pairs(3, 23))
-    assert shape([(25, prove(25, 3, lambda outputs: 1))]) == shape(
+    assert shape([(25, prove(25, 3))]) == shape(
         (m, b) for m, b in pairs(3, 40)
         if (m, b.derivation.rule_id) == (25, "round1:sharp"))
 

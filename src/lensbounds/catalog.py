@@ -8,8 +8,8 @@ the Euler-class scans look at about log2(m) candidates, `is_spin` forms
 no ring of the space, and the round bounds come from `inductive.at(m,
 e)`, which gates only m's own steps, checks each output against its
 closed form and makes no derivation (report() never reads one).  The
-catalog computes and names no round bound: `closed_form_uppers` is
-`inductive.at`, whose bounds carry their names, citations and flags.
+catalog computes and names no round bound: those of `at` carry their
+names, citations and flags.
 
 Not encoded: immersion-to-embedding transfer (its embedding analogue
 provably fails in general), transfer down in torsion, and the speculative
@@ -33,8 +33,7 @@ __all__ = [
     "metastable_smoothable", "euler_class_condition",
     "euler_class_lower_bounds", "power_of_two_lower", "codim2_lower",
     "compactness_floor", "low_dim_exact", "hhmp_upper", "spin_upper",
-    "closed_form_uppers", "conjectural_lower_bounds", "odd_torsion_transfer",
-    "report", "InconsistentBoundsError",
+    "conjectural_lower_bounds", "report", "InconsistentBoundsError",
 ]
 
 
@@ -169,23 +168,6 @@ def spin_upper(space: LensSpace) -> Bound | None:
                        "codimension dim-2 (Thomas)", smooth_rule=True)
 
 
-def closed_form_uppers(space: LensSpace) -> list[Bound]:
-    """The round bounds at m, `inductive.at(m, e)`; none off 2-power
-    torsion.
-
-    For m = 2l+1 (l >= 1): R^(8l+3); sharpened to R^(8l+2) for even l with
-    alpha(l) >= 2.  For m = 4l+3 (l >= 2): R^(16l+delta(e)) with
-    delta(1,2,>=3) = 7, 9, 10; sharpened to one less for even l with
-    alpha(l) >= 2.  Special case m = 7, e <= 2: R^26; at m = 7 the ground
-    round2:base, R^(17+delta(e)).  At e = 1 the second round rests on the
-    PL embedding of P^15 in R^23 (Rees), so its bounds, but for the special
-    case, are flagged external.  Category is smooth exactly in the
-    metastable range; the one case outside it (m = 3 into R^11) is
-    topological.
-    """
-    return list(at(space.m, space.e)) if space.odd_factor == 1 else []
-
-
 def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
     """Low-torsion Euler-class bounds with the valuation hypothesis waived.
 
@@ -198,18 +180,6 @@ def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
                    f"n={n}, delta={delta}", conjectural=True)
             for n, delta in _euler_solutions(space)
             if delta > 0 and not euler_class_condition(n, space.e)]
-
-
-def odd_torsion_transfer(space: LensSpace) -> LensSpace:
-    """The 2-primary space whose upper bounds transfer to this one.
-
-    Valid for bounds within the metastable range: the canonical projection
-    lets embeddings of the 2-primary space carry over to odd multiples of
-    the torsion.
-    """
-    if space.odd_factor < 3:
-        raise ValueError("transfer applies to odd_factor >= 3 only")
-    return LensSpace(space.m, space.e, 1)
 
 
 class Report(namedtuple("Report", "space lower upper all_bounds exact")):
@@ -229,9 +199,11 @@ def report(space: LensSpace, conjectural: bool = False,
 
     conjectural / external opt into the flagged rule sets; without them no
     conjectural or external-input bound is consulted (the e = 1 second
-    round among them).  The round uppers are `closed_form_uppers`, one
-    `inductive.at` lookup.  Raises InconsistentBoundsError if lower
-    exceeds upper (an engine bug).
+    round among them).  The round uppers are those of the 2-primary space,
+    one `inductive.at(m, e)` lookup; off 2-power torsion they, like the
+    other uppers of that space, count only within the metastable range,
+    flagged transferred.  Raises InconsistentBoundsError if lower exceeds
+    upper (an engine bug).
     """
     lowers: list[Bound] = []
     uppers: list[Bound] = []
@@ -253,9 +225,9 @@ def report(space: LensSpace, conjectural: bool = False,
         lowers.extend(conjectural_lower_bounds(space))
 
     if space.m >= 1:
-        primary = space if space.odd_factor == 1 else odd_torsion_transfer(space)
-        cand = [b for b in closed_form_uppers(primary)
-                if external or not b.external]
+        primary = (space if space.odd_factor == 1
+                   else LensSpace(space.m, space.e))
+        cand = [b for b in at(space.m, space.e) if external or not b.external]
         sp = spin_upper(primary)
         if sp is not None:
             cand.append(sp)

@@ -168,11 +168,12 @@ class _Timings:
         now = perf_counter()
         self.phases[phase], self._mark = now - self._mark, now
 
-    def finish(self, code: int, nodes=()) -> int:
+    def finish(self, code: int, roots=()) -> int:
         """Print the line under `--timings`, counting the unique nodes of
-        the derivation printed and their side conditions, and return
-        `code`."""
+        the derivation printed, from its `roots`, and their side
+        conditions, and return `code`.  Only then are the nodes walked."""
         if self.args.timings:
+            nodes = unique_nodes(roots)
             conditions = sum(len(n.side_conditions) for n in nodes)
             _warn(f"timing {self.args.command}: "
                   + "".join(f"{name} {s:.3f} s, "
@@ -236,7 +237,6 @@ def cmd_derive(args) -> tuple[int, list[str]]:
         return timings.finish(EXIT_USAGE), []
     # replay first, so that a derivation too deep to replay is not rendered
     replayed = best.derivation.replay()
-    nodes = unique_nodes((best.derivation,))
     conditions = on_paths((best.derivation,), lambda c: True)[
         id(best.derivation)]
     timings.lap("replay")
@@ -250,9 +250,9 @@ def cmd_derive(args) -> tuple[int, list[str]]:
     timings.lap("render")
     if not replayed:
         _warn("side-condition replay FAILED")
-        return timings.finish(EXIT_VERIFY, nodes), lines
+        return timings.finish(EXIT_VERIFY, (best.derivation,)), lines
     lines.append(f"side conditions: {conditions} replayed OK")
-    return timings.finish(EXIT_OK, nodes), lines
+    return timings.finish(EXIT_OK, (best.derivation,)), lines
 
 
 def cmd_lift(args) -> tuple[int, list[str]]:

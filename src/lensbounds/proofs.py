@@ -17,10 +17,11 @@ once it returns, so each call proves afresh and its derivations live as
 long as its caller holds them.  `query` and `table` never load this
 module.
 
-This module also defines the ten kinds of side condition its nodes carry
-(the `ConditionKind` constants at its end): each kind's name, the check
+This module also declares the kinds of side condition its nodes carry
+(the `ConditionKind` constants at its end), each once: its name, the check
 that replays a condition of the kind, whose parameters name its witness's
-fields, and beside it the texts that `derive` prints.
+fields, and the text that `derive` prints.  The ten names are twelve
+kinds, as beta-from-prior has three texts.
 """
 
 from __future__ import annotations
@@ -44,15 +45,15 @@ def step_node(record: Step, e: int, premises: tuple[DerivationNode, ...],
     sigma, beta, dim = record.sigma, record.beta, record.dim
     if record.radon:
         gate = SideCondition(BOUNDARY_RADON,
-                             (sigma, beta, j, k, *record.radon), _radon_text)
+                             (sigma, beta, j, k, *record.radon))
     else:
-        gate = SideCondition(SECTIONS_EXCEED, (sigma, beta, j), _exceed_text)
+        gate = SideCondition(SECTIONS_EXCEED, (sigma, beta, j))
     m = k + j + 1
     category = upper_category(2 * m + 1, dim)
     return DerivationNode(
         record.rule_id, f"L(m={m}, e={e}) embeds ({category}) in R^{dim}",
-        premises, (gate, SideCondition(AMBIENT_SUM, (record.alpha, beta, dim),
-                                       _ambient_text), *extra_conditions))
+        premises, (gate, SideCondition(AMBIENT_SUM, (record.alpha, beta, dim)),
+                   *extra_conditions))
 
 
 def feed_node(record: Step, e: int) -> DerivationNode:
@@ -61,12 +62,10 @@ def feed_node(record: Step, e: int) -> DerivationNode:
     instance `feeding_params(mu, ell, lam)`."""
     mu, ell, lam = record.mu, record.ell, record.lam
     conditions = (
-        SideCondition(FEEDING_ADMISSIBLE, (mu, ell, e), _admissible_text),
-        SideCondition(FEEDING_AMBIENT, (mu, ell, lam, record.feed),
-                      _feed_ambient_text),
+        SideCondition(FEEDING_ADMISSIBLE, (mu, ell, e)),
+        SideCondition(FEEDING_AMBIENT, (mu, ell, lam, record.feed)),
         SideCondition(FEEDING_CERTIFICATE,
-                      (mu, ell, lam, _feed_route(mu, ell, lam)),
-                      _certificate_text),
+                      (mu, ell, lam, _feed_route(mu, ell, lam))),
     )
     return DerivationNode(
         "feeding", f"{2**mu}*eta over L({2**mu * ell - 1}, e={e}) embeds in "
@@ -75,7 +74,7 @@ def feed_node(record: Step, e: int) -> DerivationNode:
 
 def igniting_node(k: int, e: int, sigma: int) -> DerivationNode:
     """The tabulated embedding L(k, e) in R^(4k+2) with sigma sections."""
-    cond = SideCondition(SECTIONS_TABLE, (k, e, sigma), _table_text)
+    cond = SideCondition(SECTIONS_TABLE, (k, e, sigma))
     return DerivationNode(
         "axiom:igniting",
         f"L({k}, e={e}) embeds smoothly in R^{4 * k + 2} with "
@@ -152,11 +151,10 @@ def _output(e: int, record: Step, ignite: DerivationNode,
             f"in R^{beta} (external input)")
         node = DerivationNode(
             rule_id, f"L(m={m}, e={e}) embeds in R^{record.dim}", (have,),
-            (SideCondition(WEAKENING, (beta, record.dim), _weakening_text),))
+            (SideCondition(WEAKENING, (beta, record.dim)),))
         return _round_bound(e, record, node)
     sigma = record.sigma
-    conditions = (SideCondition(FEED_WITHIN, (record.feed, sigma, beta),
-                                _within_text),)
+    conditions = (SideCondition(FEED_WITHIN, (record.feed, sigma, beta)),)
     if prior is None:
         j = 2**record.mu * record.ell - 1
         lead = (DerivationNode(
@@ -171,24 +169,22 @@ def _output(e: int, record: Step, ignite: DerivationNode,
     else:
         lead = (ignite, prior.derivation)
         if record.ell > 1:
-            text = (_reuse_text if record.lam else _one_higher_text
-                    if record.mu == 1 else _from_prior_text)
-            conditions += (SideCondition(BETA_FROM_PRIOR, (beta, prior.dim),
-                                         text),)
+            kind = (BETA_REUSE if record.lam else BETA_ONE_HIGHER
+                    if record.mu == 1 else BETA_FROM_PRIOR)
+            conditions += (SideCondition(kind, (beta, prior.dim)),)
     node = step_node(record, e, lead + (feed_node(record, e),), conditions)
     return _round_bound(e, record, node)
 
 
-# --- the kinds of the side conditions, each with the check that replays
-# it from the witness (the check's parameters name the witness's fields, in
-# order), and the texts that `derive` prints ---------------------------------
+# --- the kinds of the side conditions, each declared once: its name, the
+# check that replays it from the witness (the check's parameters name the
+# witness's fields, in order), and the text that `derive` prints, a
+# function of the same values ------------------------------------------------
 
 SECTIONS_EXCEED = ConditionKind(
-    "sections-exceed", lambda sigma, beta, j: sigma + beta > 4 * j + 2)
-
-
-def _exceed_text(sigma, beta, j):
-    return f"sigma + beta = {sigma + beta} > 4j + 2 = {4 * j + 2}"
+    "sections-exceed", lambda sigma, beta, j: sigma + beta > 4 * j + 2,
+    lambda sigma, beta, j:
+    f"sigma + beta = {sigma + beta} > 4j + 2 = {4 * j + 2}")
 
 
 def _boundary_radon(sigma: int, beta: int, j: int, k: int, a: int,
@@ -198,42 +194,30 @@ def _boundary_radon(sigma: int, beta: int, j: int, k: int, a: int,
     return (a, b) == radon_pair(nu(2 * j + 2)) and 2 * k + 3 <= 8 * a + 2**b
 
 
-BOUNDARY_RADON = ConditionKind("boundary-radon", _boundary_radon)
-
-
-def _radon_text(sigma, beta, j, k, a, b):
-    return (f"sigma + beta = 4j + 2 = {4 * j + 2} and 2k + 3 = {2 * k + 3} <= "
-            f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})")
-
+BOUNDARY_RADON = ConditionKind(
+    "boundary-radon", _boundary_radon,
+    lambda sigma, beta, j, k, a, b:
+    f"sigma + beta = 4j + 2 = {4 * j + 2} and 2k + 3 = {2 * k + 3} <= "
+    f"8a + 2^b = {8 * a + 2**b} (nu(2j+2) = {4 * a + b} = 4*{a}+{b})")
 
 AMBIENT_SUM = ConditionKind(
-    "ambient-sum", lambda alpha, beta, dim: dim == alpha + beta + 1)
-
-
-def _ambient_text(alpha, beta, dim):
-    return f"ambient = alpha + beta + 1 = {alpha}+{beta}+1 = {dim}"
-
+    "ambient-sum", lambda alpha, beta, dim: dim == alpha + beta + 1,
+    lambda alpha, beta, dim:
+    f"ambient = alpha + beta + 1 = {alpha}+{beta}+1 = {dim}")
 
 # `inductive._feed_admissible` is looked up at each replay, so the gate
 # and the replay of its condition are one predicate
 FEEDING_ADMISSIBLE = ConditionKind(
     "feeding-admissible",
-    lambda mu, ell, e: inductive._feed_admissible(mu, ell, e))
-
-
-def _admissible_text(mu, ell, e):
-    return f"feed defined for mu={mu}, ell={ell}, e={e}"
-
+    lambda mu, ell, e: inductive._feed_admissible(mu, ell, e),
+    lambda mu, ell, e: f"feed defined for mu={mu}, ell={ell}, e={e}")
 
 FEEDING_AMBIENT = ConditionKind(
     "feeding-ambient",
     lambda mu, ell, lam, ambient:
-    embedding_gate(feeding_params(mu, ell, lam)) == ambient)
-
-
-def _feed_ambient_text(mu, ell, lam, ambient):
-    return (f"gate: 2m+d+1 = {ambient} = 4i+3-lam "
-            f"(i={2**mu * ell - 1}, lam={lam})")
+    embedding_gate(feeding_params(mu, ell, lam)) == ambient,
+    lambda mu, ell, lam, ambient: f"gate: 2m+d+1 = {ambient} = 4i+3-lam "
+    f"(i={2**mu * ell - 1}, lam={lam})")
 
 
 def _feed_route(mu: int, ell: int, lam: int) -> int:
@@ -257,50 +241,37 @@ def _feed_certificate(mu: int, ell: int, lam: int, route: int) -> bool:
     return alpha(ell) == 1
 
 
-FEEDING_CERTIFICATE = ConditionKind("feeding-certificate", _feed_certificate)
-
 _ROUTE_TEXT = {1: "fiber connectivity", 2: "Davis-Mahowald gate",
                3: "low-multiple lifting"}
 
-
-def _certificate_text(mu, ell, lam, route):
-    return f"lifting certified via {_ROUTE_TEXT[route]}"
-
+FEEDING_CERTIFICATE = ConditionKind(
+    "feeding-certificate", _feed_certificate,
+    lambda mu, ell, lam, route: f"lifting certified via {_ROUTE_TEXT[route]}")
 
 SECTIONS_TABLE = ConditionKind(
-    "sections-table", lambda k, e, sigma: sections_table(k, e) == sigma)
-
-
-def _table_text(k, e, sigma):
-    return f"tabulated sigma(k={k}, e={e}) = {sigma}"
-
+    "sections-table", lambda k, e, sigma: sections_table(k, e) == sigma,
+    lambda k, e, sigma: f"tabulated sigma(k={k}, e={e}) = {sigma}")
 
 FEED_WITHIN = ConditionKind(
-    "feed-within", lambda feed, sigma, beta: feed <= sigma + beta)
+    "feed-within", lambda feed, sigma, beta: feed <= sigma + beta,
+    lambda feed, sigma, beta:
+    f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}")
 
 
-def _within_text(feed, sigma, beta):
-    return f"feeding ambient {feed} fits inside R^(sigma+beta) = R^{sigma + beta}"
+def _beta_from_prior(beta: int, prior: int) -> bool:
+    return prior <= beta <= prior + 1
 
 
-BETA_FROM_PRIOR = ConditionKind(
-    "beta-from-prior", lambda beta, prior: prior <= beta <= prior + 1)
+# one condition in three texts: a sharpened output reuses the prior round
+# output, round 1's main is one higher, and round 2's main is from it
+BETA_REUSE, BETA_ONE_HIGHER, BETA_FROM_PRIOR = (
+    ConditionKind("beta-from-prior", _beta_from_prior, text) for text in (
+        lambda beta, prior: f"beta = {beta} reuses the prior round output",
+        lambda beta, prior:
+        f"beta = {beta} is one higher than the prior round output {prior}",
+        lambda beta, prior:
+        f"beta = {beta} from the prior round output {prior}"))
 
-
-def _reuse_text(beta, prior):
-    return f"beta = {beta} reuses the prior round output"
-
-
-def _one_higher_text(beta, prior):
-    return f"beta = {beta} is one higher than the prior round output {prior}"
-
-
-def _from_prior_text(beta, prior):
-    return f"beta = {beta} from the prior round output {prior}"
-
-
-WEAKENING = ConditionKind("weakening", lambda have, use: have <= use)
-
-
-def _weakening_text(have, use):
-    return f"embedding in R^{have} persists into R^{use}"
+WEAKENING = ConditionKind(
+    "weakening", lambda have, use: have <= use,
+    lambda have, use: f"embedding in R^{have} persists into R^{use}")

@@ -3,12 +3,13 @@
 A Bound is one lower or upper bound on the Euclidean embedding dimension,
 tagged with the rule that produced it and (for engine-derived bounds) a
 derivation tree whose numeric side conditions can be replayed from their
-stored integer witnesses.  Each side condition carries its ConditionKind,
-which holds the kind's name, witness fields and replay check; the module
-that builds the conditions defines their kinds, so this module keeps no
-table of them.  `DerivationNode.replay` is the one routine that replays a
-derivation, and `on_paths` the one count of the side conditions on its
-paths: `derive` and `verify rounds` both use them.
+stored integer witnesses.  Each side condition is its ConditionKind and
+its witness values; the kind, declared once, holds the kind's name,
+witness fields, replay check and text.  The module that builds the
+conditions defines their kinds, so this module keeps no table of them.
+`DerivationNode.replay` is the one routine that replays a derivation, and
+`on_paths` the one count of the side conditions on its paths: `derive`
+and `verify rounds` both use them.
 
 The records here, and those of the other modules, are `namedtuple`
 subclasses with `__slots__ = ()`, not data classes made by the standard
@@ -92,40 +93,42 @@ def metastable_smoothable(manifold_dim: int, ambient_dim: int) -> bool:
     return 2 * ambient_dim >= 3 * (manifold_dim + 1)
 
 
-class ConditionKind(namedtuple("ConditionKind", "name fields check")):
-    """A kind of side condition: its name, the field names of its witness,
-    and `check`, the predicate that replays a condition of the kind from
-    its values.  The fields are `check`'s positional parameters, read here
-    and nowhere else, so every condition of the kind stores its values in
-    that order."""
+class ConditionKind(namedtuple("ConditionKind", "name fields check text")):
+    """A kind of side condition, declared once: its name, the field names
+    of its witness, `check`, the predicate that replays a condition of the
+    kind from its values, and `text`, the function of the same values that
+    renders the line `derive` prints.  The fields are `check`'s positional
+    parameters, read here and nowhere else, so every condition of the kind
+    stores its values in that order.  Kinds that share a name and a check
+    may differ in their text."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, check: Callable[..., bool]) -> ConditionKind:
+    def __new__(cls, name: str, check: Callable[..., bool],
+                text: Callable[..., str]) -> ConditionKind:
         code = check.__code__
         return tuple.__new__(
-            cls, (name, code.co_varnames[:code.co_argcount], check))
+            cls, (name, code.co_varnames[:code.co_argcount], check, text))
 
-    def __getnewargs__(self) -> tuple[str, Callable[..., bool]]:
-        return self.name, self.check
+    def __getnewargs__(self) -> tuple[str, Callable[..., bool],
+                                      Callable[..., str]]:
+        return self.name, self.check, self.text
 
 
-class SideCondition(namedtuple("SideCondition", "kind args form")):
+class SideCondition(namedtuple("SideCondition", "kind args")):
     """One checked numeric condition with the integers that satisfied it:
-    its kind, its witness values in the kind's field order, and its text,
-    or a function of the values that renders it.
+    its kind and its witness values in the kind's field order.
 
-    Only `derive` prints a text, so the round proofs pass a function and
-    the text is formatted when `text` is read.  `values` gives the witness
-    as a dict, and `replay` passes the values to the kind's check.
+    Only `derive` prints a text, so `text` formats the kind's text from the
+    values when it is read.  `values` gives the witness as a dict, and
+    `replay` passes the values to the kind's check.
     """
 
     __slots__ = ()
 
     @property
     def text(self) -> str:
-        form = self.form
-        return form if form.__class__ is str else form(*self.args)
+        return self.kind.text(*self.args)
 
     @property
     def values(self) -> dict[str, int]:

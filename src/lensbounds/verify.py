@@ -179,12 +179,6 @@ def _basis(ring: CohomologyRing) -> list[Mod2Class]:
     return [ring.monomial(d, j) for j in range(ring.n + 1) for d in (0, 1)]
 
 
-def _part(c: Mod2Class, d: int) -> int:
-    """The coefficient of c on the one basis class of degree d."""
-    j, odd = divmod(d, 2)
-    return ((c.odd if odd else c.even) >> j) & 1
-
-
 def _in_degree(c: Mod2Class, d: int) -> bool:
     """Whether c lies in degree d: zero, or the basis class of degree d
     (so zero past the top degree, where no basis class is)."""
@@ -248,7 +242,8 @@ def _cartan_formula() -> CheckResult:
                         lhs = multiply(sq_u, sq_v)
                         if lhs != sq_uv:
                             first = next(k for k in range(top)
-                                         if _part(lhs, k) != _part(sq_uv, k))
+                                         if lhs.coefficient(k % 2, k // 2)
+                                         != sq_uv.coefficient(k % 2, k // 2))
                             bad = (n, eps, str(u), str(v), first - d)
     return _result("cartan-formula", cases, bad)
 
@@ -556,7 +551,7 @@ def verify_bounds() -> list[CheckResult]:
                              (4 * ell + 3, ("round2", "round2-sharp"))):
                 e = max(3, alpha(m))
                 space = LensSpace(m, e)
-                uppers = {b.rule_id: b.dim for b in catalog.closed_form_uppers(space)}
+                uppers = {b.rule_id: b.dim for b in inductive.at(m, e)}
                 lower = max((b.dim for b in catalog.euler_class_lower_bounds(space)),
                             default=None)
                 for rule in rules:

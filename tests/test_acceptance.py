@@ -13,11 +13,10 @@ import pathlib
 import time
 
 from lensbounds import cli, sweeps
-from lensbounds.catalog import (closed_form_uppers, euler_class_lower_bounds,
-                                report)
+from lensbounds.catalog import euler_class_lower_bounds, report
 from lensbounds.cohomology import CohomologyRing, is_spin, normal_sw_class
 from lensbounds.dyadic import alpha, nu, nu_binom, nu_binom_sym
-from lensbounds.inductive import delta_e
+from lensbounds.inductive import at, delta_e
 from lensbounds.proofs import pairs
 from lensbounds.lifting import (davis_mahowald_check, embedding_gate,
                                 feeding_params, sharpening_drop)
@@ -110,7 +109,7 @@ def test_c04_gap_law():
             e = max(3, alpha(m))
             space = LensSpace(m, e)
             lower = max(b.dim for b in euler_class_lower_bounds(space))
-            for b in closed_form_uppers(space):
+            for b in at(m, e):
                 if b.rule_id in gap_of:
                     col_ell = (m - 1) // 2 if b.rule_id.startswith("round1") \
                         else (m - 3) // 4

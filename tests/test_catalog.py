@@ -4,15 +4,14 @@ import pytest
 
 import lensbounds
 from lensbounds import catalog, proofs, verify
-from lensbounds.catalog import (LensSpace,
-                                closed_form_uppers, codim2_lower,
-                                compactness_floor, conjectural_lower_bounds,
+from lensbounds.catalog import (LensSpace, codim2_lower, compactness_floor,
+                                conjectural_lower_bounds,
                                 euler_class_condition,
                                 euler_class_lower_bounds, hhmp_upper,
                                 low_dim_exact, metastable_smoothable,
-                                odd_torsion_transfer, power_of_two_lower,
-                                report, spin_upper)
+                                power_of_two_lower, report, spin_upper)
 from lensbounds.dyadic import alpha
+from lensbounds.inductive import at
 from lensbounds.records import Category, unique_nodes
 
 
@@ -143,23 +142,22 @@ def test_spin_upper():
 
 
 def test_closed_form_uppers_examples():
-    dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(7, 5))}
+    dims = {b.rule_id: b.dim for b in at(7, 5)}
     assert dims == {"round1": 27, "round2:base": 27}
-    dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(11, 2))}
+    dims = {b.rule_id: b.dim for b in at(11, 2)}
     assert dims == {"round1": 43, "round2": 41}
-    dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(13, 1))}
+    dims = {b.rule_id: b.dim for b in at(13, 1)}
     assert dims == {"round1": 51, "round1-sharp": 50}
-    dims = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(7, 2))}
+    dims = {b.rule_id: b.dim for b in at(7, 2)}
     assert dims == {"round1": 27, "round2-special": 26, "round2:base": 26}
-    assert closed_form_uppers(LensSpace(4, 2)) == []
-    assert closed_form_uppers(LensSpace(11, 1, 3)) == []
+    assert at(4, 2) == ()
 
 
 def test_projective_pl_uppers():
     # at e = 1 the second round rests on the PL embedding of P^15 in R^23,
     # and only its special case at m = 7 does not
     def flagged(m, e):
-        return {(b.rule_id, b.dim) for b in closed_form_uppers(LensSpace(m, e))
+        return {(b.rule_id, b.dim) for b in at(m, e)
                 if b.external}
     assert flagged(11, 1) == {("round2", 39)}
     assert flagged(27, 1) == {("round2", 103), ("round2-sharp", 102)}
@@ -172,11 +170,11 @@ def test_projective_pl_uppers():
 def test_closed_form_smoothability():
     # the m = 3 catalog entry is the one flagged topological
     space = LensSpace(3, 4)
-    entry, = closed_form_uppers(space)
+    entry, = at(space.m, space.e)
     assert entry.dim == 11 and entry.category is Category.TOPOLOGICAL
     assert not metastable_smoothable(space.dim, entry.dim)
     space = LensSpace(13, 1)
-    entry = closed_form_uppers(space)[0]
+    entry = at(space.m, space.e)[0]
     assert entry.category is Category.SMOOTH
     assert metastable_smoothable(space.dim, entry.dim)
 
@@ -185,12 +183,6 @@ def test_metastable_smoothable():
     assert not metastable_smoothable(7, 11)   # 22 < 24
     assert metastable_smoothable(15, 27)      # 54 >= 48
     assert not metastable_smoothable(3, 5)
-
-
-def test_odd_torsion_transfer():
-    assert odd_torsion_transfer(LensSpace(9, 2, 3)) == LensSpace(9, 2, 1)
-    with pytest.raises(ValueError):
-        odd_torsion_transfer(LensSpace(9, 2, 1))
 
 
 def test_report_examples():
@@ -264,11 +256,11 @@ def test_eff_row_of_the_catalog():
     # embedding efficiency 2*dim - upper at e = 2: 3/4/5/6 per column
     for ell, rule, eff in ((3, "round1", 3), (6, "round1-sharp", 4)):
         m = 2 * ell + 1
-        up = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(m, 2))}
+        up = {b.rule_id: b.dim for b in at(m, 2)}
         assert 2 * (2 * m + 1) - up[rule] == eff
     for ell, rule, eff in ((3, "round2", 5), (6, "round2-sharp", 6)):
         m = 4 * ell + 3
-        up = {b.rule_id: b.dim for b in closed_form_uppers(LensSpace(m, 2))}
+        up = {b.rule_id: b.dim for b in at(m, 2)}
         assert 2 * (2 * m + 1) - up[rule] == eff
 
 
@@ -277,7 +269,7 @@ def test_gap_law_spot():
         m = 2 * ell + 1
         e = max(3, alpha(m))
         space = LensSpace(m, e)
-        up = {b.rule_id: b.dim for b in closed_form_uppers(space)}
+        up = {b.rule_id: b.dim for b in at(space.m, space.e)}
         low = max(b.dim for b in euler_class_lower_bounds(space))
         assert up["round1"] - low == 2 * alpha(ell) - 1
 
@@ -296,7 +288,7 @@ def test_closed_forms_agree_with_the_rounds_oracle():
         for (rule, m), dim in verify._expected_rounds(e, 403).items():
             want.setdefault(m, {})[CATALOG_RULE[rule]] = dim
         for m in range(0, 404):
-            bounds = closed_form_uppers(LensSpace(m, e))
+            bounds = at(m, e)
             got = {b.rule_id: b.dim for b in bounds}
             assert len(got) == len(bounds) and got == want.get(m, {}), (m, e)
 

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from lensbounds import (catalog, cli, cohomology, inductive, lifting, proofs,
-                        verify)
+                        records, verify)
 from lensbounds.records import (Bound, Category, DerivationNode, Direction,
                                 InconsistentBoundsError, LensSpace,
                                 SideCondition, unique_nodes)
@@ -328,6 +328,23 @@ def test_query_table_derive_timings_go_to_stderr(capsys):
     assert code == 0 and err.endswith(
         f"s; {len(nodes)} nodes, "
         f"{sum(len(n.side_conditions) for n in nodes)} side conditions\n")
+
+
+def test_a_plain_derive_walks_its_derivation_once(capsys, monkeypatch):
+    # the count of replayed conditions walks the derivation's nodes; only
+    # --timings walks them again, to count them
+    calls = []
+
+    def counted(roots):
+        calls.append(roots)
+        return unique_nodes(roots)
+    monkeypatch.setattr(cli, "unique_nodes", counted)
+    monkeypatch.setattr(records, "unique_nodes", counted)
+    argv = ("derive", "--m", "51", "--e", "2")
+    for extra, walks in (((), 1), (("--timings",), 2)):
+        calls.clear()
+        assert run_cli(capsys, *argv, *extra)[0] == 0
+        assert len(calls) == walks, extra
 
 
 # Runs one command in a fresh interpreter, with `-S` so that no module

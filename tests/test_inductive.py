@@ -12,13 +12,13 @@ from lensbounds.dyadic import alpha
 from lensbounds.inductive import (_feed_ambient, _sections, at, delta_e,
                                   milgram_condition, sections_table)
 from lensbounds.lifting import radon_gate
-from lensbounds.proofs import (AMBIENT_SUM, BETA_FROM_PRIOR, BOUNDARY_RADON,
-                               FEEDING_ADMISSIBLE, SECTIONS_EXCEED,
-                               feed_node, igniting_node, pairs, prove,
-                               step_node)
-from lensbounds.records import (Category, DerivationNode,
-                                RoundsDivergenceError, unique_nodes,
-                                upper_category)
+from lensbounds.proofs import (AMBIENT_SUM, BETA_FROM_PRIOR, BETA_ONE_HIGHER,
+                               BETA_REUSE, BOUNDARY_RADON, FEEDING_ADMISSIBLE,
+                               SECTIONS_EXCEED, feed_node, igniting_node,
+                               pairs, prove, step_node)
+from lensbounds.records import (Category, ConditionKind, DerivationNode,
+                                RoundsDivergenceError, SideCondition,
+                                unique_nodes, upper_category)
 
 
 def test_sections_table():
@@ -201,13 +201,36 @@ def test_derivations_replay_and_audit():
 
 
 def test_beta_bookkeeping():
-    # every step records beta within one of the prior round's output
+    # every step records beta within one of the prior round's output; the
+    # conditions are picked by name, so each of the kind's three texts is
+    # checked
+    texts = set()
     for m, b in pairs(3, 103):
         for node in unique_nodes([b.derivation]):
             for cond in node.side_conditions:
-                if cond.kind is BETA_FROM_PRIOR:
+                if cond.kind.name == "beta-from-prior":
                     v = cond.values
                     assert v["prior"] <= v["beta"] <= v["prior"] + 1
+                    texts.add(cond.kind.text)
+    assert texts == {BETA_REUSE.text, BETA_ONE_HIGHER.text,
+                     BETA_FROM_PRIOR.text}
+
+
+def test_each_kind_is_declared_once_with_its_text():
+    # a kind's text takes the values its check does, in the same order
+    kinds = [value for value in vars(proofs).values()
+             if isinstance(value, ConditionKind)]
+    for kind in kinds:
+        code = kind.text.__code__
+        assert code.co_varnames[:code.co_argcount] == kind.fields, kind.name
+
+
+def test_beta_kinds_share_one_name_and_check():
+    beta = (BETA_REUSE, BETA_ONE_HIGHER, BETA_FROM_PRIOR)
+    assert {kind.name for kind in beta} == {"beta-from-prior"}
+    assert len({kind.check for kind in beta}) == 1
+    assert len({kind.text(26, 25) for kind in beta}) == 3
+    assert all(SideCondition(kind, (26, 25)).replay() for kind in beta)
 
 
 def test_smoothability_flags():

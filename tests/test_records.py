@@ -12,34 +12,38 @@ from lensbounds.records import (Bound, Category, ConditionKind,
 
 
 def test_side_condition_replay():
-    good = SideCondition(SECTIONS_EXCEED, (2, 5, 1), "7 > 6")
+    good = SideCondition(SECTIONS_EXCEED, (2, 5, 1))
     assert good.replay()
-    bad = SideCondition(SECTIONS_EXCEED, (1, 5, 1), "6 > 6")
+    bad = SideCondition(SECTIONS_EXCEED, (1, 5, 1))
     assert not bad.replay()
 
 
 def test_hand_made_side_condition_keeps_its_fields():
-    # a kind's fields are its check's parameters, in order
+    # a kind's fields are its check's parameters, in order, and its text is
+    # formatted from the values in that order
     assert FEED_WITHIN.fields == ("feed", "sigma", "beta")
-    assert ConditionKind("any", lambda y, x: True).fields == ("y", "x")
-    cond = SideCondition(FEED_WITHIN, (21, 10, 15), "21 <= 25")
-    assert cond.text == "21 <= 25"
+    kind = ConditionKind("any", lambda y, x: True, lambda y, x: f"{y} {x}")
+    assert kind.fields == ("y", "x")
+    assert SideCondition(kind, (1, 2)).text == "1 2"
+    assert copy.deepcopy(kind) == kind
+    cond = SideCondition(FEED_WITHIN, (21, 10, 15))
+    assert cond.text == "feeding ambient 21 fits inside R^(sigma+beta) = R^25"
     assert cond.values == {"feed": 21, "sigma": 10, "beta": 15}
     assert list(cond.values) == ["feed", "sigma", "beta"]
     assert cond.replay()
-    assert cond == SideCondition(FEED_WITHIN, (21, 10, 15), "21 <= 25")
+    assert cond == SideCondition(FEED_WITHIN, (21, 10, 15))
     assert copy.deepcopy(cond) == cond
 
 
 def test_replay_catches_tampered_witness():
-    cond = SideCondition(BOUNDARY_RADON, (3, 11, 3, 1, 1, 1), "tampered")
+    cond = SideCondition(BOUNDARY_RADON, (3, 11, 3, 1, 1, 1))
     # nu(8) = 3 decomposes as (0, 3), not (1, 1)
     assert not cond.replay()
 
 
 def test_derivation_tree_serialization():
     leaf = DerivationNode("axiom:igniting", "base case")
-    cond = SideCondition(AMBIENT_SUM, (5, 5, 11), "11 = 5+5+1")
+    cond = SideCondition(AMBIENT_SUM, (5, 5, 11))
     root = DerivationNode("round1:base", "conclusion", (leaf,), (cond,))
     lines = root.to_lines()
     assert lines[0].startswith("round1:base")
@@ -50,7 +54,7 @@ def test_derivation_tree_serialization():
     assert d["premises"][0]["rule"] == "axiom:igniting"
     assert d["side_conditions"][0] == {
         "kind": "ambient-sum", "witness": {"alpha": 5, "beta": 5, "dim": 11},
-        "text": "11 = 5+5+1"}
+        "text": "ambient = alpha + beta + 1 = 5+5+1 = 11"}
     assert root.replay()
     assert [n.rule_id for n in unique_nodes([root])] == [
         "axiom:igniting", "round1:base"]
@@ -62,11 +66,11 @@ def test_roots_sharing_a_memo_replay_each_node_once():
     def check(name):
         checks[name] += 1
         return True
-    kind = ConditionKind("counted", check)
+    kind = ConditionKind("counted", check, str)
     base = DerivationNode("base", "base", (),
-                          (SideCondition(kind, ("base",), ""),))
+                          (SideCondition(kind, ("base",)),))
     mid = DerivationNode("mid", "mid", (base,),
-                         (SideCondition(kind, ("mid",), ""),))
+                         (SideCondition(kind, ("mid",)),))
     left = DerivationNode("left", "left", (mid, base))
     right = DerivationNode("right", "right", (mid,))
     memo = {}

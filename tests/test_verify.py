@@ -326,7 +326,7 @@ def _rounds_roots(max_e=8, max_m=403):
 def test_replay_facts_count_a_shared_premise_on_every_path():
     for k, ok in ((0, True), (1, False)):
         # nu(2j+2) = nu(4) = 4*0 + 2, and the gate needs 2k+3 <= 8*0 + 2^2
-        gate = SideCondition(BOUNDARY_RADON, (3, 3, 1, k, 0, 2), "gate")
+        gate = SideCondition(BOUNDARY_RADON, (3, 3, 1, k, 0, 2))
         shared = DerivationNode("shared", "shared", (), (gate,))
         top = DerivationNode("top", "top", (
             DerivationNode("left", "left", (shared,)),
@@ -367,8 +367,10 @@ KINDS = sorted(name for name, value in vars(proofs).items()
 
 @pytest.mark.parametrize("name", KINDS)
 def test_every_kind_is_replayed(monkeypatch, name):
-    # a kind whose check always fails fails the replay of the rounds
-    assert len(KINDS) == 10
+    # a kind whose check always fails fails the replay of the rounds; the
+    # ten names are twelve kinds, beta-from-prior having three texts
+    assert len(KINDS) == 12
+    assert len({getattr(proofs, kind).name for kind in KINDS}) == 10
     monkeypatch.setattr(proofs, name, getattr(proofs, name)._replace(
         check=lambda *args: False))
     by_name = {r.name: r for r in verify.verify_rounds()}

@@ -6,7 +6,9 @@ the least output at m, an external one only under `--external`.
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency (an engine bug: a lower bound exceeding an upper bound, a
 round or lifting gate off its closed form, a weakening off the output it
-stands on, or the spin criteria disagreeing),
+stands on, or the spin criteria disagreeing; inside `verify`, a lower
+bound above an upper one or a value off its closed form fails its check
+instead, and the command exits 2),
 74 (EX_IOERR) stdout could not be written (a full disk, say), 141 (128 +
 SIGPIPE) stdout closed, or its reader gone before it was written.
 

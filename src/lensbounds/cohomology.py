@@ -65,14 +65,6 @@ class CohomologyRing(namedtuple("CohomologyRing", "n epsilon mask")):
             return Mod2Class(self, 0, 1 << j)
         return Mod2Class(self, 1 << j, 0)
 
-    def x_power(self, k: int) -> "Mod2Class":
-        """x^k normalized into the canonical basis via x^2 -> epsilon*y."""
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
-        if k >= 2 and self.epsilon == 0:
-            return self.zero()
-        return self.monomial(k & 1, k >> 1)
-
 
 class Mod2Class(namedtuple("Mod2Class", "ring even odd")):
     """Element sum c_{0,j} y^j + c_{1,j} x y^j; masks truncated past y^n.

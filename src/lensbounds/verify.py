@@ -5,17 +5,21 @@ counterexample.  Most checks are a generator that does all of the check's
 work and yields one outcome per case: None where the case passes, and the
 counterexample where it fails.  `_tally` runs it to the end, so every case
 is evaluated and counted, also after a failure, and keeps the first
-counterexample.  The four digit-identity proofs, the Cartan check (which
+counterexample; an engine error that the generator raises fails its check,
+not the command.  The four digit-identity proofs, the Cartan check (which
 counts every degree of a pair as a case), the rounds' replay (three results
 from one set of proofs) and the Milgram density report through `_result` or
 `CheckResult` themselves.
 
 The dyadic scope proves its four digit identities for every input, with
 the automata of `automata`, and ties each automaton to the package's
-functions on seeded random inputs.  The rounds scope's round-schema proves
-the engine's own linear forms of each step (`inductive.step_forms`,
-`lifting.feed_forms`), those `inductive.records` evaluates, against closed
-forms recomputed here (`_closed_form`, `_expected_rounds`).  Everything
+functions on seeded random inputs.  The cohomology scope forms each ring's
+arithmetic once (`_rings`): its classes, their products and their squares,
+which the ring laws, the Cartan formula and instability all read.  The
+rounds scope's round-schema proves the engine's own linear forms of each
+step (`inductive.step_forms`, `lifting.feed_forms`), those
+`inductive.records` evaluates, against closed forms recomputed here
+(`_closed_form`, `_expected_rounds`).  Everything
 that pins down the exact public API (arbitrary-precision oracles, round
 replay, report soundness) runs through the real functions.  No scope
 imports numpy.
@@ -38,7 +42,8 @@ from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feed_forms,
                       feeding_params, sharpening_drop, sharper_lifting_level)
-from .records import LensSpace, RoundsDivergenceError, on_paths
+from .records import (InconsistentBoundsError, LensSpace,
+                      RoundsDivergenceError, on_paths)
 
 
 class CheckResult(namedtuple("CheckResult", "name cases ok detail",
@@ -67,13 +72,21 @@ def _result(name: str, cases: int, first_bad) -> CheckResult:
 
 def _tally(name: str, outcomes: Iterable) -> CheckResult:
     """The result of a check that yields one outcome per case: None where
-    the case passes, its counterexample where it fails."""
+    the case passes, its counterexample where it fails.
+
+    An engine error (a lower bound above an upper one, or a value off its
+    closed form) ends the check, which counts the cases before it and fails
+    with the error's message as its first counterexample, unless it found
+    one earlier; the other checks still run."""
     bad = None
     cases = 0
-    for outcome in outcomes:
-        cases += 1
-        if bad is None:
-            bad = outcome
+    try:
+        for outcome in outcomes:
+            cases += 1
+            if bad is None:
+                bad = outcome
+    except (InconsistentBoundsError, RoundsDivergenceError) as exc:
+        bad = bad or str(exc)
     return _result(name, cases, bad)
 
 
@@ -175,96 +188,99 @@ def verify_dyadic() -> list[CheckResult]:
 
 # --- cohomology ------------------------------------------------------------
 
-def _basis(ring: CohomologyRing) -> list[Mod2Class]:
-    return [ring.monomial(d, j) for j in range(ring.n + 1) for d in (0, 1)]
+_RingTable = namedtuple("_RingTable", "n eps classes products squares")
 
 
-def _in_degree(c: Mod2Class, d: int) -> bool:
-    """Whether c lies in degree d: zero, or the basis class of degree d
-    (so zero past the top degree, where no basis class is)."""
-    j, odd = divmod(d, 2)
-    return (c.even, c.odd) in ((0, 0), (0, 1 << j) if odd else (1 << j, 0))
+def _rings():
+    """One table per ring, n = 1..16 and eps = 0, 1 in that order: each
+    ring's arithmetic, formed once for every check that reads it.
+
+    `classes[d]` is the basis class of degree d for d = 0..2n+1, and
+    `classes[2n+2]` is zero, so a class lies in degree d exactly when its
+    index is min(d, 2n+2) or 2n+2.  `products[u][v]` is the index of
+    classes[u] * classes[v], and `squares[u][a]` that of Sq^a(classes[u])
+    for a = 0..2n+2; either is None where the class is none of them, which
+    every check counts as a failure.
+    """
+    for n in range(1, 17):
+        for eps in (0, 1):
+            ring = CohomologyRing(n, eps)
+            # monomial(0, n + 1), past the top class, is zero
+            classes = [ring.monomial(d % 2, d // 2) for d in range(2 * n + 3)]
+            index = {c: k for k, c in enumerate(classes)}
+            yield _RingTable(
+                n, eps, classes,
+                [[index.get(multiply(u, v)) for v in classes]
+                 for u in classes],
+                [[index.get(steenrod_square(a, u)) for a in range(2 * n + 3)]
+                 for u in classes])
 
 
-def _cartan_formula() -> CheckResult:
+def _cartan_formula(rings: list[_RingTable]) -> CheckResult:
     """Sq^i(uv) against sum_{a+b=i} Sq^a(u) Sq^b(v) over every pair of basis
     classes, on total squares Sq(c) = sum_a Sq^a(c).
 
     The ring is graded, so the sum is the degree-(deg uv + i) part of
     Sq(u) Sq(v), and one product and one equality per pair check every i,
-    provided every square and product is homogeneous.  So each Sq^a(c) is
-    checked to lie in degree deg(c) + a as its total is formed (all of
-    zero's squares to vanish), and each uv in degree deg u + deg v; a class
-    that fails is the counterexample.  A product of basis classes is then
-    a basis class or zero, so each ring squares at most 2n+3 distinct
-    classes, each once per degree.  A mismatch is split by degree to name
-    the first i.
+    provided every square and product is homogeneous.  So each Sq^a(c) in
+    the table is checked to lie in degree deg(c) + a as its total is formed
+    (all of zero's squares to vanish), and each uv in degree deg u + deg v;
+    a class that fails is the counterexample.  A mismatch is split by
+    degree to name the first i.
     """
     bad = None
     cases = 0
-    for n in range(1, 17):
-        for eps in (0, 1):
-            ring = CohomologyRing(n, eps)
-            top = 2 * n + 2
-            # Sq(c) of each class totalled so far in this ring
-            totals: dict[Mod2Class, Mod2Class] = {}
-
-            def total(c: Mod2Class, d: int) -> Mod2Class:
-                """Sq(c) for c in degree d; records an off-degree square."""
-                nonlocal bad
-                sq = totals.get(c)
-                if sq is None:
-                    even = odd = 0
-                    for a in range(top):
-                        sq_a = steenrod_square(a, c)
-                        if bad is None and not (
-                                _in_degree(sq_a, d + a) if not c.is_zero()
-                                else sq_a.is_zero()):
-                            bad = (n, eps, str(c), a, "off-degree")
-                        even ^= sq_a.even
-                        odd ^= sq_a.odd
-                    sq = totals[c] = Mod2Class(ring, even, odd)
-                return sq
-
-            # each basis class (one monomial) with its degree and Sq
-            basis = [(u, d + 2 * j, total(u, d + 2 * j))
-                     for u in _basis(ring) for d, j in u.monomials()]
-            for u, du, sq_u in basis:
-                for v, dv, sq_v in basis:
-                    cases += top
-                    uv = multiply(u, v)
-                    d = du + dv
-                    if not _in_degree(uv, d):
-                        bad = bad or (n, eps, str(u), str(v), "off-degree")
-                        continue
-                    sq_uv = total(uv, d)
-                    if bad is None:
-                        lhs = multiply(sq_u, sq_v)
-                        if lhs != sq_uv:
-                            first = next(k for k in range(top)
-                                         if lhs.coefficient(k % 2, k // 2)
-                                         != sq_uv.coefficient(k % 2, k // 2))
-                            bad = (n, eps, str(u), str(v), first - d)
+    for n, eps, classes, products, squares in rings:
+        top = 2 * n + 2
+        totals = []
+        for d, (c, sqs) in enumerate(zip(classes, squares)):
+            even = odd = 0
+            for a, k in enumerate(sqs):
+                if k not in (min(d + a, top), top):
+                    bad = bad or (n, eps, str(c), a, "off-degree")
+                else:
+                    even ^= classes[k].even
+                    odd ^= classes[k].odd
+            totals.append(Mod2Class(c.ring, even, odd))
+        for du in range(top):
+            for dv in range(top):
+                cases += top
+                k = products[du][dv]
+                if k not in (min(du + dv, top), top):
+                    bad = bad or (n, eps, str(classes[du]), str(classes[dv]),
+                                  "off-degree")
+                elif bad is None:
+                    lhs = multiply(totals[du], totals[dv])
+                    if lhs != totals[k]:
+                        first = next(i for i in range(top)
+                                     if lhs.coefficient(i % 2, i // 2)
+                                     != totals[k].coefficient(i % 2, i // 2))
+                        bad = (n, eps, str(classes[du]), str(classes[dv]),
+                               first - du - dv)
     return _result("cartan-formula", cases, bad)
 
 
 def verify_cohomology() -> list[CheckResult]:
+    rings = list(_rings())
+
     def ring_laws():
-        for n in range(1, 9):
-            for eps in (0, 1):
-                ring = CohomologyRing(n, eps)
-                basis = _basis(ring)
-                ws = basis[:: max(1, len(basis) // 6)]
-                # v*w depends on no u, so it is formed once per (v, w)
-                vws = [[multiply(v, w) for w in ws] for v in basis]
-                for u in basis:
-                    for v, vw in zip(basis, vws):
-                        uv = multiply(u, v)
-                        yield ((n, eps, str(u), str(v)) if uv != multiply(v, u)
-                               else None)
-                        for w, v_w in zip(ws, vw):
-                            yield ((n, eps, str(u), str(v), str(w))
-                                   if multiply(uv, w) != multiply(u, v_w) else None)
+        for n, eps, classes, products, _ in rings:
+            if n > 8:
+                break
+            basis = range(2 * n + 2)
+            ws = basis[:: max(1, len(basis) // 6)]
+            for u in basis:
+                for v in basis:
+                    uv = products[u][v]
+                    yield (None if uv is not None and uv == products[v][u]
+                           else (n, eps, str(classes[u]), str(classes[v])))
+                    for w in ws:
+                        vw = products[v][w]
+                        uvw = None if None in (uv, vw) else products[uv][w]
+                        yield (None if uvw is not None
+                               and uvw == products[u][vw]
+                               else (n, eps, str(classes[u]), str(classes[v]),
+                                     str(classes[w])))
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randrange(1, 65)
@@ -278,16 +294,15 @@ def verify_cohomology() -> list[CheckResult]:
                    != multiply(cls[0], multiply(*cls[1:])) else None)
 
     def instability_and_top_square():
-        for n in range(1, 17):
-            for eps in (0, 1):
-                ring = CohomologyRing(n, eps)
-                for u in _basis(ring):
-                    deg = next(d + 2 * j for d, j in u.monomials())
-                    for i in range(deg + 1, 2 * n + 3):
-                        yield ((n, eps, str(u), i)
-                               if not steenrod_square(i, u).is_zero() else None)
-                    yield ((n, eps, str(u), "top")
-                           if steenrod_square(deg, u) != multiply(u, u) else None)
+        for n, eps, classes, products, squares in rings:
+            top = 2 * n + 2
+            for d in range(top):
+                for i in range(d + 1, top + 1):
+                    yield ((n, eps, str(classes[d]), i)
+                           if squares[d][i] != top else None)
+                sq = squares[d][d]
+                yield ((n, eps, str(classes[d]), "top")
+                       if sq is None or sq != products[d][d] else None)
 
     def sw_class_inverse():
         for n in range(1, 513):
@@ -305,7 +320,7 @@ def verify_cohomology() -> list[CheckResult]:
 
     return [
         _tally("ring-commutative-associative", ring_laws()),
-        _cartan_formula(),
+        _cartan_formula(rings),
         _tally("instability-and-top-square", instability_and_top_square()),
         _tally("sw-class-inverse", sw_class_inverse()),
         _tally("spin-double-derivation", (

@@ -1,6 +1,11 @@
 """Bounds catalog: every (non)embedding theorem as a rule emitting Bound
 records, combined into a best-bounds report for a given lens space.
 
+Each rule is one branch of one of two generators, `lower_bounds` and
+`upper_bounds`, which yield the Bounds that apply to a space, most
+specific first; `report()` takes the max of the one and the min of the
+other.
+
 Lower bounds are stored as "embedding dimension >= dim", i.e. nonembedding
 in R^(dim-1), so rules never disagree about off-by-ones.  All rules are
 pure; report() is deterministic.  A row costs O(log m) time and memory:
@@ -26,14 +31,13 @@ from .cohomology import is_spin
 from .dyadic import alpha, nu
 from .inductive import at
 from .records import (Bound, Category, Direction, InconsistentBoundsError,
-                      LensSpace, metastable_smoothable, upper_bound)
+                      LensSpace, SpinCriteriaError, metastable_smoothable)
 
 __all__ = [
     "LensSpace", "Bound", "Report", "Direction", "Category",
     "metastable_smoothable", "euler_class_condition",
-    "euler_class_lower_bounds", "power_of_two_lower", "codim2_lower",
-    "compactness_floor", "low_dim_exact", "hhmp_upper", "spin_upper",
-    "conjectural_lower_bounds", "report", "InconsistentBoundsError",
+    "euler_class_lower_bounds", "conjectural_lower_bounds", "lower_bounds",
+    "upper_bounds", "report", "InconsistentBoundsError",
 ]
 
 
@@ -78,6 +82,10 @@ def _lower(dim: int, rule_id: str, citation: str, **flags) -> Bound:
                  **flags)
 
 
+def _upper(dim: int, rule_id: str, citation: str) -> Bound:
+    return Bound(Direction.UPPER, dim, Category.SMOOTH, rule_id, citation)
+
+
 def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
     """Euler-class nonembedding: for every n with n + delta = m, where
     delta = max(0, alpha(n) - e), and the rule's hypothesis holds, the
@@ -94,80 +102,6 @@ def euler_class_lower_bounds(space: LensSpace) -> list[Bound]:
             if euler_class_condition(n, space.e)]
 
 
-def power_of_two_lower(space: LensSpace) -> Bound | None:
-    """When alpha(m) = 1 the general-position embedding in R^(4m+1) is
-    optimal: no embedding in R^(4m)."""
-    if space.odd_factor != 1 or space.m < 1 or alpha(space.m) != 1:
-        return None
-    return _lower(4 * space.m + 1, "power-of-two-floor",
-                  "Gysin-sequence argument: the general-position embedding "
-                  "is optimal when alpha(m) = 1")
-
-
-def codim2_lower(space: LensSpace) -> Bound | None:
-    """No codimension-2 embedding for lens spaces of dimension >= 5.
-
-    Such an embedding forces stable parallelizability, and the only stably
-    parallelizable lens space of even torsion and dimension >= 5 is the
-    parallelizable 7-dimensional 2-torsion space, the one excluded case.
-    """
-    if space.dim < 5:
-        return None
-    if space.m == 3 and space.e == 1 and space.odd_factor == 1:
-        return None
-    return _lower(space.dim + 3, "codim2",
-                  "codimension-2 embeddings force stable parallelizability")
-
-
-def compactness_floor(space: LensSpace) -> Bound:
-    """A closed manifold never embeds in its own dimension."""
-    return _lower(space.dim + 1, "compactness",
-                  "closed manifolds need at least one extra dimension")
-
-
-def low_dim_exact(space: LensSpace) -> tuple[Bound, Bound] | None:
-    """Exact values in dimensions 1 and 3: the circle needs the plane, and
-    every 3-dimensional lens space needs and gets R^5 (no R^4 embedding
-    exists; R^5 embeddings are smooth)."""
-    if space.m == 0:
-        cite = "the circle embeds optimally in the plane"
-        return (_lower(2, "low-dim", cite),
-                upper_bound(space.dim, 2, "low-dim", cite,
-                            smooth_rule=True))
-    if space.m == 1:
-        return (_lower(5, "low-dim",
-                       "no 3-dimensional lens space embeds in R^4 (Hantzsche)"),
-                upper_bound(space.dim, 5, "low-dim",
-                            "every 3-dimensional lens space embeds smoothly "
-                            "in R^5 (Hirsch)", smooth_rule=True))
-    return None
-
-
-def hhmp_upper(space: LensSpace) -> Bound:
-    """General-position embedding in R^(4m+1), any (m, e) with m >= 1."""
-    if space.m < 1:
-        raise ValueError("use low_dim_exact for the circle")
-    return upper_bound(space.dim, 4 * space.m + 1, "hhmp",
-                       "Haefliger-Hirsch-Massey-Peterson general-position "
-                       "embedding", smooth_rule=True)
-
-
-def spin_upper(space: LensSpace) -> Bound | None:
-    """Spin embedding in R^(4m) for m = 3 mod 4.
-
-    Spin manifolds of dimension 5, 6, 7 mod 8 and >= 7 embed with
-    codimension dim-2 (Thomas); m = 3 mod 4 gives dimension 7 mod 8 >= 7,
-    and the spin prerequisite (m odd) is cross-checked on the cohomology.
-    """
-    if space.odd_factor != 1 or space.m % 4 != 3:
-        return None
-    if not is_spin(space.m, space.e):
-        raise AssertionError(f"spin prerequisite failed for {space}")
-    return upper_bound(space.dim, 4 * space.m, "spin",
-                       "spin manifolds of dimension 7 mod 8 embed with "
-                       "codimension dim-2 (Thomas)", smooth_rule=True)
-
-
 def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
     """Low-torsion Euler-class bounds with the valuation hypothesis waived.
 
@@ -180,6 +114,72 @@ def conjectural_lower_bounds(space: LensSpace) -> list[Bound]:
                    f"n={n}, delta={delta}", conjectural=True)
             for n, delta in _euler_solutions(space)
             if delta > 0 and not euler_class_condition(n, space.e)]
+
+
+def lower_bounds(space: LensSpace,
+                 conjectural: bool = False) -> Iterator[Bound]:
+    """Every lower bound that applies to `space`, most specific first: the
+    exact values in dimensions 1 and 3, the power-of-two floor, the
+    Euler-class bounds, codimension 2, compactness, and the conjectural
+    Euler-class bounds only under `conjectural`."""
+    m, dim = space.m, space.dim
+    if m == 0:
+        yield _lower(2, "low-dim", "the circle embeds optimally in the plane")
+    elif m == 1:
+        yield _lower(5, "low-dim",
+                     "no 3-dimensional lens space embeds in R^4 (Hantzsche)")
+    # when alpha(m) = 1 the general-position embedding in R^(4m+1) is
+    # optimal: no embedding in R^(4m)
+    if space.odd_factor == 1 and alpha(m) == 1:
+        yield _lower(4 * m + 1, "power-of-two-floor",
+                     "Gysin-sequence argument: the general-position "
+                     "embedding is optimal when alpha(m) = 1")
+    yield from euler_class_lower_bounds(space)
+    # a codimension-2 embedding forces stable parallelizability, and the
+    # only stably parallelizable lens space of even torsion and dimension
+    # >= 5 is the parallelizable 7-dimensional 2-torsion space
+    if dim >= 5 and space != (3, 1, 1):
+        yield _lower(dim + 3, "codim2",
+                     "codimension-2 embeddings force stable parallelizability")
+    yield _lower(dim + 1, "compactness",
+                 "closed manifolds need at least one extra dimension")
+    if conjectural:
+        yield from conjectural_lower_bounds(space)
+
+
+def upper_bounds(space: LensSpace, external: bool = False) -> Iterator[Bound]:
+    """Every upper bound that applies to `space`, most specific first.
+
+    In dimensions 1 and 3 the exact values, which hold for any torsion.
+    For m >= 1, those of the 2-primary space: the round bounds of
+    `inductive.at(m, e)` (an external one only under `external`), the spin
+    embedding in R^4m for m = 3 mod 4 (spin manifolds of dimension 7 mod 8
+    embed with codimension dim - 2, Thomas), and general position in
+    R^(4m+1).  Off 2-power torsion these count only within the metastable
+    range, flagged transferred.  Every closed-form rule embeds smoothly.
+    """
+    m, e = space.m, space.e
+    if m == 0:
+        yield _upper(2, "low-dim", "the circle embeds optimally in the plane")
+        return
+    if m == 1:
+        yield _upper(5, "low-dim", "every 3-dimensional lens space embeds "
+                     "smoothly in R^5 (Hirsch)")
+    primary = [b for b in at(m, e) if external or not b.external]
+    if m % 4 == 3:
+        # the spin prerequisite (m odd), cross-checked on the cohomology
+        if not is_spin(m, e):
+            raise SpinCriteriaError(
+                f"spin prerequisite failed for {LensSpace(m, e)}")
+        primary.append(_upper(4 * m, "spin", "spin manifolds of dimension "
+                              "7 mod 8 embed with codimension dim-2 (Thomas)"))
+    primary.append(_upper(4 * m + 1, "hhmp", "Haefliger-Hirsch-Massey-"
+                          "Peterson general-position embedding"))
+    if space.odd_factor == 1:
+        yield from primary
+    else:
+        yield from (b._replace(transferred=True) for b in primary
+                    if metastable_smoothable(space.dim, b.dim))
 
 
 class Report(namedtuple("Report", "space lower upper all_bounds exact")):
@@ -199,44 +199,11 @@ def report(space: LensSpace, conjectural: bool = False,
 
     conjectural / external opt into the flagged rule sets; without them no
     conjectural or external-input bound is consulted (the e = 1 second
-    round among them).  The round uppers are those of the 2-primary space,
-    one `inductive.at(m, e)` lookup; off 2-power torsion they, like the
-    other uppers of that space, count only within the metastable range,
-    flagged transferred.  Raises InconsistentBoundsError if lower exceeds
+    round among them).  Raises InconsistentBoundsError if lower exceeds
     upper (an engine bug).
     """
-    lowers: list[Bound] = []
-    uppers: list[Bound] = []
-
-    exact_pair = low_dim_exact(space)
-    if exact_pair is not None:
-        lowers.append(exact_pair[0])
-        uppers.append(exact_pair[1])
-
-    p2 = power_of_two_lower(space)
-    if p2 is not None:
-        lowers.append(p2)
-    lowers.extend(euler_class_lower_bounds(space))
-    c2 = codim2_lower(space)
-    if c2 is not None:
-        lowers.append(c2)
-    lowers.append(compactness_floor(space))
-    if conjectural:
-        lowers.extend(conjectural_lower_bounds(space))
-
-    if space.m >= 1:
-        primary = (space if space.odd_factor == 1
-                   else LensSpace(space.m, space.e))
-        cand = [b for b in at(space.m, space.e) if external or not b.external]
-        sp = spin_upper(primary)
-        if sp is not None:
-            cand.append(sp)
-        cand.append(hhmp_upper(primary))
-        if space.odd_factor != 1:
-            cand = [b._replace(transferred=True) for b in cand
-                    if metastable_smoothable(space.dim, b.dim)]
-        uppers.extend(cand)
-
+    lowers = list(lower_bounds(space, conjectural))
+    uppers = list(upper_bounds(space, external))
     # max and min keep the first of equal dims
     lower = max(lowers, key=attrgetter("dim"))
     upper = min(uppers, key=attrgetter("dim"))

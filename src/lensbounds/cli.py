@@ -4,11 +4,11 @@
 the least output at m, an external one only under `--external`.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-inconsistency (an engine bug: a lower bound exceeding an upper bound, a
-round or lifting gate off its closed form, a weakening off the output it
-stands on, or the spin criteria disagreeing; inside `verify`, a lower
-bound above an upper one or a value off its closed form fails its check
-instead, and the command exits 2),
+inconsistency (an engine bug, a `records.EngineError`: a lower bound
+exceeding an upper bound, a round or lifting gate off its closed form, a
+weakening off the output it stands on, or the spin criteria disagreeing;
+inside `verify`, any of these fails its check instead, and the command
+exits 2; an `AssertionError` is not one of them),
 74 (EX_IOERR) stdout could not be written (a full disk, say), 141 (128 +
 SIGPIPE) stdout closed, or its reader gone before it was written.
 
@@ -36,8 +36,7 @@ from .catalog import report
 from .dyadic import alpha
 from .lifting import (davis_mahowald_check, embedding_gate, feeding_params,
                       sharpening_drop, sharper_lifting_level)
-from .records import (InconsistentBoundsError, LensSpace,
-                      RoundsDivergenceError, on_paths, unique_nodes)
+from .records import EngineError, LensSpace, on_paths, unique_nodes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -405,10 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     args.started = started
     try:
         code, lines = args.fn(args)
-    except (InconsistentBoundsError, RoundsDivergenceError,
-            AssertionError) as exc:
-        # AssertionError is raised explicitly, not by assert statements, when
-        # the two spin criteria disagree or the spin prerequisite fails
+    except EngineError as exc:
         _warn(f"internal inconsistency: {exc}")
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .dyadic import nu_binom
+from .records import SpinCriteriaError
 
 
 class CohomologyRing(namedtuple("CohomologyRing", "n epsilon mask")):
@@ -242,7 +243,7 @@ def is_spin(m: int, e: int) -> bool:
     # which truncation keeps
     via_sq2 = _square_term(2, 1, m - 1, low.epsilon) is None
     if via_w2 != via_sq2:
-        raise AssertionError(
+        raise SpinCriteriaError(
             f"spin criteria disagree at m={m}, e={e}: w2 route {via_w2}, "
             f"Sq^2 route {via_sq2}")
     return via_w2

@@ -39,8 +39,8 @@ from collections import namedtuple
 from .dyadic import alpha
 from .lifting import (embedding_gate, feeding_params, radon_gate,
                       sharpening_drop)
-from .records import (Bound, DerivationNode, RoundsDivergenceError,
-                      upper_bound)
+from .records import (Bound, DerivationNode, Direction,
+                      RoundsDivergenceError, upper_category)
 
 
 def sections_table(k: int, e: int) -> int | None:
@@ -188,8 +188,8 @@ def _round_bound(e: int, record: Step,
     # round 2, but for its special output, rests on its weakened ground
     external = (mu == 2 and rule_id != "round2:special"
                 and _weakened(e) is None)
-    return upper_bound(2 * m + 1, dim, *_NAMES[rule_id], derivation,
-                       external=external)
+    return Bound(Direction.UPPER, dim, upper_category(2 * m + 1, dim),
+                 *_NAMES[rule_id], derivation, external=external)
 
 
 # per round, the rule ids of its steps' main and sharpened outputs: one

@@ -9,7 +9,10 @@ witness fields, replay check and text.  The module that builds the
 conditions defines their kinds, so this module keeps no table of them.
 `DerivationNode.replay` is the one routine that replays a derivation, and
 `on_paths` the one count of the side conditions on its paths: `derive`
-and `verify rounds` both use them.
+and `verify rounds` both use them.  `EngineError` is the base of the
+errors that mark an engine bug (inconsistent bounds, a value off its
+closed form, disagreeing spin criteria): `verify` fails the check that
+meets one, and the CLI exits 3.
 
 The records here, and those of the other modules, are `namedtuple`
 subclasses with `__slots__ = ()`, not data classes made by the standard
@@ -229,8 +232,9 @@ class Bound(namedtuple("Bound", "direction dim category rule_id citation "
     LOWER means "the embedding dimension is at least dim" (nonembedding in
     R^(dim-1)); UPPER means "at most dim".  derivation is the tree of an
     engine bound (None for the closed-form rules, and for the integer
-    pass).  An upper bound's category is smooth where the ambient
-    dimension lies in the metastable range (see `upper_category`).
+    pass).  The closed-form rules embed smoothly; an engine upper bound
+    is smooth where the ambient dimension lies in the metastable range
+    (see `upper_category`).
     """
 
     __slots__ = ()
@@ -260,26 +264,21 @@ class Bound(namedtuple("Bound", "direction dim category rule_id citation "
         return f"emb {sense} {self.dim} ({self.category}, {self.rule_id}){flags}"
 
 
-def upper_category(manifold_dim: int, ambient_dim: int,
-                   smooth_rule: bool = False) -> Category:
-    """The category of an embedding in R^ambient_dim: smooth exactly in the
-    metastable range, or anywhere for a rule that embeds smoothly itself."""
-    if smooth_rule or metastable_smoothable(manifold_dim, ambient_dim):
+def upper_category(manifold_dim: int, ambient_dim: int) -> Category:
+    """The category of an engine's embedding in R^ambient_dim: smooth
+    exactly in the metastable range."""
+    if metastable_smoothable(manifold_dim, ambient_dim):
         return Category.SMOOTH
     return Category.TOPOLOGICAL
 
 
-def upper_bound(manifold_dim: int, dim: int, rule_id: str, citation: str,
-                derivation: DerivationNode | None = None, *,
-                smooth_rule: bool = False, **flags: bool) -> Bound:
-    """An upper bound in R^dim, of the category `upper_category` gives."""
-    return Bound(Direction.UPPER, dim,
-                 upper_category(manifold_dim, dim, smooth_rule), rule_id,
-                 citation, derivation, **flags)
+class EngineError(Exception):
+    """An engine bug, not an input error: the base of the errors that
+    `verify` turns into a failed check and the CLI into exit 3."""
 
 
-class InconsistentBoundsError(Exception):
-    """A lower bound exceeded an upper bound: an engine bug, not an input error."""
+class InconsistentBoundsError(EngineError):
+    """A lower bound exceeded an upper bound."""
 
     def __init__(self, space: LensSpace, lower: Bound, upper: Bound):
         self.space = space
@@ -290,6 +289,11 @@ class InconsistentBoundsError(Exception):
             f"({lower.rule_id}) > upper {upper.dim} ({upper.rule_id})")
 
 
-class RoundsDivergenceError(Exception):
+class RoundsDivergenceError(EngineError):
     """The round-runner, or a gate it rests on, produced a value off its
     closed form."""
+
+
+class SpinCriteriaError(EngineError):
+    """The two routes to the spin criterion disagreed, or a space the
+    catalog's spin rule takes is not spin."""

@@ -42,8 +42,7 @@ from .dyadic import (alpha, hurwitz_radon, nu, nu_binom, nu_binom_sym,
 from .inductive import delta_e, milgram_condition
 from .lifting import (davis_mahowald_check, embedding_gate, feed_forms,
                       feeding_params, sharpening_drop, sharper_lifting_level)
-from .records import (InconsistentBoundsError, LensSpace,
-                      RoundsDivergenceError, on_paths)
+from .records import EngineError, LensSpace, RoundsDivergenceError, on_paths
 
 
 class CheckResult(namedtuple("CheckResult", "name cases ok detail",
@@ -74,8 +73,8 @@ def _tally(name: str, outcomes: Iterable) -> CheckResult:
     """The result of a check that yields one outcome per case: None where
     the case passes, its counterexample where it fails.
 
-    An engine error (a lower bound above an upper one, or a value off its
-    closed form) ends the check, which counts the cases before it and fails
+    An engine error (a lower bound above an upper one, a value off its
+    closed form, or spin criteria that disagree) ends the check, which counts the cases before it and fails
     with the error's message as its first counterexample, unless it found
     one earlier; the other checks still run."""
     bad = None
@@ -85,7 +84,7 @@ def _tally(name: str, outcomes: Iterable) -> CheckResult:
             cases += 1
             if bad is None:
                 bad = outcome
-    except (InconsistentBoundsError, RoundsDivergenceError) as exc:
+    except EngineError as exc:
         bad = bad or str(exc)
     return _result(name, cases, bad)
 

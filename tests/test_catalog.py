@@ -1,15 +1,14 @@
+import hashlib
 import tracemalloc
 
 import pytest
 
 import lensbounds
 from lensbounds import catalog, proofs, verify
-from lensbounds.catalog import (LensSpace, codim2_lower, compactness_floor,
-                                conjectural_lower_bounds,
+from lensbounds.catalog import (LensSpace, conjectural_lower_bounds,
                                 euler_class_condition,
-                                euler_class_lower_bounds, hhmp_upper,
-                                low_dim_exact, metastable_smoothable,
-                                power_of_two_lower, report, spin_upper)
+                                euler_class_lower_bounds, lower_bounds,
+                                metastable_smoothable, report, upper_bounds)
 from lensbounds.dyadic import alpha
 from lensbounds.inductive import at
 from lensbounds.records import Category, unique_nodes
@@ -100,45 +99,102 @@ def test_euler_scans_equal_full_scan():
                         for b in got] == want.get(m, []), (m, e)
 
 
+def _dims(bounds, rule_id):
+    """The dims of the bounds of `rule_id` among `bounds`, in order."""
+    return [b.dim for b in bounds if b.rule_id == rule_id]
+
+
 def test_power_of_two_lower():
-    assert power_of_two_lower(LensSpace(8, 3)).dim == 33
-    assert power_of_two_lower(LensSpace(1, 1)).dim == 5
-    assert power_of_two_lower(LensSpace(3, 2)) is None
-    assert power_of_two_lower(LensSpace(0, 1)) is None
+    def floor(space):
+        return _dims(lower_bounds(space), "power-of-two-floor")
+    assert floor(LensSpace(8, 3)) == [33]
+    assert floor(LensSpace(1, 1)) == [5]
+    assert floor(LensSpace(3, 2)) == []
+    assert floor(LensSpace(0, 1)) == []
 
 
 def test_codim2_lower():
     # no embedding in R^(2m+3), hence dimension >= 2m+4 (this recovers the
     # n = 2, 3 high-torsion Euler-class cases)
-    assert codim2_lower(LensSpace(2, 1)).dim == 8
-    assert codim2_lower(LensSpace(3, 1)) is None     # the one exception
-    assert codim2_lower(LensSpace(3, 2)).dim == 10
-    assert codim2_lower(LensSpace(3, 1, 3)).dim == 10  # torsion 6 is covered
-    assert codim2_lower(LensSpace(1, 5)) is None
+    def codim2(space):
+        return _dims(lower_bounds(space), "codim2")
+    assert codim2(LensSpace(2, 1)) == [8]
+    assert codim2(LensSpace(3, 1)) == []      # the one exception
+    assert codim2(LensSpace(3, 2)) == [10]
+    assert codim2(LensSpace(3, 1, 3)) == [10]  # torsion 6 is covered
+    assert codim2(LensSpace(1, 5)) == []
 
 
 def test_low_dim_exact():
-    lo, up = low_dim_exact(LensSpace(0, 1))
-    assert lo.dim == up.dim == 2
-    lo, up = low_dim_exact(LensSpace(1, 5))
-    assert lo.dim == up.dim == 5
-    assert up.category is Category.SMOOTH
-    assert low_dim_exact(LensSpace(2, 1)) is None
+    for space, dim in ((LensSpace(0, 1), 2), (LensSpace(1, 5), 5)):
+        assert _dims(lower_bounds(space), "low-dim") == [dim]
+        up, = (b for b in upper_bounds(space) if b.rule_id == "low-dim")
+        assert up.dim == dim and up.category is Category.SMOOTH
+    assert _dims(lower_bounds(LensSpace(2, 1)), "low-dim") == []
+    assert _dims(upper_bounds(LensSpace(2, 1)), "low-dim") == []
 
 
 def test_hhmp_upper():
-    assert hhmp_upper(LensSpace(5, 2)).dim == 21
-    assert hhmp_upper(LensSpace(1, 1)).dim == 5
-    assert hhmp_upper(LensSpace(8, 3)).dim == 33
-    with pytest.raises(ValueError):
-        hhmp_upper(LensSpace(0, 1))
+    def hhmp(space):
+        return _dims(upper_bounds(space), "hhmp")
+    assert hhmp(LensSpace(5, 2)) == [21]
+    assert hhmp(LensSpace(1, 1)) == [5]
+    assert hhmp(LensSpace(8, 3)) == [33]
+    # the circle has its exact value alone
+    assert [b.rule_id for b in upper_bounds(LensSpace(0, 1))] == ["low-dim"]
 
 
 def test_spin_upper():
-    assert spin_upper(LensSpace(7, 4)).dim == 28
-    assert spin_upper(LensSpace(3, 2)).dim == 12
-    assert spin_upper(LensSpace(5, 2)) is None
-    assert spin_upper(LensSpace(8, 1)) is None
+    def spin(space):
+        return _dims(upper_bounds(space), "spin")
+    assert spin(LensSpace(7, 4)) == [28]
+    assert spin(LensSpace(3, 2)) == [12]
+    assert spin(LensSpace(5, 2)) == []
+    assert spin(LensSpace(8, 1)) == []
+
+
+def test_rules_come_most_specific_first():
+    space = LensSpace(8, 3)
+    assert [b.rule_id for b in lower_bounds(space)] == [
+        "power-of-two-floor", "euler-class", "codim2", "compactness"]
+    assert [b.rule_id for b in upper_bounds(LensSpace(7, 2))] == [
+        "round1", "round2-special", "round2:base", "spin", "hhmp"]
+    assert [b.rule_id for b in upper_bounds(LensSpace(1, 3))] == [
+        "low-dim", "hhmp"]
+    # every closed-form upper rule embeds smoothly, in or out of the
+    # metastable range
+    for m in range(12):
+        for b in upper_bounds(LensSpace(m, 2)):
+            if not b.rule_id.startswith("round"):
+                assert b.category is Category.SMOOTH, (m, b)
+
+
+def _report_lines():
+    """One line per space and flag set: every bound of its report with its
+    citation, then the two winners."""
+    for k in (1, 3, 5):
+        for e in range(1, 5):
+            for m in range(301):
+                for conj in (False, True):
+                    for ext in (False, True):
+                        rep = report(LensSpace(m, e, k), conj, ext)
+                        yield (f"{k} {e} {m} {conj:d}{ext:d}: "
+                               + " | ".join(f"{b} {b.citation}"
+                                            for b in rep.all_bounds)
+                               + f" -> {rep.lower} / {rep.upper}\n")
+
+
+def test_every_report_bound_is_pinned():
+    # every bound a report makes, winning or not, with its citation, at
+    # odd torsion and under each set of the rule flags
+    digest = hashlib.sha256()
+    lines = 0
+    for line in _report_lines():
+        digest.update(line.encode())
+        lines += 1
+    assert (lines, digest.hexdigest()) == (
+        14448,
+        "c20233b5da753b35c0b38a9daef98632bceb3abdc91b459fe2aca61a4b39118e")
 
 
 def test_closed_form_uppers_examples():
@@ -249,7 +305,7 @@ def test_compactness_floor_is_last_resort():
     rep = report(LensSpace(3, 1))
     assert rep.lower.rule_id == "compactness" and rep.lower.dim == 8
     assert rep.upper.dim == 11
-    assert compactness_floor(LensSpace(3, 1)).dim == 8
+    assert _dims(lower_bounds(LensSpace(3, 1)), "compactness") == [8]
 
 
 def test_eff_row_of_the_catalog():

@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from lensbounds import (automata, catalog, cli, inductive, lifting, proofs,
-                        verify)
+from lensbounds import (automata, catalog, cli, cohomology, inductive,
+                        lifting, proofs, verify)
 from lensbounds.cohomology import Mod2Class, multiply, steenrod_square
 from lensbounds.dyadic import nu, radon_pair
 from lensbounds.lifting import (davis_mahowald_check, feed_forms,
@@ -143,8 +143,11 @@ def test_a_failing_check_counts_every_case_and_names_the_first(
 
 def _bend_codim2(real):
     # the codim2 lower bound of L^81(8) far above its upper bounds
-    return lambda space: (real(space)._replace(dim=10**6)
-                          if (space.m, space.e) == (40, 3) else real(space))
+    def bent(space, conjectural=False):
+        for b in real(space, conjectural):
+            yield (b._replace(dim=10**6) if b.rule_id == "codim2"
+                   and (space.m, space.e) == (40, 3) else b)
+    return bent
 
 
 def _bend_nu_binom_sym(real):
@@ -154,7 +157,7 @@ def _bend_nu_binom_sym(real):
 
 
 @pytest.mark.parametrize("scope, target, name, bend, failed", [
-    ("bounds", catalog, "codim2_lower", _bend_codim2, {
+    ("bounds", catalog, "lower_bounds", _bend_codim2, {
         "soundness-sweep": "soundness-sweep: 554 cases FAIL  [first "
         "counterexample internal inconsistency for L^81(8): lower 1000000 "
         "(codim2) > upper 161 (hhmp)]"}),
@@ -162,7 +165,14 @@ def _bend_nu_binom_sym(real):
         name: f"{name}: 298 cases FAIL  [first counterexample "
         "nu(C(p, 4l-4)) = 4 off its closed form at ell=300]"
         for name in ("davis-mahowald-gate", "sharper-lifting-levels")}),
-], ids=["inconsistent-bounds", "rounds-divergence"])
+    # verify holds its own tangential_sw_class, so only is_spin sees the
+    # bend, and the other cohomology checks still pass
+    ("cohomology", cohomology, "tangential_sw_class",
+     lambda real: lambda ring: ring.one() + ring.y(1), {
+         "spin-double-derivation": "spin-double-derivation: 3 cases FAIL  "
+         "[first counterexample spin criteria disagree at m=1, e=1: w2 "
+         "route False, Sq^2 route True]"}),
+], ids=["inconsistent-bounds", "rounds-divergence", "spin-criteria"])
 def test_an_engine_error_fails_its_check_not_the_command(
         capsys, monkeypatch, scope, target, name, bend, failed):
     # the engine raises before the check can compare what it checks; the
